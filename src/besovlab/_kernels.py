@@ -1,39 +1,28 @@
-"""Hot numeric kernels with a numba fast path and a pure-numpy fallback.
+"""Hot numeric kernels, vectorized with numpy.
 
-The backend is chosen at import time: numba is used when available unless
-the environment variable ``BESOVLAB_DISABLE_NUMBA`` is set to ``1``/``true``.
-Both paths produce identical results (same arithmetic, same order); the
-parity is covered by tests/test_kernels.py and timed by
-benchmarks/bench_kernels.py.
+There is one implementation of each kernel. The batched kernels
+(``preimage_lengths``, ``shift_difference_batch``) do the same floating-point
+operations, in the same order, as the scalar reference loops they replace,
+so their results are bit-identical to them; tests/test_kernels.py checks them
+against those loops and against closed-form oracles.
 """
 
 from __future__ import annotations
 
+import bisect
 import math
-import os
 
 import numpy as np
-
-_DISABLED = os.environ.get("BESOVLAB_DISABLE_NUMBA", "").lower() in ("1", "true", "yes")
-
-if not _DISABLED:
-    try:
-        from numba import njit
-
-        _HAVE_NUMBA = True
-    except ImportError:  # pragma: no cover - numba is a declared dependency
-        _HAVE_NUMBA = False
-else:
-    _HAVE_NUMBA = False
-
-USING_NUMBA = _HAVE_NUMBA
 
 
 # ---------------------------------------------------------------------------
 # linear interpolation with extension values
 # ---------------------------------------------------------------------------
 
-def _interp_eval_np(samples, origin, spacing, left, right, xs):
+def interp_eval(samples, origin, spacing, left, right, xs):
+    """Evaluate a uniformly sampled function at ``xs`` (linear interpolation,
+    constant extension values ``left``/``right`` beyond the window)."""
+    xs = np.ascontiguousarray(xs, dtype=np.float64)
     n = samples.shape[0]
     t = (xs - origin) / spacing
     i = np.clip(np.floor(t).astype(np.int64), 0, n - 2)
@@ -42,91 +31,32 @@ def _interp_eval_np(samples, origin, spacing, left, right, xs):
     return np.where(t < 0.0, left, np.where(t > n - 1.0, right, vals))
 
 
-if USING_NUMBA:
-
-    @njit(cache=True)
-    def _interp_eval_nb(samples, origin, spacing, left, right, xs):
-        n = samples.shape[0]
-        out = np.empty(xs.shape[0])
-        inv = 1.0 / spacing
-        for k in range(xs.shape[0]):
-            t = (xs[k] - origin) * inv
-            if t < 0.0:
-                out[k] = left
-            elif t > n - 1.0:
-                out[k] = right
-            else:
-                i = int(t)
-                if i > n - 2:
-                    i = n - 2
-                frac = t - i
-                out[k] = samples[i] + (samples[i + 1] - samples[i]) * frac
-        return out
-
-
-def interp_eval(samples, origin, spacing, left, right, xs):
-    """Evaluate a uniformly sampled function at ``xs`` (linear interpolation,
-    constant extension values ``left``/``right`` beyond the window)."""
-    xs = np.ascontiguousarray(xs, dtype=np.float64)
-    if USING_NUMBA:
-        return _interp_eval_nb(samples, origin, spacing, left, right, xs)
-    return _interp_eval_np(samples, origin, spacing, left, right, xs)
-
-
 # ---------------------------------------------------------------------------
 # difference operator, batched over shifts
 # ---------------------------------------------------------------------------
-
-def _shift_difference_np(samples, left, right, offsets, coefs):
-    n = samples.shape[0]
-    out = np.empty((offsets.shape[0], n))
-    idx = np.arange(n)
-    for k in range(offsets.shape[0]):
-        acc = coefs[0] * samples
-        for j in range(1, coefs.shape[0]):
-            sh = idx + j * offsets[k]
-            vals = np.where(
-                sh < 0, left, np.where(sh > n - 1, right, samples[np.clip(sh, 0, n - 1)])
-            )
-            acc = acc + coefs[j] * vals
-        out[k] = acc
-    return out
-
-
-if USING_NUMBA:
-
-    @njit(cache=True)
-    def _shift_difference_nb(samples, left, right, offsets, coefs):
-        n = samples.shape[0]
-        m1 = coefs.shape[0]
-        out = np.empty((offsets.shape[0], n))
-        for k in range(offsets.shape[0]):
-            off = offsets[k]
-            for i in range(n):
-                acc = coefs[0] * samples[i]
-                for j in range(1, m1):
-                    sh = i + j * off
-                    if sh < 0:
-                        acc += coefs[j] * left
-                    elif sh > n - 1:
-                        acc += coefs[j] * right
-                    else:
-                        acc += coefs[j] * samples[sh]
-                out[k, i] = acc
-        return out
-
 
 def shift_difference_batch(samples, left, right, offsets, m):
     """Delta^m_h on the sample grid for integer shift counts ``offsets``.
 
     Entry [k, i] is sum_j (-1)^(m-j) C(m,j) f(x_i + j*offsets[k]*dx), with
-    out-of-window reads replaced by the extension values.
+    out-of-window reads replaced by the extension values. The sum runs over
+    j in increasing order.
     """
-    coefs = np.array([(-1.0) ** (m - j) * math.comb(m, j) for j in range(m + 1)])
-    offsets = np.ascontiguousarray(offsets, dtype=np.int64)
-    if USING_NUMBA:
-        return _shift_difference_nb(samples, left, right, offsets, coefs)
-    return _shift_difference_np(samples, left, right, offsets, coefs)
+    coefs = [(-1.0) ** (m - j) * math.comb(m, j) for j in range(m + 1)]
+    offsets = np.asarray(offsets, dtype=np.int64)
+    n = samples.shape[0]
+    # reads more than n cells away see only extension values, so n cells of
+    # padding on each side serve every shift
+    pad = min(m * int(np.abs(offsets).max(initial=0)), n)
+    buf = np.concatenate((np.full(pad, float(left)), samples, np.full(pad, float(right))))
+    out = np.empty((offsets.shape[0], n))
+    for k, off in enumerate(offsets.tolist()):
+        row = out[k]
+        np.multiply(coefs[0], samples, out=row)
+        for j in range(1, m + 1):
+            start = pad + min(max(j * off, -pad), pad)
+            row += coefs[j] * buf[start : start + n]
+    return out
 
 
 def interp_difference(samples, origin, spacing, left, right, h, m):
@@ -149,6 +79,10 @@ def interp_difference(samples, origin, spacing, left, right, h, m):
 # ylo == yhi.
 
 N_BISECT = 80
+
+# (target, segment) pairs screened at once by preimage_lengths; bounds the
+# size of its masks and gathered arrays
+_CHUNK_PAIRS = 1 << 20
 
 
 def _poly3(t0, c0, c1, c2, c3, x):
@@ -188,85 +122,56 @@ def _clip_segment_py(row, lo, hi):
     return (min(xa, xb), max(xa, xb))
 
 
-def _preimage_lengths_np(seg, los, his):
-    out = np.zeros(los.shape[0])
-    for t in range(los.shape[0]):
-        total = 0.0
-        for srow in seg:
-            res = _clip_segment_py(srow, los[t], his[t])
-            if res is not None:
-                total += res[1] - res[0]
-        out[t] = total
-    return out
-
-
-if USING_NUMBA:
-
-    @njit(cache=True)
-    def _solve_mono_nb(t0, c0, c1, c2, c3, xlo, xhi, inc, y):
-        a = xlo
-        b = xhi
-        for _ in range(N_BISECT):
-            mid = 0.5 * (a + b)
-            u = mid - t0
-            fm = c0 + u * (c1 + u * (c2 + u * c3)) - y
-            if (fm <= 0.0) == inc:
-                a = mid
-            else:
-                b = mid
-        return 0.5 * (a + b)
-
-    @njit(cache=True)
-    def _preimage_lengths_nb(seg, los, his):
-        nt = los.shape[0]
-        ns = seg.shape[0]
-        out = np.zeros(nt)
-        for t in range(nt):
-            lo = los[t]
-            hi = his[t]
-            total = 0.0
-            for s in range(ns):
-                ylo = seg[s, 7]
-                yhi = seg[s, 8]
-                ymin = min(ylo, yhi)
-                ymax = max(ylo, yhi)
-                if ymax < lo or ymin > hi:
-                    continue
-                xlo = seg[s, 5]
-                xhi = seg[s, 6]
-                if ymin == ymax:
-                    total += xhi - xlo
-                    continue
-                inc = yhi >= ylo
-                a = lo if lo > ymin else ymin
-                b = hi if hi < ymax else ymax
-                if a <= ymin:
-                    xa = xlo if inc else xhi
-                else:
-                    xa = _solve_mono_nb(
-                        seg[s, 0], seg[s, 1], seg[s, 2], seg[s, 3], seg[s, 4], xlo, xhi, inc, a
-                    )
-                if b >= ymax:
-                    xb = xhi if inc else xlo
-                else:
-                    xb = _solve_mono_nb(
-                        seg[s, 0], seg[s, 1], seg[s, 2], seg[s, 3], seg[s, 4], xlo, xhi, inc, b
-                    )
-                total += abs(xb - xa)
-            out[t] = total
-        return out
+def _solve_mono_batch(rows, ys):
+    """_solve_mono_py for each (rows[k], ys[k]), as whole-array steps."""
+    t0, c0, c1, c2, c3, a, b, ylo, yhi = np.ascontiguousarray(rows.T)
+    inc = yhi >= ylo
+    for _ in range(N_BISECT):
+        mid = 0.5 * (a + b)
+        fm = _poly3(t0, c0, c1, c2, c3, mid) - ys
+        up = (fm <= 0.0) == inc
+        a = np.where(up, mid, a)
+        b = np.where(up, b, mid)
+    return 0.5 * (a + b)
 
 
 def preimage_lengths(seg, los, his):
-    """Total preimage length |phi^-1([lo, hi])| for a batch of targets."""
+    """Total preimage length |phi^-1([lo, hi])| for a batch of targets.
+
+    Each target's total is the sum, in segment order from 0.0, of the
+    _clip_segment_py lengths of the segments that meet [lo, hi].
+    """
     seg = np.ascontiguousarray(seg, dtype=np.float64)
     los = np.ascontiguousarray(los, dtype=np.float64)
     his = np.ascontiguousarray(his, dtype=np.float64)
+    out = np.zeros(los.shape[0])
     if seg.shape[0] == 0:
-        return np.zeros(los.shape[0])
-    if USING_NUMBA:
-        return _preimage_lengths_nb(seg, los, his)
-    return _preimage_lengths_np(seg, los, his)
+        return out
+    xlo, xhi, ylo, yhi = seg[:, 5], seg[:, 6], seg[:, 7], seg[:, 8]
+    ymin, ymax = np.minimum(ylo, yhi), np.maximum(ylo, yhi)
+    inc = yhi >= ylo
+    step = max(1, _CHUNK_PAIRS // seg.shape[0])
+    for start in range(0, los.shape[0], step):
+        lo, hi = los[start : start + step], his[start : start + step]
+        # row-major: each target's pairs come out in segment order
+        t, s = np.nonzero(~((ymax < lo[:, None]) | (ymin > hi[:, None])))
+        lo_t, hi_t, ymin_s, ymax_s, inc_s = lo[t], hi[t], ymin[s], ymax[s], inc[s]
+        flat = ymin_s == ymax_s
+        solve_a = ~flat & ~(lo_t <= ymin_s)
+        solve_b = ~flat & ~(hi_t >= ymax_s)
+        xa = np.where(inc_s, xlo[s], xhi[s])
+        xb = np.where(inc_s, xhi[s], xlo[s])
+        roots = _solve_mono_batch(
+            seg[np.concatenate((s[solve_a], s[solve_b]))],
+            np.concatenate((lo_t[solve_a], hi_t[solve_b])),
+        )
+        n_a = int(solve_a.sum())
+        xa[solve_a] = roots[:n_a]
+        xb[solve_b] = roots[n_a:]
+        terms = np.where(flat, xhi[s] - xlo[s], np.abs(xb - xa))
+        # bincount adds each target's terms in input order, starting from 0.0
+        out[start : start + lo.shape[0]] = np.bincount(t, weights=terms, minlength=lo.shape[0])
+    return out
 
 
 def segment_clip(seg_row, lo, hi):
@@ -278,11 +183,13 @@ def segment_clip(seg_row, lo, hi):
 # greedy disjoint-class extraction (splitting lemma)
 # ---------------------------------------------------------------------------
 
-def _greedy_classes_py(lefts, rights):
+def greedy_classes(lefts, rights):
+    """Label each interval with its class index under the greedy min-index
+    extraction rule (closed-interval intersection; touching counts)."""
+    lefts = np.ascontiguousarray(lefts, dtype=np.float64)
+    rights = np.ascontiguousarray(rights, dtype=np.float64)
     n = lefts.shape[0]
     labels = np.full(n, -1, dtype=np.int64)
-    import bisect
-
     remaining = n
     cls = 0
     while remaining > 0:
@@ -305,62 +212,9 @@ def _greedy_classes_py(lefts, rights):
     return labels
 
 
-if USING_NUMBA:
-
-    @njit(cache=True)
-    def _greedy_classes_nb(lefts, rights):
-        n = lefts.shape[0]
-        labels = np.full(n, -1, dtype=np.int64)
-        sl = np.empty(n)
-        sr = np.empty(n)
-        remaining = n
-        cls = 0
-        while remaining > 0:
-            k = 0
-            for j in range(n):
-                if labels[j] >= 0:
-                    continue
-                l = lefts[j]
-                r = rights[j]
-                lo = 0
-                hi = k
-                while lo < hi:
-                    mid = (lo + hi) // 2
-                    if sl[mid] < l:
-                        lo = mid + 1
-                    else:
-                        hi = mid
-                pos = lo
-                if pos > 0 and sr[pos - 1] >= l:
-                    continue
-                if pos < k and sl[pos] <= r:
-                    continue
-                for t in range(k, pos, -1):
-                    sl[t] = sl[t - 1]
-                    sr[t] = sr[t - 1]
-                sl[pos] = l
-                sr[pos] = r
-                k += 1
-                labels[j] = cls
-                remaining -= 1
-            cls += 1
-        return labels
-
-
-def greedy_classes(lefts, rights):
-    """Label each interval with its class index under the greedy min-index
-    extraction rule (closed-interval intersection; touching counts)."""
-    lefts = np.ascontiguousarray(lefts, dtype=np.float64)
-    rights = np.ascontiguousarray(rights, dtype=np.float64)
-    if lefts.shape[0] == 0:
-        return np.zeros(0, dtype=np.int64)
-    if USING_NUMBA:
-        return _greedy_classes_nb(lefts, rights)
-    return _greedy_classes_py(lefts, rights)
-
-
 def warm_up():
-    """Trigger JIT compilation of all kernels (no-op on the numpy path)."""
+    """Run every kernel once on a tiny input. Nothing is compiled; a timed
+    caller uses this to keep first-call costs out of its measurements."""
     s = np.linspace(0.0, 1.0, 8)
     interp_eval(s, 0.0, 1.0, 0.0, 0.0, np.array([0.5, 9.0]))
     shift_difference_batch(s, 0.0, 0.0, np.array([1, 2]), 2)

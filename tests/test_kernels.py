@@ -1,9 +1,19 @@
-"""Parity between the selected backend and the pure-numpy reference path."""
+"""Kernels against scalar reference loops and closed-form oracles."""
+
+import math
 
 import numpy as np
 import pytest
 
 from besovlab import _kernels as K
+from besovlab.maps import (
+    M_functional,
+    U_functional,
+    affine_map,
+    max_preimage_count,
+    quadratic_map,
+    sin_map,
+)
 
 
 @pytest.fixture
@@ -11,54 +21,160 @@ def rng():
     return np.random.default_rng(2024)
 
 
-def test_interp_eval_parity(rng):
-    samples = rng.normal(size=257)
-    xs = rng.uniform(-5.0, 20.0, size=4001)
-    a = K.interp_eval(samples, 0.0, 0.0625, -1.5, 2.5, xs)
-    b = K._interp_eval_np(samples, 0.0, 0.0625, -1.5, 2.5, xs)
-    assert np.array_equal(a, b)
+# ---------------------------------------------------------------------------
+# preimage lengths
+# ---------------------------------------------------------------------------
 
-
-def test_shift_difference_parity(rng):
-    import math
-
-    samples = rng.normal(size=513)
-    offsets = np.array([1, -3, 7, 250, -512])
-    for m in (1, 2, 3):
-        coefs = np.array([(-1.0) ** (m - j) * math.comb(m, j) for j in range(m + 1)])
-        a = K.shift_difference_batch(samples, 0.25, -0.5, offsets, m)
-        b = K._shift_difference_np(samples, 0.25, -0.5, offsets, coefs)
-        assert np.array_equal(a, b)
-
-
-def test_preimage_lengths_parity(rng):
-    # random monotone segments: linear pieces are exactly representable
-    n = 40
+def _segment_table(rng, n=60):
+    """Increasing, decreasing and flat cubic rows laid end to end."""
     rows = []
     x = -10.0
-    for _ in range(n):
+    for i in range(n):
         width = rng.uniform(0.1, 1.0)
-        slope = rng.choice([-1.0, 1.0]) * rng.uniform(0.2, 3.0)
         c0 = rng.uniform(-5.0, 5.0)
-        rows.append([x, c0, slope, 0.0, 0.0, x, x + width, c0, c0 + slope * width])
+        if i % 3 == 2:
+            c = [c0, 0.0, 0.0, 0.0]
+        else:
+            # same-sign coefficients keep p monotone for u = x - t0 >= 0
+            sign = 1.0 if i % 3 == 0 else -1.0
+            ranges = ((0.2, 3.0), (0.0, 1.0), (0.0, 0.5))
+            c = [c0] + [sign * rng.uniform(lo, hi) for lo, hi in ranges]
+        ylo, yhi = K._poly3(x, *c, x), K._poly3(x, *c, x + width)
+        rows.append([x, *c, x, x + width, ylo, yhi])
         x += width
-    seg = np.array(rows)
-    los = rng.uniform(-6.0, 5.0, size=64)
-    his = los + rng.uniform(0.05, 2.0, size=64)
-    a = K.preimage_lengths(seg, los, his)
-    b = K._preimage_lengths_np(seg, los, his)
-    assert np.allclose(a, b, atol=1e-12)
+    return np.array(rows)
 
 
-def test_greedy_classes_parity(rng):
-    lefts = rng.uniform(0.0, 30.0, size=120)
-    rights = lefts + rng.uniform(0.0, 2.0, size=120)
-    a = K.greedy_classes(lefts, rights)
-    b = K._greedy_classes_py(lefts, rights)
-    assert np.array_equal(a, b)
+def _reference_lengths(seg, los, his):
+    """The per-pair scalar clip, summed in segment order from 0.0."""
+    out = np.zeros(los.size)
+    for t, (lo, hi) in enumerate(zip(los, his)):
+        total = 0.0
+        for row in seg:
+            res = K.segment_clip(row, lo, hi)
+            if res is not None:
+                total += res[1] - res[0]
+        out[t] = total
+    return out
+
+
+def test_preimage_lengths_parity(rng, monkeypatch):
+    seg = _segment_table(rng)
+    ends = np.concatenate([seg[:, 7], seg[:, 8]])
+    los = np.concatenate([
+        rng.uniform(-8.0, 8.0, size=120),
+        ends,  # targets starting exactly at a segment end value
+        ends - 0.5,  # targets ending exactly at one
+        ends,  # zero-width targets on the end values
+    ])
+    his = np.concatenate([los[:120] + rng.uniform(0.0, 3.0, size=120), ends + 0.5, ends, ends])
+    want = _reference_lengths(seg, los, his)
+    assert (want > 0).any()
+    # one chunk, several targets per chunk, one target per chunk
+    for chunk_pairs in (K._CHUNK_PAIRS, 200, 1):
+        monkeypatch.setattr(K, "_CHUNK_PAIRS", chunk_pairs)
+        assert np.array_equal(K.preimage_lengths(seg, los, his), want)
+
+
+def test_preimage_lengths_empty_inputs(rng):
+    seg = _segment_table(rng, 6)
+    assert K.preimage_lengths(seg, np.zeros(0), np.zeros(0)).shape == (0,)
+    out = K.preimage_lengths(np.zeros((0, 9)), np.array([0.0, 1.0]), np.array([1.0, 2.0]))
+    assert np.array_equal(out, np.zeros(2))
+
+
+def test_quadratic_unit_preimages_closed_form():
+    a = np.arange(256.0)
+    got = K.preimage_lengths(quadratic_map().segments(), a, a + 1.0)
+    want = 2.0 * (np.sqrt(a + 1.0) - np.sqrt(a))
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
+
+
+@pytest.mark.parametrize("a", [0.5, 2.0, 3.0, -2.0])
+def test_affine_distortion_is_the_inverse_slope(a):
+    phi = affine_map(a, 0.0)
+    assert U_functional(phi) == pytest.approx(1.0 / abs(a), rel=1e-9)
+    assert M_functional(phi).value == pytest.approx(1.0 / abs(a), rel=1e-9)
+
+
+def test_sin_preimage_count_and_band_length():
+    # on [-10, 10], {|sin x| <= 1/2} is 7 intervals |x - k pi| <= pi/6
+    phi = sin_map()
+    assert max_preimage_count(phi) == 7
+    got = K.preimage_lengths(phi.segments(), np.array([-0.5]), np.array([0.5]))[0]
+    assert got == pytest.approx(7.0 * math.pi / 3.0, rel=1e-7)
 
 
 def test_segment_clip_flat_segment():
     row = np.array([0.0, 2.0, 0.0, 0.0, 0.0, 0.0, 3.0, 2.0, 2.0])
     assert K.segment_clip(row, 1.0, 2.5) == (0.0, 3.0)
     assert K.segment_clip(row, 2.5, 3.0) is None
+
+
+# ---------------------------------------------------------------------------
+# difference stencils
+# ---------------------------------------------------------------------------
+
+def _reference_difference(samples, left, right, offsets, m):
+    n = samples.size
+    out = np.empty((len(offsets), n))
+    for k, off in enumerate(offsets):
+        for i in range(n):
+            acc = (-1.0) ** m * samples[i]
+            for j in range(1, m + 1):
+                sh = i + j * off
+                v = left if sh < 0 else right if sh > n - 1 else samples[sh]
+                acc = acc + (-1.0) ** (m - j) * math.comb(m, j) * v
+            out[k, i] = acc
+    return out
+
+
+def test_shift_difference_parity(rng):
+    samples = rng.normal(size=129)
+    # negative shifts, and shifts whose every read falls outside the window
+    offsets = [1, -3, 7, 64, -128, 129, -300, 1000]
+    for m in (1, 2, 3):
+        for left, right in ((0.0, 0.0), (0.25, -0.5)):
+            got = K.shift_difference_batch(samples, left, right, np.array(offsets), m)
+            assert np.array_equal(got, _reference_difference(samples, left, right, offsets, m))
+
+
+def test_shift_difference_without_offsets(rng):
+    out = K.shift_difference_batch(rng.normal(size=17), 1.0, 2.0, np.zeros(0, dtype=np.int64), 2)
+    assert out.shape == (0, 17)
+
+
+# ---------------------------------------------------------------------------
+# interpolation and greedy classes
+# ---------------------------------------------------------------------------
+
+def test_interp_eval_parity(rng):
+    samples = rng.normal(size=257)
+    grid = 0.0625 * np.arange(257)
+    xs = rng.uniform(-5.0, 20.0, size=4001)
+    got = K.interp_eval(samples, 0.0, 0.0625, -1.5, 2.5, xs)
+    want = np.interp(xs, grid, samples, left=-1.5, right=2.5)
+    np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-12)
+
+
+def _reference_classes(lefts, rights):
+    """Greedy min-index rule by exhaustive pairwise tests."""
+    labels = [-1] * len(lefts)
+    cls = 0
+    while -1 in labels:
+        chosen = []
+        for j, (l, r) in enumerate(zip(lefts, rights)):
+            if labels[j] < 0 and all(rights[i] < l or r < lefts[i] for i in chosen):
+                chosen.append(j)
+                labels[j] = cls
+        cls += 1
+    return labels
+
+
+def test_greedy_classes_parity(rng):
+    lefts = rng.uniform(0.0, 30.0, size=120)
+    rights = lefts + rng.uniform(0.0, 2.0, size=120)
+    lefts[10:20] = rights[:10]  # touching intervals intersect
+    rights[10:20] = lefts[10:20] + 0.5
+    assert K.greedy_classes(lefts, rights).tolist() == _reference_classes(lefts, rights)
+    assert K.greedy_classes(np.zeros(0), np.zeros(0)).shape == (0,)
