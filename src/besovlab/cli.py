@@ -20,7 +20,6 @@ import numpy as np
 
 from .grid import DEFAULT_COUNT, DEFAULT_WINDOW, SpaceParams, sample
 from .maps import (
-    LineMap,
     M_functional,
     U_functional,
     lipschitz_constant,

@@ -8,28 +8,11 @@ defining plateau values, supports, and ramp masses stay exact.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
-from enum import Enum
 from typing import Callable
 
 import numpy as np
 
-from .grid import DEFAULT_COUNT, DEFAULT_WINDOW, Extension, GridFunction, smoothstep
-
-
-class GadgetKind(Enum):
-    UNIT_BUMP = "unit_bump"
-    ETA_EPS = "eta_eps"
-    LINEAR_CUTOFF = "linear_cutoff"
-    ZIGZAG = "zigzag"
-
-
-@dataclass(frozen=True)
-class GadgetSpec:
-    kind: GadgetKind
-    params: dict
-    realized: GridFunction
+from .grid import DEFAULT_COUNT, DEFAULT_WINDOW, Extension, GridFunction, _plateau, smoothstep
 
 
 def _sample(fn: Callable, window, count) -> GridFunction:
@@ -39,12 +22,11 @@ def _sample(fn: Callable, window, count) -> GridFunction:
     return GridFunction(np.asarray(fn(xs), dtype=np.float64), spacing, lo, Extension.ZERO, fn)
 
 
-def _plateau_fn(lo: float, hi: float, ramp: float) -> Callable:
-    def fn(x):
-        x = np.asarray(x, dtype=np.float64)
-        return smoothstep((x - (lo - ramp)) / ramp) * smoothstep(((hi + ramp) - x) / ramp)
-
-    return fn
+def plateau(
+    lo: float, hi: float, ramp: float, window=DEFAULT_WINDOW, count: int = DEFAULT_COUNT
+) -> GridFunction:
+    """1 on [lo, hi], quintic smoothstep ramps of width ``ramp``, 0 outside."""
+    return _sample(_plateau(lo, hi, ramp), window, count)
 
 
 def unit_bump(a: float, window=DEFAULT_WINDOW, count: int = DEFAULT_COUNT) -> GridFunction:
@@ -52,7 +34,7 @@ def unit_bump(a: float, window=DEFAULT_WINDOW, count: int = DEFAULT_COUNT) -> Gr
     lo, hi = window
     if not (lo <= a and a + 1.0 <= hi):
         raise ValueError(f"plateau [a, a+1] = [{a}, {a + 1}] leaves the window")
-    return _sample(_plateau_fn(a, a + 1.0, 1.0), window, count)
+    return plateau(a, a + 1.0, 1.0, window, count)
 
 
 def eta_eps(eps: float, window=DEFAULT_WINDOW, count: int = DEFAULT_COUNT) -> GridFunction:
@@ -64,7 +46,7 @@ def eta_eps(eps: float, window=DEFAULT_WINDOW, count: int = DEFAULT_COUNT) -> Gr
     spacing = (hi - lo) / (count - 1)
     if eps < 2.0 * spacing:
         raise ValueError(f"eps = {eps} is below grid resolution (2*dx = {2 * spacing})")
-    return _sample(_plateau_fn(-1.0, 1.0, eps), window, count)
+    return plateau(-1.0, 1.0, eps, window, count)
 
 
 def linear_cutoff(
@@ -76,7 +58,7 @@ def linear_cutoff(
     lo, hi = window
     if not (lo <= a - R - 1.0 and a + R + 1.0 <= hi):
         raise ValueError("support [a-R-1, a+R+1] leaves the window")
-    w = _plateau_fn(a - R, a + R, 1.0)
+    w = _plateau(a - R, a + R, 1.0)
 
     def fn(x):
         x = np.asarray(x, dtype=np.float64)
@@ -101,31 +83,15 @@ def _zigzag_pieces(m: int):
     return w, c1, c2
 
 
-def zigzag_slope(m: int) -> Callable:
-    """g'(x): exactly (-1)^k on [2(4k-1)m, 2(4k+1)m], quintic transitions."""
-    if m < 1:
-        raise ValueError("m must be a positive integer")
-    w, c1, c2 = _zigzag_pieces(m)
-    period = 16.0 * m
-
-    def fn(x):
-        t = np.mod(np.asarray(x, dtype=np.float64) + 2.0 * m, period) - 2.0 * m
-        down = 1.0 - 2.0 * smoothstep((t - (c1 - 0.5 * w)) / w)
-        up = -1.0 + 2.0 * smoothstep((t - (c2 - 0.5 * w)) / w)
-        out = np.where(t < c1 + 0.5 * w, down, up)
-        return out
-
-    return fn
-
-
 def zigzag_value(m: int) -> Callable:
-    """Antiderivative of zigzag_slope, shifted to be centered and bounded."""
+    """The periodic zigzag: slope exactly (-1)^k on [2(4k-1)m, 2(4k+1)m],
+    quintic slope transitions of width m/2, shifted to be centered and
+    bounded."""
     w, c1, c2 = _zigzag_pieces(m)
     period = 16.0 * m
 
     def fn(x):
         t = np.mod(np.asarray(x, dtype=np.float64) + 2.0 * m, period) - 2.0 * m
-        g = np.empty_like(t)
         # rising plateau (slope +1) from t = -2m, g(-2m) = 0
         x0 = c1 - 0.5 * w
         x1 = c2 - 0.5 * w
@@ -153,6 +119,8 @@ def zigzag_value(m: int) -> Callable:
 
 
 def _require_two_periods(m: int, window):
+    if m < 1:
+        raise ValueError("m must be a positive integer")
     lo, hi = window
     if hi - lo < 32.0 * m:
         raise ValueError(f"window must cover two 8m-periods (need length >= {32 * m})")
@@ -169,79 +137,19 @@ def _window_taper(m: int, window):
         x = np.asarray(x, dtype=np.float64)
         return smoothstep((x - lo) / w) * smoothstep((hi - x) / w)
 
-    def taper_prime(x):
-        x = np.asarray(x, dtype=np.float64)
-        u1 = np.clip((x - lo) / w, 0.0, 1.0)
-        u2 = np.clip((hi - x) / w, 0.0, 1.0)
-        s1p = 30.0 * u1**2 * (u1 - 1.0) ** 2 / w
-        s2p = 30.0 * u2**2 * (u2 - 1.0) ** 2 / w
-        return s1p * smoothstep(u2) - smoothstep(u1) * s2p
-
-    return taper, taper_prime
-
-
-def zigzag_window_fn(m: int, window=DEFAULT_WINDOW, shift: float = 0.0):
-    """(g, g') for the windowed zigzag translated by ``shift``: the periodic
-    pattern times the window taper. Plateau values away from the taper are
-    exact."""
-    _require_two_periods(m, window)
-    base = zigzag_value(m)
-    base_slope = zigzag_slope(m)
-    taper, taper_prime = _window_taper(m, window)
-
-    def g(x):
-        x = np.asarray(x, dtype=np.float64)
-        return base(x - shift) * taper(x)
-
-    def gprime(x):
-        x = np.asarray(x, dtype=np.float64)
-        return base_slope(x - shift) * taper(x) + base(x - shift) * taper_prime(x)
-
-    return g, gprime
+    return taper
 
 
 def zigzag_g(m: int, window=DEFAULT_WINDOW, count: int = DEFAULT_COUNT) -> GridFunction:
     """The bounded zigzag witness g with g' = (-1)^k on its 4m-plateaus
-    (exact away from the window taper)."""
-    fn, _ = zigzag_window_fn(m, window)
-    return _sample(fn, window, count)
-
-
-def zigzag_derivative(m: int, window=DEFAULT_WINDOW, count: int = DEFAULT_COUNT) -> GridFunction:
-    _, fn = zigzag_window_fn(m, window)
-    return _sample(fn, window, count)
-
-
-def zigzag_index_sets(m: int, window=DEFAULT_WINDOW) -> list[list[tuple[float, float]]]:
-    """The four translated index sets I_m + 2*l*m (l = 0..3) clipped to the
-    window; their union covers it."""
+    (exact away from the window taper): the periodic pattern times the
+    window taper."""
     _require_two_periods(m, window)
-    lo, hi = window
-    out = []
-    for ell in range(4):
-        shift = 2.0 * ell * m
-        pieces = []
-        k = math.floor((lo - shift) / (8.0 * m)) - 1
-        while True:
-            a = 8.0 * k * m - m + shift
-            b = 8.0 * k * m + m + shift
-            if a > hi:
-                break
-            if b >= lo:
-                pieces.append((max(a, lo), min(b, hi)))
-            k += 1
-        out.append(pieces)
-    return out
+    base = zigzag_value(m)
+    taper = _window_taper(m, window)
 
+    def g(x):
+        x = np.asarray(x, dtype=np.float64)
+        return base(x) * taper(x)
 
-def make_gadget(kind: str, window=DEFAULT_WINDOW, count: int = DEFAULT_COUNT, **params) -> GadgetSpec:
-    gk = GadgetKind(kind)
-    if gk is GadgetKind.UNIT_BUMP:
-        g = unit_bump(float(params.get("a", 0.0)), window, count)
-    elif gk is GadgetKind.ETA_EPS:
-        g = eta_eps(float(params.get("eps", 0.1)), window, count)
-    elif gk is GadgetKind.LINEAR_CUTOFF:
-        g = linear_cutoff(float(params.get("a", 0.0)), float(params.get("R", 2.0)), window, count)
-    else:
-        g = zigzag_g(int(params.get("m", 1)), window, count)
-    return GadgetSpec(gk, dict(params), g)
+    return _sample(g, window, count)

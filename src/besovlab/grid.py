@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable, Optional
 
@@ -225,8 +225,7 @@ class SpaceParams:
 
     def shifted_down(self) -> "SpaceParams":
         """Parameters for the derivative space, one order of smoothness lower."""
-        m = max(1, self.m - 1) if self.m - 1 > self.s - 1.0 else self.m
-        return SpaceParams(self.s - 1.0, self.p, self.q, m)
+        return SpaceParams(self.s - 1.0, self.p, self.q, self.m - 1)
 
 
 # ---------------------------------------------------------------------------

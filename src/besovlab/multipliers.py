@@ -17,9 +17,8 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .grid import Extension, GridFunction
+from .grid import Extension, GridFunction, SpaceParams, _mollifier
 from .norms import DEFAULT_HGRID, DyadicHGrid, besov_norm_diff
-from .grid import SpaceParams
 
 
 class PsiProfileError(ValueError):
@@ -40,20 +39,11 @@ class PsiBump:
         return GridFunction(vals, like.spacing, like.origin, Extension.ZERO, None)
 
 
-def _mollifier_profile(x):
-    x = np.asarray(x, dtype=np.float64)
-    out = np.zeros_like(x)
-    inside = np.abs(x) < 1.0
-    xi = x[inside]
-    out[inside] = np.exp(1.0 - 1.0 / (1.0 - xi * xi))
-    return out
-
-
 def _triangle_profile(x):
     return np.maximum(0.0, 1.0 - np.abs(np.asarray(x, dtype=np.float64)))
 
 
-_PROFILES = {"mollifier": _mollifier_profile, "triangle": _triangle_profile}
+_PROFILES = {"mollifier": _mollifier(0.0, 1.0), "triangle": _triangle_profile}
 
 
 def make_psi(profile="mollifier") -> PsiBump:
@@ -191,16 +181,21 @@ def msq_norm_lower_detailed(
     n_random: int = 64,
     seed: int = 1234,
     norm_fn: Callable = besov_norm_diff,
+    profile: Optional[tuple[np.ndarray, np.ndarray]] = None,
 ) -> LowerBoundResult:
     """Certified lower bound for the coefficient-sup multiplier norm.
 
     Candidates: all coordinate sequences (so the result dominates unif_norm
     exactly), Rademacher sign sequences with the recorded seed, and
-    block-constant sequences, all normalized in l^p.
+    block-constant sequences, all normalized in l^p. ``profile`` is the
+    (zs, vals) that unif_profile returned for the same arguments; it
+    supplies the coordinate norms instead of recomputing them.
     """
     if math.isinf(sp.p):
         raise ValueError("coefficient-sup estimator is defined for p < inf")
-    zs, coord_vals = _per_z_values(f, sp, psi, hg, norm_fn)
+    if profile is None:
+        profile = _per_z_values(f, sp, psi, hg, norm_fn)
+    zs, coord_vals = profile
     rows = _translate_matrix(f, psi, zs)
     n = zs.size
     best = float(coord_vals.max())

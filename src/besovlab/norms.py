@@ -3,12 +3,12 @@
 The h-integral over {|h| <= 1} with measure dh/|h| is discretized on a
 signed dyadic grid: level k covers |h| in [2^-(k+1), 2^-k], each sign of
 each level carries total log-measure ln 2 split evenly over its nodes.
-Shifts h at or above the grid spacing are snapped to the nearest nonzero
-multiple of the spacing so that every difference is an exact integer-shift
-stencil (this is what makes polynomial annihilation exact); sub-spacing
-shifts fall back to linear interpolation. Levels finer than spacing/2 are
-dropped and the remaining tail of the integral is extrapolated from the
-power law of the last two computed levels.
+Every node is snapped to the nearest nonzero multiple of the grid spacing,
+so every difference inside a norm is an exact integer-shift stencil (this
+is what makes polynomial annihilation exact). Only difference(), the
+single-shift operator, interpolates sub-cell shifts linearly. Levels finer
+than spacing/2 are dropped and the remaining tail of the integral is
+extrapolated from the power law of the last two computed levels.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import _kernels
-from .grid import Extension, GridFunction, SpaceParams, grid_derivative, linf_on_interval, lp_norm, smoothstep
+from .grid import Extension, GridFunction, SpaceParams, lp_norm, smoothstep
 
 LN2 = math.log(2.0)
 # level sums must decay for the geometric tail estimate to make sense;
@@ -129,28 +129,14 @@ def difference(f: GridFunction, m: int, h: float) -> GridFunction:
 
 
 def _difference_norm_table(f: GridFunction, m: int, hs: np.ndarray, p: float) -> np.ndarray:
-    """||Delta^m_h f||_{L^p} for every h in ``hs`` (already snapped/mixed)."""
+    """||Delta^m_h f||_{L^p} for every h in ``hs``, each a nonzero grid
+    multiple as DyadicHGrid.materialize snaps them."""
     left, right = f.ext_values()
-    on_grid = np.abs(hs) >= f.spacing
-    out = np.empty(hs.size)
-    if on_grid.any():
-        offs = np.round(hs[on_grid] / f.spacing).astype(np.int64)
-        offs[offs == 0] = 1
-        table = _kernels.shift_difference_batch(f.samples, left, right, offs, m)
-        if math.isinf(p):
-            out[on_grid] = np.max(np.abs(table), axis=1)
-        else:
-            out[on_grid] = (np.abs(table) ** p).sum(axis=1) ** (1.0 / p) * f.spacing ** (1.0 / p)
-    if (~on_grid).any():
-        for idx in np.nonzero(~on_grid)[0]:
-            d = _kernels.interp_difference(
-                f.samples, f.origin, f.spacing, left, right, float(hs[idx]), m
-            )
-            if math.isinf(p):
-                out[idx] = np.max(np.abs(d))
-            else:
-                out[idx] = float((np.abs(d) ** p).sum() * f.spacing) ** (1.0 / p)
-    return out
+    offs = np.round(hs / f.spacing).astype(np.int64)
+    table = _kernels.shift_difference_batch(f.samples, left, right, offs, m)
+    if math.isinf(p):
+        return np.max(np.abs(table), axis=1)
+    return (np.abs(table) ** p).sum(axis=1) ** (1.0 / p) * f.spacing ** (1.0 / p)
 
 
 def besov_seminorm_diff(
@@ -275,20 +261,11 @@ def sobolev_seminorm_diff(
     left, right = f.ext_values()
     n_levels = int(lev.max()) + 1
     absd_weighted = np.zeros((n_levels, f.count))
+    # materialize keeps levels 0..n_levels-1 without gaps, all on the grid
     for k_lev in range(n_levels):
         idx = np.nonzero(lev == k_lev)[0]
-        if idx.size == 0:
-            continue
-        on = np.abs(hs[idx]) >= f.spacing
-        rows = np.empty((idx.size, f.count))
-        if on.any():
-            offs = np.round(hs[idx][on] / f.spacing).astype(np.int64)
-            offs[offs == 0] = 1
-            rows[on] = _kernels.shift_difference_batch(f.samples, left, right, offs, m)
-        for pos in np.nonzero(~on)[0]:
-            rows[pos] = _kernels.interp_difference(
-                f.samples, f.origin, f.spacing, left, right, float(hs[idx][pos]), m
-            )
+        offs = np.round(hs[idx] / f.spacing).astype(np.int64)
+        rows = _kernels.shift_difference_batch(f.samples, left, right, offs, m)
         absd_weighted[k_lev] = (np.abs(rows) * wlin[idx][:, None]).sum(axis=0)
     # inner integral over |h| <= t_k accumulates all levels >= k
     square = np.zeros(f.count)

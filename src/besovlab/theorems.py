@@ -11,16 +11,15 @@ cutoffs and the zigzag witness for p = infinity).
 
 from __future__ import annotations
 
-import json
 import math
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
 from . import _kernels
-from .gadgets import eta_eps, linear_cutoff, unit_bump, zigzag_g, zigzag_window_fn
+from .gadgets import eta_eps, linear_cutoff, plateau, unit_bump, zigzag_g
 from .grid import (
     DEFAULT_COUNT,
     DEFAULT_WINDOW,
@@ -35,7 +34,6 @@ from .grid import (
 )
 from .maps import (
     LineMap,
-    MEstimate,
     M_functional,
     U_functional,
     compose,
@@ -186,7 +184,7 @@ class CheckReport:
 # ---------------------------------------------------------------------------
 
 def default_witness_family(
-    sp: SpaceParams, window=DEFAULT_WINDOW, count: int = DEFAULT_COUNT
+    window=DEFAULT_WINDOW, count: int = DEFAULT_COUNT
 ) -> list[tuple[str, GridFunction]]:
     """Catalog functions plus the proof gadgets, used for opnorm sweeps."""
     fam = catalog_family(window, count)
@@ -206,7 +204,7 @@ def opnorm_lower_detailed(
 ):
     """max over the family of ||C_phi f|| / ||f||; a certified lower bound."""
     if family is None:
-        family = default_witness_family(sp)
+        family = default_witness_family()
     ratios = []
     for name, f in family:
         denom = space_norm(f, sp, kind, hg)
@@ -236,13 +234,16 @@ def check_nec_U(
     hg: DyadicHGrid = DEFAULT_HGRID,
     a_step: float = 0.25,
     kappa_max: float = 3.0,
+    uval: Optional[float] = None,
+    count: int = DEFAULT_COUNT,
 ) -> Fragment:
     """Unit-bump mass transport: ||C_phi f_a||_p^p recovers the preimage
     length of [a, a+1], and U^(1/p) stays below kappa * opnorm * ||bump||."""
     if math.isinf(sp.p):
         raise ValueError("unit-interval necessity check requires p < inf")
-    window, count = DEFAULT_WINDOW, DEFAULT_COUNT
-    uval = U_functional(phi)
+    window = DEFAULT_WINDOW
+    if uval is None:
+        uval = U_functional(phi)
     seg = phi.segments()
     ymin, ymax = phi.value_range()
     # keep witness targets away from the range edges so their preimages stay
@@ -264,7 +265,7 @@ def check_nec_U(
         worst_margin = min(worst_margin, margin)
     witness_ok = worst_margin >= -1e-9 or not math.isfinite(worst_margin)
     if opnorm is None:
-        opnorm = opnorm_lower(phi, sp, kind=kind, hg=hg)
+        opnorm = opnorm_lower(phi, sp, default_witness_family(window, count), kind, hg)
     bump_norm = space_norm(unit_bump(0.0, window, count), sp, kind, hg)
     if math.isinf(uval):
         return Fragment(
@@ -319,23 +320,6 @@ def _steepest_point(phi: LineMap, margin: float = 0.0) -> float:
     return best_x
 
 
-def _ramp_witness(x0: float, r: float, eps: float, window, count) -> GridFunction:
-    """eta_eps((x - x0) / r): plateau [x0-r, x0+r], ramps of width r*eps."""
-    lo, hi = window
-    spacing = (hi - lo) / (count - 1)
-    ramp = max(r * eps, 2.0 * spacing)
-    from .grid import smoothstep
-
-    def fn(x):
-        x = np.asarray(x, dtype=np.float64)
-        return smoothstep((x - (x0 - r - ramp)) / ramp) * smoothstep(
-            ((x0 + r + ramp) - x) / ramp
-        )
-
-    xs = lo + spacing * np.arange(count)
-    return GridFunction(np.asarray(fn(xs)), spacing, lo, Extension.ZERO, fn)
-
-
 def _witness_oracle_lower(delta: float, sp: SpaceParams) -> float:
     """Direct quadrature of the proof's lower-bound integral
     int_delta^{3 delta} (h - delta)^{q/p} h^{-1-sq} dh (sup form for q=inf)."""
@@ -353,10 +337,11 @@ def check_nec_lipschitz(
     hg: DyadicHGrid = DEFAULT_HGRID,
     deltas=(1.0 / 3.0, 0.2, 0.1, 0.05),
     factor_tol: float = 2.0,
+    count: int = DEFAULT_COUNT,
 ) -> Fragment:
     """Build the proof's ramp witness at the steepest point and read the
     implied slope bound off the composed seminorm."""
-    window, count = DEFAULT_WINDOW, DEFAULT_COUNT
+    window = DEFAULT_WINDOW
     lip = lipschitz_constant(phi)
     if lip < 1e-12:
         return Fragment(
@@ -392,9 +377,10 @@ def check_nec_lipschitz(
         if r * eps < 3.0 * spacing or r * eps / abs(slope_b) < 3.0 * spacing:
             continue
         # the witness lives in value space: sample it on a window centered
-        # at its own plateau (the map image may leave the domain window)
+        # at its own plateau (the map image may leave the domain window);
+        # this is eta_eps((x - x0) / r) with ramps of width r * eps
         x0 = (phib + phia) / 2.0
-        f = _ramp_witness(x0, r, eps, (x0 - 16.0, x0 + 16.0), count)
+        f = plateau(x0 - r, x0 + r, max(r * eps, 2.0 * spacing), (x0 - 16.0, x0 + 16.0), count)
         composed = GridFunction(
             np.asarray(f.descriptor(phi_dom)), spacing, window[0], Extension.ZERO
         )
@@ -465,8 +451,7 @@ def check_sufficiency_chain(
     )
     residual = float(np.max(np.abs(d_direct.samples - d_chain.samples)))
     lhs = besov_norm_diff(composed, sp, hg)
-    down = SpaceParams(sp.s - 1.0, sp.p, sp.q, sp.m - 1)
-    rhs = lp_norm(composed, sp.p) + besov_norm_diff(d_chain, down, hg)
+    rhs = lp_norm(composed, sp.p) + besov_norm_diff(d_chain, sp.shifted_down(), hg)
     ratio = lhs / rhs if rhs > 0.0 else (0.0 if lhs == 0.0 else math.inf)
     passed = residual <= residual_tol and ratio <= kappa_chain
     return Fragment(
@@ -488,6 +473,7 @@ def check_infinity_witness(
     a_step: float = 0.25,
     lip_tol: float = 0.02,
     zigzag_tol: float = 0.1,
+    count: int = DEFAULT_COUNT,
 ) -> Fragment:
     """Two-stage p = inf witness: linear cutoffs reconstruct ||phi'||_inf on
     preimages, then the zigzag bound dominates the direct B^{s-1} seminorm
@@ -496,7 +482,7 @@ def check_infinity_witness(
         raise ValueError("this witness requires p = inf")
     if not (sp.s > 1.0):
         raise ValueError("requires s > 1")
-    window, count = DEFAULT_WINDOW, DEFAULT_COUNT
+    window = DEFAULT_WINDOW
     lip = lipschitz_constant(phi)
     ymin, ymax = phi.value_range()
     a_lo = max(ymin, window[0] + 2.0)
@@ -507,14 +493,14 @@ def check_infinity_witness(
         d = grid_derivative(sample_composed(fa, phi))
         for interval in preimage_intervals(phi, (float(a), float(a) + 1.0)):
             recon = max(recon, linf_on_interval(d, interval))
-    m_wit = sp.m - 1
-    down = SpaceParams(sp.s - 1.0, math.inf, sp.q, m_wit)
+    down = sp.shifted_down()
     phi_prime = derivative(phi).sample(count)
     direct = besov_seminorm_diff(phi_prime, down, hg)
-    g = zigzag_g(m_wit, window, count)
+    g = zigzag_g(down.m, window, count)
     g_norm = besov_norm_diff(g, sp, hg)
     if opnorm is None:
-        opnorm = opnorm_lower(phi, sp, hg=hg)
+        opnorm = opnorm_lower(phi, sp, default_witness_family(window, count), hg=hg)
+    # one l^q term for each of the four translated covers I_m + 2*l*m, l = 0..3
     qroot = 1.0 if math.isinf(sp.q) else 4.0 ** (1.0 / sp.q)
     bound = qroot * opnorm * g_norm
     lip_ok = abs(recon - lip) <= lip_tol * max(lip, 1e-12) or lip < 1e-12
@@ -579,10 +565,10 @@ def classify(
     mest = M_functional(phi)
     lip = lipschitz_constant(phi)
     npre = max_preimage_count(phi)
-    family = default_witness_family(sp, window, count)
+    family = default_witness_family(window, count)
     op_val, op_arg, _ = opnorm_lower_detailed(phi, sp, family, kind, hg)
 
-    down = SpaceParams(sp.s - 1.0, sp.p, sp.q, sp.m - 1)
+    down = sp.shifted_down()
     phi_prime = derivative(phi).sample(count)
     psi = make_psi("mollifier")
     norm_fn = (
@@ -598,17 +584,18 @@ def classify(
     msq_val = None
     if not math.isinf(sp.p):
         msq_val = msq_norm_lower_detailed(
-            phi_prime, down, psi, hg, n_random=16, seed=seed, norm_fn=norm_fn
+            phi_prime, down, psi, hg, n_random=16, seed=seed, norm_fn=norm_fn,
+            profile=(zs, zvals),
         ).value
     window_limited = _window_limited(zs, zvals)
 
     fragments = []
     if math.isinf(sp.p):
-        fragments.append(check_infinity_witness(phi, sp, op_val, hg))
+        fragments.append(check_infinity_witness(phi, sp, op_val, hg, count=count))
     else:
-        fragments.append(check_nec_U(phi, sp, op_val, kind, hg))
+        fragments.append(check_nec_U(phi, sp, op_val, kind, hg, uval=uval, count=count))
         if kind == "besov":
-            fragments.append(check_nec_lipschitz(phi, sp, hg))
+            fragments.append(check_nec_lipschitz(phi, sp, hg, count=count))
     if phi.c1:
         f0 = f_chain if f_chain is not None else sample("gaussian", window, count)
         fragments.append(check_sufficiency_chain(phi, f0, sp, hg))

@@ -12,7 +12,7 @@ import time
 import numpy as np
 import pytest
 
-from besovlab.gadgets import eta_eps, linear_cutoff, unit_bump
+from besovlab.gadgets import eta_eps, linear_cutoff, plateau, unit_bump
 from besovlab.grid import SpaceParams, catalog_family, sample, lp_norm
 from besovlab.maps import (
     affine_map,
@@ -125,7 +125,7 @@ def test_A5_dilation_witness_identity():
         ref = besov_seminorm_diff(eta_eps(eps, WINDOW, count), sp)
         worst = 0.0
         for r in (0.5, 1.0, 2.0):
-            f = th._ramp_witness(0.5, r, eps, WINDOW, count)
+            f = plateau(0.5 - r, 0.5 + r, r * eps, WINDOW, count)
             lhs = besov_seminorm_diff(f, sp)
             rhs = r ** (1.0 / sp.p - sp.s) * ref
             worst = max(worst, abs(lhs / rhs - 1.0))

@@ -4,16 +4,14 @@ import numpy as np
 import pytest
 
 from besovlab.gadgets import (
-    GadgetKind,
     eta_eps,
     linear_cutoff,
-    make_gadget,
+    plateau,
     unit_bump,
-    zigzag_derivative,
     zigzag_g,
-    zigzag_index_sets,
+    zigzag_value,
 )
-from besovlab.grid import SpaceParams, grid_derivative, lp_norm
+from besovlab.grid import SpaceParams, grid_derivative, lp_norm, smoothstep
 from besovlab.norms import besov_norm_diff, besov_seminorm_diff
 
 SP = SpaceParams(1.5, 2.0, 2.0, 2)
@@ -83,20 +81,40 @@ def test_linear_cutoff_placement():
 
 
 def test_zigzag_derivative_plateaus():
-    d = zigzag_derivative(1)
-    assert d(0.0) == 1.0  # k = 0 plateau [-2, 2]
-    assert d(8.0) == -1.0  # k = 1 plateau [6, 10]
-    assert d(-8.0) == -1.0  # k = -1 plateau [-10, -6]
     g = zigzag_g(1)
+    dg = grid_derivative(g)
+    # k = 0 plateau [-2, 2]; k = 1 plateau [6, 10]; k = -1 plateau [-10, -6]
+    for x, slope in ((0.0, 1.0), (8.0, -1.0), (-8.0, -1.0)):
+        i = int(round((x - g.origin) / g.spacing))
+        assert abs(dg.samples[i] - slope) < 1e-9
     assert np.max(np.abs(g.samples)) <= 6.0
+
+
+def _zigzag_prime_closed_form(m, x, window=(-16.0, 16.0)):
+    """g' for g = zigzag_value(m) * taper, written out: slope (-1)^k with
+    quintic transitions of width m/2, and the quintic window taper of width 2m."""
+    w, period = 0.5 * m, 16.0 * m
+    t = np.mod(x + 2.0 * m, period) - 2.0 * m
+    down = 1.0 - 2.0 * smoothstep((t - (4.0 * m - 0.5 * w)) / w)
+    up = -1.0 + 2.0 * smoothstep((t - (12.0 * m - 0.5 * w)) / w)
+    slope = np.where(t < 4.0 * m + 0.5 * w, down, up)
+    lo, hi = window
+    u1 = np.clip((x - lo) / (2.0 * m), 0.0, 1.0)
+    u2 = np.clip((hi - x) / (2.0 * m), 0.0, 1.0)
+    taper = smoothstep(u1) * smoothstep(u2)
+    dtaper = (
+        30.0 * u1**2 * (u1 - 1.0) ** 2 * smoothstep(u2)
+        - smoothstep(u1) * 30.0 * u2**2 * (u2 - 1.0) ** 2
+    ) / (2.0 * m)
+    return slope * taper + zigzag_value(m)(x) * dtaper
 
 
 def test_zigzag_consistency_with_grid_derivative():
     g = zigzag_g(1)
-    d = zigzag_derivative(1)
     dg = grid_derivative(g)
     interior = slice(10, g.count - 10)
-    assert np.max(np.abs(dg.samples[interior] - d.samples[interior])) < 5e-4
+    d = _zigzag_prime_closed_form(1, g.x[interior])
+    assert np.max(np.abs(dg.samples[interior] - d)) < 5e-4
 
 
 def test_zigzag_window_gate():
@@ -104,31 +122,16 @@ def test_zigzag_window_gate():
         zigzag_g(2)  # needs a window of length >= 64
 
 
-def test_zigzag_cover():
-    sets = zigzag_index_sets(1)
-    assert len(sets) == 4
-    xs = np.linspace(-16.0, 16.0, 4001)
-    covered = np.zeros_like(xs, dtype=bool)
-    for pieces in sets:
-        for a, b in pieces:
-            covered |= (xs >= a - 1e-12) & (xs <= b + 1e-12)
-    assert covered.all()
+def test_zigzag_rejects_nonpositive_m():
+    with pytest.raises(ValueError):
+        zigzag_g(0)
 
 
 def test_dilation_scaling_law():
     # |eta((./r))|_{B^s_{p,q}} = r^(1/p - s) |eta|_{B^s_{p,q}}
-    from besovlab.theorems import _ramp_witness
-
     eps = 0.1
     ref = besov_seminorm_diff(eta_eps(eps, count=2**14 + 1), SP)
     for r in (0.5, 2.0):
-        f = _ramp_witness(0.5, r, eps, (-16.0, 16.0), 2**14 + 1)
+        f = plateau(0.5 - r, 0.5 + r, r * eps, (-16.0, 16.0), 2**14 + 1)
         lhs = besov_seminorm_diff(f, SP)
         assert lhs == pytest.approx(r ** (1.0 / SP.p - SP.s) * ref, rel=0.02)
-
-
-def test_make_gadget_dispatch():
-    for kind in ("unit_bump", "eta_eps", "linear_cutoff", "zigzag"):
-        spec = make_gadget(kind)
-        assert spec.kind is GadgetKind(kind)
-        assert spec.realized.count > 0

@@ -16,6 +16,7 @@ from besovlab.multipliers import (
     unif_norm,
     unif_profile,
 )
+from besovlab.norms import besov_norm_diff
 
 SP = SpaceParams(0.5, 2.0, 2.0, 1)
 
@@ -92,6 +93,25 @@ def test_msq_detail_records_seed():
     r = msq_norm_lower_detailed(sample("const"), SP, psi, n_random=8, seed=99)
     assert r.seed == 99
     assert r.argmax
+
+
+def test_msq_reuses_a_given_profile():
+    psi = make_psi("mollifier")
+    f = sample("sine", count=2**11 + 1)
+    calls = []
+
+    def counting(g, sp, hg):
+        calls.append(1)
+        return besov_norm_diff(g, sp, hg)
+
+    plain = msq_norm_lower_detailed(f, SP, psi, n_random=8, norm_fn=counting)
+    n_plain = len(calls)
+    profile = unif_profile(f, SP, psi)
+    calls.clear()
+    reused = msq_norm_lower_detailed(f, SP, psi, n_random=8, norm_fn=counting, profile=profile)
+    assert reused.value == plain.value
+    assert reused.argmax == plain.argmax
+    assert len(calls) == n_plain - profile[0].size
 
 
 def test_disjoint_translate_lp_identity():

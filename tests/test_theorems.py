@@ -3,8 +3,18 @@ import math
 import numpy as np
 import pytest
 
+from besovlab.gadgets import unit_bump
 from besovlab.grid import SpaceParams, sample
-from besovlab.maps import LineMap, affine_map, identity_map, inverse_map, sin_drift_map, quadratic_map
+from besovlab.maps import (
+    LineMap,
+    affine_map,
+    identity_map,
+    inverse_map,
+    named_map,
+    quadratic_map,
+    sin_drift_map,
+)
+from besovlab.norms import besov_norm_diff
 from besovlab.theorems import (
     CheckReport,
     RangeGateError,
@@ -212,6 +222,14 @@ def test_classify_sobolev_route():
     assert rep.verdict == "ConsistentBounded"
     with pytest.raises(RangeGateError):
         classify(quadratic_map(), SP, kind="sobolev", homeomorphism=True)
+
+
+def test_classify_threads_count_into_fragments():
+    count = 2**12 + 1
+    rep = classify(named_map("scale:k=2"), SP, count=count)
+    nec_u = next(fr for fr in rep.fragments if fr.name == "nec_U")
+    expected = besov_norm_diff(unit_bump(0.0, count=count), SP)
+    assert nec_u.values["bump_norm"] == pytest.approx(expected, rel=1e-12)
 
 
 def test_classify_open_range_refused():
