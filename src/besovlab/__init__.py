@@ -39,8 +39,14 @@ from .maps import (
 )
 from .splitting import IntervalFamily, Partition, intersection_degree, split_partition
 from .gadgets import eta_eps, linear_cutoff, unit_bump, zigzag_g
-from .multipliers import PsiBump, make_psi, msq_norm_lower, multiplier_norm_lower, unif_norm
-from .theorems import CheckReport, RangeGateError, classify, opnorm_lower
+from .multipliers import (
+    PsiBump,
+    make_psi,
+    msq_norm_lower_detailed,
+    multiplier_norm_lower_detailed,
+    unif_profile,
+)
+from .theorems import CheckReport, RangeGateError, classify, opnorm_lower_detailed
 
 __version__ = "0.1.0"
 

@@ -12,21 +12,14 @@ from typing import Callable
 
 import numpy as np
 
-from .grid import DEFAULT_COUNT, DEFAULT_WINDOW, Extension, GridFunction, _plateau, smoothstep
-
-
-def _sample(fn: Callable, window, count) -> GridFunction:
-    lo, hi = window
-    spacing = (hi - lo) / (count - 1)
-    xs = lo + spacing * np.arange(count)
-    return GridFunction(np.asarray(fn(xs), dtype=np.float64), spacing, lo, Extension.ZERO, fn)
+from .grid import DEFAULT_COUNT, DEFAULT_WINDOW, Extension, GridFunction, _plateau, sample_fn, smoothstep
 
 
 def plateau(
     lo: float, hi: float, ramp: float, window=DEFAULT_WINDOW, count: int = DEFAULT_COUNT
 ) -> GridFunction:
     """1 on [lo, hi], quintic smoothstep ramps of width ``ramp``, 0 outside."""
-    return _sample(_plateau(lo, hi, ramp), window, count)
+    return sample_fn(_plateau(lo, hi, ramp), window, count, Extension.ZERO)
 
 
 def unit_bump(a: float, window=DEFAULT_WINDOW, count: int = DEFAULT_COUNT) -> GridFunction:
@@ -64,7 +57,7 @@ def linear_cutoff(
         x = np.asarray(x, dtype=np.float64)
         return (x - a) * w(x)
 
-    return _sample(fn, window, count)
+    return sample_fn(fn, window, count, Extension.ZERO)
 
 
 # ---------------------------------------------------------------------------
@@ -152,4 +145,4 @@ def zigzag_g(m: int, window=DEFAULT_WINDOW, count: int = DEFAULT_COUNT) -> GridF
         x = np.asarray(x, dtype=np.float64)
         return base(x) * taper(x)
 
-    return _sample(g, window, count)
+    return sample_fn(g, window, count, Extension.ZERO)

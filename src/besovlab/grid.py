@@ -383,26 +383,6 @@ def _catalog_entry(name: str, params: dict):
     raise CatalogError(f"unknown descriptor {name!r}")
 
 
-CATALOG_NAMES = (
-    "zero",
-    "const",
-    "linear",
-    "indicator",
-    "gaussian",
-    "bump",
-    "sine",
-    "poly",
-    "table",
-    "gaussian_wide",
-    "gaussian_shift",
-    "gauss_cos",
-    "gauss_sin",
-    "xgauss",
-    "two_bumps",
-    "plateau",
-    "ramp_plateau",
-)
-
 FAMILY_NAMES = (
     "gaussian",
     "gaussian_wide",
@@ -430,9 +410,16 @@ def sample(
     if not (b > a):
         raise ValueError("window is degenerate")
     fn, ext = _catalog_entry(name, params)
-    spacing = (b - a) / (count - 1)
-    xs = a + spacing * np.arange(count)
-    return GridFunction(np.asarray(fn(xs), dtype=np.float64), spacing, a, ext, fn)
+    return sample_fn(fn, (a, b), count, ext)
+
+
+def sample_fn(fn: Callable, window, count: int, extension: Extension) -> GridFunction:
+    """Sample ``fn`` on ``count`` points over ``window``, keeping it as the
+    descriptor."""
+    lo, hi = window
+    spacing = (hi - lo) / (count - 1)
+    xs = lo + spacing * np.arange(count)
+    return GridFunction(np.asarray(fn(xs), dtype=np.float64), spacing, lo, extension, fn)
 
 
 def catalog_family(

@@ -22,7 +22,7 @@ import numpy as np
 from scipy.interpolate import CubicSpline
 
 from . import _kernels
-from .grid import DEFAULT_COUNT, DEFAULT_WINDOW, Extension, GridFunction
+from .grid import DEFAULT_COUNT, DEFAULT_WINDOW, Extension, GridFunction, sample_fn
 
 CONTINUITY_TOL = 1e-12
 
@@ -400,12 +400,7 @@ class LineMapDerivative:
         return worst
 
     def sample(self, count: int = DEFAULT_COUNT) -> GridFunction:
-        lo, hi = self.parent.window
-        spacing = (hi - lo) / (count - 1)
-        xs = lo + spacing * np.arange(count)
-        return GridFunction(
-            self(xs), spacing, lo, Extension.CONSTANT, descriptor=self.__call__
-        )
+        return sample_fn(self.__call__, self.parent.window, count, Extension.CONSTANT)
 
 
 def derivative(phi: LineMap) -> LineMapDerivative:
@@ -417,10 +412,13 @@ def derivative(phi: LineMap) -> LineMapDerivative:
     return view
 
 
-def lipschitz_constant(phi: LineMap) -> float:
-    """sup |phi'|: exact per-piece quadratic analysis, tail slopes included."""
-    best = max(abs(phi.left_slope), abs(phi.right_slope))
+def steepest_point(phi: LineMap, margin: float = 0.0) -> tuple[float, float]:
+    """(|phi'|, x) at the point of largest |phi'| on the pieces, at distance
+    >= margin from the window edges (so that witness bumps built there
+    survive the window truncation); exact per-piece quadratic analysis."""
     bp = phi.breakpoints
+    lo, hi = bp[0] + margin, bp[-1] - margin
+    best_val, best_x = -1.0, 0.5 * (lo + hi)
     for i in range(phi.coeffs.shape[0]):
         c0, c1, c2, c3 = phi.coeffs[i]
         length = bp[i + 1] - bp[i]
@@ -430,8 +428,21 @@ def lipschitz_constant(phi: LineMap) -> float:
             if 0.0 < vertex < length:
                 candidates.append(vertex)
         for u in candidates:
-            best = max(best, abs(c1 + u * (2.0 * c2 + 3.0 * u * c3)))
-    return best
+            x = float(bp[i] + u)
+            if not (lo <= x <= hi):
+                x = min(max(x, lo), hi)
+                if not (bp[i] <= x <= bp[i + 1]):
+                    continue
+                u = x - bp[i]
+            d = abs(c1 + u * (2.0 * c2 + 3.0 * u * c3))
+            if d > best_val:
+                best_val, best_x = d, x
+    return best_val, best_x
+
+
+def lipschitz_constant(phi: LineMap) -> float:
+    """sup |phi'|: the steepest point of the pieces, tail slopes included."""
+    return max(abs(phi.left_slope), abs(phi.right_slope), steepest_point(phi)[0])
 
 
 def _check_flat_tails(phi: LineMap, lo: float, hi: float):

@@ -127,13 +127,15 @@ def _translate_matrix(f: GridFunction, psi: PsiBump, zs: np.ndarray) -> np.ndarr
     return rows
 
 
-def _per_z_values(
+def unif_profile(
     f: GridFunction,
     sp: SpaceParams,
     psi: PsiBump,
-    hg: DyadicHGrid,
-    norm_fn: Callable,
+    hg: DyadicHGrid = DEFAULT_HGRID,
+    norm_fn: Callable = besov_norm_diff,
 ) -> tuple[np.ndarray, np.ndarray]:
+    """Per-translate localized norms ||f psi(.-z)|| for every admissible z;
+    their max is the uniform localization norm sup_z on the window."""
     zs = translate_range(f, margin=sp.m)
     rows = _translate_matrix(f, psi, zs)
     vals = np.empty(zs.size)
@@ -141,29 +143,6 @@ def _per_z_values(
         g = GridFunction(f.samples * rows[i], f.spacing, f.origin, Extension.ZERO)
         vals[i] = norm_fn(g, sp, hg)
     return zs, vals
-
-
-def unif_profile(
-    f: GridFunction,
-    sp: SpaceParams,
-    psi: PsiBump,
-    hg: DyadicHGrid = DEFAULT_HGRID,
-    norm_fn: Callable = besov_norm_diff,
-):
-    """Per-translate localized norms ||f psi(.-z)|| for every admissible z."""
-    return _per_z_values(f, sp, psi, hg, norm_fn)
-
-
-def unif_norm(
-    f: GridFunction,
-    sp: SpaceParams,
-    psi: PsiBump,
-    hg: DyadicHGrid = DEFAULT_HGRID,
-    norm_fn: Callable = besov_norm_diff,
-) -> float:
-    """sup_z ||f psi(.-z)||, the uniform localization norm on the window."""
-    _, vals = _per_z_values(f, sp, psi, hg, norm_fn)
-    return float(vals.max())
 
 
 @dataclass
@@ -185,16 +164,16 @@ def msq_norm_lower_detailed(
 ) -> LowerBoundResult:
     """Certified lower bound for the coefficient-sup multiplier norm.
 
-    Candidates: all coordinate sequences (so the result dominates unif_norm
-    exactly), Rademacher sign sequences with the recorded seed, and
-    block-constant sequences, all normalized in l^p. ``profile`` is the
-    (zs, vals) that unif_profile returned for the same arguments; it
-    supplies the coordinate norms instead of recomputing them.
+    Candidates: all coordinate sequences (so the result dominates the max
+    of unif_profile exactly), Rademacher sign sequences with the recorded
+    seed, and block-constant sequences, all normalized in l^p. ``profile``
+    is the (zs, vals) that unif_profile returned for the same arguments;
+    it supplies the coordinate norms instead of recomputing them.
     """
     if math.isinf(sp.p):
         raise ValueError("coefficient-sup estimator is defined for p < inf")
     if profile is None:
-        profile = _per_z_values(f, sp, psi, hg, norm_fn)
+        profile = unif_profile(f, sp, psi, hg, norm_fn)
     zs, coord_vals = profile
     rows = _translate_matrix(f, psi, zs)
     n = zs.size
@@ -226,10 +205,6 @@ def msq_norm_lower_detailed(
     return LowerBoundResult(best, arg, seed)
 
 
-def msq_norm_lower(f, sp, psi, hg=DEFAULT_HGRID, n_random=64, seed=1234, norm_fn=besov_norm_diff):
-    return msq_norm_lower_detailed(f, sp, psi, hg, n_random, seed, norm_fn).value
-
-
 def multiplier_norm_lower_detailed(
     f: GridFunction,
     sp: SpaceParams,
@@ -252,7 +227,3 @@ def multiplier_norm_lower_detailed(
     if not math.isfinite(best):
         raise ValueError("no tester with nonzero norm")
     return LowerBoundResult(best, arg)
-
-
-def multiplier_norm_lower(f, sp, testers, hg=DEFAULT_HGRID, norm_fn=besov_norm_diff) -> float:
-    return multiplier_norm_lower_detailed(f, sp, testers, hg, norm_fn).value

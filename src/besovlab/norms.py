@@ -197,7 +197,8 @@ class LPFilterBank:
 
 
 def _fourier_samples(f: GridFunction):
-    """Window treated as one period; returns (spectrum, angular freqs, M)."""
+    """Window treated as one period of 2^k cells; returns (f resampled to
+    2^k + 1 points when needed, spectrum, angular freqs)."""
     if f.extension is not Extension.ZERO:
         raise ValueError("Fourier path requires zero extension")
     m = f.count - 1
@@ -205,10 +206,9 @@ def _fourier_samples(f: GridFunction):
         target = 2 ** int(math.ceil(math.log2(m))) + 1
         f = f.resample(target)
         m = f.count - 1
-    period = f.spacing * m
     spec = np.fft.fft(f.samples[:m])
     xi = 2.0 * math.pi * np.fft.fftfreq(m, d=f.spacing)
-    return f, spec, xi, m, period
+    return f, spec, xi
 
 
 def _lp_of_samples(vals: np.ndarray, spacing: float, p: float) -> float:
@@ -221,7 +221,7 @@ def littlewood_paley_norm(
     f: GridFunction, sp: SpaceParams, bank: Optional[LPFilterBank] = None
 ) -> float:
     """Fourier-side norm (sum_j 2^{jsq} ||band_j f||_p^q)^{1/q}."""
-    f, spec, xi, m, _ = _fourier_samples(f)
+    f, spec, xi = _fourier_samples(f)
     if bank is None:
         bank = LPFilterBank.for_grid(f.spacing)
     terms = []
@@ -240,7 +240,7 @@ def sobolev_norm_fourier(f: GridFunction, s: float, p: float) -> float:
     """||F^-1[(1+|xi|^2)^{s/2} F f]||_{L^p}, angular frequency convention."""
     if not (1.0 < p < math.inf):
         raise ValueError("Sobolev space requires p in (1, inf)")
-    f, spec, xi, m, _ = _fourier_samples(f)
+    f, spec, xi = _fourier_samples(f)
     lifted = np.fft.ifft(spec * (1.0 + xi**2) ** (s / 2.0)).real
     return _lp_of_samples(lifted, f.spacing, p)
 

@@ -11,6 +11,9 @@ cutoffs and the zigzag witness for p = infinity).
 
 from __future__ import annotations
 
+import csv
+import functools
+import io
 import math
 import time
 from dataclasses import dataclass, field
@@ -42,6 +45,7 @@ from .maps import (
     max_preimage_count,
     preimage_intervals,
     sample_composed,
+    steepest_point,
 )
 from .multipliers import (
     make_psi,
@@ -58,6 +62,22 @@ from .norms import (
 )
 
 SCHEMA_VERSION = 1
+
+# gate constants of the fragments
+A_STEP = 0.25  # spacing of the unit-interval targets [a, a+1]
+KAPPA_MAX = 3.0  # nec_U: U^(1/p) <= KAPPA_MAX * opnorm * ||bump||
+LIP_DELTAS = (1.0 / 3.0, 0.2, 0.1, 0.05)  # nec_lipschitz witness scales
+LIP_FACTOR_TOL = 2.0  # nec_lipschitz: implied slope within this factor of Lip
+CHAIN_RESIDUAL = 1e-4  # chain-rule residual gate, times max(1, Lip)^3
+KAPPA_CHAIN = 10.0  # chain: ||C_phi f|| <= KAPPA_CHAIN * (chain-rule bound)
+LIP_RECON_TOL = 0.02  # infinity witness: relative error of the Lip reconstruction
+ZIGZAG_TOL = 0.1  # infinity witness: relative slack over the zigzag bound
+TOLERANCES = {
+    "kappa_max": KAPPA_MAX,
+    "chain_residual": CHAIN_RESIDUAL,
+    "lip_reconstruction": LIP_RECON_TOL,
+    "zigzag": ZIGZAG_TOL,
+}
 
 
 class RangeGateError(ValueError):
@@ -96,7 +116,7 @@ def gate_space(sp: SpaceParams, kind: str = "besov", homeomorphism: bool = False
     )
 
 
-def space_norm(f: GridFunction, sp: SpaceParams, kind: str = "besov", hg: DyadicHGrid = DEFAULT_HGRID) -> float:
+def space_norm(f: GridFunction, sp: SpaceParams, hg: DyadicHGrid = DEFAULT_HGRID, kind: str = "besov") -> float:
     if kind == "sobolev":
         return sobolev_norm_diff(f, sp.s, sp.p, sp.m, hg)
     return besov_norm_diff(f, sp, hg)
@@ -176,7 +196,9 @@ class CheckReport:
             self.grid["count"],
             self.seed,
         ]
-        return ",".join("" if v is None else str(v) for v in fields)
+        out = io.StringIO()
+        csv.writer(out, lineterminator="").writerow(["" if v is None else str(v) for v in fields])
+        return out.getvalue()
 
 
 # ---------------------------------------------------------------------------
@@ -207,19 +229,15 @@ def opnorm_lower_detailed(
         family = default_witness_family()
     ratios = []
     for name, f in family:
-        denom = space_norm(f, sp, kind, hg)
+        denom = space_norm(f, sp, hg, kind)
         if denom == 0.0:
             continue
-        num = space_norm(sample_composed(f, phi), sp, kind, hg)
+        num = space_norm(sample_composed(f, phi), sp, hg, kind)
         ratios.append((num / denom, name))
     if not ratios:
         raise ValueError("degenerate witness family")
     best = max(ratios)
     return best[0], best[1], ratios
-
-
-def opnorm_lower(phi, sp, family=None, kind="besov", hg=DEFAULT_HGRID) -> float:
-    return opnorm_lower_detailed(phi, sp, family, kind, hg)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -229,12 +247,10 @@ def opnorm_lower(phi, sp, family=None, kind="besov", hg=DEFAULT_HGRID) -> float:
 def check_nec_U(
     phi: LineMap,
     sp: SpaceParams,
-    opnorm: Optional[float] = None,
+    opnorm: float,
+    uval: float,
     kind: str = "besov",
     hg: DyadicHGrid = DEFAULT_HGRID,
-    a_step: float = 0.25,
-    kappa_max: float = 3.0,
-    uval: Optional[float] = None,
     count: int = DEFAULT_COUNT,
 ) -> Fragment:
     """Unit-bump mass transport: ||C_phi f_a||_p^p recovers the preimage
@@ -242,15 +258,13 @@ def check_nec_U(
     if math.isinf(sp.p):
         raise ValueError("unit-interval necessity check requires p < inf")
     window = DEFAULT_WINDOW
-    if uval is None:
-        uval = U_functional(phi)
     seg = phi.segments()
     ymin, ymax = phi.value_range()
     # keep witness targets away from the range edges so their preimages stay
     # inside the window (truncated composed mass would fake a violation)
     a_lo = max(ymin + 1.0, window[0])
     a_hi = min(ymax - 2.0, window[1] - 1.0)
-    a_grid = np.arange(a_lo, a_hi + a_step, a_step)
+    a_grid = np.arange(a_lo, a_hi + A_STEP, A_STEP)
     a_grid = a_grid[(a_grid >= window[0]) & (a_grid + 1.0 <= window[1])]
     lengths = _kernels.preimage_lengths(seg, a_grid, a_grid + 1.0)
     worst_margin = math.inf
@@ -264,9 +278,7 @@ def check_nec_U(
         margin = lhs - (length - slack)
         worst_margin = min(worst_margin, margin)
     witness_ok = worst_margin >= -1e-9 or not math.isfinite(worst_margin)
-    if opnorm is None:
-        opnorm = opnorm_lower(phi, sp, default_witness_family(window, count), kind, hg)
-    bump_norm = space_norm(unit_bump(0.0, window, count), sp, kind, hg)
+    bump_norm = space_norm(unit_bump(0.0, window, count), sp, hg, kind)
     if math.isinf(uval):
         return Fragment(
             "nec_U",
@@ -275,7 +287,7 @@ def check_nec_U(
             note="U is infinite (flat tail); necessity violated",
         )
     kappa_req = uval ** (1.0 / sp.p) / (opnorm * bump_norm)
-    passed = witness_ok and kappa_req <= kappa_max
+    passed = witness_ok and kappa_req <= KAPPA_MAX
     return Fragment(
         "nec_U",
         passed=passed,
@@ -293,33 +305,6 @@ def check_nec_U(
 # necessity of the Lipschitz bound (scaled ramp witness)
 # ---------------------------------------------------------------------------
 
-def _steepest_point(phi: LineMap, margin: float = 0.0) -> float:
-    """Point of largest |phi'| at distance >= margin from the window edges
-    (so that witness bumps built there survive the window truncation)."""
-    bp = phi.breakpoints
-    lo, hi = bp[0] + margin, bp[-1] - margin
-    best_val, best_x = -1.0, 0.5 * (lo + hi)
-    for i in range(phi.coeffs.shape[0]):
-        c0, c1, c2, c3 = phi.coeffs[i]
-        length = bp[i + 1] - bp[i]
-        cands = [0.0, length]
-        if c3 != 0.0:
-            v = -c2 / (3.0 * c3)
-            if 0.0 < v < length:
-                cands.append(v)
-        for u in cands:
-            x = float(bp[i] + u)
-            if not (lo <= x <= hi):
-                x = min(max(x, lo), hi)
-                if not (bp[i] <= x <= bp[i + 1]):
-                    continue
-                u = x - bp[i]
-            d = abs(c1 + u * (2.0 * c2 + 3.0 * u * c3))
-            if d > best_val:
-                best_val, best_x = d, x
-    return best_x
-
-
 def _witness_oracle_lower(delta: float, sp: SpaceParams) -> float:
     """Direct quadrature of the proof's lower-bound integral
     int_delta^{3 delta} (h - delta)^{q/p} h^{-1-sq} dh (sup form for q=inf)."""
@@ -335,8 +320,6 @@ def check_nec_lipschitz(
     phi: LineMap,
     sp: SpaceParams,
     hg: DyadicHGrid = DEFAULT_HGRID,
-    deltas=(1.0 / 3.0, 0.2, 0.1, 0.05),
-    factor_tol: float = 2.0,
     count: int = DEFAULT_COUNT,
 ) -> Fragment:
     """Build the proof's ramp witness at the steepest point and read the
@@ -347,7 +330,7 @@ def check_nec_lipschitz(
         return Fragment(
             "nec_lipschitz", passed=True, vacuous=True, note="flat map; vacuous"
         )
-    b = _steepest_point(phi, margin=2.0)
+    b = steepest_point(phi, margin=2.0)[1]
     slope_b = phi.derivative_values(b)
     if abs(slope_b) < 1e-12:
         return Fragment(
@@ -364,7 +347,7 @@ def check_nec_lipschitz(
     spacing = (window[1] - window[0]) / (count - 1)
     xs_dom = window[0] + spacing * np.arange(count)
     phi_dom = phi(xs_dom)
-    for delta in deltas:
+    for delta in LIP_DELTAS:
         c = b + direction * delta
         a = b - 2.0 * direction * delta
         phib, phic, phia = phi(b), phi(c), phi(a)
@@ -404,7 +387,7 @@ def check_nec_lipschitz(
     # kept as diagnostics (they drift up as ramps approach the cell scale)
     implied_read = details[0]["implied_lip"]
     ratio = implied_read / lip
-    passed = oracle_ok and (1.0 / factor_tol <= ratio <= factor_tol)
+    passed = oracle_ok and (1.0 / LIP_FACTOR_TOL <= ratio <= LIP_FACTOR_TOL)
     return Fragment(
         "nec_lipschitz",
         passed=passed,
@@ -427,21 +410,18 @@ def check_sufficiency_chain(
     f: GridFunction,
     sp: SpaceParams,
     hg: DyadicHGrid = DEFAULT_HGRID,
-    residual_tol: Optional[float] = None,
-    kappa_chain: float = 10.0,
 ) -> Fragment:
     """Compare ||C_phi f||_{B^s} with ||C_phi f||_p + ||phi' . C_phi f'||_{B^{s-1}}
     and measure the pointwise chain-rule residual computed two ways.
 
-    The default residual gate scales with Lip(phi)^3: the central-difference
+    The residual gate scales with Lip(phi)^3: the central-difference
     truncation of (f o phi)''' grows with the cubed slope.
     """
     if not phi.c1:
         raise ValueError("chain-rule check requires a C1 map")
     if not (sp.s > max(1.0, 1.0 / sp.p)):
         raise ValueError("chain-rule check requires s > max(1, 1/p)")
-    if residual_tol is None:
-        residual_tol = 1e-4 * max(1.0, lipschitz_constant(phi)) ** 3
+    residual_tol = CHAIN_RESIDUAL * max(1.0, lipschitz_constant(phi)) ** 3
     composed = sample_composed(f, phi)
     d_direct = grid_derivative(composed)
     fprime = grid_derivative(f)
@@ -453,7 +433,7 @@ def check_sufficiency_chain(
     lhs = besov_norm_diff(composed, sp, hg)
     rhs = lp_norm(composed, sp.p) + besov_norm_diff(d_chain, sp.shifted_down(), hg)
     ratio = lhs / rhs if rhs > 0.0 else (0.0 if lhs == 0.0 else math.inf)
-    passed = residual <= residual_tol and ratio <= kappa_chain
+    passed = residual <= residual_tol and ratio <= KAPPA_CHAIN
     return Fragment(
         "sufficiency_chain",
         passed=passed,
@@ -468,11 +448,8 @@ def check_sufficiency_chain(
 def check_infinity_witness(
     phi: LineMap,
     sp: SpaceParams,
-    opnorm: Optional[float] = None,
+    opnorm: float,
     hg: DyadicHGrid = DEFAULT_HGRID,
-    a_step: float = 0.25,
-    lip_tol: float = 0.02,
-    zigzag_tol: float = 0.1,
     count: int = DEFAULT_COUNT,
 ) -> Fragment:
     """Two-stage p = inf witness: linear cutoffs reconstruct ||phi'||_inf on
@@ -488,7 +465,9 @@ def check_infinity_witness(
     a_lo = max(ymin, window[0] + 2.0)
     a_hi = min(ymax, window[1] - 2.0)
     recon = 0.0
-    for a in np.arange(a_lo, a_hi + a_step, a_step):
+    a_grid = np.arange(a_lo, a_hi + A_STEP, A_STEP)
+    # an a_lo off the step lattice would put the last target past a_hi
+    for a in a_grid[a_grid <= a_hi]:
         fa = linear_cutoff(float(a), 1.0, window, count)
         d = grid_derivative(sample_composed(fa, phi))
         for interval in preimage_intervals(phi, (float(a), float(a) + 1.0)):
@@ -498,13 +477,11 @@ def check_infinity_witness(
     direct = besov_seminorm_diff(phi_prime, down, hg)
     g = zigzag_g(down.m, window, count)
     g_norm = besov_norm_diff(g, sp, hg)
-    if opnorm is None:
-        opnorm = opnorm_lower(phi, sp, default_witness_family(window, count), hg=hg)
     # one l^q term for each of the four translated covers I_m + 2*l*m, l = 0..3
     qroot = 1.0 if math.isinf(sp.q) else 4.0 ** (1.0 / sp.q)
     bound = qroot * opnorm * g_norm
-    lip_ok = abs(recon - lip) <= lip_tol * max(lip, 1e-12) or lip < 1e-12
-    zig_ok = direct <= bound * (1.0 + zigzag_tol)
+    lip_ok = abs(recon - lip) <= LIP_RECON_TOL * max(lip, 1e-12) or lip < 1e-12
+    zig_ok = direct <= bound * (1.0 + ZIGZAG_TOL)
     return Fragment(
         "infinity_witness",
         passed=lip_ok and zig_ok,
@@ -548,7 +525,6 @@ def classify(
     count: int = DEFAULT_COUNT,
     seed: int = 1234,
     hg: DyadicHGrid = DEFAULT_HGRID,
-    f_chain: Optional[GridFunction] = None,
 ) -> CheckReport:
     """Assemble the geometric functionals, the multiplier estimates of phi',
     and the witness fragments into a verdict for one (map, space) pair."""
@@ -571,11 +547,7 @@ def classify(
     down = sp.shifted_down()
     phi_prime = derivative(phi).sample(count)
     psi = make_psi("mollifier")
-    norm_fn = (
-        (lambda g, spc, grid: sobolev_norm_diff(g, spc.s, spc.p, spc.m, grid))
-        if kind == "sobolev"
-        else besov_norm_diff
-    )
+    norm_fn = functools.partial(space_norm, kind=kind)
     zs, zvals = unif_profile(phi_prime, down, psi, hg, norm_fn)
     unif_val = float(zvals.max())
     testers = [(f"psi(z={z})", psi.on_grid(phi_prime, float(z))) for z in (-2, 0, 3)]
@@ -593,12 +565,11 @@ def classify(
     if math.isinf(sp.p):
         fragments.append(check_infinity_witness(phi, sp, op_val, hg, count=count))
     else:
-        fragments.append(check_nec_U(phi, sp, op_val, kind, hg, uval=uval, count=count))
+        fragments.append(check_nec_U(phi, sp, op_val, uval, kind, hg, count=count))
         if kind == "besov":
             fragments.append(check_nec_lipschitz(phi, sp, hg, count=count))
     if phi.c1:
-        f0 = f_chain if f_chain is not None else sample("gaussian", window, count)
-        fragments.append(check_sufficiency_chain(phi, f0, sp, hg))
+        fragments.append(check_sufficiency_chain(phi, sample("gaussian", window, count), sp, hg))
 
     if math.isinf(uval):
         verdict = "ConsistentUnbounded"
@@ -639,12 +610,7 @@ def classify(
         computed=computed,
         fragments=fragments,
         verdict=verdict,
-        tolerances={
-            "kappa_max": 3.0,
-            "chain_residual": 1e-4,
-            "lip_reconstruction": 0.02,
-            "zigzag": 0.1,
-        },
+        tolerances=dict(TOLERANCES),
         runtime_s=time.perf_counter() - t0,
         grid={"count": count, "window": list(window), "hgrid_levels": hg.levels},
         seed=seed,

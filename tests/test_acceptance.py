@@ -25,7 +25,7 @@ from besovlab.maps import (
     U_functional,
     max_preimage_count,
 )
-from besovlab.multipliers import make_psi, msq_norm_lower, unif_norm
+from besovlab.multipliers import make_psi, msq_norm_lower_detailed, unif_profile
 from besovlab.norms import (
     DyadicHGrid,
     besov_norm_diff,
@@ -176,7 +176,7 @@ def test_A8_unit_interval_necessity():
             affine_map(2.0, 0.0),
             sin_drift_map(0.5),
         ):
-            op = th.opnorm_lower(phi, sp)
+            op = th.opnorm_lower_detailed(phi, sp)[0]
             kappas.append(U_functional(phi) ** 0.5 / (op * bump_norm))
         kappa = max(kappas)
     report("A8", kappa <= 3.0, 120, t.elapsed, f"kappa = {kappa:.4f} (<= 3)")
@@ -195,7 +195,8 @@ def test_A9_chain_rule_residual():
 def test_A10_p_inf_witness():
     sp = SpaceParams(1.5, math.inf, 2.0, 2)
     with Timer() as t:
-        frag = th.check_infinity_witness(sin_drift_map(0.5), sp)
+        phi = sin_drift_map(0.5)
+        frag = th.check_infinity_witness(phi, sp, th.opnorm_lower_detailed(phi, sp)[0])
         recon = frag.values["lip_reconstructed"]
         direct = frag.values["phiprime_seminorm_direct"]
         bound = frag.values["zigzag_bound"]
@@ -217,7 +218,7 @@ def test_A11_multiplier_ordering():
         psif = GridFunction(psi.func(base.x), base.spacing, base.origin, Extension.ZERO)
         ordering_ok = True
         for f in (sample("const", WINDOW, count), sample("sine", WINDOW, count), psif):
-            if msq_norm_lower(f, sp, psi) < unif_norm(f, sp, psi):
+            if msq_norm_lower_detailed(f, sp, psi).value < unif_profile(f, sp, psi)[1].max():
                 ordering_ok = False
         # disjoint-translate l^p identity, gap 5 >= 3m between supports
         zs = (-10.0, -5.0, 0.0, 5.0, 10.0)

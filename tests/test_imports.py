@@ -1,4 +1,5 @@
-"""Every name a besovlab module imports is used in that module."""
+"""Every name a besovlab module imports is used in that module, and every
+name it defines at top level is used somewhere in the project."""
 
 import ast
 from pathlib import Path
@@ -7,7 +8,10 @@ import pytest
 
 import besovlab
 
-MODULES = sorted(p for p in Path(besovlab.__file__).parent.glob("*.py") if p.name != "__init__.py")
+PACKAGE = Path(besovlab.__file__).parent
+MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+ROOT = Path(__file__).resolve().parents[1]
+PROJECT = [*PACKAGE.glob("*.py"), *(ROOT / "tests").rglob("*.py"), *(ROOT / "perfbench").rglob("*.py")]
 
 
 def _unused_imports(source: str) -> list[str]:
@@ -27,3 +31,47 @@ def _unused_imports(source: str) -> list[str]:
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert _unused_imports(path.read_text()) == []
+
+
+def _references(tree: ast.AST, skip: ast.AST | None = None) -> set[str]:
+    """Names read, attributes taken and names imported in ``tree``, outside ``skip``."""
+    found, stack = set(), [tree]
+    while stack:
+        node = stack.pop()
+        if node is skip:
+            continue
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            found.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            found.add(node.attr)
+        elif isinstance(node, ast.alias):
+            found.add(node.name)
+        stack.extend(ast.iter_child_nodes(node))
+    return found
+
+
+def _top_level_definitions(tree: ast.Module):
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield node.name, node
+        elif isinstance(node, ast.Assign):
+            for target in node.targets:
+                if isinstance(target, ast.Name):
+                    yield target.id, node
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            yield node.target.id, node
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_dead_definitions(path):
+    tree = ast.parse(path.read_text())
+    elsewhere = set()
+    for other in PROJECT:
+        if other.resolve() != path.resolve():
+            elsewhere |= _references(ast.parse(other.read_text()))
+    dead = [
+        name
+        for name, node in _top_level_definitions(tree)
+        if name not in elsewhere and name not in _references(tree, skip=node)
+    ]
+    assert dead == []

@@ -25,6 +25,7 @@ from besovlab.maps import (
     quadratic_map,
     sin_drift_map,
     sin_map,
+    steepest_point,
 )
 
 
@@ -140,6 +141,14 @@ def test_lipschitz_values():
     assert lipschitz_constant(affine_map(2.0, 0.0)) == 2.0
     assert lipschitz_constant(piecewise_affine()) == 3.0
     assert abs(lipschitz_constant(sin_drift_map(0.5)) - 1.5) < 1e-4
+
+
+def test_steepest_point_and_lipschitz_pinned():
+    assert lipschitz_constant(sin_map()) == 1.000000014096952
+    assert lipschitz_constant(quadratic_map()) == 32.0
+    slope, x = steepest_point(sin_drift_map(0.5), margin=2.0)
+    assert x == -6.283184679571341
+    assert slope == pytest.approx(1.5, rel=1e-6)
 
 
 # ---------------------------------------------------------------------------

@@ -8,12 +8,9 @@ from besovlab.multipliers import (
     CoefSequence,
     PsiProfileError,
     make_psi,
-    msq_norm_lower,
     msq_norm_lower_detailed,
-    multiplier_norm_lower,
     multiplier_norm_lower_detailed,
     translate_range,
-    unif_norm,
     unif_profile,
 )
 from besovlab.norms import besov_norm_diff
@@ -52,7 +49,7 @@ def test_psi_support():
 
 def test_unif_zero():
     psi = make_psi("mollifier")
-    assert unif_norm(sample("zero"), SP, psi) == 0.0
+    assert unif_profile(sample("zero"), SP, psi)[1].max() == 0.0
 
 
 def test_unif_constant_translation_invariant():
@@ -66,7 +63,7 @@ def test_unif_linear_grows_to_window_edge():
     zs, vals = unif_profile(sample("linear"), SP, psi)
     assert abs(zs[np.argmax(vals)]) == zs.max()
     # exhaustive per-z sweep is the oracle for the sup
-    assert unif_norm(sample("linear"), SP, psi) == vals.max()
+    assert unif_profile(sample("linear"), SP, psi)[1].max() == vals.max()
 
 
 def test_translate_range_margin():
@@ -78,14 +75,14 @@ def test_translate_range_margin():
 def test_msq_dominates_unif_exactly():
     psi = make_psi("mollifier")
     for f in (sample("const"), sample("sine"), psi_grid_function(psi)):
-        assert msq_norm_lower(f, SP, psi) >= unif_norm(f, SP, psi)
+        assert msq_norm_lower_detailed(f, SP, psi).value >= unif_profile(f, SP, psi)[1].max()
 
 
 def test_msq_zero_and_p_inf():
     psi = make_psi("mollifier")
-    assert msq_norm_lower(sample("zero"), SP, psi) == 0.0
+    assert msq_norm_lower_detailed(sample("zero"), SP, psi).value == 0.0
     with pytest.raises(ValueError):
-        msq_norm_lower(sample("const"), SpaceParams(0.5, math.inf, 2.0, 1), psi)
+        msq_norm_lower_detailed(sample("const"), SpaceParams(0.5, math.inf, 2.0, 1), psi)
 
 
 def test_msq_detail_records_seed():
@@ -134,18 +131,18 @@ def test_multiplier_lower_unit_and_scalar():
     psi = make_psi("mollifier")
     testers = [("g", sample("gaussian")), ("psi", psi_grid_function(psi))]
     one = sample("const")
-    assert multiplier_norm_lower(one, SP, testers) == 1.0
+    assert multiplier_norm_lower_detailed(one, SP, testers).value == 1.0
     c = sample("const", value=-2.5)
-    assert multiplier_norm_lower(c, SP, testers) == pytest.approx(2.5, rel=1e-12)
+    assert multiplier_norm_lower_detailed(c, SP, testers).value == pytest.approx(2.5, rel=1e-12)
 
 
 def test_multiplier_lower_zero_tester_warns():
     testers = [("zero", sample("zero")), ("g", sample("gaussian"))]
     with pytest.warns(UserWarning):
-        v = multiplier_norm_lower(sample("const"), SP, testers)
+        v = multiplier_norm_lower_detailed(sample("const"), SP, testers).value
     assert v == 1.0
     with pytest.raises(ValueError):
-        multiplier_norm_lower(sample("const"), SP, [("zero", sample("zero"))])
+        multiplier_norm_lower_detailed(sample("const"), SP, [("zero", sample("zero"))])
 
 
 def test_multiplier_lower_detail():
@@ -180,6 +177,6 @@ def test_window_growth_dichotomy():
         return GridFunction(fn(base.x), base.spacing, base.origin, Extension.ZERO, fn)
 
     norms = [besov_norm_diff(plateau(w), SP) for w in (2.0, 14.0)]
-    mults = [multiplier_norm_lower(plateau(w), SP, testers) for w in (2.0, 14.0)]
+    mults = [multiplier_norm_lower_detailed(plateau(w), SP, testers).value for w in (2.0, 14.0)]
     assert norms[1] / norms[0] > 1.5
     assert abs(mults[1] - mults[0]) < 0.05 * mults[0]

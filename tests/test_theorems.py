@@ -1,3 +1,4 @@
+import csv
 import math
 
 import numpy as np
@@ -7,6 +8,7 @@ from besovlab.gadgets import unit_bump
 from besovlab.grid import SpaceParams, sample
 from besovlab.maps import (
     LineMap,
+    U_functional,
     affine_map,
     identity_map,
     inverse_map,
@@ -24,7 +26,6 @@ from besovlab.theorems import (
     check_sufficiency_chain,
     classify,
     gate_space,
-    opnorm_lower,
     opnorm_lower_detailed,
 )
 
@@ -70,15 +71,15 @@ def test_gate_p_inf_and_sobolev():
 # ---------------------------------------------------------------------------
 
 def test_opnorm_identity_exact():
-    assert opnorm_lower(identity_map(), SP) == 1.0
+    assert opnorm_lower_detailed(identity_map(), SP)[0] == 1.0
 
 
 def test_opnorm_translation_invariance():
-    assert opnorm_lower(affine_map(1.0, 1.0), SP) == pytest.approx(1.0, abs=1e-9)
+    assert opnorm_lower_detailed(affine_map(1.0, 1.0), SP)[0] == pytest.approx(1.0, abs=1e-9)
 
 
 def test_opnorm_dilation_monotone():
-    vals = [opnorm_lower(affine_map(lam, 0.0), SP) for lam in (1.0, 1.5, 2.0, 3.0)]
+    vals = [opnorm_lower_detailed(affine_map(lam, 0.0), SP)[0] for lam in (1.0, 1.5, 2.0, 3.0)]
     assert all(a <= b + 1e-12 for a, b in zip(vals, vals[1:]))
 
 
@@ -93,14 +94,16 @@ def test_opnorm_detail_records_argmax():
 # ---------------------------------------------------------------------------
 
 def test_nec_U_identity():
-    frag = check_nec_U(identity_map(), SP, opnorm=1.0)
+    phi = identity_map()
+    frag = check_nec_U(phi, SP, opnorm=1.0, uval=U_functional(phi))
     assert frag.passed
     assert frag.values["U"] == pytest.approx(1.0, abs=1e-9)
     assert frag.values["kappa_required"] <= 3.0
 
 
 def test_nec_U_halving_map():
-    frag = check_nec_U(affine_map(0.5, 0.0), SP)
+    phi = affine_map(0.5, 0.0)
+    frag = check_nec_U(phi, SP, opnorm_lower_detailed(phi, SP)[0], U_functional(phi))
     assert frag.passed
     assert frag.values["U"] == pytest.approx(2.0, abs=1e-9)
     assert frag.values["witness_worst_margin"] >= -1e-9
@@ -108,11 +111,12 @@ def test_nec_U_halving_map():
 
 def test_nec_U_requires_finite_p():
     with pytest.raises(ValueError):
-        check_nec_U(identity_map(), SP_INF)
+        check_nec_U(identity_map(), SP_INF, opnorm=1.0, uval=1.0)
 
 
 def test_nec_U_flat_tail_fails():
-    frag = check_nec_U(flat_right_tail(), SP)
+    phi = flat_right_tail()
+    frag = check_nec_U(phi, SP, opnorm_lower_detailed(phi, SP)[0], U_functional(phi))
     assert not frag.passed
     assert math.isinf(frag.values["U"])
 
@@ -163,21 +167,32 @@ def test_chain_requires_c1():
 
 
 def test_infinity_witness_identity_degenerate():
-    frag = check_infinity_witness(identity_map(), SP_INF)
+    phi = identity_map()
+    frag = check_infinity_witness(phi, SP_INF, opnorm_lower_detailed(phi, SP_INF)[0])
     assert frag.passed
     assert frag.values["phiprime_seminorm_direct"] == pytest.approx(0.0, abs=1e-9)
     assert frag.values["lip_reconstructed"] == pytest.approx(1.0, rel=1e-6)
 
 
 def test_infinity_witness_affine():
-    frag = check_infinity_witness(affine_map(2.0, 1.0), SP_INF)
+    phi = affine_map(2.0, 1.0)
+    frag = check_infinity_witness(phi, SP_INF, opnorm_lower_detailed(phi, SP_INF)[0])
     assert frag.passed
     assert frag.values["lip_reconstructed"] == pytest.approx(2.0, rel=0.02)
 
 
+def test_infinity_witness_off_lattice_range():
+    # the shift's range puts a_lo = -13.9 off the 0.25 step of the targets a;
+    # no target may pass a_hi = 14, where the cutoff support leaves the window
+    phi = named_map("shift:c=2.1")
+    frag = check_infinity_witness(phi, SpaceParams(1.5, math.inf, math.inf, 2), 1.0, count=2**11 + 1)
+    assert frag.passed
+    assert frag.values["lip_reconstructed"] == pytest.approx(1.0, rel=1e-9)
+
+
 def test_infinity_witness_requires_p_inf():
     with pytest.raises(ValueError):
-        check_infinity_witness(identity_map(), SP)
+        check_infinity_witness(identity_map(), SP, opnorm=1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -251,3 +266,14 @@ def test_report_serialization():
     assert blob["schema_version"] == 1
     row = rep.to_csv_row()
     assert len(row.split(",")) == len(CheckReport.CSV_HEADER.split(","))
+    # a map name with commas stays one quoted field
+    named = CheckReport(
+        map_name="affine(0.5,2.0)", space=SP.as_dict(), kind="besov", computed={"U": 2.0},
+        fragments=[], verdict="Inconclusive", tolerances={}, runtime_s=0.0,
+        grid={"count": 8193}, seed=1234,
+    )
+    (header,) = csv.reader([CheckReport.CSV_HEADER])
+    for r in (rep, named):
+        (fields,) = csv.reader([r.to_csv_row()])
+        assert len(fields) == len(header)
+        assert fields[header.index("map")] == r.map_name
