@@ -14,7 +14,6 @@ from .grid import (
 )
 from .norms import (
     DyadicHGrid,
-    LPFilterBank,
     besov_norm_diff,
     besov_seminorm_diff,
     difference,

@@ -9,6 +9,7 @@ byte-identical across reruns. BESOVLAB_THREADS caps the suite pool.
 from __future__ import annotations
 
 import argparse
+import csv
 import json
 import math
 import os
@@ -143,14 +144,12 @@ def cmd_norm(args) -> int:
         )
     _dump_records(records, args.json)
     if args.csv:
-        with open(args.csv, "w") as fh:
-            fh.write("function,method,s,p,q,m,value,count\n")
+        with open(args.csv, "w", newline="") as fh:
+            writer = csv.writer(fh, lineterminator="\n")
+            writer.writerow(["function", "method", "s", "p", "q", "m", "value", "count"])
             for r in records:
                 s = r["space"]
-                fh.write(
-                    f"{r['function']},{r['method']},{s['s']},{s['p']},{s['q']},{s['m']},"
-                    f"{r['value']},{args.count}\n"
-                )
+                writer.writerow([r["function"], r["method"], s["s"], s["p"], s["q"], s["m"], r["value"], args.count])
     return EXIT_OK
 
 

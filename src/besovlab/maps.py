@@ -25,6 +25,8 @@ from . import _kernels
 from .grid import DEFAULT_COUNT, DEFAULT_WINDOW, Extension, GridFunction, sample_fn
 
 CONTINUITY_TOL = 1e-12
+SWEEP_STEP = 1e-3  # U and M sweep step, as a fraction of the range width
+M_LEVELS = 12  # the M ladder's finest width is 2^-M_LEVELS
 
 
 class UnboundedPreimageError(ValueError):
@@ -115,11 +117,10 @@ class LineMap:
         if cf.shape != (bp.size - 1, 4):
             raise ValueError("coeffs must have shape (n_pieces, 4)")
         scale = max(1.0, float(np.max(np.abs(cf[:, 0]))))
-        for i in range(cf.shape[0] - 1):
-            u = bp[i + 1] - bp[i]
-            end_val = _poly_eval(cf[i], u)
-            if abs(end_val - cf[i + 1, 0]) > CONTINUITY_TOL * scale * 8.0:
-                raise ValueError(f"discontinuity at breakpoint {bp[i + 1]}")
+        gaps = np.abs(_cubic(cf[:-1], np.diff(bp)[:-1]) - cf[1:, 0])
+        bad = np.nonzero(gaps > CONTINUITY_TOL * scale * 8.0)[0]
+        if bad.size:
+            raise ValueError(f"discontinuity at breakpoint {bp[bad[0] + 1]}")
 
     # -- evaluation ---------------------------------------------------------
 
@@ -127,33 +128,32 @@ class LineMap:
     def window(self) -> tuple[float, float]:
         return (float(self.breakpoints[0]), float(self.breakpoints[-1]))
 
-    def __call__(self, xs):
+    def edge_values(self) -> tuple[float, float]:
+        """phi at the window edges, where the affine tails start."""
+        bp = self.breakpoints
+        return float(self.coeffs[0, 0]), float(_cubic(self.coeffs[-1], bp[-1] - bp[-2]))
+
+    def _evaluate(self, xs, cubic, left_tail, right_tail):
+        """cubic(c, u) on the piece holding each x; the tails take the
+        offset past the window edge."""
         scalar = np.isscalar(xs)
         x = np.atleast_1d(np.asarray(xs, dtype=np.float64))
         bp = self.breakpoints
         idx = np.clip(np.searchsorted(bp, x, side="right") - 1, 0, bp.size - 2)
-        u = x - bp[idx]
-        c = self.coeffs[idx]
-        out = c[:, 0] + u * (c[:, 1] + u * (c[:, 2] + u * c[:, 3]))
+        out = cubic(self.coeffs[idx], x - bp[idx])
         lo, hi = self.window
-        left_val = self.coeffs[0, 0]
-        right_val = _poly_eval(self.coeffs[-1], bp[-1] - bp[-2])
-        out = np.where(x < lo, left_val + self.left_slope * (x - lo), out)
-        out = np.where(x > hi, right_val + self.right_slope * (x - hi), out)
+        out = np.where(x < lo, left_tail(x - lo), out)
+        out = np.where(x > hi, right_tail(x - hi), out)
         return float(out[0]) if scalar else out
 
+    def __call__(self, xs):
+        left, right = self.edge_values()
+        return self._evaluate(
+            xs, _cubic, lambda d: left + self.left_slope * d, lambda d: right + self.right_slope * d
+        )
+
     def derivative_values(self, xs):
-        scalar = np.isscalar(xs)
-        x = np.atleast_1d(np.asarray(xs, dtype=np.float64))
-        bp = self.breakpoints
-        idx = np.clip(np.searchsorted(bp, x, side="right") - 1, 0, bp.size - 2)
-        u = x - bp[idx]
-        c = self.coeffs[idx]
-        out = c[:, 1] + u * (2.0 * c[:, 2] + 3.0 * u * c[:, 3])
-        lo, hi = self.window
-        out = np.where(x < lo, self.left_slope, out)
-        out = np.where(x > hi, self.right_slope, out)
-        return float(out[0]) if scalar else out
+        return self._evaluate(xs, _cubic_slope, lambda d: self.left_slope, lambda d: self.right_slope)
 
     # -- monotone segment table ---------------------------------------------
 
@@ -162,26 +162,25 @@ class LineMap:
         monotone (or flat) on [xlo, xhi]. Cached after first build."""
         if self._segments is not None:
             return self._segments
-        rows = []
+        pieces, starts, ends = [], [], []
         bp = self.breakpoints
         for i in range(bp.size - 1):
-            t0 = bp[i]
             length = bp[i + 1] - bp[i]
             c0, c1, c2, c3 = self.coeffs[i]
             cuts = [0.0]
-            if c1 == 0.0 and c2 == 0.0 and c3 == 0.0:
-                pass  # flat piece, single segment with ylo == yhi
-            else:
+            if c1 != 0.0 or c2 != 0.0 or c3 != 0.0:  # a flat piece is one segment
                 for u in _quadratic_roots(3.0 * c3, 2.0 * c2, c1):
                     if 1e-14 * length < u < length * (1.0 - 1e-14):
                         cuts.append(u)
             cuts.append(length)
             cuts = sorted(set(cuts))
-            for a, b in zip(cuts[:-1], cuts[1:]):
-                ya = _poly_eval(self.coeffs[i], a)
-                yb = _poly_eval(self.coeffs[i], b)
-                rows.append([t0, c0, c1, c2, c3, t0 + a, t0 + b, ya, yb])
-        table = np.asarray(rows, dtype=np.float64)
+            pieces += [i] * (len(cuts) - 1)
+            starts += cuts[:-1]
+            ends += cuts[1:]
+        c = self.coeffs[pieces]
+        t0 = bp[pieces]
+        a, b = np.array(starts, dtype=np.float64), np.array(ends, dtype=np.float64)
+        table = np.column_stack([t0, c, t0 + a, t0 + b, _cubic(c, a), _cubic(c, b)])
         object.__setattr__(self, "_segments", table)
         return table
 
@@ -227,8 +226,17 @@ class LineMap:
         )
 
 
-def _poly_eval(c, u):
-    return c[0] + u * (c[1] + u * (c[2] + u * c[3]))
+def _cubic(c, u):
+    """c0 + c1*u + c2*u^2 + c3*u^3 for one coefficient row c or a stack of
+    rows c[i]."""
+    c0, c1, c2, c3 = c.T
+    return c0 + u * (c1 + u * (c2 + u * c3))
+
+
+def _cubic_slope(c, u):
+    """d/du of _cubic(c, u)."""
+    _, c1, c2, c3 = c.T
+    return c1 + u * (2.0 * c2 + 3.0 * u * c3)
 
 
 def _quadratic_roots(a, b, c):
@@ -282,6 +290,16 @@ def quadratic_map(window=DEFAULT_WINDOW) -> LineMap:
     return polynomial_map([0.0, 0.0, 1.0], window, name="quadratic")
 
 
+def _spline_map(xs, ys, name: str, tails: Optional[tuple[float, float]] = None) -> LineMap:
+    """The cubic spline through (xs, ys) as a C^1 LineMap; tail slopes
+    default to the spline derivative at the end nodes."""
+    cs = CubicSpline(xs, ys)
+    if tails is None:
+        tails = (float(cs(xs[0], 1)), float(cs(xs[-1], 1)))
+    # scipy stores descending powers
+    return LineMap(xs, cs.c[::-1].T.copy(), tails[0], tails[1], c1=True, name=name)
+
+
 def from_callable(
     fn: Callable,
     window=DEFAULT_WINDOW,
@@ -293,13 +311,8 @@ def from_callable(
 
     Tail slopes default to the spline derivative at the window edges.
     """
-    lo, hi = window
-    xs = np.linspace(lo, hi, pieces + 1)
-    cs = CubicSpline(xs, fn(xs))
-    local = cs.c[::-1].T.copy()  # scipy stores descending powers
-    if tails is None:
-        tails = (float(cs(lo, 1)), float(cs(hi, 1)))
-    return LineMap(xs, local, tails[0], tails[1], c1=True, name=name)
+    xs = np.linspace(window[0], window[1], pieces + 1)
+    return _spline_map(xs, fn(xs), name, tails)
 
 
 def sin_drift_map(amp: float = 0.5, window=DEFAULT_WINDOW, pieces: int = 512) -> LineMap:
@@ -325,11 +338,7 @@ def inverse_map(phi: LineMap, pieces: int = 512, samples: int = 2**15 + 1) -> Li
     else:
         raise ValueError("inverse_map requires a strictly monotone map")
     y_nodes = np.linspace(ys[0], ys[-1], pieces + 1)
-    x_nodes = np.interp(y_nodes, ys, xs)
-    cs = CubicSpline(y_nodes, x_nodes)
-    local = cs.c[::-1].T.copy()
-    tails = (float(cs(ys[0], 1)), float(cs(ys[-1], 1)))
-    return LineMap(y_nodes, local, tails[0], tails[1], c1=True, name=f"{phi.name}^-1")
+    return _spline_map(y_nodes, np.interp(y_nodes, ys, xs), f"{phi.name}^-1")
 
 
 _NAMED = {
@@ -390,14 +399,9 @@ class LineMapDerivative:
         return self.parent.derivative_values(xs)
 
     def max_jump(self) -> float:
-        bp = self.parent.breakpoints
         cf = self.parent.coeffs
-        worst = 0.0
-        for i in range(cf.shape[0] - 1):
-            u = bp[i + 1] - bp[i]
-            left = cf[i, 1] + u * (2.0 * cf[i, 2] + 3.0 * u * cf[i, 3])
-            worst = max(worst, abs(left - cf[i + 1, 1]))
-        return worst
+        ends = _cubic_slope(cf[:-1], np.diff(self.parent.breakpoints)[:-1])
+        return float(np.max(np.abs(ends - cf[1:, 1]), initial=0.0))
 
     def sample(self, count: int = DEFAULT_COUNT) -> GridFunction:
         return sample_fn(self.__call__, self.parent.window, count, Extension.CONSTANT)
@@ -419,12 +423,11 @@ def steepest_point(phi: LineMap, margin: float = 0.0) -> tuple[float, float]:
     bp = phi.breakpoints
     lo, hi = bp[0] + margin, bp[-1] - margin
     best_val, best_x = -1.0, 0.5 * (lo + hi)
-    for i in range(phi.coeffs.shape[0]):
-        c0, c1, c2, c3 = phi.coeffs[i]
+    for i, c in enumerate(phi.coeffs):
         length = bp[i + 1] - bp[i]
         candidates = [0.0, length]
-        if c3 != 0.0:
-            vertex = -c2 / (3.0 * c3)  # where (p')' vanishes
+        if c[3] != 0.0:
+            vertex = -c[2] / (3.0 * c[3])  # where (p')' vanishes
             if 0.0 < vertex < length:
                 candidates.append(vertex)
         for u in candidates:
@@ -434,7 +437,7 @@ def steepest_point(phi: LineMap, margin: float = 0.0) -> tuple[float, float]:
                 if not (bp[i] <= x <= bp[i + 1]):
                     continue
                 u = x - bp[i]
-            d = abs(c1 + u * (2.0 * c2 + 3.0 * u * c3))
+            d = abs(_cubic_slope(c, u))
             if d > best_val:
                 best_val, best_x = d, x
     return best_val, best_x
@@ -446,8 +449,7 @@ def lipschitz_constant(phi: LineMap) -> float:
 
 
 def _check_flat_tails(phi: LineMap, lo: float, hi: float):
-    left_val = float(phi.coeffs[0, 0])
-    right_val = float(_poly_eval(phi.coeffs[-1], phi.breakpoints[-1] - phi.breakpoints[-2]))
+    left_val, right_val = phi.edge_values()
     if phi.left_slope == 0.0 and lo <= left_val <= hi:
         raise UnboundedPreimageError("target hits the flat left tail value")
     if phi.right_slope == 0.0 and lo <= right_val <= hi:
@@ -476,46 +478,37 @@ def preimage_intervals(phi: LineMap, target) -> IntervalSet:
     return IntervalSet.from_pairs(pairs, merge_tol=tol)
 
 
-def _sweep_candidates(phi: LineMap, width: float, step_frac: float) -> np.ndarray:
+def _sup_preimage_length(phi: LineMap, width: float) -> float:
+    """Largest |phi^-1([y, y + width])| over a sweep of left endpoints y: a
+    grid of step SWEEP_STEP times the essential-range width, seeded with the
+    critical values and the critical values minus width, where the length
+    function has its kinks."""
     ymin, ymax = phi.value_range()
-    span = max(ymax - ymin, 1.0)
-    step = step_frac * span
+    step = SWEEP_STEP * max(ymax - ymin, 1.0)
     grid = np.arange(ymin - width - 2.0 * step, ymax + 2.0 * step, step)
     crit = phi.critical_values()
-    cands = np.concatenate([grid, crit, crit - width])
-    return np.unique(cands)
+    cands = np.unique(np.concatenate([grid, crit, crit - width]))
+    return float(_kernels.preimage_lengths(phi.segments(), cands, cands + width).max())
 
 
-def U_functional(phi: LineMap, step_frac: float = 1e-3) -> float:
-    """sup over unit intervals I of |phi^-1(I)| (window-restricted).
-
-    The left endpoint sweeps a grid of step ``step_frac`` times the
-    essential-range width, seeded with the images of critical points where
-    the length function has its kinks. Maps with a flat tail report inf.
-    """
+def U_functional(phi: LineMap) -> float:
+    """sup over unit intervals I of |phi^-1(I)| (window-restricted): the
+    width-1 sweep. Maps with a flat tail report inf."""
     if phi.left_slope == 0.0 or phi.right_slope == 0.0:
         return math.inf
-    cands = _sweep_candidates(phi, 1.0, step_frac)
-    lengths = _kernels.preimage_lengths(phi.segments(), cands, cands + 1.0)
-    return float(lengths.max())
+    return _sup_preimage_length(phi, 1.0)
 
 
-def M_functional(phi: LineMap, k_max: int = 12, step_frac: float = 1e-3) -> MEstimate:
-    """Ladder search for sup_I |I|^-1 |phi^-1(I)| over widths 2^0 .. 2^-k_max.
+def M_functional(phi: LineMap) -> MEstimate:
+    """Ladder search for sup_I |I|^-1 |phi^-1(I)| over widths 2^0 .. 2^-M_LEVELS.
 
     The infinite flag fires when the ladder exceeds 10x its width-1 rung and
     is still increasing at the resolution floor.
     """
     if phi.left_slope == 0.0 or phi.right_slope == 0.0:
         return MEstimate(math.inf, True, [], [])
-    seg = phi.segments()
-    widths, sups = [], []
-    for k in range(k_max + 1):
-        w = 2.0**-k
-        cands = _sweep_candidates(phi, w, step_frac)
-        lengths = _kernels.preimage_lengths(seg, cands, cands + w)
-        widths.append(w)
-        sups.append(float(lengths.max()) / w)
+    widths = [2.0**-k for k in range(M_LEVELS + 1)]
+    sups = [_sup_preimage_length(phi, w) / w for w in widths]
     infinite = sups[-1] > 10.0 * sups[0] and sups[-1] > sups[-2]
     return MEstimate(math.inf if infinite else max(sups), infinite, widths, sups)
 

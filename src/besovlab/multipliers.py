@@ -32,7 +32,6 @@ class PsiBump:
 
     func: Callable
     residual: float
-    profile_name: str
 
     def on_grid(self, like: GridFunction, shift: float = 0.0) -> GridFunction:
         vals = np.asarray(self.func(like.x - shift), dtype=np.float64)
@@ -51,14 +50,9 @@ def make_psi(profile="mollifier") -> PsiBump:
 
     Raises PsiProfileError when the translates of B leave gaps.
     """
-    if isinstance(profile, str):
-        name = profile
-        base = _PROFILES.get(profile)
-        if base is None:
-            raise PsiProfileError(f"unknown profile {profile!r}")
-    else:
-        name = getattr(profile, "__name__", "custom")
-        base = profile
+    base = _PROFILES.get(profile) if isinstance(profile, str) else profile
+    if base is None:
+        raise PsiProfileError(f"unknown profile {profile!r}")
 
     def denom(x):
         x = np.asarray(x, dtype=np.float64)
@@ -87,7 +81,7 @@ def make_psi(profile="mollifier") -> PsiBump:
     for z in (-2.0, -1.0, 0.0, 1.0, 2.0):
         res += psi(probe - z)
     residual = float(np.max(np.abs(res - 1.0)))
-    return PsiBump(psi, residual, name)
+    return PsiBump(psi, residual)
 
 
 @dataclass(frozen=True)
@@ -95,7 +89,6 @@ class CoefSequence:
     """Coefficients on integer translates, normalized in l^p."""
 
     entries: np.ndarray
-    p: float
     label: str
 
     @staticmethod
@@ -106,7 +99,7 @@ class CoefSequence:
         )
         if nrm == 0.0:
             raise ValueError("zero coefficient sequence")
-        return CoefSequence(arr / nrm, p, label)
+        return CoefSequence(arr / nrm, label)
 
 
 def translate_range(f: GridFunction, margin: int = 0) -> np.ndarray:

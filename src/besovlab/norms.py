@@ -6,8 +6,8 @@ each level carries total log-measure ln 2 split evenly over its nodes.
 Every node is snapped to the nearest nonzero multiple of the grid spacing,
 so every difference inside a norm is an exact integer-shift stencil (this
 is what makes polynomial annihilation exact). Only difference(), the
-single-shift operator, interpolates sub-cell shifts linearly. Levels finer
-than spacing/2 are dropped and the remaining tail of the integral is
+single-shift operator, interpolates sub-cell shifts linearly. Nodes below
+one grid spacing are dropped and the remaining tail of the integral is
 extrapolated from the power law of the last two computed levels.
 """
 
@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
 
 import numpy as np
 
@@ -33,22 +32,19 @@ TAIL_RATIO_CAP = 0.95
 class DyadicHGrid:
     """Signed log-uniform nodes for the singular measure dh/|h| on |h| <= 1.
 
-    ``min_cells`` is the resolution floor in grid cells: nodes below
-    min_cells * spacing are dropped and handed to the extrapolated tail,
-    and every kept node is snapped to an exact grid shift.
+    The resolution floor is one grid spacing: nodes below it are dropped
+    and handed to the extrapolated tail, and every kept node is snapped to
+    an exact grid shift.
     """
 
     levels: int = 10
     nodes_per_level: int = 8
-    min_cells: float = 1.0
 
     def __post_init__(self):
         if self.levels < 2:
             raise ValueError("need at least two levels")
         if self.nodes_per_level < 2 or self.nodes_per_level % 2:
             raise ValueError("nodes_per_level must be even and >= 2")
-        if self.min_cells <= 0:
-            raise ValueError("min_cells must be positive")
 
     @property
     def n_mag(self) -> int:
@@ -66,23 +62,19 @@ class DyadicHGrid:
     def materialize(self, spacing: float):
         """Node arrays (h, log-weight, linear width, level id) for a grid.
 
-        Shifts >= spacing are snapped to grid multiples; levels entirely
-        below spacing/2 are dropped (their mass goes to the extrapolated
-        tail). Both signs are emitted for every node.
+        Nodes >= spacing are snapped to grid multiples; nodes below one
+        spacing are dropped (their mass goes to the extrapolated tail), so
+        levels stop at the first one without a kept node. Both signs are
+        emitted for every node.
         """
-        floor = self.min_cells * spacing
         hs, wlog, wlin, lev = [], [], [], []
         for k in range(self.levels):
-            if 2.0 ** (-k) < floor:
-                break
             mags = self.magnitudes(k)
-            keep = mags >= floor
+            keep = mags >= spacing
             if not keep.any():
                 break
-            mags = mags[keep]
-            edges = self.level_edges(k)
-            widths = np.diff(edges)[keep]
-            snapped = np.maximum(1, np.round(mags / spacing)) * spacing
+            widths = np.diff(self.level_edges(k))[keep]
+            snapped = np.round(mags[keep] / spacing) * spacing
             for sign in (1.0, -1.0):
                 hs.append(sign * snapped)
                 wlog.append(np.full(snapped.size, LN2 / self.n_mag))
@@ -178,24 +170,6 @@ def _cutoff(xi):
     return 1.0 - smoothstep(np.abs(xi) - 1.0)
 
 
-@dataclass(frozen=True)
-class LPFilterBank:
-    """Dyadic frequency bands phi_j(xi) = phi0(2^-j xi) - phi0(2^-(j-1) xi)."""
-
-    n_bands: int
-    cutoff: Callable = _cutoff
-
-    def band(self, j: int, xi: np.ndarray) -> np.ndarray:
-        if j == 0:
-            return self.cutoff(xi)
-        return self.cutoff(2.0 ** (-j) * xi) - self.cutoff(2.0 ** (-j + 1) * xi)
-
-    @staticmethod
-    def for_grid(spacing: float) -> "LPFilterBank":
-        xi_max = math.pi / spacing
-        return LPFilterBank(n_bands=int(math.ceil(math.log2(xi_max))) + 1)
-
-
 def _fourier_samples(f: GridFunction):
     """Window treated as one period of 2^k cells; returns (f resampled to
     2^k + 1 points when needed, spectrum, angular freqs)."""
@@ -211,26 +185,21 @@ def _fourier_samples(f: GridFunction):
     return f, spec, xi
 
 
-def _lp_of_samples(vals: np.ndarray, spacing: float, p: float) -> float:
-    if math.isinf(p):
-        return float(np.max(np.abs(vals)))
-    return float((np.abs(vals) ** p).sum() * spacing) ** (1.0 / p)
-
-
-def littlewood_paley_norm(
-    f: GridFunction, sp: SpaceParams, bank: Optional[LPFilterBank] = None
-) -> float:
-    """Fourier-side norm (sum_j 2^{jsq} ||band_j f||_p^q)^{1/q}."""
+def littlewood_paley_norm(f: GridFunction, sp: SpaceParams) -> float:
+    """Fourier-side norm (sum_j 2^{jsq} ||band_j f||_p^q)^{1/q} over the
+    dyadic bands band_j(xi) = cut(2^-j xi) - cut(2^-(j-1) xi), band_0 = cut,
+    for j = 0 .. ceil(log2(pi / spacing)) + 1."""
     f, spec, xi = _fourier_samples(f)
-    if bank is None:
-        bank = LPFilterBank.for_grid(f.spacing)
+    n_bands = int(math.ceil(math.log2(math.pi / f.spacing))) + 1
     terms = []
-    for j in range(bank.n_bands + 1):
-        mask = bank.band(j, xi)
+    lower = np.zeros_like(xi)
+    for j in range(n_bands + 1):
+        cut = _cutoff(2.0 ** (-j) * xi)
+        mask, lower = cut - lower, cut
         if not mask.any():
             continue
         band = np.fft.ifft(spec * mask).real
-        terms.append((j, _lp_of_samples(band, f.spacing, sp.p)))
+        terms.append((j, lp_norm(GridFunction(band, f.spacing, f.origin), sp.p)))
     if math.isinf(sp.q):
         return max(2.0 ** (j * sp.s) * v for j, v in terms)
     return float(sum(2.0 ** (j * sp.s * sp.q) * v**sp.q for j, v in terms)) ** (1.0 / sp.q)
@@ -242,7 +211,7 @@ def sobolev_norm_fourier(f: GridFunction, s: float, p: float) -> float:
         raise ValueError("Sobolev space requires p in (1, inf)")
     f, spec, xi = _fourier_samples(f)
     lifted = np.fft.ifft(spec * (1.0 + xi**2) ** (s / 2.0)).real
-    return _lp_of_samples(lifted, f.spacing, p)
+    return lp_norm(GridFunction(lifted, f.spacing, f.origin), p)
 
 
 def sobolev_seminorm_diff(

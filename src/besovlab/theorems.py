@@ -27,9 +27,9 @@ from .grid import (
     DEFAULT_COUNT,
     DEFAULT_WINDOW,
     Extension,
+    FAMILY_NAMES,
     GridFunction,
     SpaceParams,
-    catalog_family,
     grid_derivative,
     linf_on_interval,
     lp_norm,
@@ -72,6 +72,7 @@ CHAIN_RESIDUAL = 1e-4  # chain-rule residual gate, times max(1, Lip)^3
 KAPPA_CHAIN = 10.0  # chain: ||C_phi f|| <= KAPPA_CHAIN * (chain-rule bound)
 LIP_RECON_TOL = 0.02  # infinity witness: relative error of the Lip reconstruction
 ZIGZAG_TOL = 0.1  # infinity witness: relative slack over the zigzag bound
+WINDOW_RUN = 4  # window-limited: profile steps that must grow toward the edge
 TOLERANCES = {
     "kappa_max": KAPPA_MAX,
     "chain_residual": CHAIN_RESIDUAL,
@@ -208,8 +209,12 @@ class CheckReport:
 def default_witness_family(
     window=DEFAULT_WINDOW, count: int = DEFAULT_COUNT
 ) -> list[tuple[str, GridFunction]]:
-    """Catalog functions plus the proof gadgets, used for opnorm sweeps."""
-    fam = catalog_family(window, count)
+    """Catalog functions plus the proof gadgets, used for opnorm sweeps.
+
+    The catalog's ``plateau`` is left out: it is the same function as
+    unit_bump(0).
+    """
+    fam = [(name, sample(name, window, count)) for name in FAMILY_NAMES if name != "plateau"]
     fam.append(("unit_bump(-2)", unit_bump(-2.0, window, count)))
     fam.append(("unit_bump(0)", unit_bump(0.0, window, count)))
     fam.append(("eta(0.1)", eta_eps(0.1, window, count)))
@@ -500,21 +505,16 @@ def check_infinity_witness(
 # classifier
 # ---------------------------------------------------------------------------
 
-def _window_limited(zs: np.ndarray, vals: np.ndarray, run: int = 4) -> bool:
+def _window_limited(zs: np.ndarray, vals: np.ndarray) -> bool:
     """Multiplier profile still growing at the window edge: the sup sits at
-    an extreme translate and the last few values increase monotonically."""
-    if zs.size < run + 1:
+    an extreme translate and the last WINDOW_RUN steps toward it increase
+    monotonically."""
+    if zs.size < WINDOW_RUN + 1:
         return False
     k = int(np.argmax(vals))
-    if k == zs.size - 1:
-        tail = vals[-run - 1 :]
-        if np.all(np.diff(tail) > 0.0):
-            return True
-    if k == 0:
-        head = vals[: run + 1]
-        if np.all(np.diff(head) < 0.0):
-            return True
-    return False
+    rising = k == zs.size - 1 and np.all(np.diff(vals[-WINDOW_RUN - 1 :]) > 0.0)
+    falling = k == 0 and np.all(np.diff(vals[: WINDOW_RUN + 1]) < 0.0)
+    return bool(rising or falling)
 
 
 def classify(
@@ -531,11 +531,13 @@ def classify(
     t0 = time.perf_counter()
     gate_space(sp, kind, homeomorphism)
     if kind == "sobolev":
+        # every segment strictly monotone in the direction of the tails; a
+        # flat segment makes the map non-injective
         seg = phi.segments()
-        increasing = np.all(seg[:, 8] >= seg[:, 7]) and phi.left_slope > 0 and phi.right_slope > 0
-        decreasing = np.all(seg[:, 8] <= seg[:, 7]) and phi.left_slope < 0 and phi.right_slope < 0
+        increasing = np.all(seg[:, 8] > seg[:, 7]) and phi.left_slope > 0 and phi.right_slope > 0
+        decreasing = np.all(seg[:, 8] < seg[:, 7]) and phi.left_slope < 0 and phi.right_slope < 0
         if not (increasing or decreasing):
-            raise RangeGateError("Sobolev route requires a homeomorphism (monotone map)")
+            raise RangeGateError("Sobolev route requires a homeomorphism (strictly monotone map)")
     window = DEFAULT_WINDOW
     uval = U_functional(phi)
     mest = M_functional(phi)

@@ -1,3 +1,4 @@
+import csv
 import json
 
 import numpy as np
@@ -28,6 +29,28 @@ def test_norm_records(capsys):
     assert records[0]["grid"]["count"] == 4097
     ratio = records[0]["value"] / records[1]["value"]
     assert 0.1 < ratio < 10.0
+
+
+def test_norm_csv_keeps_a_spec_with_commas(tmp_path, capsys):
+    path = tmp_path / "norms.csv"
+    code, _, _ = run(
+        capsys,
+        "norm",
+        "--fn", "gaussian:center=1,width=2",
+        "--space", "s=1.5,p=2,q=2,m=2",
+        "--method", "diff,lp",
+        "--count", "1025",
+        "--csv", str(path),
+    )
+    assert code == 0
+    with open(path, newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert rows[0] == ["function", "method", "s", "p", "q", "m", "value", "count"]
+    assert [len(r) for r in rows] == [8, 8, 8]
+    assert [(r[0], r[1], r[7]) for r in rows[1:]] == [
+        ("gaussian:center=1,width=2", "diff", "1025"),
+        ("gaussian:center=1,width=2", "lp", "1025"),
+    ]
 
 
 def test_norm_zero(capsys):
@@ -102,6 +125,18 @@ def test_check_open_range_exit_3(capsys):
     code, _, err = run(capsys, "check", "--map", "identity", "--space", "s=1.2,p=2,q=2,m=2")
     assert code == 3
     assert "open case" in err
+
+
+def test_check_sobolev_flat_piece_exit_3(tmp_path, capsys):
+    pieces = [([-16, -1], [-16, 1, 0, 0]), ([-1, 1], [-1, 0, 0, 0]), ([1, 16], [-1, 1, 0, 0])]
+    path = tmp_path / "flat.json"
+    path.write_text(json.dumps({"pieces": [{"interval": i, "coeffs": c} for i, c in pieces]}))
+    code, _, err = run(
+        capsys, "check", "--map", str(path), "--space", "s=2.1,p=2,q=2,m=3",
+        "--kind", "sobolev", "--homeo", "--count", "2049",
+    )
+    assert code == 3
+    assert "homeomorphism" in err
 
 
 def test_suite_runs_and_is_deterministic(tmp_path, capsys):

@@ -1,4 +1,5 @@
 import csv
+import itertools
 import math
 
 import numpy as np
@@ -25,6 +26,7 @@ from besovlab.theorems import (
     check_nec_lipschitz,
     check_sufficiency_chain,
     classify,
+    default_witness_family,
     gate_space,
     opnorm_lower_detailed,
 )
@@ -81,6 +83,12 @@ def test_opnorm_translation_invariance():
 def test_opnorm_dilation_monotone():
     vals = [opnorm_lower_detailed(affine_map(lam, 0.0), SP)[0] for lam in (1.0, 1.5, 2.0, 3.0)]
     assert all(a <= b + 1e-12 for a, b in zip(vals, vals[1:]))
+
+
+def test_witness_family_members_are_distinct():
+    fam = default_witness_family(count=2**10 + 1)
+    for (a, fa), (b, fb) in itertools.combinations(fam, 2):
+        assert not np.array_equal(fa.samples, fb.samples), (a, b)
 
 
 def test_opnorm_detail_records_argmax():
@@ -237,6 +245,18 @@ def test_classify_sobolev_route():
     assert rep.verdict == "ConsistentBounded"
     with pytest.raises(RangeGateError):
         classify(quadratic_map(), SP, kind="sobolev", homeomorphism=True)
+
+
+def test_classify_sobolev_refuses_a_flat_piece():
+    # monotone but not injective: slope 1, flat on [-1, 1], slope 1
+    phi = LineMap(
+        np.array([-16.0, -1.0, 1.0, 16.0]),
+        np.array([[-16.0, 1.0, 0, 0], [-1.0, 0.0, 0, 0], [-1.0, 1.0, 0, 0]]),
+        1.0,
+        1.0,
+    )
+    with pytest.raises(RangeGateError, match="homeomorphism"):
+        classify(phi, SP, kind="sobolev", homeomorphism=True, count=2**11 + 1)
 
 
 def test_classify_threads_count_into_fragments():
