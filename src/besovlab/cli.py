@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import math
 import os
 import sys
 import time
@@ -19,7 +18,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
-from .grid import DEFAULT_COUNT, DEFAULT_WINDOW, SpaceParams, sample
+from .grid import DEFAULT_COUNT, DEFAULT_WINDOW, SpaceParams, call_declared, parse_items, parse_spec, sample
 from .maps import (
     M_functional,
     U_functional,
@@ -48,50 +47,27 @@ class ConfigError(ValueError):
     pass
 
 
-def _parse_kv(text: str) -> dict:
-    out = {}
-    if not text:
-        return out
-    for item in text.split(","):
-        k, sep, v = item.partition("=")
-        if not sep:
-            raise ConfigError(f"expected key=value, got {item!r}")
-        out[k.strip()] = v.strip()
-    return out
-
-
-def _parse_float(v: str) -> float:
-    if v.lower() in ("inf", "infinity"):
-        return math.inf
-    return float(v)
+def _space(s, p, q=2.0, m=2):
+    return SpaceParams(float(s), float(p), float(q), int(m))
 
 
 def parse_space(text: str) -> SpaceParams:
-    kv = _parse_kv(text)
+    return call_declared("space", _space, parse_items(text))
+
+
+def _spec_value(text: str):
+    """A --fn value: JSON (numbers, lists) or a float such as inf."""
     try:
-        return SpaceParams(
-            s=_parse_float(kv["s"]),
-            p=_parse_float(kv["p"]),
-            q=_parse_float(kv.get("q", "2")),
-            m=int(kv.get("m", "2")),
-        )
-    except KeyError as exc:
-        raise ConfigError(f"space spec missing field {exc}") from exc
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+        return json.loads(text)
+    except json.JSONDecodeError:
+        return float(text)
 
 
 def parse_fn(text: str, window, count):
-    name, _, rest = text.partition(":")
-    params = {}
-    for k, v in _parse_kv(rest).items():
-        try:
-            params[k] = json.loads(v)
-        except json.JSONDecodeError:
-            params[k] = _parse_float(v)
+    name, params = parse_spec(text)
     try:
-        return sample(name, window, count, **params)
-    except (ValueError, TypeError) as exc:
+        return sample(name, window, count, **{k: _spec_value(v) for k, v in params.items()})
+    except TypeError as exc:  # a value of the wrong type, e.g. center=[1]
         raise ConfigError(str(exc)) from exc
 
 
@@ -112,36 +88,34 @@ def _dump_records(records: list, path=None):
         print(text)
 
 
-METHODS = ("diff", "lp", "sobolev_fourier", "sobolev_diff")
+# --method name -> norm of (f, sp, hg)
+METHODS = {
+    "diff": lambda f, sp, hg: besov_norm_diff(f, sp, hg),
+    "lp": lambda f, sp, hg: littlewood_paley_norm(f, sp),
+    "sobolev_fourier": lambda f, sp, hg: sobolev_norm_fourier(f, sp.s, sp.p),
+    "sobolev_diff": lambda f, sp, hg: sobolev_norm_diff(f, sp.s, sp.p, sp.m, hg),
+}
 
 
 def cmd_norm(args) -> int:
     window = tuple(float(v) for v in args.window.split(","))
     sp = parse_space(args.space)
+    methods = [m.strip() for m in args.method.split(",")]
+    for method in methods:
+        if method not in METHODS:
+            raise ConfigError(f"unknown method {method!r} (choose from {tuple(METHODS)})")
     f = parse_fn(args.fn, window, args.count)
     hg = DyadicHGrid(levels=args.levels)
-    records = []
-    for method in args.method.split(","):
-        method = method.strip()
-        if method == "diff":
-            value = besov_norm_diff(f, sp, hg)
-        elif method == "lp":
-            value = littlewood_paley_norm(f, sp)
-        elif method == "sobolev_fourier":
-            value = sobolev_norm_fourier(f, sp.s, sp.p)
-        elif method == "sobolev_diff":
-            value = sobolev_norm_diff(f, sp.s, sp.p, sp.m, hg)
-        else:
-            raise ConfigError(f"unknown method {method!r} (choose from {METHODS})")
-        records.append(
-            {
-                "function": args.fn,
-                "space": sp.as_dict(),
-                "method": method,
-                "value": value,
-                "grid": {"count": args.count, "window": list(window), "K": args.levels},
-            }
-        )
+    records = [
+        {
+            "function": args.fn,
+            "space": sp.as_dict(),
+            "method": method,
+            "value": METHODS[method](f, sp, hg),
+            "grid": {"count": args.count, "window": list(window), "K": args.levels},
+        }
+        for method in methods
+    ]
     _dump_records(records, args.json)
     if args.csv:
         with open(args.csv, "w", newline="") as fh:
@@ -195,14 +169,19 @@ def _report_for(map_spec: str, sp: SpaceParams, kind: str, homeo: bool, count: i
     return classify(phi, sp, kind=kind, homeomorphism=homeo, count=count, seed=seed)
 
 
+def _write_summary(path, reports):
+    with open(path, "w") as fh:
+        fh.write(CheckReport.CSV_HEADER + "\n")
+        for r in reports:
+            fh.write(r.to_csv_row() + "\n")
+
+
 def cmd_check(args) -> int:
     sp = parse_space(args.space)
     report = _report_for(args.map, sp, args.kind, args.homeo, args.count, args.seed)
     _dump_records([report.to_json()], args.json)
     if args.csv:
-        with open(args.csv, "w") as fh:
-            fh.write(CheckReport.CSV_HEADER + "\n")
-            fh.write(report.to_csv_row() + "\n")
+        _write_summary(args.csv, [report])
     failed = any(not fr.passed for fr in report.fragments)
     return EXIT_CHECK_FAILED if failed else EXIT_OK
 
@@ -225,29 +204,27 @@ DEFAULT_SUITE = {
 }
 
 
+def _suite_settings(space, maps, seed=1234, count=DEFAULT_COUNT, kind="besov", homeo=False):
+    """The suite config's fields, with their defaults."""
+    if not maps:
+        raise ConfigError("suite config lists no maps")
+    return call_declared("suite space", SpaceParams, space), maps, int(seed), int(count), kind, bool(homeo)
+
+
 def cmd_suite(args) -> int:
     if args.config:
         with open(args.config) as fh:
             cfg = json.load(fh)
     else:
         cfg = DEFAULT_SUITE
-    try:
-        sp = SpaceParams(**cfg["space"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(f"bad suite space: {exc}") from exc
-    seed = int(cfg.get("seed", 1234))
-    count = int(cfg.get("count", DEFAULT_COUNT))
-    kind = cfg.get("kind", "besov")
-    maps = cfg.get("maps", [])
-    if not maps:
-        raise ConfigError("suite config lists no maps")
+    sp, maps, seed, count, kind, homeo = call_declared("suite config", _suite_settings, cfg)
     os.makedirs(args.out, exist_ok=True)
     started = time.time()
 
     max_workers = int(os.environ.get("BESOVLAB_THREADS", "0")) or None
 
     def run_one(spec):
-        return spec, _report_for(spec, sp, kind, bool(cfg.get("homeo", False)), count, seed)
+        return spec, _report_for(spec, sp, kind, homeo, count, seed)
 
     results = {}
     with ThreadPoolExecutor(max_workers=max_workers) as pool:
@@ -257,11 +234,7 @@ def cmd_suite(args) -> int:
 
     records_path = os.path.join(args.out, "records.json")
     _dump_records([r.to_json() for r in ordered], records_path)
-    csv_path = os.path.join(args.out, "summary.csv")
-    with open(csv_path, "w") as fh:
-        fh.write(CheckReport.CSV_HEADER + "\n")
-        for r in ordered:
-            fh.write(r.to_csv_row() + "\n")
+    _write_summary(os.path.join(args.out, "summary.csv"), ordered)
     meta = {
         "started": started,
         "finished": time.time(),
@@ -283,7 +256,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("norm", help="compute norms of a catalog function")
     p.add_argument("--fn", required=True, help="descriptor, e.g. gaussian or bump:center=1")
     p.add_argument("--space", required=True, help="e.g. s=1.5,p=2,q=2,m=2 (inf allowed)")
-    p.add_argument("--method", default="diff", help=f"comma list from {METHODS}")
+    p.add_argument("--method", default="diff", help=f"comma list from {tuple(METHODS)}")
     p.add_argument("--count", type=int, default=DEFAULT_COUNT)
     p.add_argument("--window", default=f"{DEFAULT_WINDOW[0]},{DEFAULT_WINDOW[1]}")
     p.add_argument("--levels", type=int, default=10)

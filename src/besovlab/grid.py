@@ -9,7 +9,9 @@ rectangle rule sum(|f_i|^p) * dx over the window samples.
 from __future__ import annotations
 
 import csv
+import inspect
 import math
+import re
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable, Optional
@@ -277,6 +279,50 @@ def grid_derivative(f: GridFunction) -> GridFunction:
 
 
 # ---------------------------------------------------------------------------
+# specs: name:key=value,key=value
+# ---------------------------------------------------------------------------
+
+# a comma splits items only where a new ``key=`` starts, so a bracketed
+# JSON list such as points=[[0,0],[1,1]] stays one value
+_ITEM_START = re.compile(r",(?=\s*[A-Za-z_]\w*\s*=)")
+
+
+def parse_items(text: str) -> dict:
+    """``key=value,...`` -> {key: value}, both stripped; values stay text."""
+    items = {}
+    if not text.strip():
+        return items
+    for item in _ITEM_START.split(text):
+        key, sep, value = item.partition("=")
+        key = key.strip()
+        if not sep or not key:
+            raise CatalogError(f"expected key=value, got {item!r}")
+        if key in items:
+            raise CatalogError(f"key {key!r} given twice")
+        items[key] = value.strip()
+    return items
+
+
+def parse_spec(text: str) -> tuple[str, dict]:
+    """``name:key=value,...`` -> (name, {key: value})."""
+    name, _, rest = text.partition(":")
+    return name.strip(), parse_items(rest)
+
+
+def call_declared(what: str, make: Callable, params: dict):
+    """``make(**params)``, refusing a key that ``make`` does not declare and
+    a required one that is missing; the error names the key."""
+    sig = inspect.signature(make)
+    try:
+        sig.bind_partial(**params)  # an undeclared key is named before a missing one
+        sig.bind(**params)
+    except TypeError as exc:
+        takes = ", ".join(str(v) for v in sig.parameters.values())
+        raise CatalogError(f"{what}: {exc} (it takes: {takes or 'no parameters'})") from None
+    return make(**params)
+
+
+# ---------------------------------------------------------------------------
 # descriptor catalog
 # ---------------------------------------------------------------------------
 
@@ -317,70 +363,56 @@ def _table_interp(points):
     return fn
 
 
-def _catalog_entry(name: str, params: dict):
-    """Return (callable, extension) for a catalog descriptor."""
-    p = dict(params)
-    if name == "zero":
-        return (lambda x: np.zeros_like(np.asarray(x, dtype=np.float64)), Extension.ZERO)
-    if name == "const":
-        c = float(p.pop("value", 1.0))
-        return (lambda x: np.full_like(np.asarray(x, dtype=np.float64), c), Extension.CONSTANT)
-    if name == "linear":
-        return (lambda x: np.asarray(x, dtype=np.float64).copy(), Extension.CONSTANT)
-    if name == "indicator":
-        a = float(p.pop("a", 0.0))
-        b = float(p.pop("b", 1.0))
-        return (
-            lambda x: np.where((np.asarray(x) >= a) & (np.asarray(x) <= b), 1.0, 0.0),
-            Extension.ZERO,
-        )
-    if name == "gaussian":
-        c = float(p.pop("center", 0.0))
-        w = float(p.pop("width", 1.0))
-        return (lambda x: np.exp(-(((np.asarray(x) - c) / w) ** 2)), Extension.ZERO)
-    if name == "bump":
-        c = float(p.pop("center", 0.0))
-        w = float(p.pop("width", 1.0))
-        return (_mollifier(c, w), Extension.ZERO)
-    if name == "sine":
-        freq = float(p.pop("freq", 1.0))
-        phase = float(p.pop("phase", 0.0))
-        return (lambda x: np.sin(freq * np.asarray(x) + phase), Extension.CONSTANT)
-    if name == "poly":
-        coeffs = p.pop("coeffs", None)
-        if coeffs is None:
-            raise CatalogError("poly descriptor needs coeffs=[c0,c1,...]")
-        coeffs = [float(c) for c in coeffs]
-        return (
-            lambda x: np.polynomial.polynomial.polyval(np.asarray(x, dtype=np.float64), coeffs),
-            Extension.CONSTANT,
-        )
-    if name == "table":
-        points = p.pop("points", None)
-        if points is None:
-            raise CatalogError("table descriptor needs points=[[x, value], ...]")
-        return (_table_interp(points), Extension.ZERO)
+def _gaussian(center=0.0, width=1.0):
+    c, w = float(center), float(width)
+    return lambda x: np.exp(-(((np.asarray(x) - c) / w) ** 2))
+
+
+def _indicator(a=0.0, b=1.0):
+    a, b = float(a), float(b)
+    return lambda x: np.where((np.asarray(x) >= a) & (np.asarray(x) <= b), 1.0, 0.0)
+
+
+def _const(value=1.0):
+    c = float(value)
+    return lambda x: np.full_like(np.asarray(x, dtype=np.float64), c)
+
+
+def _sine(freq=1.0, phase=0.0):
+    freq, phase = float(freq), float(phase)
+    return lambda x: np.sin(freq * np.asarray(x) + phase)
+
+
+def _poly(coeffs):
+    coeffs = [float(c) for c in coeffs]
+    return lambda x: np.polynomial.polynomial.polyval(np.asarray(x, dtype=np.float64), coeffs)
+
+
+# name -> (constructor, extension); the constructor's keywords are the
+# descriptor's parameters and carry their defaults
+_CATALOG = {
+    "zero": (lambda: lambda x: np.zeros_like(np.asarray(x, dtype=np.float64)), Extension.ZERO),
+    "const": (_const, Extension.CONSTANT),
+    "linear": (lambda: lambda x: np.asarray(x, dtype=np.float64).copy(), Extension.CONSTANT),
+    "indicator": (_indicator, Extension.ZERO),
+    "gaussian": (_gaussian, Extension.ZERO),
+    "bump": (lambda center=0.0, width=1.0: _mollifier(float(center), float(width)), Extension.ZERO),
+    "sine": (_sine, Extension.CONSTANT),
+    "poly": (_poly, Extension.CONSTANT),
+    "table": (_table_interp, Extension.ZERO),
     # named members of the fixed test family
-    if name == "gaussian_wide":
-        return (lambda x: np.exp(-((np.asarray(x) / 2.0) ** 2)), Extension.ZERO)
-    if name == "gaussian_shift":
-        return (lambda x: np.exp(-4.0 * (np.asarray(x) - 1.0) ** 2), Extension.ZERO)
-    if name == "gauss_cos":
-        return (lambda x: np.exp(-(np.asarray(x) ** 2)) * np.cos(3.0 * np.asarray(x)), Extension.ZERO)
-    if name == "gauss_sin":
-        return (lambda x: np.exp(-(np.asarray(x) ** 2)) * np.sin(5.0 * np.asarray(x)), Extension.ZERO)
-    if name == "xgauss":
-        return (lambda x: np.asarray(x) * np.exp(-(np.asarray(x) ** 2)), Extension.ZERO)
-    if name == "two_bumps":
-        return (
-            lambda x: np.exp(-((np.asarray(x) - 3.0) ** 2)) + np.exp(-((np.asarray(x) + 3.0) ** 2)),
-            Extension.ZERO,
-        )
-    if name == "plateau":
-        return (_plateau(0.0, 1.0, 1.0), Extension.ZERO)
-    if name == "ramp_plateau":
-        return (_plateau(-1.0, 1.0, 0.5), Extension.ZERO)
-    raise CatalogError(f"unknown descriptor {name!r}")
+    "gaussian_wide": (lambda: lambda x: np.exp(-((np.asarray(x) / 2.0) ** 2)), Extension.ZERO),
+    "gaussian_shift": (lambda: lambda x: np.exp(-4.0 * (np.asarray(x) - 1.0) ** 2), Extension.ZERO),
+    "gauss_cos": (lambda: lambda x: np.exp(-(np.asarray(x) ** 2)) * np.cos(3.0 * np.asarray(x)), Extension.ZERO),
+    "gauss_sin": (lambda: lambda x: np.exp(-(np.asarray(x) ** 2)) * np.sin(5.0 * np.asarray(x)), Extension.ZERO),
+    "xgauss": (lambda: lambda x: np.asarray(x) * np.exp(-(np.asarray(x) ** 2)), Extension.ZERO),
+    "two_bumps": (
+        lambda: lambda x: np.exp(-((np.asarray(x) - 3.0) ** 2)) + np.exp(-((np.asarray(x) + 3.0) ** 2)),
+        Extension.ZERO,
+    ),
+    "plateau": (lambda: _plateau(0.0, 1.0, 1.0), Extension.ZERO),
+    "ramp_plateau": (lambda: _plateau(-1.0, 1.0, 0.5), Extension.ZERO),
+}
 
 
 FAMILY_NAMES = (
@@ -409,8 +441,10 @@ def sample(
     a, b = float(window[0]), float(window[1])
     if not (b > a):
         raise ValueError("window is degenerate")
-    fn, ext = _catalog_entry(name, params)
-    return sample_fn(fn, (a, b), count, ext)
+    if name not in _CATALOG:
+        raise CatalogError(f"unknown descriptor {name!r} (available: {sorted(_CATALOG)})")
+    make, ext = _CATALOG[name]
+    return sample_fn(call_declared(f"descriptor {name!r}", make, params), (a, b), count, ext)
 
 
 def sample_fn(fn: Callable, window, count: int, extension: Extension) -> GridFunction:

@@ -22,7 +22,7 @@ import numpy as np
 from scipy.interpolate import CubicSpline
 
 from . import _kernels
-from .grid import DEFAULT_COUNT, DEFAULT_WINDOW, Extension, GridFunction, sample_fn
+from .grid import DEFAULT_COUNT, DEFAULT_WINDOW, Extension, GridFunction, call_declared, parse_spec, sample_fn
 
 CONTINUITY_TOL = 1e-12
 SWEEP_STEP = 1e-3  # U and M sweep step, as a fraction of the range width
@@ -341,14 +341,16 @@ def inverse_map(phi: LineMap, pieces: int = 512, samples: int = 2**15 + 1) -> Li
     return _spline_map(y_nodes, np.interp(y_nodes, ys, xs), f"{phi.name}^-1")
 
 
+# name -> constructor; its keywords are the spec's parameters and carry their
+# defaults. Spec values arrive as text, which shift and scale keep in the name.
 _NAMED = {
-    "identity": lambda p: identity_map(),
-    "shift": lambda p: affine_map(1.0, float(p.get("c", 1.0)), name=f"shift({p.get('c', 1.0)})"),
-    "scale": lambda p: affine_map(float(p.get("k", 2.0)), 0.0, name=f"scale({p.get('k', 2.0)})"),
-    "affine": lambda p: affine_map(float(p.get("a", 1.0)), float(p.get("b", 0.0))),
-    "quadratic": lambda p: quadratic_map(),
-    "sin_drift": lambda p: sin_drift_map(float(p.get("amp", 0.5))),
-    "sin": lambda p: sin_map(),
+    "identity": lambda: identity_map(),
+    "shift": lambda c=1.0: affine_map(1.0, float(c), name=f"shift({c})"),
+    "scale": lambda k=2.0: affine_map(float(k), 0.0, name=f"scale({k})"),
+    "affine": lambda a=1.0, b=0.0: affine_map(float(a), float(b)),
+    "quadratic": lambda: quadratic_map(),
+    "sin_drift": lambda amp=0.5: sin_drift_map(float(amp)),
+    "sin": lambda: sin_map(),
 }
 
 
@@ -357,15 +359,10 @@ def named_map(spec: str) -> LineMap:
     if spec.endswith(".json"):
         with open(spec) as fh:
             return LineMap.from_json(json.load(fh))
-    name, _, rest = spec.partition(":")
-    params = {}
-    if rest:
-        for item in rest.split(","):
-            k, _, v = item.partition("=")
-            params[k.strip()] = v.strip()
+    name, params = parse_spec(spec)
     if name not in _NAMED:
         raise ValueError(f"unknown map {name!r} (available: {sorted(_NAMED)})")
-    return _NAMED[name](params)
+    return call_declared(f"map {name!r}", _NAMED[name], params)
 
 
 # ---------------------------------------------------------------------------

@@ -111,7 +111,7 @@ def difference(f: GridFunction, m: int, h: float) -> GridFunction:
         raise ValueError("|h| <= 1 required")
     left, right = f.ext_values()
     if abs(h) >= f.spacing:
-        off = int(math.copysign(max(1, round(abs(h) / f.spacing)), h))
+        off = int(math.copysign(round(abs(h) / f.spacing), h))
         vals = _kernels.shift_difference_batch(
             f.samples, left, right, np.array([off]), m
         )[0]

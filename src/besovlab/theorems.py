@@ -168,35 +168,28 @@ class CheckReport:
             "seed": self.seed,
         }
 
-    CSV_HEADER = (
-        "schema_version,map,kind,s,p,q,m,U,M_value,M_infinite,lip,max_preimage,"
-        "opnorm_lower,phiprime_unif,phiprime_mult_lower,verdict,failed_fragments,count,seed"
+    # summary.csv columns, in order; the rest come from space and computed
+    CSV_COLUMNS = (
+        "schema_version", "map", "kind", "s", "p", "q", "m", "U", "M_value", "M_infinite", "lip",
+        "max_preimage", "opnorm_lower", "phiprime_unif", "phiprime_mult_lower", "verdict",
+        "failed_fragments", "count", "seed",
     )
+    CSV_HEADER = ",".join(CSV_COLUMNS)
 
     def to_csv_row(self) -> str:
-        c = self.computed
-        failed = sum(1 for fr in self.fragments if not fr.passed)
-        fields = [
-            SCHEMA_VERSION,
-            self.map_name,
-            self.kind,
-            self.space["s"],
-            self.space["p"],
-            self.space["q"],
-            self.space["m"],
-            c.get("U"),
-            c.get("M_value"),
-            int(bool(c.get("M_infinite"))),
-            c.get("lip"),
-            c.get("max_preimage"),
-            c.get("opnorm_lower"),
-            c.get("phiprime_unif"),
-            c.get("phiprime_mult_lower"),
-            self.verdict,
-            failed,
-            self.grid["count"],
-            self.seed,
-        ]
+        values = dict(
+            self.computed,
+            **self.space,
+            schema_version=SCHEMA_VERSION,
+            map=self.map_name,
+            kind=self.kind,
+            M_infinite=int(bool(self.computed.get("M_infinite"))),
+            verdict=self.verdict,
+            failed_fragments=sum(1 for fr in self.fragments if not fr.passed),
+            count=self.grid["count"],
+            seed=self.seed,
+        )
+        fields = [values.get(column) for column in self.CSV_COLUMNS]
         out = io.StringIO()
         csv.writer(out, lineterminator="").writerow(["" if v is None else str(v) for v in fields])
         return out.getvalue()

@@ -4,7 +4,9 @@ import json
 import numpy as np
 import pytest
 
-from besovlab.cli import main
+from besovlab.cli import main, parse_fn
+from besovlab.grid import DEFAULT_WINDOW, SpaceParams, sample
+from besovlab.norms import DyadicHGrid, besov_norm_diff, littlewood_paley_norm
 
 
 def run(capsys, *argv):
@@ -157,3 +159,50 @@ def test_suite_runs_and_is_deterministic(tmp_path, capsys):
     assert len(rows) == 3
     meta = json.loads((out1 / "meta.json").read_text())
     assert "runtime_s" in meta
+
+
+# each input names a key (or an item) its spec does not declare
+REFUSED = {
+    "scale:3": (["map", "--map", "scale:3"], "'3'"),
+    "scale:kk=3": (["map", "--map", "scale:kk=3"], "'kk'"),
+    "shift:c=1,zz=4": (["map", "--map", "shift:c=1,zz=4"], "'zz'"),
+    "identity:k=5": (["map", "--map", "identity:k=5"], "'k'"),
+    "gaussian:centre=3": (["norm", "--fn", "gaussian:centre=3", "--space", "s=1.5,p=2"], "'centre'"),
+    "space Q=5": (["norm", "--fn", "gaussian", "--space", "s=1.5,p=2,Q=5"], "'Q'"),
+    "suite cout": (["suite", "--config", "{config}", "--out", "{out}"], "'cout'"),
+}
+
+
+@pytest.mark.parametrize("case", list(REFUSED))
+def test_undeclared_spec_key_exit_4(case, tmp_path, capsys):
+    argv, key = REFUSED[case]
+    config = tmp_path / "suite.json"
+    config.write_text(json.dumps({"space": {"s": 2.1, "p": 2.0, "q": 2.0, "m": 3}, "maps": ["identity"], "cout": 2049}))
+    argv = [a.format(config=config, out=tmp_path / "out") for a in argv]
+    code, _, err = run(capsys, *argv)
+    assert code == 4
+    assert key in err
+
+
+def test_norm_table_list_value_matches_in_process(capsys):
+    points = [[-1, 0], [0, 1], [1, 0]]
+    code, out, _ = run(
+        capsys,
+        "norm",
+        "--fn", "table:points=[[-1,0],[0,1],[1,0]]",
+        "--space", "s=0.5,p=2,q=2,m=1",
+        "--method", "diff,lp",
+        "--count", "1025",
+    )
+    assert code == 0
+    f = sample("table", DEFAULT_WINDOW, 1025, points=points)
+    sp = SpaceParams(0.5, 2.0, 2.0, 1)
+    values = [r["value"] for r in json.loads(out)]
+    assert values == [besov_norm_diff(f, sp, DyadicHGrid(levels=10)), littlewood_paley_norm(f, sp)]
+
+
+def test_parse_fn_poly_list_value():
+    f = parse_fn("poly:coeffs=[1,2,3]", DEFAULT_WINDOW, 257)
+    g = sample("poly", DEFAULT_WINDOW, 257, coeffs=[1, 2, 3])
+    assert np.array_equal(f.samples, g.samples)
+    assert f.extension is g.extension

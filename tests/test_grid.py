@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from besovlab import grid
 from besovlab.grid import (
     CatalogError,
     Extension,
@@ -166,3 +167,18 @@ def test_catalog_family_windows_decay():
     for name, f in fam:
         assert f.extension is Extension.ZERO
         assert abs(f.samples[0]) < 1e-12 and abs(f.samples[-1]) < 1e-12, name
+
+
+def test_parse_spec_keeps_bracketed_lists_whole():
+    name, params = grid.parse_spec("table:points=[[0,0],[1,1],[2,0]], width = 2")
+    assert (name, params) == ("table", {"points": "[[0,0],[1,1],[2,0]]", "width": "2"})
+
+
+def test_parse_spec_refuses_a_repeated_key():
+    with pytest.raises(CatalogError, match="'k' given twice"):
+        grid.parse_spec("scale:k=2,k=3")
+
+
+def test_sample_refuses_an_undeclared_key():
+    with pytest.raises(CatalogError, match="'centre'"):
+        sample("gaussian", count=17, centre=3.0)

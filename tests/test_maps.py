@@ -73,6 +73,34 @@ def test_named_map_specs():
         named_map("nope")
 
 
+# every map spec of the default suite, the README and the benchmark
+# workloads, with the exact name it reports (records.json keys on it)
+PINNED_NAMES = {
+    "identity": "identity",
+    "shift:c=1": "shift(1)",
+    "scale:k=2": "scale(2)",
+    "scale:k=0.5": "scale(0.5)",
+    "scale:k=3": "scale(3)",
+    "affine:a=0.5,b=2": "affine(0.5,2.0)",
+    "affine:a=.5,b=2": "affine(0.5,2.0)",
+    "sin_drift:amp=0.5": "sin_drift(0.5)",
+    "sin_drift:amp=0.25": "sin_drift(0.25)",
+    "quadratic": "quadratic",
+    "sin": "sin",
+}
+
+
+@pytest.mark.parametrize("spec", sorted(PINNED_NAMES))
+def test_named_map_names_are_pinned(spec):
+    assert named_map(spec).name == PINNED_NAMES[spec]
+
+
+def test_pinned_names_cover_the_default_suite():
+    from besovlab.cli import DEFAULT_SUITE
+
+    assert set(DEFAULT_SUITE["maps"]) <= set(PINNED_NAMES)
+
+
 # ---------------------------------------------------------------------------
 # compose
 # ---------------------------------------------------------------------------
