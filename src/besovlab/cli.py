@@ -3,7 +3,8 @@
 Exit codes: 0 all checks passed, 2 a check failed, 3 refused parameter
 range, 4 config error. All reports are reproducible from config + seed;
 timestamps live only in the separate meta output so record files are
-byte-identical across reruns. BESOVLAB_THREADS caps the suite pool.
+byte-identical across reruns. BESOVLAB_THREADS caps the suite pool; one
+norm memo (theorems.NormMemo) serves every classify of a suite run.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from .norms import (
     sobolev_norm_fourier,
 )
 from .splitting import IntervalFamily, intersection_degree, split_partition
-from .theorems import CheckReport, RangeGateError, classify
+from .theorems import CheckReport, NormMemo, RangeGateError, classify
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 2
@@ -71,6 +72,14 @@ def parse_fn(text: str, window, count):
         raise ConfigError(str(exc)) from exc
 
 
+def _pair(option: str, text: str) -> tuple[float, float]:
+    """The two numbers of ``--option a,b``."""
+    values = text.split(",")
+    if len(values) != 2:
+        raise ConfigError(f"--{option} needs two values a,b, got {text!r}")
+    return float(values[0]), float(values[1])
+
+
 def _np_default(obj):
     if isinstance(obj, (np.floating, np.integer, np.bool_)):
         return obj.item()
@@ -98,7 +107,7 @@ METHODS = {
 
 
 def cmd_norm(args) -> int:
-    window = tuple(float(v) for v in args.window.split(","))
+    window = _pair("window", args.window)
     sp = parse_space(args.space)
     methods = [m.strip() for m in args.method.split(",")]
     for method in methods:
@@ -140,7 +149,7 @@ def cmd_map(args) -> int:
         "max_preimage": max_preimage_count(phi),
     }
     if args.target:
-        lo, hi = (float(v) for v in args.target.split(","))
+        lo, hi = _pair("target", args.target)
         record["target"] = [lo, hi]
         record["preimage"] = preimage_intervals(phi, (lo, hi)).to_json()
     _dump_records([record], args.json)
@@ -164,9 +173,11 @@ def cmd_split(args) -> int:
     return EXIT_OK if record["bound_ok"] else EXIT_CHECK_FAILED
 
 
-def _report_for(map_spec: str, sp: SpaceParams, kind: str, homeo: bool, count: int, seed: int) -> CheckReport:
+def _report_for(
+    map_spec: str, sp: SpaceParams, kind: str, homeo: bool, count: int, seed: int, memo=None
+) -> CheckReport:
     phi = named_map(map_spec)
-    return classify(phi, sp, kind=kind, homeomorphism=homeo, count=count, seed=seed)
+    return classify(phi, sp, kind=kind, homeomorphism=homeo, count=count, seed=seed, memo=memo)
 
 
 def _write_summary(path, reports):
@@ -222,9 +233,11 @@ def cmd_suite(args) -> int:
     started = time.time()
 
     max_workers = int(os.environ.get("BESOVLAB_THREADS", "0")) or None
+    # one norm memo for the whole run, shared by the pool threads
+    memo = NormMemo()
 
     def run_one(spec):
-        return spec, _report_for(spec, sp, kind, homeo, count, seed)
+        return spec, _report_for(spec, sp, kind, homeo, count, seed, memo)
 
     results = {}
     with ThreadPoolExecutor(max_workers=max_workers) as pool:

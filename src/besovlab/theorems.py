@@ -7,12 +7,28 @@ fragment reproduces one proof mechanism (unit-bump mass transport for the
 unit-interval distortion, scaled ramp bumps at the steepest point for the
 Lipschitz necessity, the chain-rule decomposition for sufficiency, linear
 cutoffs and the zigzag witness for p = infinity).
+
+Every norm inside ``classify`` goes through one ``NormMemo``: the witness
+family's denominators and numerators, the unit-bump norm, the multiplier
+profile, testers and msq candidates of phi', the Lipschitz witness
+seminorms and the chain-rule norms. Its key is the content of the call:
+(kind, blake2b-16 digest of the samples, spacing, extension values,
+(s, p, q, m), h-grid); the grid origin is left out because every norm is
+translation invariant. ``classify`` makes a memo for its own call unless
+it is handed one; ``besovlab suite`` hands one memo to every ``classify``
+of a run, so the family denominators, the bump norm and the multiplier
+half of maps that share phi' (affine(0.5, 2) and scale(0.5)) are
+computed once per run. Pool threads share the memo without a lock: a
+dict get or set is atomic, and a race only computes the same value twice.
+A hit returns the stored float, so the arithmetic, and every output, is
+the same with or without sharing.
 """
 
 from __future__ import annotations
 
 import csv
 import functools
+import hashlib
 import io
 import math
 import time
@@ -117,10 +133,36 @@ def gate_space(sp: SpaceParams, kind: str = "besov", homeomorphism: bool = False
     )
 
 
+# kind -> norm of (f, sp, hg); besov_seminorm is the Lipschitz witness's
+NORM_KINDS = {
+    "besov": lambda f, sp, hg: besov_norm_diff(f, sp, hg),
+    "sobolev": lambda f, sp, hg: sobolev_norm_diff(f, sp.s, sp.p, sp.m, hg),
+    "besov_seminorm": lambda f, sp, hg: besov_seminorm_diff(f, sp, hg),
+}
+
+
 def space_norm(f: GridFunction, sp: SpaceParams, hg: DyadicHGrid = DEFAULT_HGRID, kind: str = "besov") -> float:
-    if kind == "sobolev":
-        return sobolev_norm_diff(f, sp.s, sp.p, sp.m, hg)
-    return besov_norm_diff(f, sp, hg)
+    return NORM_KINDS[kind](f, sp, hg)
+
+
+class NormMemo:
+    """``space_norm`` with its values kept by content (see the module
+    docstring for the key and the scope). Only digests are stored, never
+    sample bytes."""
+
+    def __init__(self):
+        self._values: dict = {}
+
+    def __len__(self) -> int:
+        return len(self._values)
+
+    def __call__(self, f: GridFunction, sp: SpaceParams, hg: DyadicHGrid = DEFAULT_HGRID, kind: str = "besov") -> float:
+        digest = hashlib.blake2b(f.samples, digest_size=16).digest()
+        key = (kind, digest, f.spacing, f.ext_values(), (sp.s, sp.p, sp.q, sp.m), hg)
+        value = self._values.get(key)
+        if value is None:
+            value = self._values[key] = space_norm(f, sp, hg, kind)
+        return value
 
 
 @dataclass
@@ -221,16 +263,20 @@ def opnorm_lower_detailed(
     family: Optional[list] = None,
     kind: str = "besov",
     hg: DyadicHGrid = DEFAULT_HGRID,
+    norm=space_norm,
 ):
-    """max over the family of ||C_phi f|| / ||f||; a certified lower bound."""
+    """max over the family of ||C_phi f|| / ||f||; a certified lower bound.
+
+    ``norm`` evaluates every norm, with ``space_norm``'s signature; classify
+    passes its NormMemo."""
     if family is None:
         family = default_witness_family()
     ratios = []
     for name, f in family:
-        denom = space_norm(f, sp, hg, kind)
+        denom = norm(f, sp, hg, kind)
         if denom == 0.0:
             continue
-        num = space_norm(sample_composed(f, phi), sp, hg, kind)
+        num = norm(sample_composed(f, phi), sp, hg, kind)
         ratios.append((num / denom, name))
     if not ratios:
         raise ValueError("degenerate witness family")
@@ -242,6 +288,21 @@ def opnorm_lower_detailed(
 # necessity of the unit-interval distortion bound
 # ---------------------------------------------------------------------------
 
+def composed_bump_masses(
+    phi: LineMap, targets, p: float, window=DEFAULT_WINDOW, count: int = DEFAULT_COUNT
+) -> list[float]:
+    """||C_phi f_a||_p^p for the unit bump f_a of every target a.
+
+    Every bump lives on the same grid, so phi is evaluated on it once and
+    each bump is read at those values, as ``compose`` would read it."""
+    ys = phi(unit_bump(0.0, window, count).x)
+    masses = []
+    for a in targets:
+        fa = unit_bump(float(a), window, count)
+        masses.append(lp_norm(GridFunction(fa(ys), fa.spacing, fa.origin, fa.extension), p) ** p)
+    return masses
+
+
 def check_nec_U(
     phi: LineMap,
     sp: SpaceParams,
@@ -250,6 +311,7 @@ def check_nec_U(
     kind: str = "besov",
     hg: DyadicHGrid = DEFAULT_HGRID,
     count: int = DEFAULT_COUNT,
+    norm=space_norm,
 ) -> Fragment:
     """Unit-bump mass transport: ||C_phi f_a||_p^p recovers the preimage
     length of [a, a+1], and U^(1/p) stays below kappa * opnorm * ||bump||."""
@@ -265,18 +327,15 @@ def check_nec_U(
     a_grid = np.arange(a_lo, a_hi + A_STEP, A_STEP)
     a_grid = a_grid[(a_grid >= window[0]) & (a_grid + 1.0 <= window[1])]
     lengths = _kernels.preimage_lengths(seg, a_grid, a_grid + 1.0)
-    worst_margin = math.inf
     spacing = (window[1] - window[0]) / (count - 1)
     slack = 2.0 * (max_preimage_count(phi) + 1) * spacing
-    for a, length in zip(a_grid, lengths):
-        if length <= 4.0 * spacing:
-            continue
-        fa = unit_bump(float(a), window, count)
-        lhs = lp_norm(compose(fa, phi), sp.p) ** sp.p
-        margin = lhs - (length - slack)
-        worst_margin = min(worst_margin, margin)
+    resolved = lengths > 4.0 * spacing
+    masses = composed_bump_masses(phi, a_grid[resolved], sp.p, window, count)
+    worst_margin = min(
+        (lhs - (length - slack) for lhs, length in zip(masses, lengths[resolved])), default=math.inf
+    )
     witness_ok = worst_margin >= -1e-9 or not math.isfinite(worst_margin)
-    bump_norm = space_norm(unit_bump(0.0, window, count), sp, hg, kind)
+    bump_norm = norm(unit_bump(0.0, window, count), sp, hg, kind)
     if math.isinf(uval):
         return Fragment(
             "nec_U",
@@ -319,6 +378,7 @@ def check_nec_lipschitz(
     sp: SpaceParams,
     hg: DyadicHGrid = DEFAULT_HGRID,
     count: int = DEFAULT_COUNT,
+    norm=space_norm,
 ) -> Fragment:
     """Build the proof's ramp witness at the steepest point and read the
     implied slope bound off the composed seminorm."""
@@ -365,8 +425,8 @@ def check_nec_lipschitz(
         composed = GridFunction(
             np.asarray(f.descriptor(phi_dom)), spacing, window[0], Extension.ZERO
         )
-        lhs = besov_seminorm_diff(composed, sp, hg)
-        fsemi = besov_seminorm_diff(f, sp, hg)
+        lhs = norm(composed, sp, hg, "besov_seminorm")
+        fsemi = norm(f, sp, hg, "besov_seminorm")
         if fsemi == 0.0:
             continue
         implied = (lhs / fsemi) ** expo
@@ -408,6 +468,7 @@ def check_sufficiency_chain(
     f: GridFunction,
     sp: SpaceParams,
     hg: DyadicHGrid = DEFAULT_HGRID,
+    norm=space_norm,
 ) -> Fragment:
     """Compare ||C_phi f||_{B^s} with ||C_phi f||_p + ||phi' . C_phi f'||_{B^{s-1}}
     and measure the pointwise chain-rule residual computed two ways.
@@ -428,8 +489,8 @@ def check_sufficiency_chain(
         phip * compose(fprime, phi).samples, f.spacing, f.origin, Extension.ZERO
     )
     residual = float(np.max(np.abs(d_direct.samples - d_chain.samples)))
-    lhs = besov_norm_diff(composed, sp, hg)
-    rhs = lp_norm(composed, sp.p) + besov_norm_diff(d_chain, sp.shifted_down(), hg)
+    lhs = norm(composed, sp, hg)
+    rhs = lp_norm(composed, sp.p) + norm(d_chain, sp.shifted_down(), hg)
     ratio = lhs / rhs if rhs > 0.0 else (0.0 if lhs == 0.0 else math.inf)
     passed = residual <= residual_tol and ratio <= KAPPA_CHAIN
     return Fragment(
@@ -449,6 +510,7 @@ def check_infinity_witness(
     opnorm: float,
     hg: DyadicHGrid = DEFAULT_HGRID,
     count: int = DEFAULT_COUNT,
+    norm=space_norm,
 ) -> Fragment:
     """Two-stage p = inf witness: linear cutoffs reconstruct ||phi'||_inf on
     preimages, then the zigzag bound dominates the direct B^{s-1} seminorm
@@ -472,9 +534,9 @@ def check_infinity_witness(
             recon = max(recon, linf_on_interval(d, interval))
     down = sp.shifted_down()
     phi_prime = derivative(phi).sample(count)
-    direct = besov_seminorm_diff(phi_prime, down, hg)
+    direct = norm(phi_prime, down, hg, "besov_seminorm")
     g = zigzag_g(down.m, window, count)
-    g_norm = besov_norm_diff(g, sp, hg)
+    g_norm = norm(g, sp, hg)
     # one l^q term for each of the four translated covers I_m + 2*l*m, l = 0..3
     qroot = 1.0 if math.isinf(sp.q) else 4.0 ** (1.0 / sp.q)
     bound = qroot * opnorm * g_norm
@@ -518,10 +580,15 @@ def classify(
     count: int = DEFAULT_COUNT,
     seed: int = 1234,
     hg: DyadicHGrid = DEFAULT_HGRID,
+    memo: Optional[NormMemo] = None,
 ) -> CheckReport:
     """Assemble the geometric functionals, the multiplier estimates of phi',
-    and the witness fragments into a verdict for one (map, space) pair."""
+    and the witness fragments into a verdict for one (map, space) pair.
+
+    Every norm goes through ``memo``; without one, classify makes its own."""
     t0 = time.perf_counter()
+    if memo is None:
+        memo = NormMemo()
     gate_space(sp, kind, homeomorphism)
     if kind == "sobolev":
         # every segment strictly monotone in the direction of the tails; a
@@ -537,12 +604,12 @@ def classify(
     lip = lipschitz_constant(phi)
     npre = max_preimage_count(phi)
     family = default_witness_family(window, count)
-    op_val, op_arg, _ = opnorm_lower_detailed(phi, sp, family, kind, hg)
+    op_val, op_arg, _ = opnorm_lower_detailed(phi, sp, family, kind, hg, norm=memo)
 
     down = sp.shifted_down()
     phi_prime = derivative(phi).sample(count)
     psi = make_psi("mollifier")
-    norm_fn = functools.partial(space_norm, kind=kind)
+    norm_fn = functools.partial(memo, kind=kind)
     zs, zvals = unif_profile(phi_prime, down, psi, hg, norm_fn)
     unif_val = float(zvals.max())
     testers = [(f"psi(z={z})", psi.on_grid(phi_prime, float(z))) for z in (-2, 0, 3)]
@@ -558,13 +625,15 @@ def classify(
 
     fragments = []
     if math.isinf(sp.p):
-        fragments.append(check_infinity_witness(phi, sp, op_val, hg, count=count))
+        fragments.append(check_infinity_witness(phi, sp, op_val, hg, count=count, norm=memo))
     else:
-        fragments.append(check_nec_U(phi, sp, op_val, uval, kind, hg, count=count))
+        fragments.append(check_nec_U(phi, sp, op_val, uval, kind, hg, count=count, norm=memo))
         if kind == "besov":
-            fragments.append(check_nec_lipschitz(phi, sp, hg, count=count))
+            fragments.append(check_nec_lipschitz(phi, sp, hg, count=count, norm=memo))
     if phi.c1:
-        fragments.append(check_sufficiency_chain(phi, sample("gaussian", window, count), sp, hg))
+        fragments.append(
+            check_sufficiency_chain(phi, sample("gaussian", window, count), sp, hg, norm=memo)
+        )
 
     if math.isinf(uval):
         verdict = "ConsistentUnbounded"

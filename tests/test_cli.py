@@ -206,3 +206,34 @@ def test_parse_fn_poly_list_value():
     g = sample("poly", DEFAULT_WINDOW, 257, coeffs=[1, 2, 3])
     assert np.array_equal(f.samples, g.samples)
     assert f.extension is g.extension
+
+
+@pytest.mark.parametrize(
+    "argv, option",
+    [
+        (["norm", "--fn", "gaussian", "--space", "s=1.5,p=2", "--window", "1,2,3"], "--window"),
+        (["map", "--map", "identity", "--target", "0,1,5"], "--target"),
+        (["map", "--map", "identity", "--target", "0"], "--target"),
+    ],
+)
+def test_pair_option_needs_two_values_exit_4(argv, option, capsys):
+    code, out, err = run(capsys, *argv)
+    assert code == 4
+    assert out == ""
+    assert option in err and "two values" in err
+
+
+def test_suite_records_do_not_depend_on_the_pool_size(tmp_path, capsys, monkeypatch):
+    cfg = {
+        "space": {"s": 2.1, "p": 2.0, "q": 2.0, "m": 3},
+        "maps": ["sin_drift:amp=0.5", "affine:a=0.5,b=2", "scale:k=0.5"],
+    }
+    cfg_path = tmp_path / "suite.json"
+    cfg_path.write_text(json.dumps(cfg))
+    records = []
+    for threads in ("1", "2"):
+        monkeypatch.setenv("BESOVLAB_THREADS", threads)
+        out = tmp_path / f"threads{threads}"
+        run(capsys, "suite", "--config", str(cfg_path), "--out", str(out))
+        records.append((out / "records.json").read_bytes())
+    assert records[0] == records[1]

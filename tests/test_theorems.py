@@ -1,31 +1,36 @@
 import csv
 import itertools
 import math
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
 from besovlab.gadgets import unit_bump
-from besovlab.grid import SpaceParams, sample
+from besovlab.grid import Extension, GridFunction, SpaceParams, lp_norm, sample
 from besovlab.maps import (
     LineMap,
     U_functional,
     affine_map,
+    compose,
     identity_map,
     inverse_map,
     named_map,
     quadratic_map,
     sin_drift_map,
 )
-from besovlab.norms import besov_norm_diff
+from besovlab.norms import DEFAULT_HGRID, besov_norm_diff, besov_seminorm_diff, sobolev_norm_diff
 from besovlab.theorems import (
     CheckReport,
+    NormMemo,
     RangeGateError,
     check_infinity_witness,
     check_nec_U,
     check_nec_lipschitz,
     check_sufficiency_chain,
     classify,
+    composed_bump_masses,
     default_witness_family,
     gate_space,
     opnorm_lower_detailed,
@@ -127,6 +132,14 @@ def test_nec_U_flat_tail_fails():
     frag = check_nec_U(phi, SP, opnorm_lower_detailed(phi, SP)[0], U_functional(phi))
     assert not frag.passed
     assert math.isinf(frag.values["U"])
+
+
+def test_bump_masses_equal_the_compose_loop():
+    phi = named_map("affine:a=0.5,b=2")
+    targets = np.arange(-13.0, 12.0, 0.25)
+    masses = composed_bump_masses(phi, targets, SP.p)
+    loop = [lp_norm(compose(unit_bump(float(a)), phi), SP.p) ** SP.p for a in targets]
+    assert masses == loop
 
 
 def test_nec_lipschitz_identity():
@@ -297,3 +310,68 @@ def test_report_serialization():
         (fields,) = csv.reader([r.to_csv_row()])
         assert len(fields) == len(header)
         assert fields[header.index("map")] == r.map_name
+
+
+# ---------------------------------------------------------------------------
+# norm memo
+# ---------------------------------------------------------------------------
+
+SUITE_SLICE_MAPS = ("sin_drift:amp=0.5", "affine:a=0.5,b=2", "scale:k=0.5")
+
+
+def test_shared_memo_gives_the_memo_less_reports():
+    memo = NormMemo()
+    for spec in SUITE_SLICE_MAPS:
+        shared = classify(named_map(spec), SP, memo=memo)
+        assert shared.to_json() == classify(named_map(spec), SP).to_json()
+    # a second classify through the filled memo adds no entry
+    entries = len(memo)
+    again = classify(named_map("scale:k=0.5"), SP, memo=memo)
+    assert len(memo) == entries
+    assert again.to_json() == shared.to_json()
+
+
+def test_memo_key_separates_extension_space_and_kind():
+    x = np.linspace(-4.0, 4.0, 1025)
+    samples = np.exp(-x * x / 8.0)  # nonzero at both window edges
+    f_zero = GridFunction(samples, x[1] - x[0], -4.0, Extension.ZERO)
+    f_const = GridFunction(samples, x[1] - x[0], -4.0, Extension.CONSTANT)
+    low = SpaceParams(1.5, 2.0, 2.0, 3)
+    memo = NormMemo()
+    got = [
+        memo(f_zero, SP, kind="besov_seminorm"),
+        memo(f_const, SP, kind="besov_seminorm"),
+        memo(f_zero, low, kind="besov_seminorm"),
+        memo(f_zero, SP),
+        memo(f_zero, SP, kind="sobolev"),
+    ]
+    want = [
+        besov_seminorm_diff(f_zero, SP),
+        besov_seminorm_diff(f_const, SP),
+        besov_seminorm_diff(f_zero, low),
+        besov_norm_diff(f_zero, SP),
+        sobolev_norm_diff(f_zero, SP.s, SP.p, SP.m, DEFAULT_HGRID),
+    ]
+    assert got == want
+    assert len(set(want)) == len(want)
+    assert len(memo) == len(want)
+    # a hit returns the stored value and adds no entry
+    assert memo(f_const, SP, kind="besov_seminorm") == want[1]
+    assert len(memo) == len(want)
+
+
+def test_memo_shared_by_threads_returns_the_direct_values():
+    fam = [f for _, f in default_witness_family(count=2049)]
+    spaces = (SP, SpaceParams(1.5, 2.0, 2.0, 2))
+    calls = [(f, sp) for f in fam for sp in spaces] * 4
+    want = [besov_norm_diff(f, sp) for f, sp in calls]
+    memo = NormMemo()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            got = list(pool.map(lambda call: memo(*call), calls, timeout=60))
+    finally:
+        sys.setswitchinterval(interval)
+    assert got == want
+    assert len(memo) == len(fam) * len(spaces)
