@@ -11,7 +11,6 @@ from __future__ import annotations
 import csv
 import inspect
 import math
-import re
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable, Optional
@@ -251,7 +250,8 @@ def lp_norm(f: GridFunction, p: float) -> float:
                 "L^p norm with p < inf of a nonzero constant extension is infinite"
             )
     a = np.abs(f.samples)
-    return float((a**p).sum() * f.spacing) ** (1.0 / p)
+    a **= p
+    return float(a.sum() * f.spacing) ** (1.0 / p)
 
 
 def linf_on_interval(f: GridFunction, interval) -> float:
@@ -282,9 +282,20 @@ def grid_derivative(f: GridFunction) -> GridFunction:
 # specs: name:key=value,key=value
 # ---------------------------------------------------------------------------
 
-# a comma splits items only where a new ``key=`` starts, so a bracketed
-# JSON list such as points=[[0,0],[1,1]] stays one value
-_ITEM_START = re.compile(r",(?=\s*[A-Za-z_]\w*\s*=)")
+def _split_items(text: str) -> list:
+    """Split at the commas outside brackets, so a bracketed JSON list such
+    as points=[[0,0],[1,1]] stays one item."""
+    items, depth, start = [], 0, 0
+    for i, ch in enumerate(text):
+        if ch == "[":
+            depth += 1
+        elif ch == "]":
+            depth -= 1
+        elif ch == "," and depth == 0:
+            items.append(text[start:i])
+            start = i + 1
+    items.append(text[start:])
+    return items
 
 
 def parse_items(text: str) -> dict:
@@ -292,11 +303,11 @@ def parse_items(text: str) -> dict:
     items = {}
     if not text.strip():
         return items
-    for item in _ITEM_START.split(text):
+    for item in _split_items(text):
         key, sep, value = item.partition("=")
         key = key.strip()
         if not sep or not key:
-            raise CatalogError(f"expected key=value, got {item!r}")
+            raise CatalogError(f"expected key=value, got {item.strip()!r}")
         if key in items:
             raise CatalogError(f"key {key!r} given twice")
         items[key] = value.strip()

@@ -9,6 +9,16 @@ is what makes polynomial annihilation exact). Only difference(), the
 single-shift operator, interpolates sub-cell shifts linearly. Nodes below
 one grid spacing are dropped and the remaining tail of the integral is
 extrapolated from the power law of the last two computed levels.
+
+A difference table (one stencil row per node) is never held whole: its
+rows stream through _BLOCK_ROWS-row blocks that are reduced in place, so a
+norm at 2^15+1 samples touches about 1 MB of table instead of 21 MB, with
+every value bit-identical to a whole-table pass.
+
+The Fourier paths take the real half spectrum (rfft/irfft). Every band
+mask and the Sobolev lift depend on |xi| only, so this is the same operator
+on half the data; against the full complex fft/ifft the values move by at
+most 1.8e-15 relative over the catalog family (tests bound it at 1e-13).
 """
 
 from __future__ import annotations
@@ -26,6 +36,10 @@ LN2 = math.log(2.0)
 # above this ratio the function is unresolved at the floor and no tail is
 # added (the extrapolation would otherwise manufacture most of the value)
 TAIL_RATIO_CAP = 0.95
+# stencil rows per block of a difference table; of 1, 2, 4, 8, 16 and 80
+# rows, 4 ran fastest at both 2^13+1 and 2^15+1 samples (a 1 MB block at
+# 2^15+1, reduced while it is still in cache)
+_BLOCK_ROWS = 4
 
 
 @dataclass(frozen=True)
@@ -122,13 +136,26 @@ def difference(f: GridFunction, m: int, h: float) -> GridFunction:
 
 def _difference_norm_table(f: GridFunction, m: int, hs: np.ndarray, p: float) -> np.ndarray:
     """||Delta^m_h f||_{L^p} for every h in ``hs``, each a nonzero grid
-    multiple as DyadicHGrid.materialize snaps them."""
+    multiple as DyadicHGrid.materialize snaps them.
+
+    The stencil rows are computed and reduced _BLOCK_ROWS at a time, in
+    place; each row's reduction is the one a whole-table pass would do.
+    """
     left, right = f.ext_values()
     offs = np.round(hs / f.spacing).astype(np.int64)
-    table = _kernels.shift_difference_batch(f.samples, left, right, offs, m)
+    acc = np.empty(offs.shape[0])
+    for start in range(0, offs.shape[0], _BLOCK_ROWS):
+        stop = start + _BLOCK_ROWS
+        block = _kernels.shift_difference_batch(f.samples, left, right, offs[start:stop], m)
+        np.abs(block, out=block)
+        if math.isinf(p):
+            np.max(block, axis=1, out=acc[start:stop])
+        else:
+            block **= p
+            np.sum(block, axis=1, out=acc[start:stop])
     if math.isinf(p):
-        return np.max(np.abs(table), axis=1)
-    return (np.abs(table) ** p).sum(axis=1) ** (1.0 / p) * f.spacing ** (1.0 / p)
+        return acc
+    return acc ** (1.0 / p) * f.spacing ** (1.0 / p)
 
 
 def besov_seminorm_diff(
@@ -172,7 +199,8 @@ def _cutoff(xi):
 
 def _fourier_samples(f: GridFunction):
     """Window treated as one period of 2^k cells; returns (f resampled to
-    2^k + 1 points when needed, spectrum, angular freqs)."""
+    2^k + 1 points when needed, real half spectrum, its angular freqs >= 0).
+    Invert with np.fft.irfft(..., n=f.count - 1)."""
     if f.extension is not Extension.ZERO:
         raise ValueError("Fourier path requires zero extension")
     m = f.count - 1
@@ -180,8 +208,8 @@ def _fourier_samples(f: GridFunction):
         target = 2 ** int(math.ceil(math.log2(m))) + 1
         f = f.resample(target)
         m = f.count - 1
-    spec = np.fft.fft(f.samples[:m])
-    xi = 2.0 * math.pi * np.fft.fftfreq(m, d=f.spacing)
+    spec = np.fft.rfft(f.samples[:m])
+    xi = 2.0 * math.pi * np.fft.rfftfreq(m, d=f.spacing)
     return f, spec, xi
 
 
@@ -198,7 +226,7 @@ def littlewood_paley_norm(f: GridFunction, sp: SpaceParams) -> float:
         mask, lower = cut - lower, cut
         if not mask.any():
             continue
-        band = np.fft.ifft(spec * mask).real
+        band = np.fft.irfft(spec * mask, n=f.count - 1)
         terms.append((j, lp_norm(GridFunction(band, f.spacing, f.origin), sp.p)))
     if math.isinf(sp.q):
         return max(2.0 ** (j * sp.s) * v for j, v in terms)
@@ -210,7 +238,7 @@ def sobolev_norm_fourier(f: GridFunction, s: float, p: float) -> float:
     if not (1.0 < p < math.inf):
         raise ValueError("Sobolev space requires p in (1, inf)")
     f, spec, xi = _fourier_samples(f)
-    lifted = np.fft.ifft(spec * (1.0 + xi**2) ** (s / 2.0)).real
+    lifted = np.fft.irfft(spec * (1.0 + xi**2) ** (s / 2.0), n=f.count - 1)
     return lp_norm(GridFunction(lifted, f.spacing, f.origin), p)
 
 
@@ -235,14 +263,20 @@ def sobolev_seminorm_diff(
         idx = np.nonzero(lev == k_lev)[0]
         offs = np.round(hs[idx] / f.spacing).astype(np.int64)
         rows = _kernels.shift_difference_batch(f.samples, left, right, offs, m)
-        absd_weighted[k_lev] = (np.abs(rows) * wlin[idx][:, None]).sum(axis=0)
+        np.abs(rows, out=rows)
+        rows *= wlin[idx][:, None]
+        np.sum(rows, axis=0, out=absd_weighted[k_lev])
     # inner integral over |h| <= t_k accumulates all levels >= k
     square = np.zeros(f.count)
     inner = np.zeros(f.count)
+    term = np.empty(f.count)
     for k_lev in range(n_levels - 1, -1, -1):
         inner += absd_weighted[k_lev]
         t_k = 2.0 ** (-(k_lev + 0.5))
-        square += LN2 * t_k ** (-2.0 * s) * (inner / t_k) ** 2
+        np.divide(inner, t_k, out=term)
+        term **= 2
+        term *= LN2 * t_k ** (-2.0 * s)
+        square += term
     g = GridFunction(np.sqrt(square), f.spacing, f.origin, Extension.ZERO)
     return lp_norm(g, p)
 

@@ -61,6 +61,16 @@ def test_norm_zero(capsys):
     assert json.loads(out)[0]["value"] == 0.0
 
 
+def test_stray_bare_item_exit_4_names_it(capsys):
+    for argv in (
+        ("check", "--map", "shift:c=1,zz", "--space", "s=2.1,p=2,q=2,m=3"),
+        ("norm", "--fn", "gaussian", "--space", "s=1.5,p=2,zz"),
+    ):
+        code, _, err = run(capsys, *argv)
+        assert code == 4
+        assert "expected key=value, got 'zz'" in err
+
+
 def test_norm_bad_space_exit_4(capsys):
     code, _, err = run(capsys, "norm", "--fn", "gaussian", "--space", "s=1.5,p=2,q=2,m=1")
     assert code == 4

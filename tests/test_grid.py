@@ -182,3 +182,10 @@ def test_parse_spec_refuses_a_repeated_key():
 def test_sample_refuses_an_undeclared_key():
     with pytest.raises(CatalogError, match="'centre'"):
         sample("gaussian", count=17, centre=3.0)
+
+
+def test_parse_items_blames_a_stray_bare_item():
+    # the stray item is named, not the value it was glued onto ("1,zz")
+    for text in ("c=1,zz", "s=1.5,p=2,zz", "points=[[0,0],[1,1]],zz", "c=1, zz ,k=3"):
+        with pytest.raises(CatalogError, match="expected key=value, got 'zz'"):
+            grid.parse_items(text)
