@@ -3,8 +3,9 @@
 Exit codes: 0 all checks passed, 2 a check failed, 3 refused parameter
 range, 4 config error. All reports are reproducible from config + seed;
 timestamps live only in the separate meta output so record files are
-byte-identical across reruns. BESOVLAB_THREADS caps the suite pool; one
-norm memo (theorems.NormMemo) serves every classify of a suite run.
+byte-identical across reruns. The suite classifies its maps one after
+another in sorted order, and one norm memo (theorems.NormMemo) serves every
+classify of a run.
 """
 
 from __future__ import annotations
@@ -15,7 +16,6 @@ import json
 import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -42,6 +42,7 @@ EXIT_OK = 0
 EXIT_CHECK_FAILED = 2
 EXIT_REFUSED_RANGE = 3
 EXIT_CONFIG = 4
+KINDS = ("besov", "sobolev")
 
 
 class ConfigError(ValueError):
@@ -173,13 +174,6 @@ def cmd_split(args) -> int:
     return EXIT_OK if record["bound_ok"] else EXIT_CHECK_FAILED
 
 
-def _report_for(
-    map_spec: str, sp: SpaceParams, kind: str, homeo: bool, count: int, seed: int, memo=None
-) -> CheckReport:
-    phi = named_map(map_spec)
-    return classify(phi, sp, kind=kind, homeomorphism=homeo, count=count, seed=seed, memo=memo)
-
-
 def _write_summary(path, reports):
     with open(path, "w") as fh:
         fh.write(CheckReport.CSV_HEADER + "\n")
@@ -189,7 +183,9 @@ def _write_summary(path, reports):
 
 def cmd_check(args) -> int:
     sp = parse_space(args.space)
-    report = _report_for(args.map, sp, args.kind, args.homeo, args.count, args.seed)
+    report = classify(
+        named_map(args.map), sp, kind=args.kind, homeomorphism=args.homeo, count=args.count, seed=args.seed
+    )
     _dump_records([report.to_json()], args.json)
     if args.csv:
         _write_summary(args.csv, [report])
@@ -217,9 +213,17 @@ DEFAULT_SUITE = {
 
 def _suite_settings(space, maps, seed=1234, count=DEFAULT_COUNT, kind="besov", homeo=False):
     """The suite config's fields, with their defaults."""
-    if not maps:
-        raise ConfigError("suite config lists no maps")
-    return call_declared("suite space", SpaceParams, space), maps, int(seed), int(count), kind, bool(homeo)
+    if not isinstance(maps, list) or not maps or not all(isinstance(spec, str) for spec in maps):
+        raise ConfigError(f"suite config: maps must be a nonempty list of map specs, got {maps!r}")
+    twice = [spec for spec in maps if maps.count(spec) > 1]
+    if twice:
+        raise ConfigError(f"suite config: maps lists {twice[0]!r} more than once")
+    if kind not in KINDS:
+        raise ConfigError(f"suite config: kind must be one of {KINDS}, got {kind!r}")
+    for key, value in (("seed", seed), ("count", count)):
+        if type(value) is not int:
+            raise ConfigError(f"suite config: {key} must be an integer, got {value!r}")
+    return call_declared("suite space", SpaceParams, space), maps, seed, count, kind, bool(homeo)
 
 
 def cmd_suite(args) -> int:
@@ -231,19 +235,11 @@ def cmd_suite(args) -> int:
     sp, maps, seed, count, kind, homeo = call_declared("suite config", _suite_settings, cfg)
     os.makedirs(args.out, exist_ok=True)
     started = time.time()
-
-    max_workers = int(os.environ.get("BESOVLAB_THREADS", "0")) or None
-    # one norm memo for the whole run, shared by the pool threads
-    memo = NormMemo()
-
-    def run_one(spec):
-        return spec, _report_for(spec, sp, kind, homeo, count, seed, memo)
-
-    results = {}
-    with ThreadPoolExecutor(max_workers=max_workers) as pool:
-        for spec, report in pool.map(run_one, maps):
-            results[spec] = report
-    ordered = [results[spec] for spec in sorted(results)]
+    memo = NormMemo()  # one for the whole run
+    ordered = [
+        classify(named_map(spec), sp, kind=kind, homeomorphism=homeo, count=count, seed=seed, memo=memo)
+        for spec in sorted(maps)
+    ]
 
     records_path = os.path.join(args.out, "records.json")
     _dump_records([r.to_json() for r in ordered], records_path)
@@ -291,7 +287,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("check", help="classify one (map, space) pair")
     p.add_argument("--map", required=True)
     p.add_argument("--space", required=True)
-    p.add_argument("--kind", choices=("besov", "sobolev"), default="besov")
+    p.add_argument("--kind", choices=KINDS, default="besov")
     p.add_argument("--homeo", action="store_true")
     p.add_argument("--count", type=int, default=DEFAULT_COUNT)
     p.add_argument("--seed", type=int, default=1234)

@@ -10,6 +10,11 @@ single-shift operator, interpolates sub-cell shifts linearly. Nodes below
 one grid spacing are dropped and the remaining tail of the integral is
 extrapolated from the power law of the last two computed levels.
 
+Accuracy (Plancherel oracle, B^s_{2,2}, m = 3, f = exp(-(x/w)^2)): off by
+about 1e-3 once w spans 64 cells, at most 3.3e-3 (s = 1.5, w = 2), a bias
+of the h-quadrature that refining to 2^15+1 samples leaves; at 8 cells the
+sampling error dominates (+7.4e-2 at s = 2.6).
+
 A difference table (one stencil row per node) is never held whole: its
 rows stream through _BLOCK_ROWS-row blocks that are reduced in place, so a
 norm at 2^15+1 samples touches about 1 MB of table instead of 21 MB, with

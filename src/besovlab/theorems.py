@@ -18,10 +18,8 @@ translation invariant. ``classify`` makes a memo for its own call unless
 it is handed one; ``besovlab suite`` hands one memo to every ``classify``
 of a run, so the family denominators, the bump norm and the multiplier
 half of maps that share phi' (affine(0.5, 2) and scale(0.5)) are
-computed once per run. Pool threads share the memo without a lock: a
-dict get or set is atomic, and a race only computes the same value twice.
-A hit returns the stored float, so the arithmetic, and every output, is
-the same with or without sharing.
+computed once per run. A hit returns the stored float, so the arithmetic,
+and every output, is the same with or without sharing.
 """
 
 from __future__ import annotations

@@ -233,17 +233,44 @@ def test_pair_option_needs_two_values_exit_4(argv, option, capsys):
     assert option in err and "two values" in err
 
 
-def test_suite_records_do_not_depend_on_the_pool_size(tmp_path, capsys, monkeypatch):
-    cfg = {
-        "space": {"s": 2.1, "p": 2.0, "q": 2.0, "m": 3},
-        "maps": ["sin_drift:amp=0.5", "affine:a=0.5,b=2", "scale:k=0.5"],
-    }
+SUITE_SPACE = {"s": 2.1, "p": 2.0, "q": 2.0, "m": 3}
+
+
+def test_suite_records_equal_the_check_records(tmp_path, capsys):
+    """The suite's records.json is each map's `check` record, in sorted
+    order: a record does not depend on how the suite schedules its maps or
+    on the norm memo they share."""
+    maps = ["sin_drift:amp=0.5", "affine:a=0.5,b=2", "scale:k=0.5"]
     cfg_path = tmp_path / "suite.json"
-    cfg_path.write_text(json.dumps(cfg))
+    cfg_path.write_text(json.dumps({"space": SUITE_SPACE, "maps": maps}))
+    run(capsys, "suite", "--config", str(cfg_path), "--out", str(tmp_path / "suite"))
     records = []
-    for threads in ("1", "2"):
-        monkeypatch.setenv("BESOVLAB_THREADS", threads)
-        out = tmp_path / f"threads{threads}"
-        run(capsys, "suite", "--config", str(cfg_path), "--out", str(out))
-        records.append((out / "records.json").read_bytes())
-    assert records[0] == records[1]
+    for i, spec in enumerate(sorted(maps)):
+        path = tmp_path / f"check{i}.json"
+        run(capsys, "check", "--map", spec, "--space", "s=2.1,p=2,q=2,m=3", "--json", str(path))
+        records += json.loads(path.read_text())
+    want = json.dumps(records, indent=2, sort_keys=True) + "\n"
+    assert (tmp_path / "suite" / "records.json").read_text() == want
+
+
+# each suite config field is refused with the key it names
+BAD_SUITE = {
+    "no maps": ({"maps": []}, "maps"),
+    "maps a string": ({"maps": "identity"}, "maps"),
+    "maps with a number": ({"maps": ["identity", 2]}, "maps"),
+    "a map twice": ({"maps": ["identity", "scale:k=2", "identity"]}, "maps"),
+    "kind foo": ({"kind": "foo"}, "kind"),
+    "count 1025.7": ({"count": 1025.7}, "count"),
+    "count a string": ({"count": "1025"}, "count"),
+}
+
+
+@pytest.mark.parametrize("case", list(BAD_SUITE))
+def test_bad_suite_config_exit_4(case, tmp_path, capsys):
+    fields, key = BAD_SUITE[case]
+    cfg_path = tmp_path / "suite.json"
+    cfg_path.write_text(json.dumps({"space": SUITE_SPACE, "maps": ["identity"], "count": 1025, **fields}))
+    code, _, err = run(capsys, "suite", "--config", str(cfg_path), "--out", str(tmp_path / "out"))
+    assert code == 4
+    assert err.startswith("config error:") and key in err
+    assert not (tmp_path / "out").exists()

@@ -1,5 +1,6 @@
-"""Every name a besovlab module imports is used in that module, and every
-name it defines at top level is used somewhere in the project."""
+"""Every name a besovlab module imports is used in that module, every name
+it defines at top level is used somewhere in the project, and the package
+reads no environment variable that is not declared here."""
 
 import ast
 from pathlib import Path
@@ -75,3 +76,59 @@ def test_no_dead_definitions(path):
         if name not in elsewhere and name not in _references(tree, skip=node)
     ]
     assert dead == []
+
+
+# Every environment variable the package reads. A new knob is a visible
+# edit here; a read whose name is not a literal is listed by file and line.
+ENVIRONMENT_READS: set[str] = set()
+
+
+def _environment_reads(source: str, where: str) -> set[str]:
+    """The names read through os.environ / os.getenv (or their names
+    imported from os) in ``source``."""
+    tree = ast.parse(source)
+    parents = {child: node for node in ast.walk(tree) for child in ast.iter_child_nodes(node)}
+    reads = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "os":
+            names = {alias.name for alias in node.names} & {"environ", "getenv"}
+            reads |= {f"{where}:{node.lineno} ({name})" for name in sorted(names)}
+            continue
+        if not (isinstance(node, ast.Attribute) and node.attr in ("environ", "getenv")):
+            continue
+        use = parents[node]
+        if isinstance(use, ast.Attribute) and isinstance(parents[use], ast.Call):
+            use = parents[use]  # os.environ.get(...)
+        if isinstance(use, ast.Subscript):
+            key = use.slice
+        elif isinstance(use, ast.Call) and use.args:
+            key = use.args[0]
+        else:
+            key = None
+        if isinstance(key, ast.Constant) and isinstance(key.value, str):
+            reads.add(key.value)
+        else:
+            reads.add(f"{where}:{node.lineno}")
+    return reads
+
+
+def test_environment_reads_are_the_declared_ones():
+    reads = set()
+    for path in PACKAGE.glob("*.py"):
+        reads |= _environment_reads(path.read_text(), path.name)
+    assert reads == ENVIRONMENT_READS
+
+
+@pytest.mark.parametrize(
+    "source, want",
+    [
+        ("import os\nos.environ['A']", {"A"}),
+        ("import os\nos.environ.get('B', '0')", {"B"}),
+        ("import os\nos.getenv('C')", {"C"}),
+        ("import os\nname = 'D'\nos.environ[name]", {"m.py:3"}),
+        ("import os\ndict(os.environ)", {"m.py:2"}),
+        ("from os import environ\nenviron['E']", {"m.py:1 (environ)"}),
+    ],
+)
+def test_environment_guard_sees_each_form_of_read(source, want):
+    assert _environment_reads(source, "m.py") == want

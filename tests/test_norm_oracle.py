@@ -4,9 +4,11 @@ For f = exp(-(x/w)^2) the Fourier transform is w sqrt(pi) exp(-w^2 xi^2 / 4),
 so |f^(xi)|^2 = pi w^2 exp(-w^2 xi^2 / 2) and, by Plancherel,
 
     ||Delta_h^m f||_2^2 = (1/2pi) int |2 sin(h xi / 2)|^(2m) |f^(xi)|^2 dxi,
-    ||f||_{H^s_2}^2     = (1/2pi) int (1 + xi^2)^s |f^(xi)|^2 dxi.
+    ||f||_{H^s_2}^2     = (1/2pi) int (1 + xi^2)^s |f^(xi)|^2 dxi,
+    |f|_{B^s_{2,2}}^2   = int_{|h| <= 1} |h|^(-2s-1) ||Delta_h^m f||_2^2 dh.
 
-Each is a one-dimensional scipy quad, folded onto xi >= 0. The
+Each is a one-dimensional scipy quad, folded onto xi >= 0 (and h > 0 for
+the seminorm, a quad over h of the difference quad). The
 Littlewood-Paley path treats the window as one period L, so its exact value
 is the Fourier series of the periodized Gaussian, whose coefficients are
 f^(2 pi k / L) / L. (Against the integral over the whole line it differs by
@@ -28,6 +30,7 @@ from besovlab.grid import Extension, SpaceParams, sample_fn
 from besovlab.norms import (
     DEFAULT_HGRID,
     _difference_norm_table,
+    besov_seminorm_diff,
     littlewood_paley_norm,
     sobolev_norm_fourier,
 )
@@ -108,3 +111,37 @@ def test_littlewood_paley_norm_matches_the_fourier_series(w):
         exact = _littlewood_paley_series(w, s, f.spacing)
         got = littlewood_paley_norm(f, SpaceParams(s, 2.0, 2.0, 3))
         assert got == pytest.approx(exact, rel=FOURIER_REL, abs=0.0)
+
+
+# The whole besov_seminorm_diff at p = q = 2, m = 3, keyed by w, with w/dx
+# cells per width. Each bound is the worst relative error over s measured
+# before the test was written, and the headroom beside it. From 64 cells on
+# the error is the h-quadrature's bias (log-midpoint nodes, 4 per level and
+# sign): at w = 2 it stays at -3.3e-3 for s = 1.5 from 2^13+1 to 2^15+1
+# samples. At 8 cells the sampling error dominates.
+SEMINORM_REL = {
+    1.0 / 32.0: 0.1,  # 8 cells: measured +7.4e-2 at s = 2.6, 1.35x
+    0.25: 2e-3,  # 64 cells: -1.4e-3 at s = 2.1, 1.46x
+    1.0: 6e-4,  # 256 cells: -3.9e-4 at s = 1.5, 1.54x
+    2.0: 5e-3,  # 512 cells: -3.3e-3 at s = 1.5, 1.49x
+}
+
+
+def seminorm_exact(w, s, m=3):
+    """(int_{|h| <= 1} |h|^(-2s-1) ||Delta_h^m f||_2^2 dh)^(1/2), both signs
+    of h folded onto h > 0."""
+    val, _ = quad(
+        lambda h: h ** (-2.0 * s - 1.0) * spectral_integral(lambda xi: (2.0 * math.sin(h * xi / 2.0)) ** (2 * m), w),
+        0.0, 1.0, epsabs=0.0, epsrel=1e-10, limit=200,
+    )
+    return math.sqrt(2.0 * val)
+
+
+@pytest.mark.parametrize("w", list(SEMINORM_REL))
+def test_besov_seminorm_diff_matches_plancherel(w):
+    f = gaussian(w)
+    assert w / f.spacing >= 8.0
+    for s in (1.5, 2.1, 2.6):
+        exact = seminorm_exact(w, s)
+        got = besov_seminorm_diff(f, SpaceParams(s, 2.0, 2.0, 3))
+        assert got == pytest.approx(exact, rel=SEMINORM_REL[w], abs=0.0), (s, got / exact - 1.0)

@@ -1,8 +1,6 @@
 import csv
 import itertools
 import math
-import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -358,20 +356,3 @@ def test_memo_key_separates_extension_space_and_kind():
     # a hit returns the stored value and adds no entry
     assert memo(f_const, SP, kind="besov_seminorm") == want[1]
     assert len(memo) == len(want)
-
-
-def test_memo_shared_by_threads_returns_the_direct_values():
-    fam = [f for _, f in default_witness_family(count=2049)]
-    spaces = (SP, SpaceParams(1.5, 2.0, 2.0, 2))
-    calls = [(f, sp) for f in fam for sp in spaces] * 4
-    want = [besov_norm_diff(f, sp) for f, sp in calls]
-    memo = NormMemo()
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        with ThreadPoolExecutor(max_workers=4) as pool:
-            got = list(pool.map(lambda call: memo(*call), calls, timeout=60))
-    finally:
-        sys.setswitchinterval(interval)
-    assert got == want
-    assert len(memo) == len(fam) * len(spaces)
