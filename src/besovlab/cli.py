@@ -4,8 +4,8 @@ Exit codes: 0 all checks passed, 2 a check failed, 3 refused parameter
 range, 4 config error. All reports are reproducible from config + seed;
 timestamps live only in the separate meta output so record files are
 byte-identical across reruns. The suite classifies its maps one after
-another in sorted order, and one norm memo (theorems.NormMemo) serves every
-classify of a run.
+another in sorted order, and one theorems.Resolution (the grid and the norm
+cache) serves every classify of a run.
 """
 
 from __future__ import annotations
@@ -19,7 +19,9 @@ import time
 
 import numpy as np
 
-from .grid import DEFAULT_COUNT, DEFAULT_WINDOW, SpaceParams, call_declared, parse_items, parse_spec, sample
+from .grid import (
+    DEFAULT_COUNT, DEFAULT_WINDOW, SpaceParams, call_declared, is_json_number, parse_items, parse_spec, sample
+)
 from .maps import (
     M_functional,
     U_functional,
@@ -36,7 +38,7 @@ from .norms import (
     sobolev_norm_fourier,
 )
 from .splitting import IntervalFamily, intersection_degree, split_partition
-from .theorems import CheckReport, NormMemo, RangeGateError, classify
+from .theorems import CheckReport, RangeGateError, Resolution, classify
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 2
@@ -184,7 +186,8 @@ def _write_summary(path, reports):
 def cmd_check(args) -> int:
     sp = parse_space(args.space)
     report = classify(
-        named_map(args.map), sp, kind=args.kind, homeomorphism=args.homeo, count=args.count, seed=args.seed
+        named_map(args.map), sp, kind=args.kind, homeomorphism=args.homeo, seed=args.seed,
+        res=Resolution(args.count),
     )
     _dump_records([report.to_json()], args.json)
     if args.csv:
@@ -223,7 +226,12 @@ def _suite_settings(space, maps, seed=1234, count=DEFAULT_COUNT, kind="besov", h
     for key, value in (("seed", seed), ("count", count)):
         if type(value) is not int:
             raise ConfigError(f"suite config: {key} must be an integer, got {value!r}")
-    return call_declared("suite space", SpaceParams, space), maps, seed, count, kind, bool(homeo)
+    if type(homeo) is not bool:
+        raise ConfigError(f"suite config: homeo must be true or false, got {homeo!r}")
+    for key, value in space.items() if isinstance(space, dict) else ():
+        if not is_json_number(value):
+            raise ConfigError(f"suite config: space key {key!r} must be a number, got {value!r}")
+    return call_declared("suite space", SpaceParams, space), maps, seed, count, kind, homeo
 
 
 def cmd_suite(args) -> int:
@@ -233,11 +241,11 @@ def cmd_suite(args) -> int:
     else:
         cfg = DEFAULT_SUITE
     sp, maps, seed, count, kind, homeo = call_declared("suite config", _suite_settings, cfg)
+    res = Resolution(count)  # one grid and norm cache for the whole run
     os.makedirs(args.out, exist_ok=True)
     started = time.time()
-    memo = NormMemo()  # one for the whole run
     ordered = [
-        classify(named_map(spec), sp, kind=kind, homeomorphism=homeo, count=count, seed=seed, memo=memo)
+        classify(named_map(spec), sp, kind=kind, homeomorphism=homeo, seed=seed, res=res)
         for spec in sorted(maps)
     ]
 

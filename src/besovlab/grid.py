@@ -320,6 +320,11 @@ def parse_spec(text: str) -> tuple[str, dict]:
     return name.strip(), parse_items(rest)
 
 
+def is_json_number(value) -> bool:
+    """A JSON number as ``json.load`` gives it: an int or a float, not a bool."""
+    return type(value) in (int, float)
+
+
 def call_declared(what: str, make: Callable, params: dict):
     """``make(**params)``, refusing a key that ``make`` does not declare and
     a required one that is missing; the error names the key."""

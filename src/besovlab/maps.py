@@ -22,7 +22,9 @@ import numpy as np
 from scipy.interpolate import CubicSpline
 
 from . import _kernels
-from .grid import DEFAULT_COUNT, DEFAULT_WINDOW, Extension, GridFunction, call_declared, parse_spec, sample_fn
+from .grid import (
+    DEFAULT_COUNT, DEFAULT_WINDOW, Extension, GridFunction, call_declared, is_json_number, parse_spec, sample_fn
+)
 
 CONTINUITY_TOL = 1e-12
 SWEEP_STEP = 1e-3  # U and M sweep step, as a fraction of the range width
@@ -211,19 +213,30 @@ class LineMap:
         }
 
     @staticmethod
-    def from_json(obj: dict) -> "LineMap":
-        pieces = obj["pieces"]
+    def from_json(obj) -> "LineMap":
+        """The inverse of ``to_json``; a missing or malformed key raises
+        ValueError naming it."""
+        pieces = obj.get("pieces") if isinstance(obj, dict) else None
+        if not isinstance(pieces, list) or not pieces:
+            raise ValueError(f"map file: 'pieces' must be a nonempty list, got {pieces!r}")
+        for i, pc in enumerate(pieces):
+            for key, size in (("interval", 2), ("coeffs", 4)):
+                value = pc.get(key) if isinstance(pc, dict) else None
+                if not (isinstance(value, list) and len(value) == size and all(map(is_json_number, value))):
+                    raise ValueError(f"map file: piece {i} needs {key!r}: {size} numbers, got {value!r}")
+            if i and pc["interval"][0] != pieces[i - 1]["interval"][1]:
+                raise ValueError(f"map file: piece {i}'s 'interval' does not start where piece {i - 1} ends")
+        tails = obj.get("tails", {})
+        slopes = [tails.get(k, 1.0) for k in ("left_slope", "right_slope")] if isinstance(tails, dict) else [None]
+        if not all(map(is_json_number, slopes)):
+            raise ValueError(f"map file: 'tails' must give numbers left_slope and right_slope, got {tails!r}")
+        c1 = obj.get("c1", False)
+        if type(c1) is not bool:
+            raise ValueError(f"map file: 'c1' must be true or false, got {c1!r}")
         bp = [pieces[0]["interval"][0]] + [pc["interval"][1] for pc in pieces]
         cf = [pc["coeffs"] for pc in pieces]
-        tails = obj.get("tails", {})
-        return LineMap(
-            np.asarray(bp),
-            np.asarray(cf),
-            float(tails.get("left_slope", 1.0)),
-            float(tails.get("right_slope", 1.0)),
-            bool(obj.get("c1", False)),
-            str(obj.get("name", "linemap")),
-        )
+        name = str(obj.get("name", "linemap"))
+        return LineMap(np.asarray(bp), np.asarray(cf), float(slopes[0]), float(slopes[1]), c1, name)
 
 
 def _cubic(c, u):

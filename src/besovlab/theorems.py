@@ -8,18 +8,19 @@ unit-interval distortion, scaled ramp bumps at the steepest point for the
 Lipschitz necessity, the chain-rule decomposition for sufficiency, linear
 cutoffs and the zigzag witness for p = infinity).
 
-Every norm inside ``classify`` goes through one ``NormMemo``: the witness
-family's denominators and numerators, the unit-bump norm, the multiplier
-profile, testers and msq candidates of phi', the Lipschitz witness
-seminorms and the chain-rule norms. Its key is the content of the call:
-(kind, blake2b-16 digest of the samples, spacing, extension values,
-(s, p, q, m), h-grid); the grid origin is left out because every norm is
-translation invariant. ``classify`` makes a memo for its own call unless
-it is handed one; ``besovlab suite`` hands one memo to every ``classify``
-of a run, so the family denominators, the bump norm and the multiplier
-half of maps that share phi' (affine(0.5, 2) and scale(0.5)) are
-computed once per run. A hit returns the stored float, so the arithmetic,
-and every output, is the same with or without sharing.
+Every fragment samples on one grid that stands in for R, and every norm
+goes through one cache; both live in a ``Resolution``. It holds the
+window (``DEFAULT_WINDOW``, the only place this module reads it), the
+sample count, the spacing and sample points derived from them, and the
+norm values keyed by content: (kind, blake2b-16 digest of the samples,
+spacing, extension values, (s, p, q, m), h-grid). The grid origin is left
+out because every norm is translation invariant. ``classify`` makes a
+``Resolution`` for its own call unless it is handed one; ``besovlab
+suite`` hands one to every ``classify`` of a run, so the family
+denominators, the bump norm and the multiplier half of maps that share
+phi' (affine(0.5, 2) and scale(0.5)) are computed once per run. A hit
+returns the stored float, so the arithmetic, and every output, is the same
+with or without sharing.
 """
 
 from __future__ import annotations
@@ -131,35 +132,37 @@ def gate_space(sp: SpaceParams, kind: str = "besov", homeomorphism: bool = False
     )
 
 
-# kind -> norm of (f, sp, hg); besov_seminorm is the Lipschitz witness's
-NORM_KINDS = {
-    "besov": lambda f, sp, hg: besov_norm_diff(f, sp, hg),
-    "sobolev": lambda f, sp, hg: sobolev_norm_diff(f, sp.s, sp.p, sp.m, hg),
-    "besov_seminorm": lambda f, sp, hg: besov_seminorm_diff(f, sp, hg),
-}
+class Resolution:
+    """The grid every fragment samples on, ``count`` points over
+    ``window``, and the content-keyed norm cache (see the module docstring
+    for the key and the scope). Only digests are stored, never sample
+    bytes."""
 
+    window = DEFAULT_WINDOW
+    # kind -> norm of (f, sp, hg); besov_seminorm is the Lipschitz witness's
+    NORMS = {
+        "besov": lambda f, sp, hg: besov_norm_diff(f, sp, hg),
+        "sobolev": lambda f, sp, hg: sobolev_norm_diff(f, sp.s, sp.p, sp.m, hg),
+        "besov_seminorm": lambda f, sp, hg: besov_seminorm_diff(f, sp, hg),
+    }
 
-def space_norm(f: GridFunction, sp: SpaceParams, hg: DyadicHGrid = DEFAULT_HGRID, kind: str = "besov") -> float:
-    return NORM_KINDS[kind](f, sp, hg)
-
-
-class NormMemo:
-    """``space_norm`` with its values kept by content (see the module
-    docstring for the key and the scope). Only digests are stored, never
-    sample bytes."""
-
-    def __init__(self):
+    def __init__(self, count: int = DEFAULT_COUNT):
+        if count < 2:
+            raise ValueError("count must be >= 2")
+        self.count = count
+        self.spacing = (self.window[1] - self.window[0]) / (count - 1)
+        self.x = self.window[0] + self.spacing * np.arange(count)
         self._values: dict = {}
 
     def __len__(self) -> int:
         return len(self._values)
 
-    def __call__(self, f: GridFunction, sp: SpaceParams, hg: DyadicHGrid = DEFAULT_HGRID, kind: str = "besov") -> float:
+    def norm(self, f: GridFunction, sp: SpaceParams, hg: DyadicHGrid = DEFAULT_HGRID, kind: str = "besov") -> float:
         digest = hashlib.blake2b(f.samples, digest_size=16).digest()
         key = (kind, digest, f.spacing, f.ext_values(), (sp.s, sp.p, sp.q, sp.m), hg)
         value = self._values.get(key)
         if value is None:
-            value = self._values[key] = space_norm(f, sp, hg, kind)
+            value = self._values[key] = self.NORMS[kind](f, sp, hg)
         return value
 
 
@@ -239,42 +242,30 @@ class CheckReport:
 # operator-norm lower bound
 # ---------------------------------------------------------------------------
 
-def default_witness_family(
-    window=DEFAULT_WINDOW, count: int = DEFAULT_COUNT
-) -> list[tuple[str, GridFunction]]:
+def default_witness_family(res: Resolution) -> list[tuple[str, GridFunction]]:
     """Catalog functions plus the proof gadgets, used for opnorm sweeps.
 
     The catalog's ``plateau`` is left out: it is the same function as
     unit_bump(0).
     """
-    fam = [(name, sample(name, window, count)) for name in FAMILY_NAMES if name != "plateau"]
-    fam.append(("unit_bump(-2)", unit_bump(-2.0, window, count)))
-    fam.append(("unit_bump(0)", unit_bump(0.0, window, count)))
-    fam.append(("eta(0.1)", eta_eps(0.1, window, count)))
-    fam.append(("cutoff(0,2)", linear_cutoff(0.0, 2.0, window, count)))
+    grid = (res.window, res.count)
+    fam = [(name, sample(name, *grid)) for name in FAMILY_NAMES if name != "plateau"]
+    fam.append(("unit_bump(-2)", unit_bump(-2.0, *grid)))
+    fam.append(("unit_bump(0)", unit_bump(0.0, *grid)))
+    fam.append(("eta(0.1)", eta_eps(0.1, *grid)))
+    fam.append(("cutoff(0,2)", linear_cutoff(0.0, 2.0, *grid)))
     return fam
 
 
-def opnorm_lower_detailed(
-    phi: LineMap,
-    sp: SpaceParams,
-    family: Optional[list] = None,
-    kind: str = "besov",
-    hg: DyadicHGrid = DEFAULT_HGRID,
-    norm=space_norm,
-):
-    """max over the family of ||C_phi f|| / ||f||; a certified lower bound.
-
-    ``norm`` evaluates every norm, with ``space_norm``'s signature; classify
-    passes its NormMemo."""
-    if family is None:
-        family = default_witness_family()
+def opnorm_lower_detailed(phi: LineMap, sp: SpaceParams, res: Resolution, kind: str = "besov"):
+    """max over the witness family of ||C_phi f|| / ||f||; a certified
+    lower bound."""
     ratios = []
-    for name, f in family:
-        denom = norm(f, sp, hg, kind)
+    for name, f in default_witness_family(res):
+        denom = res.norm(f, sp, kind=kind)
         if denom == 0.0:
             continue
-        num = norm(sample_composed(f, phi), sp, hg, kind)
+        num = res.norm(sample_composed(f, phi), sp, kind=kind)
         ratios.append((num / denom, name))
     if not ratios:
         raise ValueError("degenerate witness family")
@@ -286,36 +277,27 @@ def opnorm_lower_detailed(
 # necessity of the unit-interval distortion bound
 # ---------------------------------------------------------------------------
 
-def composed_bump_masses(
-    phi: LineMap, targets, p: float, window=DEFAULT_WINDOW, count: int = DEFAULT_COUNT
-) -> list[float]:
+def composed_bump_masses(phi: LineMap, targets, p: float, res: Resolution) -> list[float]:
     """||C_phi f_a||_p^p for the unit bump f_a of every target a.
 
-    Every bump lives on the same grid, so phi is evaluated on it once and
-    each bump is read at those values, as ``compose`` would read it."""
-    ys = phi(unit_bump(0.0, window, count).x)
+    Every bump lives on the grid of ``res``, so phi is evaluated on it once
+    and each bump is read at those values, as ``compose`` would read it."""
+    ys = phi(res.x)
     masses = []
     for a in targets:
-        fa = unit_bump(float(a), window, count)
+        fa = unit_bump(float(a), res.window, res.count)
         masses.append(lp_norm(GridFunction(fa(ys), fa.spacing, fa.origin, fa.extension), p) ** p)
     return masses
 
 
 def check_nec_U(
-    phi: LineMap,
-    sp: SpaceParams,
-    opnorm: float,
-    uval: float,
-    kind: str = "besov",
-    hg: DyadicHGrid = DEFAULT_HGRID,
-    count: int = DEFAULT_COUNT,
-    norm=space_norm,
+    phi: LineMap, sp: SpaceParams, res: Resolution, opnorm: float, uval: float, kind: str = "besov"
 ) -> Fragment:
     """Unit-bump mass transport: ||C_phi f_a||_p^p recovers the preimage
     length of [a, a+1], and U^(1/p) stays below kappa * opnorm * ||bump||."""
     if math.isinf(sp.p):
         raise ValueError("unit-interval necessity check requires p < inf")
-    window = DEFAULT_WINDOW
+    window = res.window
     seg = phi.segments()
     ymin, ymax = phi.value_range()
     # keep witness targets away from the range edges so their preimages stay
@@ -325,15 +307,14 @@ def check_nec_U(
     a_grid = np.arange(a_lo, a_hi + A_STEP, A_STEP)
     a_grid = a_grid[(a_grid >= window[0]) & (a_grid + 1.0 <= window[1])]
     lengths = _kernels.preimage_lengths(seg, a_grid, a_grid + 1.0)
-    spacing = (window[1] - window[0]) / (count - 1)
-    slack = 2.0 * (max_preimage_count(phi) + 1) * spacing
-    resolved = lengths > 4.0 * spacing
-    masses = composed_bump_masses(phi, a_grid[resolved], sp.p, window, count)
+    slack = 2.0 * (max_preimage_count(phi) + 1) * res.spacing
+    resolved = lengths > 4.0 * res.spacing
+    masses = composed_bump_masses(phi, a_grid[resolved], sp.p, res)
     worst_margin = min(
         (lhs - (length - slack) for lhs, length in zip(masses, lengths[resolved])), default=math.inf
     )
     witness_ok = worst_margin >= -1e-9 or not math.isfinite(worst_margin)
-    bump_norm = norm(unit_bump(0.0, window, count), sp, hg, kind)
+    bump_norm = res.norm(unit_bump(0.0, window, res.count), sp, kind=kind)
     if math.isinf(uval):
         return Fragment(
             "nec_U",
@@ -371,16 +352,9 @@ def _witness_oracle_lower(delta: float, sp: SpaceParams) -> float:
     return float(np.trapezoid(integrand, hs)) ** (1.0 / sp.q)
 
 
-def check_nec_lipschitz(
-    phi: LineMap,
-    sp: SpaceParams,
-    hg: DyadicHGrid = DEFAULT_HGRID,
-    count: int = DEFAULT_COUNT,
-    norm=space_norm,
-) -> Fragment:
+def check_nec_lipschitz(phi: LineMap, sp: SpaceParams, res: Resolution) -> Fragment:
     """Build the proof's ramp witness at the steepest point and read the
     implied slope bound off the composed seminorm."""
-    window = DEFAULT_WINDOW
     lip = lipschitz_constant(phi)
     if lip < 1e-12:
         return Fragment(
@@ -397,12 +371,10 @@ def check_nec_lipschitz(
         )
     direction = math.copysign(1.0, slope_b)
     expo = 1.0 / (sp.s - 1.0 / sp.p)
-    implied_best = 0.0
     oracle_ok = True
     details = []
-    spacing = (window[1] - window[0]) / (count - 1)
-    xs_dom = window[0] + spacing * np.arange(count)
-    phi_dom = phi(xs_dom)
+    spacing = res.spacing
+    phi_dom = phi(res.x)
     for delta in LIP_DELTAS:
         c = b + direction * delta
         a = b - 2.0 * direction * delta
@@ -415,16 +387,17 @@ def check_nec_lipschitz(
         # images are resolved; sub-cell ramps read as fake roughness
         if r * eps < 3.0 * spacing or r * eps / abs(slope_b) < 3.0 * spacing:
             continue
-        # the witness lives in value space: sample it on a window centered
-        # at its own plateau (the map image may leave the domain window);
+        # the witness lives in value space: sample it on the window moved
+        # to its own plateau (the map image may leave the domain window);
         # this is eta_eps((x - x0) / r) with ramps of width r * eps
         x0 = (phib + phia) / 2.0
-        f = plateau(x0 - r, x0 + r, max(r * eps, 2.0 * spacing), (x0 - 16.0, x0 + 16.0), count)
+        shifted = (x0 + res.window[0], x0 + res.window[1])
+        f = plateau(x0 - r, x0 + r, max(r * eps, 2.0 * spacing), shifted, res.count)
         composed = GridFunction(
-            np.asarray(f.descriptor(phi_dom)), spacing, window[0], Extension.ZERO
+            np.asarray(f.descriptor(phi_dom)), spacing, res.window[0], Extension.ZERO
         )
-        lhs = norm(composed, sp, hg, "besov_seminorm")
-        fsemi = norm(f, sp, hg, "besov_seminorm")
+        lhs = res.norm(composed, sp, kind="besov_seminorm")
+        fsemi = res.norm(f, sp, kind="besov_seminorm")
         if fsemi == 0.0:
             continue
         implied = (lhs / fsemi) ** expo
@@ -461,13 +434,7 @@ def check_nec_lipschitz(
 # chain-rule sufficiency machinery
 # ---------------------------------------------------------------------------
 
-def check_sufficiency_chain(
-    phi: LineMap,
-    f: GridFunction,
-    sp: SpaceParams,
-    hg: DyadicHGrid = DEFAULT_HGRID,
-    norm=space_norm,
-) -> Fragment:
+def check_sufficiency_chain(phi: LineMap, f: GridFunction, sp: SpaceParams, res: Resolution) -> Fragment:
     """Compare ||C_phi f||_{B^s} with ||C_phi f||_p + ||phi' . C_phi f'||_{B^{s-1}}
     and measure the pointwise chain-rule residual computed two ways.
 
@@ -487,8 +454,8 @@ def check_sufficiency_chain(
         phip * compose(fprime, phi).samples, f.spacing, f.origin, Extension.ZERO
     )
     residual = float(np.max(np.abs(d_direct.samples - d_chain.samples)))
-    lhs = norm(composed, sp, hg)
-    rhs = lp_norm(composed, sp.p) + norm(d_chain, sp.shifted_down(), hg)
+    lhs = res.norm(composed, sp)
+    rhs = lp_norm(composed, sp.p) + res.norm(d_chain, sp.shifted_down())
     ratio = lhs / rhs if rhs > 0.0 else (0.0 if lhs == 0.0 else math.inf)
     passed = residual <= residual_tol and ratio <= KAPPA_CHAIN
     return Fragment(
@@ -502,14 +469,7 @@ def check_sufficiency_chain(
 # p = infinity witness pair
 # ---------------------------------------------------------------------------
 
-def check_infinity_witness(
-    phi: LineMap,
-    sp: SpaceParams,
-    opnorm: float,
-    hg: DyadicHGrid = DEFAULT_HGRID,
-    count: int = DEFAULT_COUNT,
-    norm=space_norm,
-) -> Fragment:
+def check_infinity_witness(phi: LineMap, sp: SpaceParams, res: Resolution, opnorm: float) -> Fragment:
     """Two-stage p = inf witness: linear cutoffs reconstruct ||phi'||_inf on
     preimages, then the zigzag bound dominates the direct B^{s-1} seminorm
     of phi' through the four translated index-set covers."""
@@ -517,7 +477,7 @@ def check_infinity_witness(
         raise ValueError("this witness requires p = inf")
     if not (sp.s > 1.0):
         raise ValueError("requires s > 1")
-    window = DEFAULT_WINDOW
+    window = res.window
     lip = lipschitz_constant(phi)
     ymin, ymax = phi.value_range()
     a_lo = max(ymin, window[0] + 2.0)
@@ -526,15 +486,14 @@ def check_infinity_witness(
     a_grid = np.arange(a_lo, a_hi + A_STEP, A_STEP)
     # an a_lo off the step lattice would put the last target past a_hi
     for a in a_grid[a_grid <= a_hi]:
-        fa = linear_cutoff(float(a), 1.0, window, count)
+        fa = linear_cutoff(float(a), 1.0, window, res.count)
         d = grid_derivative(sample_composed(fa, phi))
         for interval in preimage_intervals(phi, (float(a), float(a) + 1.0)):
             recon = max(recon, linf_on_interval(d, interval))
     down = sp.shifted_down()
-    phi_prime = derivative(phi).sample(count)
-    direct = norm(phi_prime, down, hg, "besov_seminorm")
-    g = zigzag_g(down.m, window, count)
-    g_norm = norm(g, sp, hg)
+    phi_prime = derivative(phi).sample(res.count)
+    direct = res.norm(phi_prime, down, kind="besov_seminorm")
+    g_norm = res.norm(zigzag_g(down.m, window, res.count), sp)
     # one l^q term for each of the four translated covers I_m + 2*l*m, l = 0..3
     qroot = 1.0 if math.isinf(sp.q) else 4.0 ** (1.0 / sp.q)
     bound = qroot * opnorm * g_norm
@@ -575,18 +534,17 @@ def classify(
     sp: SpaceParams,
     kind: str = "besov",
     homeomorphism: bool = False,
-    count: int = DEFAULT_COUNT,
     seed: int = 1234,
-    hg: DyadicHGrid = DEFAULT_HGRID,
-    memo: Optional[NormMemo] = None,
+    res: Optional[Resolution] = None,
 ) -> CheckReport:
     """Assemble the geometric functionals, the multiplier estimates of phi',
     and the witness fragments into a verdict for one (map, space) pair.
 
-    Every norm goes through ``memo``; without one, classify makes its own."""
+    Every sample and norm goes through ``res``; without one, classify makes
+    its own at the default count."""
     t0 = time.perf_counter()
-    if memo is None:
-        memo = NormMemo()
+    if res is None:
+        res = Resolution()
     gate_space(sp, kind, homeomorphism)
     if kind == "sobolev":
         # every segment strictly monotone in the direction of the tails; a
@@ -596,42 +554,37 @@ def classify(
         decreasing = np.all(seg[:, 8] < seg[:, 7]) and phi.left_slope < 0 and phi.right_slope < 0
         if not (increasing or decreasing):
             raise RangeGateError("Sobolev route requires a homeomorphism (strictly monotone map)")
-    window = DEFAULT_WINDOW
     uval = U_functional(phi)
     mest = M_functional(phi)
     lip = lipschitz_constant(phi)
     npre = max_preimage_count(phi)
-    family = default_witness_family(window, count)
-    op_val, op_arg, _ = opnorm_lower_detailed(phi, sp, family, kind, hg, norm=memo)
+    op_val, op_arg, _ = opnorm_lower_detailed(phi, sp, res, kind)
 
     down = sp.shifted_down()
-    phi_prime = derivative(phi).sample(count)
+    phi_prime = derivative(phi).sample(res.count)
     psi = make_psi("mollifier")
-    norm_fn = functools.partial(memo, kind=kind)
-    zs, zvals = unif_profile(phi_prime, down, psi, hg, norm_fn)
+    norm_fn = functools.partial(res.norm, kind=kind)
+    zs, zvals = unif_profile(phi_prime, down, psi, norm_fn=norm_fn)
     unif_val = float(zvals.max())
     testers = [(f"psi(z={z})", psi.on_grid(phi_prime, float(z))) for z in (-2, 0, 3)]
-    testers.append(("gaussian", sample("gaussian", phi_prime.window, count)))
-    mult = multiplier_norm_lower_detailed(phi_prime, down, testers, hg, norm_fn)
+    testers.append(("gaussian", sample("gaussian", phi_prime.window, res.count)))
+    mult = multiplier_norm_lower_detailed(phi_prime, down, testers, norm_fn=norm_fn)
     msq_val = None
     if not math.isinf(sp.p):
         msq_val = msq_norm_lower_detailed(
-            phi_prime, down, psi, hg, n_random=16, seed=seed, norm_fn=norm_fn,
-            profile=(zs, zvals),
+            phi_prime, down, psi, n_random=16, seed=seed, norm_fn=norm_fn, profile=(zs, zvals)
         ).value
     window_limited = _window_limited(zs, zvals)
 
     fragments = []
     if math.isinf(sp.p):
-        fragments.append(check_infinity_witness(phi, sp, op_val, hg, count=count, norm=memo))
+        fragments.append(check_infinity_witness(phi, sp, res, op_val))
     else:
-        fragments.append(check_nec_U(phi, sp, op_val, uval, kind, hg, count=count, norm=memo))
+        fragments.append(check_nec_U(phi, sp, res, op_val, uval, kind))
         if kind == "besov":
-            fragments.append(check_nec_lipschitz(phi, sp, hg, count=count, norm=memo))
+            fragments.append(check_nec_lipschitz(phi, sp, res))
     if phi.c1:
-        fragments.append(
-            check_sufficiency_chain(phi, sample("gaussian", window, count), sp, hg, norm=memo)
-        )
+        fragments.append(check_sufficiency_chain(phi, sample("gaussian", res.window, res.count), sp, res))
 
     if math.isinf(uval):
         verdict = "ConsistentUnbounded"
@@ -674,7 +627,7 @@ def classify(
         verdict=verdict,
         tolerances=dict(TOLERANCES),
         runtime_s=time.perf_counter() - t0,
-        grid={"count": count, "window": list(window), "hgrid_levels": hg.levels},
+        grid={"count": res.count, "window": list(res.window), "hgrid_levels": DEFAULT_HGRID.levels},
         seed=seed,
     )
     return report

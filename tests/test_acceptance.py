@@ -176,7 +176,7 @@ def test_A8_unit_interval_necessity():
             affine_map(2.0, 0.0),
             sin_drift_map(0.5),
         ):
-            op = th.opnorm_lower_detailed(phi, sp)[0]
+            op = th.opnorm_lower_detailed(phi, sp, th.Resolution())[0]
             kappas.append(U_functional(phi) ** 0.5 / (op * bump_norm))
         kappa = max(kappas)
     report("A8", kappa <= 3.0, 120, t.elapsed, f"kappa = {kappa:.4f} (<= 3)")
@@ -186,7 +186,7 @@ def test_A9_chain_rule_residual():
     sp = SpaceParams(2.1, 2.0, 2.0, 3)
     with Timer() as t:
         frag = th.check_sufficiency_chain(
-            sin_drift_map(0.5), sample("gaussian", WINDOW, 2**13 + 1), sp
+            sin_drift_map(0.5), sample("gaussian", WINDOW, 2**13 + 1), sp, th.Resolution()
         )
         residual = frag.values["residual"]
     report("A9", residual < 1e-4, 10, t.elapsed, f"residual {residual:.2e}")
@@ -196,7 +196,8 @@ def test_A10_p_inf_witness():
     sp = SpaceParams(1.5, math.inf, 2.0, 2)
     with Timer() as t:
         phi = sin_drift_map(0.5)
-        frag = th.check_infinity_witness(phi, sp, th.opnorm_lower_detailed(phi, sp)[0])
+        res = th.Resolution()
+        frag = th.check_infinity_witness(phi, sp, res, th.opnorm_lower_detailed(phi, sp, res)[0])
         recon = frag.values["lip_reconstructed"]
         direct = frag.values["phiprime_seminorm_direct"]
         bound = frag.values["zigzag_bound"]

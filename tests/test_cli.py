@@ -151,6 +151,33 @@ def test_check_sobolev_flat_piece_exit_3(tmp_path, capsys):
     assert "homeomorphism" in err
 
 
+# each malformed map file is refused with the key it names
+PIECE = {"interval": [-1, 1], "coeffs": [0, 1, 0, 0]}
+BAD_MAP_FILE = {
+    "no pieces": ({"tails": {}}, "'pieces'"),
+    "pieces empty": ({"pieces": []}, "'pieces'"),
+    "a top-level list": ([PIECE], "'pieces'"),
+    "a piece without coeffs": ({"pieces": [{"interval": [-1, 1]}]}, "'coeffs'"),
+    "a piece without interval": ({"pieces": [{"coeffs": [0, 1, 0, 0]}]}, "'interval'"),
+    "tails a list": ({"pieces": [PIECE], "tails": []}, "'tails'"),
+    "a null tail slope": ({"pieces": [PIECE], "tails": {"left_slope": None}}, "'tails'"),
+    "an interval with null": ({"pieces": [{"interval": [None, 1], "coeffs": [0, 1, 0, 0]}]}, "'interval'"),
+    "c1 a string": ({"pieces": [PIECE], "c1": "false"}, "'c1'"),
+    "a gap between pieces": ({"pieces": [PIECE, {"interval": [2, 3], "coeffs": [2, 1, 0, 0]}]}, "'interval'"),
+}
+
+
+@pytest.mark.parametrize("case", list(BAD_MAP_FILE))
+def test_bad_map_file_exit_4(case, tmp_path, capsys):
+    obj, key = BAD_MAP_FILE[case]
+    path = tmp_path / "map.json"
+    path.write_text(json.dumps(obj))
+    code, out, err = run(capsys, "map", "--map", str(path))
+    assert code == 4
+    assert out == ""
+    assert err.startswith("config error:") and key in err
+
+
 def test_suite_runs_and_is_deterministic(tmp_path, capsys):
     cfg = {
         "seed": 77,
@@ -262,6 +289,11 @@ BAD_SUITE = {
     "kind foo": ({"kind": "foo"}, "kind"),
     "count 1025.7": ({"count": 1025.7}, "count"),
     "count a string": ({"count": "1025"}, "count"),
+    "count 1": ({"count": 1}, "count"),
+    "homeo a string": ({"kind": "sobolev", "homeo": "false"}, "homeo"),
+    "space s a string": ({"space": dict(SUITE_SPACE, s="2.1")}, "'s'"),
+    "space m a bool": ({"space": dict(SUITE_SPACE, m=True)}, "'m'"),
+    "space q a bool": ({"space": dict(SUITE_SPACE, q=True)}, "'q'"),
 }
 
 

@@ -1,6 +1,7 @@
 """Every name a besovlab module imports is used in that module, every name
-it defines at top level is used somewhere in the project, and the package
-reads no environment variable that is not declared here."""
+it defines at top level is used somewhere in the project, the package
+reads no environment variable that is not declared here, and the fragments
+in theorems.py read their grid from one Resolution."""
 
 import ast
 from pathlib import Path
@@ -132,3 +133,42 @@ def test_environment_reads_are_the_declared_ones():
 )
 def test_environment_guard_sees_each_form_of_read(source, want):
     assert _environment_reads(source, "m.py") == want
+
+
+# theorems.py: the default grid is read only in Resolution, and no function
+# outside it takes a grid or cache of its own
+GRID_DEFAULTS = {"DEFAULT_WINDOW", "DEFAULT_COUNT"}
+GRID_PARAMETERS = {"hg", "window", "memo"}
+
+
+def _grid_outside_resolution(source: str) -> list[str]:
+    """Reads of GRID_DEFAULTS and parameters named in GRID_PARAMETERS
+    outside the ``Resolution`` class of ``source``."""
+    found, stack = [], [ast.parse(source)]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, ast.ClassDef) and node.name == "Resolution":
+            continue
+        if isinstance(node, ast.Name) and node.id in GRID_DEFAULTS:
+            found.append(f"{node.id} (line {node.lineno})")
+        elif isinstance(node, ast.arg) and node.arg in GRID_PARAMETERS:
+            found.append(f"parameter {node.arg} (line {node.lineno})")
+        stack.extend(ast.iter_child_nodes(node))
+    return sorted(found)
+
+
+def test_theorems_reads_its_grid_from_resolution():
+    assert _grid_outside_resolution((PACKAGE / "theorems.py").read_text()) == []
+
+
+@pytest.mark.parametrize(
+    "source, want",
+    [
+        ("class Resolution:\n    w = DEFAULT_WINDOW\n    def f(self, hg=1): pass", []),
+        ("def f(count=DEFAULT_COUNT): pass", ["DEFAULT_COUNT (line 1)"]),
+        ("def f(x, *, window): pass", ["parameter window (line 1)"]),
+        ("g = lambda f, sp, hg: 0", ["parameter hg (line 1)"]),
+    ],
+)
+def test_grid_guard_sees_each_form(source, want):
+    assert _grid_outside_resolution(source) == want

@@ -16,13 +16,14 @@ from besovlab.maps import (
     inverse_map,
     named_map,
     quadratic_map,
+    sample_composed,
     sin_drift_map,
 )
 from besovlab.norms import DEFAULT_HGRID, besov_norm_diff, besov_seminorm_diff, sobolev_norm_diff
 from besovlab.theorems import (
     CheckReport,
-    NormMemo,
     RangeGateError,
+    Resolution,
     check_infinity_witness,
     check_nec_U,
     check_nec_lipschitz,
@@ -76,26 +77,27 @@ def test_gate_p_inf_and_sobolev():
 # ---------------------------------------------------------------------------
 
 def test_opnorm_identity_exact():
-    assert opnorm_lower_detailed(identity_map(), SP)[0] == 1.0
+    assert opnorm_lower_detailed(identity_map(), SP, Resolution())[0] == 1.0
 
 
 def test_opnorm_translation_invariance():
-    assert opnorm_lower_detailed(affine_map(1.0, 1.0), SP)[0] == pytest.approx(1.0, abs=1e-9)
+    assert opnorm_lower_detailed(affine_map(1.0, 1.0), SP, Resolution())[0] == pytest.approx(1.0, abs=1e-9)
 
 
 def test_opnorm_dilation_monotone():
-    vals = [opnorm_lower_detailed(affine_map(lam, 0.0), SP)[0] for lam in (1.0, 1.5, 2.0, 3.0)]
+    res = Resolution()
+    vals = [opnorm_lower_detailed(affine_map(lam, 0.0), SP, res)[0] for lam in (1.0, 1.5, 2.0, 3.0)]
     assert all(a <= b + 1e-12 for a, b in zip(vals, vals[1:]))
 
 
 def test_witness_family_members_are_distinct():
-    fam = default_witness_family(count=2**10 + 1)
+    fam = default_witness_family(Resolution(2**10 + 1))
     for (a, fa), (b, fb) in itertools.combinations(fam, 2):
         assert not np.array_equal(fa.samples, fb.samples), (a, b)
 
 
 def test_opnorm_detail_records_argmax():
-    val, arg, ratios = opnorm_lower_detailed(affine_map(2.0, 0.0), SP)
+    val, arg, ratios = opnorm_lower_detailed(affine_map(2.0, 0.0), SP, Resolution())
     assert val == max(r for r, _ in ratios)
     assert any(arg == n for _, n in ratios)
 
@@ -106,7 +108,7 @@ def test_opnorm_detail_records_argmax():
 
 def test_nec_U_identity():
     phi = identity_map()
-    frag = check_nec_U(phi, SP, opnorm=1.0, uval=U_functional(phi))
+    frag = check_nec_U(phi, SP, Resolution(), opnorm=1.0, uval=U_functional(phi))
     assert frag.passed
     assert frag.values["U"] == pytest.approx(1.0, abs=1e-9)
     assert frag.values["kappa_required"] <= 3.0
@@ -114,7 +116,8 @@ def test_nec_U_identity():
 
 def test_nec_U_halving_map():
     phi = affine_map(0.5, 0.0)
-    frag = check_nec_U(phi, SP, opnorm_lower_detailed(phi, SP)[0], U_functional(phi))
+    res = Resolution()
+    frag = check_nec_U(phi, SP, res, opnorm_lower_detailed(phi, SP, res)[0], U_functional(phi))
     assert frag.passed
     assert frag.values["U"] == pytest.approx(2.0, abs=1e-9)
     assert frag.values["witness_worst_margin"] >= -1e-9
@@ -122,12 +125,13 @@ def test_nec_U_halving_map():
 
 def test_nec_U_requires_finite_p():
     with pytest.raises(ValueError):
-        check_nec_U(identity_map(), SP_INF, opnorm=1.0, uval=1.0)
+        check_nec_U(identity_map(), SP_INF, Resolution(), opnorm=1.0, uval=1.0)
 
 
 def test_nec_U_flat_tail_fails():
     phi = flat_right_tail()
-    frag = check_nec_U(phi, SP, opnorm_lower_detailed(phi, SP)[0], U_functional(phi))
+    res = Resolution()
+    frag = check_nec_U(phi, SP, res, opnorm_lower_detailed(phi, SP, res)[0], U_functional(phi))
     assert not frag.passed
     assert math.isinf(frag.values["U"])
 
@@ -135,44 +139,44 @@ def test_nec_U_flat_tail_fails():
 def test_bump_masses_equal_the_compose_loop():
     phi = named_map("affine:a=0.5,b=2")
     targets = np.arange(-13.0, 12.0, 0.25)
-    masses = composed_bump_masses(phi, targets, SP.p)
+    masses = composed_bump_masses(phi, targets, SP.p, Resolution())
     loop = [lp_norm(compose(unit_bump(float(a)), phi), SP.p) ** SP.p for a in targets]
     assert masses == loop
 
 
 def test_nec_lipschitz_identity():
-    frag = check_nec_lipschitz(identity_map(), SP)
+    frag = check_nec_lipschitz(identity_map(), SP, Resolution())
     assert frag.passed and not frag.vacuous
     assert frag.values["implied_lip"] == pytest.approx(1.0, rel=0.5)
 
 
 def test_nec_lipschitz_dilation_factor_two():
-    frag = check_nec_lipschitz(affine_map(3.0, 0.0), SP)
+    frag = check_nec_lipschitz(affine_map(3.0, 0.0), SP, Resolution())
     assert frag.passed
     assert 1.5 <= frag.values["implied_lip"] <= 6.0  # within factor 2 of 3
 
 
 def test_nec_lipschitz_flat_vacuous():
     flat = LineMap(np.array([-16.0, 16.0]), np.array([[0.0, 0.0, 0, 0]]), 0.0, 0.0)
-    frag = check_nec_lipschitz(flat, SP)
+    frag = check_nec_lipschitz(flat, SP, Resolution())
     assert frag.passed and frag.vacuous
 
 
 def test_chain_identity_exact():
     f = sample("gaussian")
-    frag = check_sufficiency_chain(identity_map(), f, SP)
+    frag = check_sufficiency_chain(identity_map(), f, SP, Resolution())
     assert frag.passed
     assert frag.values["residual"] == 0.0
 
 
 def test_chain_zero_function():
-    frag = check_sufficiency_chain(identity_map(), sample("zero"), SP)
+    frag = check_sufficiency_chain(identity_map(), sample("zero"), SP, Resolution())
     assert frag.passed
     assert frag.values["lhs"] == 0.0 and frag.values["rhs"] == 0.0
 
 
 def test_chain_sin_drift_residual():
-    frag = check_sufficiency_chain(sin_drift_map(0.5), sample("gaussian"), SP)
+    frag = check_sufficiency_chain(sin_drift_map(0.5), sample("gaussian"), SP, Resolution())
     assert frag.passed
     assert frag.values["residual"] < 1e-4
 
@@ -182,12 +186,13 @@ def test_chain_requires_c1():
     cf = np.array([[-16.0, 1.0, 0, 0], [0.0, 2.0, 0, 0]])
     kinked = LineMap(bp, cf, 1.0, 2.0, c1=False)
     with pytest.raises(ValueError):
-        check_sufficiency_chain(kinked, sample("gaussian"), SP)
+        check_sufficiency_chain(kinked, sample("gaussian"), SP, Resolution())
 
 
 def test_infinity_witness_identity_degenerate():
     phi = identity_map()
-    frag = check_infinity_witness(phi, SP_INF, opnorm_lower_detailed(phi, SP_INF)[0])
+    res = Resolution()
+    frag = check_infinity_witness(phi, SP_INF, res, opnorm_lower_detailed(phi, SP_INF, res)[0])
     assert frag.passed
     assert frag.values["phiprime_seminorm_direct"] == pytest.approx(0.0, abs=1e-9)
     assert frag.values["lip_reconstructed"] == pytest.approx(1.0, rel=1e-6)
@@ -195,7 +200,8 @@ def test_infinity_witness_identity_degenerate():
 
 def test_infinity_witness_affine():
     phi = affine_map(2.0, 1.0)
-    frag = check_infinity_witness(phi, SP_INF, opnorm_lower_detailed(phi, SP_INF)[0])
+    res = Resolution()
+    frag = check_infinity_witness(phi, SP_INF, res, opnorm_lower_detailed(phi, SP_INF, res)[0])
     assert frag.passed
     assert frag.values["lip_reconstructed"] == pytest.approx(2.0, rel=0.02)
 
@@ -204,14 +210,14 @@ def test_infinity_witness_off_lattice_range():
     # the shift's range puts a_lo = -13.9 off the 0.25 step of the targets a;
     # no target may pass a_hi = 14, where the cutoff support leaves the window
     phi = named_map("shift:c=2.1")
-    frag = check_infinity_witness(phi, SpaceParams(1.5, math.inf, math.inf, 2), 1.0, count=2**11 + 1)
+    frag = check_infinity_witness(phi, SpaceParams(1.5, math.inf, math.inf, 2), Resolution(2**11 + 1), 1.0)
     assert frag.passed
     assert frag.values["lip_reconstructed"] == pytest.approx(1.0, rel=1e-9)
 
 
 def test_infinity_witness_requires_p_inf():
     with pytest.raises(ValueError):
-        check_infinity_witness(identity_map(), SP, opnorm=1.0)
+        check_infinity_witness(identity_map(), SP, Resolution(), opnorm=1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -267,15 +273,19 @@ def test_classify_sobolev_refuses_a_flat_piece():
         1.0,
     )
     with pytest.raises(RangeGateError, match="homeomorphism"):
-        classify(phi, SP, kind="sobolev", homeomorphism=True, count=2**11 + 1)
+        classify(phi, SP, kind="sobolev", homeomorphism=True, res=Resolution(2**11 + 1))
 
 
 def test_classify_threads_count_into_fragments():
     count = 2**12 + 1
-    rep = classify(named_map("scale:k=2"), SP, count=count)
-    nec_u = next(fr for fr in rep.fragments if fr.name == "nec_U")
-    expected = besov_norm_diff(unit_bump(0.0, count=count), SP)
-    assert nec_u.values["bump_norm"] == pytest.approx(expected, rel=1e-12)
+    phi = named_map("scale:k=2")
+    rep = classify(phi, SP, res=Resolution(count))
+    frags = {fr.name: fr for fr in rep.fragments}
+    bump = besov_norm_diff(unit_bump(0.0, count=count), SP)
+    assert frags["nec_U"].values["bump_norm"] == pytest.approx(bump, rel=1e-12)
+    lhs = besov_norm_diff(sample_composed(sample("gaussian", count=count), phi), SP)
+    assert frags["sufficiency_chain"].values["lhs"] == pytest.approx(lhs, rel=1e-12)
+    assert rep.grid["count"] == rep.to_json()["grid"]["count"] == count
 
 
 def test_classify_open_range_refused():
@@ -311,37 +321,44 @@ def test_report_serialization():
 
 
 # ---------------------------------------------------------------------------
-# norm memo
+# resolution: one grid and one norm cache
 # ---------------------------------------------------------------------------
 
 SUITE_SLICE_MAPS = ("sin_drift:amp=0.5", "affine:a=0.5,b=2", "scale:k=0.5")
 
 
-def test_shared_memo_gives_the_memo_less_reports():
-    memo = NormMemo()
+def test_shared_resolution_gives_the_fresh_reports():
+    res = Resolution()
     for spec in SUITE_SLICE_MAPS:
-        shared = classify(named_map(spec), SP, memo=memo)
+        shared = classify(named_map(spec), SP, res=res)
         assert shared.to_json() == classify(named_map(spec), SP).to_json()
-    # a second classify through the filled memo adds no entry
-    entries = len(memo)
-    again = classify(named_map("scale:k=0.5"), SP, memo=memo)
-    assert len(memo) == entries
+    # a second classify through the filled cache adds no entry
+    entries = len(res)
+    again = classify(named_map("scale:k=0.5"), SP, res=res)
+    assert len(res) == entries
     assert again.to_json() == shared.to_json()
 
 
-def test_memo_key_separates_extension_space_and_kind():
+def test_resolution_grid_is_the_sampling_grid():
+    res = Resolution(2**10 + 1)
+    f = sample("gaussian", res.window, res.count)
+    assert res.spacing == f.spacing
+    assert np.array_equal(res.x, f.x)
+
+
+def test_resolution_key_separates_extension_space_and_kind():
     x = np.linspace(-4.0, 4.0, 1025)
     samples = np.exp(-x * x / 8.0)  # nonzero at both window edges
     f_zero = GridFunction(samples, x[1] - x[0], -4.0, Extension.ZERO)
     f_const = GridFunction(samples, x[1] - x[0], -4.0, Extension.CONSTANT)
     low = SpaceParams(1.5, 2.0, 2.0, 3)
-    memo = NormMemo()
+    res = Resolution()
     got = [
-        memo(f_zero, SP, kind="besov_seminorm"),
-        memo(f_const, SP, kind="besov_seminorm"),
-        memo(f_zero, low, kind="besov_seminorm"),
-        memo(f_zero, SP),
-        memo(f_zero, SP, kind="sobolev"),
+        res.norm(f_zero, SP, kind="besov_seminorm"),
+        res.norm(f_const, SP, kind="besov_seminorm"),
+        res.norm(f_zero, low, kind="besov_seminorm"),
+        res.norm(f_zero, SP),
+        res.norm(f_zero, SP, kind="sobolev"),
     ]
     want = [
         besov_seminorm_diff(f_zero, SP),
@@ -352,7 +369,7 @@ def test_memo_key_separates_extension_space_and_kind():
     ]
     assert got == want
     assert len(set(want)) == len(want)
-    assert len(memo) == len(want)
+    assert len(res) == len(want)
     # a hit returns the stored value and adds no entry
-    assert memo(f_const, SP, kind="besov_seminorm") == want[1]
-    assert len(memo) == len(want)
+    assert res.norm(f_const, SP, kind="besov_seminorm") == want[1]
+    assert len(res) == len(want)
