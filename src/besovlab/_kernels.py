@@ -7,6 +7,15 @@ so their results are bit-identical to them; tests/test_kernels.py checks them
 against those loops and against closed-form oracles. ``shift_difference_batch``
 adds each stencil term to its output row through one reused temporary row, so
 a term allocates nothing.
+
+The scalar kernels (``segment_clip``, ``greedy_classes``) run on Python floats
+and lists, which do the same IEEE double arithmetic as numpy scalars at a
+fraction of the cost per operation. The scalar bisection stops at float
+convergence: once the midpoint rounds to an end of the bracket, every later
+midpoint equals it, so the early result is bit-identical to running all
+steps. ``N_BISECT`` caps the steps; roots very near 0 reach it before
+converging. The batched bisection always runs ``N_BISECT`` steps: some lane
+of a batch usually has such a root, so a whole-batch exit saves nothing.
 """
 
 from __future__ import annotations
@@ -82,7 +91,7 @@ def interp_difference(samples, origin, spacing, left, right, h, m):
 # [xlo, xhi] with values ylo = p(xlo), yhi = p(xhi). Flat segments have
 # ylo == yhi.
 
-N_BISECT = 80
+N_BISECT = 80  # cap on bisection steps; 2^-80 of the segment width
 
 # (target, segment) pairs screened at once by preimage_lengths; bounds the
 # size of its masks and gathered arrays
@@ -100,6 +109,8 @@ def _solve_mono_py(row, y):
     inc = yhi >= ylo
     for _ in range(N_BISECT):
         mid = 0.5 * (a + b)
+        if mid == a or mid == b:
+            return mid
         fm = _poly3(t0, c0, c1, c2, c3, mid) - y
         if (fm <= 0.0) == inc:
             a = mid
@@ -179,8 +190,10 @@ def preimage_lengths(seg, los, his):
 
 
 def segment_clip(seg_row, lo, hi):
-    """Single-segment version of the clip used by preimage_lengths."""
-    return _clip_segment_py(np.asarray(seg_row, dtype=np.float64), lo, hi)
+    """The clip of one segment table row to the band [lo, hi], as Python
+    floats: (xa, xb) with xa <= xb, or None when the row misses the band.
+    preimage_lengths sums the same clip over a batch of targets."""
+    return _clip_segment_py(np.asarray(seg_row, dtype=np.float64).tolist(), lo, hi)
 
 
 # ---------------------------------------------------------------------------
@@ -190,30 +203,25 @@ def segment_clip(seg_row, lo, hi):
 def greedy_classes(lefts, rights):
     """Label each interval with its class index under the greedy min-index
     extraction rule (closed-interval intersection; touching counts)."""
-    lefts = np.ascontiguousarray(lefts, dtype=np.float64)
-    rights = np.ascontiguousarray(rights, dtype=np.float64)
-    n = lefts.shape[0]
-    labels = np.full(n, -1, dtype=np.int64)
-    remaining = n
+    lefts = np.asarray(lefts, dtype=np.float64).tolist()
+    rights = np.asarray(rights, dtype=np.float64).tolist()
+    labels = [-1] * len(lefts)
+    todo = list(range(len(lefts)))  # unlabelled indices, in increasing order
     cls = 0
-    while remaining > 0:
-        sel_l: list = []
-        sel_r: list = []
-        for j in range(n):
-            if labels[j] >= 0:
-                continue
+    while todo:
+        sel_l, sel_r, rest = [], [], []
+        for j in todo:
             l, r = lefts[j], rights[j]
             pos = bisect.bisect_left(sel_l, l)
-            if pos > 0 and sel_r[pos - 1] >= l:
-                continue
-            if pos < len(sel_l) and sel_l[pos] <= r:
+            if (pos > 0 and sel_r[pos - 1] >= l) or (pos < len(sel_l) and sel_l[pos] <= r):
+                rest.append(j)
                 continue
             sel_l.insert(pos, l)
             sel_r.insert(pos, r)
             labels[j] = cls
-            remaining -= 1
+        todo = rest
         cls += 1
-    return labels
+    return np.array(labels, dtype=np.int64)
 
 
 def warm_up():

@@ -50,18 +50,6 @@ class IntervalSet:
                 raise ValueError("intervals must be strictly increasing and disjoint")
             prev = r
 
-    @staticmethod
-    def from_pairs(pairs, merge_tol: float = 0.0) -> "IntervalSet":
-        """Sort and merge closed intervals; touching intervals are merged."""
-        pairs = sorted((float(l), float(r)) for l, r in pairs)
-        merged: list[list[float]] = []
-        for l, r in pairs:
-            if merged and l <= merged[-1][1] + merge_tol:
-                merged[-1][1] = max(merged[-1][1], r)
-            else:
-                merged.append([l, r])
-        return IntervalSet(tuple((l, r) for l, r in merged))
-
     @property
     def count(self) -> int:
         return len(self.intervals)
@@ -468,7 +456,7 @@ def _check_flat_tails(phi: LineMap, lo: float, hi: float):
 
 def preimage_intervals(phi: LineMap, target) -> IntervalSet:
     """phi^-1([lo, hi]) within the window as a disjoint union of closed
-    intervals; intervals sharing an endpoint are merged."""
+    intervals; intervals at most 1e-9 window widths apart are merged."""
     lo, hi = float(target[0]), float(target[1])
     if hi < lo:
         raise ValueError("target must satisfy lo <= hi")
@@ -476,16 +464,18 @@ def preimage_intervals(phi: LineMap, target) -> IntervalSet:
     seg = phi.segments()
     ymin = np.minimum(seg[:, 7], seg[:, 8])
     ymax = np.maximum(seg[:, 7], seg[:, 8])
-    pairs = []
-    for idx in np.nonzero((ymax >= lo) & (ymin <= hi))[0]:
-        res = _kernels.segment_clip(seg[idx], lo, hi)
-        if res is not None:
-            pairs.append(res)
-    if not pairs:
+    idx = np.nonzero((ymax >= lo) & (ymin <= hi))[0]
+    if idx.size == 0:
         return IntervalSet(())
-    w_lo, w_hi = phi.window
-    tol = 1e-9 * max(1.0, w_hi - w_lo)
-    return IntervalSet.from_pairs(pairs, merge_tol=tol)
+    # flat segments and segments inside [lo, hi] are kept whole; the rest need a root
+    xl, xh, ymin, ymax = seg[idx, 5], seg[idx, 6], ymin[idx], ymax[idx]
+    for k in np.nonzero((ymin != ymax) & ((ymin < lo) | (ymax > hi)))[0].tolist():
+        xl[k], xh[k] = _kernels.segment_clip(seg[idx[k]], lo, hi)
+    # segments are ordered in x and clips stay inside them, so a gap opens only
+    # between neighbours; min/max absorb an ulp of overlap at piece ends
+    tol = 1e-9 * max(1.0, phi.window[1] - phi.window[0])
+    starts = np.flatnonzero(np.concatenate(([True], xl[1:] > xh[:-1] + tol)))
+    return IntervalSet(tuple(zip(np.minimum.reduceat(xl, starts).tolist(), np.maximum.reduceat(xh, starts).tolist())))
 
 
 def _sup_preimage_length(phi: LineMap, width: float) -> float:

@@ -352,10 +352,10 @@ def _witness_oracle_lower(delta: float, sp: SpaceParams) -> float:
     return float(np.trapezoid(integrand, hs)) ** (1.0 / sp.q)
 
 
-def check_nec_lipschitz(phi: LineMap, sp: SpaceParams, res: Resolution) -> Fragment:
+def check_nec_lipschitz(phi: LineMap, sp: SpaceParams, res: Resolution, lip: float) -> Fragment:
     """Build the proof's ramp witness at the steepest point and read the
-    implied slope bound off the composed seminorm."""
-    lip = lipschitz_constant(phi)
+    implied slope bound off the composed seminorm; ``lip`` is
+    lipschitz_constant(phi)."""
     if lip < 1e-12:
         return Fragment(
             "nec_lipschitz", passed=True, vacuous=True, note="flat map; vacuous"
@@ -434,18 +434,21 @@ def check_nec_lipschitz(phi: LineMap, sp: SpaceParams, res: Resolution) -> Fragm
 # chain-rule sufficiency machinery
 # ---------------------------------------------------------------------------
 
-def check_sufficiency_chain(phi: LineMap, f: GridFunction, sp: SpaceParams, res: Resolution) -> Fragment:
+def check_sufficiency_chain(
+    phi: LineMap, f: GridFunction, sp: SpaceParams, res: Resolution, lip: float
+) -> Fragment:
     """Compare ||C_phi f||_{B^s} with ||C_phi f||_p + ||phi' . C_phi f'||_{B^{s-1}}
     and measure the pointwise chain-rule residual computed two ways.
 
-    The residual gate scales with Lip(phi)^3: the central-difference
-    truncation of (f o phi)''' grows with the cubed slope.
+    The residual gate scales with Lip(phi)^3 (``lip`` is
+    lipschitz_constant(phi)): the central-difference truncation of
+    (f o phi)''' grows with the cubed slope.
     """
     if not phi.c1:
         raise ValueError("chain-rule check requires a C1 map")
     if not (sp.s > max(1.0, 1.0 / sp.p)):
         raise ValueError("chain-rule check requires s > max(1, 1/p)")
-    residual_tol = CHAIN_RESIDUAL * max(1.0, lipschitz_constant(phi)) ** 3
+    residual_tol = CHAIN_RESIDUAL * max(1.0, lip) ** 3
     composed = sample_composed(f, phi)
     d_direct = grid_derivative(composed)
     fprime = grid_derivative(f)
@@ -469,16 +472,18 @@ def check_sufficiency_chain(phi: LineMap, f: GridFunction, sp: SpaceParams, res:
 # p = infinity witness pair
 # ---------------------------------------------------------------------------
 
-def check_infinity_witness(phi: LineMap, sp: SpaceParams, res: Resolution, opnorm: float) -> Fragment:
+def check_infinity_witness(
+    phi: LineMap, sp: SpaceParams, res: Resolution, opnorm: float, lip: float, phi_prime: GridFunction
+) -> Fragment:
     """Two-stage p = inf witness: linear cutoffs reconstruct ||phi'||_inf on
     preimages, then the zigzag bound dominates the direct B^{s-1} seminorm
-    of phi' through the four translated index-set covers."""
+    of phi' through the four translated index-set covers. ``lip`` is
+    lipschitz_constant(phi) and ``phi_prime`` is phi' sampled on ``res``."""
     if not math.isinf(sp.p):
         raise ValueError("this witness requires p = inf")
     if not (sp.s > 1.0):
         raise ValueError("requires s > 1")
     window = res.window
-    lip = lipschitz_constant(phi)
     ymin, ymax = phi.value_range()
     a_lo = max(ymin, window[0] + 2.0)
     a_hi = min(ymax, window[1] - 2.0)
@@ -491,7 +496,6 @@ def check_infinity_witness(phi: LineMap, sp: SpaceParams, res: Resolution, opnor
         for interval in preimage_intervals(phi, (float(a), float(a) + 1.0)):
             recon = max(recon, linf_on_interval(d, interval))
     down = sp.shifted_down()
-    phi_prime = derivative(phi).sample(res.count)
     direct = res.norm(phi_prime, down, kind="besov_seminorm")
     g_norm = res.norm(zigzag_g(down.m, window, res.count), sp)
     # one l^q term for each of the four translated covers I_m + 2*l*m, l = 0..3
@@ -578,13 +582,13 @@ def classify(
 
     fragments = []
     if math.isinf(sp.p):
-        fragments.append(check_infinity_witness(phi, sp, res, op_val))
+        fragments.append(check_infinity_witness(phi, sp, res, op_val, lip, phi_prime))
     else:
         fragments.append(check_nec_U(phi, sp, res, op_val, uval, kind))
         if kind == "besov":
-            fragments.append(check_nec_lipschitz(phi, sp, res))
+            fragments.append(check_nec_lipschitz(phi, sp, res, lip))
     if phi.c1:
-        fragments.append(check_sufficiency_chain(phi, sample("gaussian", res.window, res.count), sp, res))
+        fragments.append(check_sufficiency_chain(phi, sample("gaussian", res.window, res.count), sp, res, lip))
 
     if math.isinf(uval):
         verdict = "ConsistentUnbounded"

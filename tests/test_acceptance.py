@@ -16,7 +16,9 @@ from besovlab.gadgets import eta_eps, linear_cutoff, plateau, unit_bump
 from besovlab.grid import SpaceParams, catalog_family, sample, lp_norm
 from besovlab.maps import (
     affine_map,
+    derivative,
     identity_map,
+    lipschitz_constant,
     preimage_intervals,
     quadratic_map,
     sin_drift_map,
@@ -185,8 +187,9 @@ def test_A8_unit_interval_necessity():
 def test_A9_chain_rule_residual():
     sp = SpaceParams(2.1, 2.0, 2.0, 3)
     with Timer() as t:
+        phi = sin_drift_map(0.5)
         frag = th.check_sufficiency_chain(
-            sin_drift_map(0.5), sample("gaussian", WINDOW, 2**13 + 1), sp, th.Resolution()
+            phi, sample("gaussian", WINDOW, 2**13 + 1), sp, th.Resolution(), lipschitz_constant(phi)
         )
         residual = frag.values["residual"]
     report("A9", residual < 1e-4, 10, t.elapsed, f"residual {residual:.2e}")
@@ -197,7 +200,9 @@ def test_A10_p_inf_witness():
     with Timer() as t:
         phi = sin_drift_map(0.5)
         res = th.Resolution()
-        frag = th.check_infinity_witness(phi, sp, res, th.opnorm_lower_detailed(phi, sp, res)[0])
+        opnorm = th.opnorm_lower_detailed(phi, sp, res)[0]
+        phi_prime = derivative(phi).sample(res.count)
+        frag = th.check_infinity_witness(phi, sp, res, opnorm, lipschitz_constant(phi), phi_prime)
         recon = frag.values["lip_reconstructed"]
         direct = frag.values["phiprime_seminorm_direct"]
         bound = frag.values["zigzag_bound"]

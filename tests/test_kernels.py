@@ -1,5 +1,6 @@
 """Kernels against scalar reference loops and closed-form oracles."""
 
+import bisect
 import math
 
 import numpy as np
@@ -11,9 +12,11 @@ from besovlab.maps import (
     U_functional,
     affine_map,
     max_preimage_count,
+    preimage_intervals,
     quadratic_map,
     sin_map,
 )
+from besovlab.splitting import IntervalFamily, intersection_degree
 
 
 @pytest.fixture
@@ -105,6 +108,54 @@ def test_sin_preimage_count_and_band_length():
     assert got == pytest.approx(7.0 * math.pi / 3.0, rel=1e-7)
 
 
+def _solve_fixed_steps(row, y):
+    """The bisection as it ran before the convergence exit: N_BISECT steps
+    on the numpy row's scalars."""
+    t0, c0, c1, c2, c3, xlo, xhi, ylo, yhi = row[:9]
+    a, b = xlo, xhi
+    inc = yhi >= ylo
+    for _ in range(K.N_BISECT):
+        mid = 0.5 * (a + b)
+        u = mid - t0
+        fm = c0 + u * (c1 + u * (c2 + u * c3)) - y
+        if (fm <= 0.0) == inc:
+            a = mid
+        else:
+            b = mid
+    return 0.5 * (a + b)
+
+
+def test_solve_mono_matches_the_fixed_step_loop(rng, monkeypatch):
+    seg = _segment_table(rng, 90)
+    cases = []
+    for row in seg[seg[:, 7] != seg[:, 8]]:
+        ymin, ymax = sorted(row[7:9])
+        # interior roots, and roots at both segment ends
+        cases += [(row, y) for y in (*rng.uniform(ymin, ymax, size=4), row[7], row[8])]
+    # roots within 1e-300 of 0, where the step cap binds before convergence
+    for y in (0.0, 1e-300, -1e-300, 5e-324):
+        cases.append((np.array([0.0, 0.0, 1.0, 0.0, 0.0, -1.0, 1.0, -1.0, 1.0]), y))
+        cases.append((np.array([0.0, 0.0, -2.0, 0.0, 0.0, -0.5, 0.75, 1.0, -1.5]), y))
+    poly3 = K._poly3
+    steps = []
+
+    def counted(*args):
+        steps[-1] += 1
+        return poly3(*args)
+
+    monkeypatch.setattr(K, "_poly3", counted)
+    for row, y in cases:
+        want = _solve_fixed_steps(row, y)
+        steps.append(0)
+        got = K._solve_mono_py(row.tolist(), float(y))
+        assert got == want and type(got) is float, (row, y)
+        # the exit fires at float convergence; only roots very near 0 need
+        # more than N_BISECT steps to get there
+        if abs(want) > 1e-3:
+            assert steps[-1] < K.N_BISECT, (row, y)
+    assert max(steps) == K.N_BISECT
+
+
 def test_segment_clip_flat_segment():
     row = np.array([0.0, 2.0, 0.0, 0.0, 0.0, 0.0, 3.0, 2.0, 2.0])
     assert K.segment_clip(row, 1.0, 2.5) == (0.0, 3.0)
@@ -169,6 +220,57 @@ def _reference_classes(lefts, rights):
                 labels[j] = cls
         cls += 1
     return labels
+
+
+def _greedy_numpy_indexed(lefts, rights):
+    """greedy_classes as it ran on numpy arrays, element by element."""
+    lefts = np.ascontiguousarray(lefts, dtype=np.float64)
+    rights = np.ascontiguousarray(rights, dtype=np.float64)
+    n = lefts.shape[0]
+    labels = np.full(n, -1, dtype=np.int64)
+    remaining = n
+    cls = 0
+    while remaining > 0:
+        sel_l: list = []
+        sel_r: list = []
+        for j in range(n):
+            if labels[j] >= 0:
+                continue
+            l, r = lefts[j], rights[j]
+            pos = bisect.bisect_left(sel_l, l)
+            if pos > 0 and sel_r[pos - 1] >= l:
+                continue
+            if pos < len(sel_l) and sel_l[pos] <= r:
+                continue
+            sel_l.insert(pos, l)
+            sel_r.insert(pos, r)
+            labels[j] = cls
+            remaining -= 1
+        cls += 1
+    return labels
+
+
+def _sin_workload_family():
+    """The preimage pieces of 512 unit targets stratified over sin's range
+    and one below it, as the preimage_split benchmark builds them."""
+    phi = sin_map()
+    lo, hi = phi.value_range()
+    starts = (lo - 1.0) + (np.arange(512) + 0.5) * (hi - lo + 1.0) / 512
+    pairs = [iv for a in starts for iv in preimage_intervals(phi, (float(a), float(a) + 1.0))]
+    return IntervalFamily(np.array(pairs))
+
+
+def test_greedy_classes_match_the_numpy_indexed_loop(rng):
+    families = [_sin_workload_family().items]
+    for n, spread in ((1, 1.0), (300, 5.0), (300, 60.0), (2000, 200.0)):
+        lefts = np.round(rng.uniform(0.0, spread, size=n), 1)  # ties and shared endpoints
+        families.append(np.column_stack([lefts, lefts + np.round(rng.exponential(1.0, size=n), 1)]))
+    for items in families:
+        got = K.greedy_classes(items[:, 0], items[:, 1])
+        assert got.dtype == np.int64
+        assert np.array_equal(got, _greedy_numpy_indexed(items[:, 0], items[:, 1]))
+        assert got.max() + 1 <= intersection_degree(IntervalFamily(items)) + 1
+    assert len(families[0]) > 2000 and K.greedy_classes(*families[0].T).max() + 1 > 200
 
 
 def test_greedy_classes_parity(rng):

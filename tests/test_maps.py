@@ -4,9 +4,9 @@ import math
 import numpy as np
 import pytest
 
+from besovlab import _kernels as K
 from besovlab.grid import sample
 from besovlab.maps import (
-    IntervalSet,
     LineMap,
     M_functional,
     U_functional,
@@ -215,11 +215,125 @@ def test_preimage_empty_and_errors():
         preimage_intervals(flat_tail, (15.5, 16.5))
 
 
-def test_interval_set_merging():
-    s = IntervalSet.from_pairs([(0.0, 1.0), (1.0, 2.0), (3.0, 4.0)])
-    assert s.count == 2
-    assert s.total_length == pytest.approx(3.0)
-    assert s.to_json() == [[0.0, 2.0], [3.0, 4.0]]
+def _piecewise_linear(xs, ys):
+    """The continuous piecewise-linear LineMap through (xs, ys), tails of slope 1."""
+    xs, ys = np.asarray(xs, dtype=np.float64), np.asarray(ys, dtype=np.float64)
+    zeros = np.zeros(xs.size - 1)
+    cf = np.column_stack([ys[:-1], np.diff(ys) / np.diff(xs), zeros, zeros])
+    return LineMap(xs, cf, 1.0, 1.0, name="piecewise_linear")
+
+
+def test_preimage_touching_segments_merge():
+    # [1, 2] and [2, 3] lie inside the target band and share x = 2; the dip
+    # below 0 on (3, 4) separates [4, 5]
+    phi = _piecewise_linear([-16, 1, 2, 3, 3.5, 4, 5, 16], [18, 1, 0.5, 0, -1, 0, 1, 12])
+    dec = preimage_intervals(phi, (0.0, 1.0))
+    assert dec.count == 2
+    assert dec.total_length == pytest.approx(3.0, abs=1e-12)
+    assert np.allclose(dec.to_json(), [[1.0, 3.0], [4.0, 5.0]], rtol=0.0, atol=1e-12)
+
+
+def test_preimage_merge_tolerance_is_inclusive():
+    # the zero-width target {0} meets the flat pieces and the ends of a bump
+    # on (1, x2); pieces up to 1e-9 * window width apart merge, farther apart
+    # they do not
+    tol = 1e-9 * 32.0
+    for gap, count in ((tol, 1), (2.0 * tol, 2)):
+        x2 = 1.0 + gap
+        phi = _piecewise_linear([-16.0, 1.0, 1.0 + 0.5 * gap, x2, 16.0], [0.0, 0.0, 1.0, 0.0, 0.0])
+        # the root on the bump's falling side lands exactly on x2
+        assert K.segment_clip(phi.segments()[2], 0.0, 0.0)[0] == x2
+        dec = preimage_intervals(phi, (0.0, 0.0))
+        assert dec.count == count
+        assert dec.intervals[0][0] == -16.0 and dec.intervals[-1][1] == 16.0
+
+
+def _preimage_per_segment(phi, target):
+    """preimage_intervals as it ran before the one-mask screen: every
+    segment that meets the target clipped on its numpy row with N_BISECT
+    fixed bisection steps, then the pairs sorted and merged."""
+    lo, hi = float(target[0]), float(target[1])
+    seg = phi.segments()
+    ymin, ymax = np.minimum(seg[:, 7], seg[:, 8]), np.maximum(seg[:, 7], seg[:, 8])
+
+    def solve(row, y):
+        t0, c0, c1, c2, c3, xlo, xhi, ylo, yhi = row
+        a, b = xlo, xhi
+        for _ in range(K.N_BISECT):
+            mid = 0.5 * (a + b)
+            u = mid - t0
+            if (c0 + u * (c1 + u * (c2 + u * c3)) - y <= 0.0) == (yhi >= ylo):
+                a = mid
+            else:
+                b = mid
+        return 0.5 * (a + b)
+
+    pairs = []
+    for row in seg[(ymax >= lo) & (ymin <= hi)]:
+        xlo, xhi, ylo, yhi = row[5:9]
+        rmin, rmax = min(ylo, yhi), max(ylo, yhi)
+        if rmin == rmax:
+            pairs.append((xlo, xhi))
+            continue
+        inc = yhi >= ylo
+        a, b = max(lo, rmin), min(hi, rmax)
+        xa = (xlo if inc else xhi) if a <= rmin else solve(row, a)
+        xb = (xhi if inc else xlo) if b >= rmax else solve(row, b)
+        pairs.append((min(xa, xb), max(xa, xb)))
+    tol = 1e-9 * max(1.0, phi.window[1] - phi.window[0])
+    merged = []
+    for l, r in sorted((float(l), float(r)) for l, r in pairs):
+        if merged and l <= merged[-1][1] + tol:
+            merged[-1][1] = max(merged[-1][1], r)
+        else:
+            merged.append([l, r])
+    return tuple((l, r) for l, r in merged)
+
+
+@pytest.mark.parametrize("spec", ["sin", "quadratic", "sin_drift:amp=0.5", "sin_drift:amp=1.5", "affine:a=-2,b=1"])
+def test_preimage_intervals_match_the_per_segment_loop(spec):
+    phi = named_map(spec)
+    rng = np.random.default_rng(11)
+    ymin, ymax = phi.value_range()
+    crit = phi.critical_values()
+    crit = crit[np.unique(np.linspace(0, crit.size - 1, 40).astype(int))]
+    targets = [(c, c + 1.0) for c in crit] + [(c - 1.0, c) for c in crit] + [(c, c) for c in crit]
+    targets += [(ymax + 0.5, ymax + 1.5), (ymin - 2.0, ymin - 1.0)]  # miss the range
+    for a in rng.uniform(ymin - 1.0, ymax, size=40):
+        targets.append((a, a + rng.choice([1e-3, 1.0, 2.5])))
+    hits = 0
+    for target in targets:
+        dec = preimage_intervals(phi, target)
+        assert dec.intervals == _preimage_per_segment(phi, target), target
+        hits += dec.count > 0
+    assert hits >= 3 * crit.size  # every target holding a critical value hits
+
+
+def test_preimage_quadratic_closed_form():
+    # phi(x) = x^2 on [-16, 16]: phi^-1([a, a + 1]) is [-sqrt(a+1), -sqrt(a)]
+    # and [sqrt(a), sqrt(a+1)], one interval at a = 0. Measured worst relative
+    # error over a = 0..200 is 6.2e-15; the bound leaves 3x headroom.
+    phi = quadratic_map()
+    for a in range(201):
+        r0, r1 = math.sqrt(a), math.sqrt(a + 1)
+        want = [(-r1, r1)] if a == 0 else [(-r1, -r0), (r0, r1)]
+        np.testing.assert_allclose(preimage_intervals(phi, (a, a + 1.0)).to_json(), want, rtol=2e-14, atol=0.0)
+
+
+@pytest.mark.parametrize("a", [-3.0, -0.5, 0.5, 3.0])
+@pytest.mark.parametrize("b", [0.0, 1.5, -7.25])
+def test_preimage_affine_closed_form(a, b):
+    # phi(x) = a x + b: phi^-1([lo, hi]) is [(lo - b)/a, (hi - b)/a], ordered.
+    # Measured worst absolute error over these maps and targets is 5.3e-15
+    # (about one ulp at |x| < 16, so relative error is unbounded near 0); the
+    # bound leaves 3x headroom.
+    phi = affine_map(a, b)
+    rng = np.random.default_rng(5)
+    ylo, yhi = sorted((-16.0 * a + b, 16.0 * a + b))
+    for lo in rng.uniform(ylo, yhi - 1.0, size=50):
+        hi = lo + rng.uniform(0.0, 1.0)
+        want = [sorted(((lo - b) / a, (hi - b) / a))]
+        np.testing.assert_allclose(preimage_intervals(phi, (lo, hi)).to_json(), want, rtol=0.0, atol=1.6e-14)
 
 
 # ---------------------------------------------------------------------------

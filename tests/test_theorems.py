@@ -12,8 +12,10 @@ from besovlab.maps import (
     U_functional,
     affine_map,
     compose,
+    derivative,
     identity_map,
     inverse_map,
+    lipschitz_constant,
     named_map,
     quadratic_map,
     sample_composed,
@@ -145,38 +147,39 @@ def test_bump_masses_equal_the_compose_loop():
 
 
 def test_nec_lipschitz_identity():
-    frag = check_nec_lipschitz(identity_map(), SP, Resolution())
+    frag = check_nec_lipschitz(identity_map(), SP, Resolution(), 1.0)
     assert frag.passed and not frag.vacuous
     assert frag.values["implied_lip"] == pytest.approx(1.0, rel=0.5)
 
 
 def test_nec_lipschitz_dilation_factor_two():
-    frag = check_nec_lipschitz(affine_map(3.0, 0.0), SP, Resolution())
+    frag = check_nec_lipschitz(affine_map(3.0, 0.0), SP, Resolution(), 3.0)
     assert frag.passed
     assert 1.5 <= frag.values["implied_lip"] <= 6.0  # within factor 2 of 3
 
 
 def test_nec_lipschitz_flat_vacuous():
     flat = LineMap(np.array([-16.0, 16.0]), np.array([[0.0, 0.0, 0, 0]]), 0.0, 0.0)
-    frag = check_nec_lipschitz(flat, SP, Resolution())
+    frag = check_nec_lipschitz(flat, SP, Resolution(), lipschitz_constant(flat))
     assert frag.passed and frag.vacuous
 
 
 def test_chain_identity_exact():
     f = sample("gaussian")
-    frag = check_sufficiency_chain(identity_map(), f, SP, Resolution())
+    frag = check_sufficiency_chain(identity_map(), f, SP, Resolution(), 1.0)
     assert frag.passed
     assert frag.values["residual"] == 0.0
 
 
 def test_chain_zero_function():
-    frag = check_sufficiency_chain(identity_map(), sample("zero"), SP, Resolution())
+    frag = check_sufficiency_chain(identity_map(), sample("zero"), SP, Resolution(), 1.0)
     assert frag.passed
     assert frag.values["lhs"] == 0.0 and frag.values["rhs"] == 0.0
 
 
 def test_chain_sin_drift_residual():
-    frag = check_sufficiency_chain(sin_drift_map(0.5), sample("gaussian"), SP, Resolution())
+    phi = sin_drift_map(0.5)
+    frag = check_sufficiency_chain(phi, sample("gaussian"), SP, Resolution(), lipschitz_constant(phi))
     assert frag.passed
     assert frag.values["residual"] < 1e-4
 
@@ -186,22 +189,26 @@ def test_chain_requires_c1():
     cf = np.array([[-16.0, 1.0, 0, 0], [0.0, 2.0, 0, 0]])
     kinked = LineMap(bp, cf, 1.0, 2.0, c1=False)
     with pytest.raises(ValueError):
-        check_sufficiency_chain(kinked, sample("gaussian"), SP, Resolution())
+        check_sufficiency_chain(kinked, sample("gaussian"), SP, Resolution(), 2.0)
+
+
+def _infinity_witness(phi, sp, res, opnorm=None):
+    """check_infinity_witness with the per-map values classify hands it."""
+    if opnorm is None:
+        opnorm = opnorm_lower_detailed(phi, sp, res)[0]
+    phi_prime = derivative(phi).sample(res.count)
+    return check_infinity_witness(phi, sp, res, opnorm, lipschitz_constant(phi), phi_prime)
 
 
 def test_infinity_witness_identity_degenerate():
-    phi = identity_map()
-    res = Resolution()
-    frag = check_infinity_witness(phi, SP_INF, res, opnorm_lower_detailed(phi, SP_INF, res)[0])
+    frag = _infinity_witness(identity_map(), SP_INF, Resolution())
     assert frag.passed
     assert frag.values["phiprime_seminorm_direct"] == pytest.approx(0.0, abs=1e-9)
     assert frag.values["lip_reconstructed"] == pytest.approx(1.0, rel=1e-6)
 
 
 def test_infinity_witness_affine():
-    phi = affine_map(2.0, 1.0)
-    res = Resolution()
-    frag = check_infinity_witness(phi, SP_INF, res, opnorm_lower_detailed(phi, SP_INF, res)[0])
+    frag = _infinity_witness(affine_map(2.0, 1.0), SP_INF, Resolution())
     assert frag.passed
     assert frag.values["lip_reconstructed"] == pytest.approx(2.0, rel=0.02)
 
@@ -210,14 +217,14 @@ def test_infinity_witness_off_lattice_range():
     # the shift's range puts a_lo = -13.9 off the 0.25 step of the targets a;
     # no target may pass a_hi = 14, where the cutoff support leaves the window
     phi = named_map("shift:c=2.1")
-    frag = check_infinity_witness(phi, SpaceParams(1.5, math.inf, math.inf, 2), Resolution(2**11 + 1), 1.0)
+    frag = _infinity_witness(phi, SpaceParams(1.5, math.inf, math.inf, 2), Resolution(2**11 + 1), 1.0)
     assert frag.passed
     assert frag.values["lip_reconstructed"] == pytest.approx(1.0, rel=1e-9)
 
 
 def test_infinity_witness_requires_p_inf():
     with pytest.raises(ValueError):
-        check_infinity_witness(identity_map(), SP, Resolution(), opnorm=1.0)
+        _infinity_witness(identity_map(), SP, Resolution(), opnorm=1.0)
 
 
 # ---------------------------------------------------------------------------
