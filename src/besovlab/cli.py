@@ -186,8 +186,7 @@ def _write_summary(path, reports):
 def cmd_check(args) -> int:
     sp = parse_space(args.space)
     report = classify(
-        named_map(args.map), sp, kind=args.kind, homeomorphism=args.homeo, seed=args.seed,
-        res=Resolution(args.count),
+        named_map(args.map), sp, kind=args.kind, seed=args.seed, res=Resolution(args.count)
     )
     _dump_records([report.to_json()], args.json)
     if args.csv:
@@ -214,7 +213,7 @@ DEFAULT_SUITE = {
 }
 
 
-def _suite_settings(space, maps, seed=1234, count=DEFAULT_COUNT, kind="besov", homeo=False):
+def _suite_settings(space, maps, seed=1234, count=DEFAULT_COUNT, kind="besov"):
     """The suite config's fields, with their defaults."""
     if not isinstance(maps, list) or not maps or not all(isinstance(spec, str) for spec in maps):
         raise ConfigError(f"suite config: maps must be a nonempty list of map specs, got {maps!r}")
@@ -226,12 +225,10 @@ def _suite_settings(space, maps, seed=1234, count=DEFAULT_COUNT, kind="besov", h
     for key, value in (("seed", seed), ("count", count)):
         if type(value) is not int:
             raise ConfigError(f"suite config: {key} must be an integer, got {value!r}")
-    if type(homeo) is not bool:
-        raise ConfigError(f"suite config: homeo must be true or false, got {homeo!r}")
     for key, value in space.items() if isinstance(space, dict) else ():
         if not is_json_number(value):
             raise ConfigError(f"suite config: space key {key!r} must be a number, got {value!r}")
-    return call_declared("suite space", SpaceParams, space), maps, seed, count, kind, homeo
+    return call_declared("suite space", SpaceParams, space), maps, seed, count, kind
 
 
 def cmd_suite(args) -> int:
@@ -240,12 +237,12 @@ def cmd_suite(args) -> int:
             cfg = json.load(fh)
     else:
         cfg = DEFAULT_SUITE
-    sp, maps, seed, count, kind, homeo = call_declared("suite config", _suite_settings, cfg)
+    sp, maps, seed, count, kind = call_declared("suite config", _suite_settings, cfg)
     res = Resolution(count)  # one grid and norm cache for the whole run
     os.makedirs(args.out, exist_ok=True)
     started = time.time()
     ordered = [
-        classify(named_map(spec), sp, kind=kind, homeomorphism=homeo, seed=seed, res=res)
+        classify(named_map(spec), sp, kind=kind, seed=seed, res=res)
         for spec in sorted(maps)
     ]
 
@@ -296,7 +293,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--map", required=True)
     p.add_argument("--space", required=True)
     p.add_argument("--kind", choices=KINDS, default="besov")
-    p.add_argument("--homeo", action="store_true")
     p.add_argument("--count", type=int, default=DEFAULT_COUNT)
     p.add_argument("--seed", type=int, default=1234)
     p.add_argument("--json", default=None)

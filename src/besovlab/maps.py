@@ -323,7 +323,7 @@ def sin_drift_map(amp: float = 0.5, window=DEFAULT_WINDOW, pieces: int = 512) ->
 
 
 def sin_map(window=(-10.0, 10.0), pieces: int = 400) -> LineMap:
-    return from_callable(np.sin, window, pieces, tails=(1.0, 1.0), name="sin")
+    return from_callable(np.sin, window, pieces, name="sin")
 
 
 def inverse_map(phi: LineMap, pieces: int = 512, samples: int = 2**15 + 1) -> LineMap:
@@ -397,9 +397,11 @@ class LineMapDerivative:
         return self.parent.derivative_values(xs)
 
     def max_jump(self) -> float:
-        cf = self.parent.coeffs
-        ends = _cubic_slope(cf[:-1], np.diff(self.parent.breakpoints)[:-1])
-        return float(np.max(np.abs(ends - cf[1:, 1]), initial=0.0))
+        """Largest jump of phi' at a breakpoint, the two tail junctions included."""
+        phi = self.parent
+        arriving = np.concatenate(([phi.left_slope], _cubic_slope(phi.coeffs, np.diff(phi.breakpoints))))
+        leaving = np.concatenate((phi.coeffs[:, 1], [phi.right_slope]))
+        return float(np.max(np.abs(arriving - leaving)))
 
     def sample(self, count: int = DEFAULT_COUNT) -> GridFunction:
         return sample_fn(self.__call__, self.parent.window, count, Extension.CONSTANT)

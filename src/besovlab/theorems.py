@@ -21,6 +21,12 @@ denominators, the bump norm and the multiplier half of maps that share
 phi' (affine(0.5, 2) and scale(0.5)) are computed once per run. A hit
 returns the stored float, so the arithmetic, and every output, is the same
 with or without sharing.
+
+``classify`` reads phi once, into a ``MapOnGrid``: phi's values at the
+grid points, its Lipschitz constant, its largest preimage count and phi'
+sampled at the grid's count. Every fragment takes that reading, so phi is
+evaluated on the grid once per ``classify``; a witness on the grid is
+composed with phi by reading it at those values.
 """
 
 from __future__ import annotations
@@ -44,6 +50,7 @@ from .grid import (
     Extension,
     FAMILY_NAMES,
     GridFunction,
+    GridMismatchError,
     SpaceParams,
     grid_derivative,
     linf_on_interval,
@@ -54,12 +61,10 @@ from .maps import (
     LineMap,
     M_functional,
     U_functional,
-    compose,
     derivative,
     lipschitz_constant,
     max_preimage_count,
     preimage_intervals,
-    sample_composed,
     steepest_point,
 )
 from .multipliers import (
@@ -100,13 +105,11 @@ class RangeGateError(ValueError):
     """Space parameters fall outside every theorem handled by the lab."""
 
 
-def gate_space(sp: SpaceParams, kind: str = "besov", homeomorphism: bool = False):
+def gate_space(sp: SpaceParams, kind: str = "besov"):
     """Refuse parameter ranges the theorems do not cover, by name."""
     if kind == "sobolev":
         if not (1.0 < sp.p < math.inf):
             raise RangeGateError("Sobolev route requires 1 < p < inf")
-        if not homeomorphism:
-            raise RangeGateError("Sobolev route requires the homeomorphism flag")
         if not (sp.s > 1.0 + 1.0 / sp.p):
             raise RangeGateError(
                 f"Sobolev route requires s > 1 + 1/p = {1.0 + 1.0 / sp.p}"
@@ -164,6 +167,32 @@ class Resolution:
         if value is None:
             value = self._values[key] = self.NORMS[kind](f, sp, hg)
         return value
+
+
+@dataclass(frozen=True)
+class MapOnGrid:
+    """phi read once on ``res``; ``phi_prime`` is phi' at res.count points over phi's own window."""
+
+    phi: LineMap
+    res: Resolution
+    ys: np.ndarray  # phi(res.x)
+    lip: float
+    phi_prime: GridFunction
+
+    @classmethod
+    def read(cls, phi: LineMap, res: Resolution) -> "MapOnGrid":
+        return cls(phi, res, phi(res.x), lipschitz_constant(phi), derivative(phi).sample(res.count))
+
+    @functools.cached_property
+    def npre(self) -> int:  # read on first use: a map flat on its window has no regular value
+        return max_preimage_count(self.phi)
+
+    def compose(self, f: GridFunction) -> GridFunction:
+        """``sample_composed(f, phi)`` for f on the grid of ``res``, read at ``ys``."""
+        if (f.count, f.origin, f.spacing) != (self.res.count, self.res.window[0], self.res.spacing):
+            raise GridMismatchError("f is not sampled on the grid phi was read on")
+        vals = f(self.ys) if f.descriptor is None else np.asarray(f.descriptor(self.ys), dtype=np.float64)
+        return GridFunction(vals, f.spacing, f.origin, f.extension)
 
 
 @dataclass
@@ -257,15 +286,16 @@ def default_witness_family(res: Resolution) -> list[tuple[str, GridFunction]]:
     return fam
 
 
-def opnorm_lower_detailed(phi: LineMap, sp: SpaceParams, res: Resolution, kind: str = "besov"):
+def opnorm_lower_detailed(mg: MapOnGrid, sp: SpaceParams, kind: str = "besov"):
     """max over the witness family of ||C_phi f|| / ||f||; a certified
     lower bound."""
+    res = mg.res
     ratios = []
     for name, f in default_witness_family(res):
         denom = res.norm(f, sp, kind=kind)
         if denom == 0.0:
             continue
-        num = res.norm(sample_composed(f, phi), sp, kind=kind)
+        num = res.norm(mg.compose(f), sp, kind=kind)
         ratios.append((num / denom, name))
     if not ratios:
         raise ValueError("degenerate witness family")
@@ -277,29 +307,24 @@ def opnorm_lower_detailed(phi: LineMap, sp: SpaceParams, res: Resolution, kind: 
 # necessity of the unit-interval distortion bound
 # ---------------------------------------------------------------------------
 
-def composed_bump_masses(phi: LineMap, targets, p: float, res: Resolution) -> list[float]:
-    """||C_phi f_a||_p^p for the unit bump f_a of every target a.
-
-    Every bump lives on the grid of ``res``, so phi is evaluated on it once
-    and each bump is read at those values, as ``compose`` would read it."""
-    ys = phi(res.x)
+def composed_bump_masses(mg: MapOnGrid, targets, p: float) -> list[float]:
+    """||C_phi f_a||_p^p for the unit bump f_a of every target a, each bump
+    interpolated at phi's grid values, as ``compose`` would read it."""
     masses = []
     for a in targets:
-        fa = unit_bump(float(a), res.window, res.count)
-        masses.append(lp_norm(GridFunction(fa(ys), fa.spacing, fa.origin, fa.extension), p) ** p)
+        fa = unit_bump(float(a), mg.res.window, mg.res.count)
+        masses.append(lp_norm(GridFunction(fa(mg.ys), fa.spacing, fa.origin, fa.extension), p) ** p)
     return masses
 
 
-def check_nec_U(
-    phi: LineMap, sp: SpaceParams, res: Resolution, opnorm: float, uval: float, kind: str = "besov"
-) -> Fragment:
+def check_nec_U(mg: MapOnGrid, sp: SpaceParams, opnorm: float, uval: float, kind: str = "besov") -> Fragment:
     """Unit-bump mass transport: ||C_phi f_a||_p^p recovers the preimage
     length of [a, a+1], and U^(1/p) stays below kappa * opnorm * ||bump||."""
     if math.isinf(sp.p):
         raise ValueError("unit-interval necessity check requires p < inf")
-    window = res.window
-    seg = phi.segments()
-    ymin, ymax = phi.value_range()
+    res, window = mg.res, mg.res.window
+    seg = mg.phi.segments()
+    ymin, ymax = mg.phi.value_range()
     # keep witness targets away from the range edges so their preimages stay
     # inside the window (truncated composed mass would fake a violation)
     a_lo = max(ymin + 1.0, window[0])
@@ -307,9 +332,9 @@ def check_nec_U(
     a_grid = np.arange(a_lo, a_hi + A_STEP, A_STEP)
     a_grid = a_grid[(a_grid >= window[0]) & (a_grid + 1.0 <= window[1])]
     lengths = _kernels.preimage_lengths(seg, a_grid, a_grid + 1.0)
-    slack = 2.0 * (max_preimage_count(phi) + 1) * res.spacing
+    slack = 2.0 * (mg.npre + 1) * res.spacing
     resolved = lengths > 4.0 * res.spacing
-    masses = composed_bump_masses(phi, a_grid[resolved], sp.p, res)
+    masses = composed_bump_masses(mg, a_grid[resolved], sp.p)
     worst_margin = min(
         (lhs - (length - slack) for lhs, length in zip(masses, lengths[resolved])), default=math.inf
     )
@@ -352,10 +377,10 @@ def _witness_oracle_lower(delta: float, sp: SpaceParams) -> float:
     return float(np.trapezoid(integrand, hs)) ** (1.0 / sp.q)
 
 
-def check_nec_lipschitz(phi: LineMap, sp: SpaceParams, res: Resolution, lip: float) -> Fragment:
+def check_nec_lipschitz(mg: MapOnGrid, sp: SpaceParams) -> Fragment:
     """Build the proof's ramp witness at the steepest point and read the
-    implied slope bound off the composed seminorm; ``lip`` is
-    lipschitz_constant(phi)."""
+    implied slope bound off the composed seminorm."""
+    phi, res, lip = mg.phi, mg.res, mg.lip
     if lip < 1e-12:
         return Fragment(
             "nec_lipschitz", passed=True, vacuous=True, note="flat map; vacuous"
@@ -374,7 +399,6 @@ def check_nec_lipschitz(phi: LineMap, sp: SpaceParams, res: Resolution, lip: flo
     oracle_ok = True
     details = []
     spacing = res.spacing
-    phi_dom = phi(res.x)
     for delta in LIP_DELTAS:
         c = b + direction * delta
         a = b - 2.0 * direction * delta
@@ -394,7 +418,7 @@ def check_nec_lipschitz(phi: LineMap, sp: SpaceParams, res: Resolution, lip: flo
         shifted = (x0 + res.window[0], x0 + res.window[1])
         f = plateau(x0 - r, x0 + r, max(r * eps, 2.0 * spacing), shifted, res.count)
         composed = GridFunction(
-            np.asarray(f.descriptor(phi_dom)), spacing, res.window[0], Extension.ZERO
+            np.asarray(f.descriptor(mg.ys)), spacing, res.window[0], Extension.ZERO
         )
         lhs = res.norm(composed, sp, kind="besov_seminorm")
         fsemi = res.norm(f, sp, kind="besov_seminorm")
@@ -434,31 +458,28 @@ def check_nec_lipschitz(phi: LineMap, sp: SpaceParams, res: Resolution, lip: flo
 # chain-rule sufficiency machinery
 # ---------------------------------------------------------------------------
 
-def check_sufficiency_chain(
-    phi: LineMap, f: GridFunction, sp: SpaceParams, res: Resolution, lip: float
-) -> Fragment:
+def check_sufficiency_chain(mg: MapOnGrid, f: GridFunction, sp: SpaceParams) -> Fragment:
     """Compare ||C_phi f||_{B^s} with ||C_phi f||_p + ||phi' . C_phi f'||_{B^{s-1}}
     and measure the pointwise chain-rule residual computed two ways.
 
-    The residual gate scales with Lip(phi)^3 (``lip`` is
-    lipschitz_constant(phi)): the central-difference truncation of
-    (f o phi)''' grows with the cubed slope.
+    The residual gate scales with Lip(phi)^3: the central-difference
+    truncation of (f o phi)''' grows with the cubed slope.
     """
-    if not phi.c1:
+    if not mg.phi.c1:
         raise ValueError("chain-rule check requires a C1 map")
     if not (sp.s > max(1.0, 1.0 / sp.p)):
         raise ValueError("chain-rule check requires s > max(1, 1/p)")
-    residual_tol = CHAIN_RESIDUAL * max(1.0, lip) ** 3
-    composed = sample_composed(f, phi)
+    residual_tol = CHAIN_RESIDUAL * max(1.0, mg.lip) ** 3
+    composed = mg.compose(f)
     d_direct = grid_derivative(composed)
     fprime = grid_derivative(f)
-    phip = phi.derivative_values(f.x)
+    phip = mg.phi.derivative_values(f.x)
     d_chain = GridFunction(
-        phip * compose(fprime, phi).samples, f.spacing, f.origin, Extension.ZERO
+        phip * mg.compose(fprime).samples, f.spacing, f.origin, Extension.ZERO
     )
     residual = float(np.max(np.abs(d_direct.samples - d_chain.samples)))
-    lhs = res.norm(composed, sp)
-    rhs = lp_norm(composed, sp.p) + res.norm(d_chain, sp.shifted_down())
+    lhs = mg.res.norm(composed, sp)
+    rhs = lp_norm(composed, sp.p) + mg.res.norm(d_chain, sp.shifted_down())
     ratio = lhs / rhs if rhs > 0.0 else (0.0 if lhs == 0.0 else math.inf)
     passed = residual <= residual_tol and ratio <= KAPPA_CHAIN
     return Fragment(
@@ -472,17 +493,15 @@ def check_sufficiency_chain(
 # p = infinity witness pair
 # ---------------------------------------------------------------------------
 
-def check_infinity_witness(
-    phi: LineMap, sp: SpaceParams, res: Resolution, opnorm: float, lip: float, phi_prime: GridFunction
-) -> Fragment:
+def check_infinity_witness(mg: MapOnGrid, sp: SpaceParams, opnorm: float) -> Fragment:
     """Two-stage p = inf witness: linear cutoffs reconstruct ||phi'||_inf on
     preimages, then the zigzag bound dominates the direct B^{s-1} seminorm
-    of phi' through the four translated index-set covers. ``lip`` is
-    lipschitz_constant(phi) and ``phi_prime`` is phi' sampled on ``res``."""
+    of phi' through the four translated index-set covers."""
     if not math.isinf(sp.p):
         raise ValueError("this witness requires p = inf")
     if not (sp.s > 1.0):
         raise ValueError("requires s > 1")
+    phi, res, lip = mg.phi, mg.res, mg.lip
     window = res.window
     ymin, ymax = phi.value_range()
     a_lo = max(ymin, window[0] + 2.0)
@@ -492,11 +511,11 @@ def check_infinity_witness(
     # an a_lo off the step lattice would put the last target past a_hi
     for a in a_grid[a_grid <= a_hi]:
         fa = linear_cutoff(float(a), 1.0, window, res.count)
-        d = grid_derivative(sample_composed(fa, phi))
+        d = grid_derivative(mg.compose(fa))
         for interval in preimage_intervals(phi, (float(a), float(a) + 1.0)):
             recon = max(recon, linf_on_interval(d, interval))
     down = sp.shifted_down()
-    direct = res.norm(phi_prime, down, kind="besov_seminorm")
+    direct = res.norm(mg.phi_prime, down, kind="besov_seminorm")
     g_norm = res.norm(zigzag_g(down.m, window, res.count), sp)
     # one l^q term for each of the four translated covers I_m + 2*l*m, l = 0..3
     qroot = 1.0 if math.isinf(sp.q) else 4.0 ** (1.0 / sp.q)
@@ -534,12 +553,7 @@ def _window_limited(zs: np.ndarray, vals: np.ndarray) -> bool:
 
 
 def classify(
-    phi: LineMap,
-    sp: SpaceParams,
-    kind: str = "besov",
-    homeomorphism: bool = False,
-    seed: int = 1234,
-    res: Optional[Resolution] = None,
+    phi: LineMap, sp: SpaceParams, kind: str = "besov", seed: int = 1234, res: Optional[Resolution] = None
 ) -> CheckReport:
     """Assemble the geometric functionals, the multiplier estimates of phi',
     and the witness fragments into a verdict for one (map, space) pair.
@@ -549,23 +563,20 @@ def classify(
     t0 = time.perf_counter()
     if res is None:
         res = Resolution()
-    gate_space(sp, kind, homeomorphism)
+    gate_space(sp, kind)
     if kind == "sobolev":
-        # every segment strictly monotone in the direction of the tails; a
-        # flat segment makes the map non-injective
+        # every segment and both tails strictly monotone one way; a flat segment makes phi non-injective
         seg = phi.segments()
-        increasing = np.all(seg[:, 8] > seg[:, 7]) and phi.left_slope > 0 and phi.right_slope > 0
-        decreasing = np.all(seg[:, 8] < seg[:, 7]) and phi.left_slope < 0 and phi.right_slope < 0
-        if not (increasing or decreasing):
+        slopes = np.concatenate([seg[:, 8] - seg[:, 7], [phi.left_slope, phi.right_slope]])
+        if not (np.all(slopes > 0) or np.all(slopes < 0)):
             raise RangeGateError("Sobolev route requires a homeomorphism (strictly monotone map)")
+    mg = MapOnGrid.read(phi, res)
     uval = U_functional(phi)
     mest = M_functional(phi)
-    lip = lipschitz_constant(phi)
-    npre = max_preimage_count(phi)
-    op_val, op_arg, _ = opnorm_lower_detailed(phi, sp, res, kind)
+    op_val, op_arg, _ = opnorm_lower_detailed(mg, sp, kind)
 
     down = sp.shifted_down()
-    phi_prime = derivative(phi).sample(res.count)
+    phi_prime = mg.phi_prime
     psi = make_psi("mollifier")
     norm_fn = functools.partial(res.norm, kind=kind)
     zs, zvals = unif_profile(phi_prime, down, psi, norm_fn=norm_fn)
@@ -582,13 +593,13 @@ def classify(
 
     fragments = []
     if math.isinf(sp.p):
-        fragments.append(check_infinity_witness(phi, sp, res, op_val, lip, phi_prime))
+        fragments.append(check_infinity_witness(mg, sp, op_val))
     else:
-        fragments.append(check_nec_U(phi, sp, res, op_val, uval, kind))
+        fragments.append(check_nec_U(mg, sp, op_val, uval, kind))
         if kind == "besov":
-            fragments.append(check_nec_lipschitz(phi, sp, res, lip))
+            fragments.append(check_nec_lipschitz(mg, sp))
     if phi.c1:
-        fragments.append(check_sufficiency_chain(phi, sample("gaussian", res.window, res.count), sp, res, lip))
+        fragments.append(check_sufficiency_chain(mg, sample("gaussian", res.window, res.count), sp))
 
     if math.isinf(uval):
         verdict = "ConsistentUnbounded"
@@ -611,8 +622,8 @@ def classify(
         "M_value": mest.value if not mest.infinite else None,
         "M_infinite": mest.infinite,
         "M_ladder": [list(pair) for pair in zip(mest.widths, mest.sups)],
-        "lip": lip,
-        "max_preimage": npre,
+        "lip": mg.lip,
+        "max_preimage": mg.npre,
         "opnorm_lower": op_val,
         "opnorm_argmax": op_arg,
         "phiprime_unif": unif_val,
@@ -622,7 +633,7 @@ def classify(
         "window_limited": window_limited,
         "note": note,
     }
-    report = CheckReport(
+    return CheckReport(
         map_name=phi.name,
         space=sp.as_dict(),
         kind=kind,
@@ -634,4 +645,3 @@ def classify(
         grid={"count": res.count, "window": list(res.window), "hgrid_levels": DEFAULT_HGRID.levels},
         seed=seed,
     )
-    return report

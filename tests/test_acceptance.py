@@ -16,9 +16,7 @@ from besovlab.gadgets import eta_eps, linear_cutoff, plateau, unit_bump
 from besovlab.grid import SpaceParams, catalog_family, sample, lp_norm
 from besovlab.maps import (
     affine_map,
-    derivative,
     identity_map,
-    lipschitz_constant,
     preimage_intervals,
     quadratic_map,
     sin_drift_map,
@@ -178,7 +176,7 @@ def test_A8_unit_interval_necessity():
             affine_map(2.0, 0.0),
             sin_drift_map(0.5),
         ):
-            op = th.opnorm_lower_detailed(phi, sp, th.Resolution())[0]
+            op = th.opnorm_lower_detailed(th.MapOnGrid.read(phi, th.Resolution()), sp)[0]
             kappas.append(U_functional(phi) ** 0.5 / (op * bump_norm))
         kappa = max(kappas)
     report("A8", kappa <= 3.0, 120, t.elapsed, f"kappa = {kappa:.4f} (<= 3)")
@@ -187,10 +185,8 @@ def test_A8_unit_interval_necessity():
 def test_A9_chain_rule_residual():
     sp = SpaceParams(2.1, 2.0, 2.0, 3)
     with Timer() as t:
-        phi = sin_drift_map(0.5)
-        frag = th.check_sufficiency_chain(
-            phi, sample("gaussian", WINDOW, 2**13 + 1), sp, th.Resolution(), lipschitz_constant(phi)
-        )
+        mg = th.MapOnGrid.read(sin_drift_map(0.5), th.Resolution())
+        frag = th.check_sufficiency_chain(mg, sample("gaussian", WINDOW, 2**13 + 1), sp)
         residual = frag.values["residual"]
     report("A9", residual < 1e-4, 10, t.elapsed, f"residual {residual:.2e}")
 
@@ -198,11 +194,8 @@ def test_A9_chain_rule_residual():
 def test_A10_p_inf_witness():
     sp = SpaceParams(1.5, math.inf, 2.0, 2)
     with Timer() as t:
-        phi = sin_drift_map(0.5)
-        res = th.Resolution()
-        opnorm = th.opnorm_lower_detailed(phi, sp, res)[0]
-        phi_prime = derivative(phi).sample(res.count)
-        frag = th.check_infinity_witness(phi, sp, res, opnorm, lipschitz_constant(phi), phi_prime)
+        mg = th.MapOnGrid.read(sin_drift_map(0.5), th.Resolution())
+        frag = th.check_infinity_witness(mg, sp, th.opnorm_lower_detailed(mg, sp)[0])
         recon = frag.values["lip_reconstructed"]
         direct = frag.values["phiprime_seminorm_direct"]
         bound = frag.values["zigzag_bound"]

@@ -145,10 +145,25 @@ def test_check_sobolev_flat_piece_exit_3(tmp_path, capsys):
     path.write_text(json.dumps({"pieces": [{"interval": i, "coeffs": c} for i, c in pieces]}))
     code, _, err = run(
         capsys, "check", "--map", str(path), "--space", "s=2.1,p=2,q=2,m=3",
-        "--kind", "sobolev", "--homeo", "--count", "2049",
+        "--kind", "sobolev", "--count", "2049",
     )
     assert code == 3
     assert "homeomorphism" in err
+
+
+def test_check_sobolev_runs_without_a_flag(tmp_path, capsys):
+    path = tmp_path / "report.json"
+    code, _, _ = run(
+        capsys, "check", "--map", "sin_drift", "--space", "s=2.1,p=2,q=2,m=3",
+        "--kind", "sobolev", "--count", "2049", "--json", str(path),
+    )
+    assert code == 0
+    assert json.loads(path.read_text())[0]["verdict"] == "ConsistentBounded"
+    # the removed --homeo is a usage error
+    with pytest.raises(SystemExit) as exc:
+        main(["check", "--map", "sin_drift", "--space", "s=2.1,p=2,q=2,m=3", "--kind", "sobolev", "--homeo"])
+    assert exc.value.code == 2
+    assert "--homeo" in capsys.readouterr().err
 
 
 # each malformed map file is refused with the key it names
@@ -290,7 +305,7 @@ BAD_SUITE = {
     "count 1025.7": ({"count": 1025.7}, "count"),
     "count a string": ({"count": "1025"}, "count"),
     "count 1": ({"count": 1}, "count"),
-    "homeo a string": ({"kind": "sobolev", "homeo": "false"}, "homeo"),
+    "homeo is not a key": ({"kind": "sobolev", "homeo": True}, "'homeo'"),
     "space s a string": ({"space": dict(SUITE_SPACE, s="2.1")}, "'s'"),
     "space m a bool": ({"space": dict(SUITE_SPACE, m=True)}, "'m'"),
     "space q a bool": ({"space": dict(SUITE_SPACE, q=True)}, "'q'"),

@@ -1,7 +1,8 @@
 """Every name a besovlab module imports is used in that module, every name
 it defines at top level is used somewhere in the project, the package
 reads no environment variable that is not declared here, and the fragments
-in theorems.py read their grid from one Resolution."""
+in theorems.py read their grid from one Resolution and their map from one
+MapOnGrid."""
 
 import ast
 from pathlib import Path
@@ -141,20 +142,26 @@ GRID_DEFAULTS = {"DEFAULT_WINDOW", "DEFAULT_COUNT"}
 GRID_PARAMETERS = {"hg", "window", "memo"}
 
 
-def _grid_outside_resolution(source: str) -> list[str]:
-    """Reads of GRID_DEFAULTS and parameters named in GRID_PARAMETERS
-    outside the ``Resolution`` class of ``source``."""
+def _outside_class(source: str, owner: str, names=(), parameters=(), calls=()) -> list[str]:
+    """Outside the class ``owner`` of ``source``: reads of ``names``,
+    parameters named in ``parameters`` and calls of the functions ``calls``."""
     found, stack = [], [ast.parse(source)]
     while stack:
         node = stack.pop()
-        if isinstance(node, ast.ClassDef) and node.name == "Resolution":
+        if isinstance(node, ast.ClassDef) and node.name == owner:
             continue
-        if isinstance(node, ast.Name) and node.id in GRID_DEFAULTS:
+        if isinstance(node, ast.Name) and node.id in names:
             found.append(f"{node.id} (line {node.lineno})")
-        elif isinstance(node, ast.arg) and node.arg in GRID_PARAMETERS:
+        elif isinstance(node, ast.arg) and node.arg in parameters:
             found.append(f"parameter {node.arg} (line {node.lineno})")
+        elif isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id in calls:
+            found.append(f"call {node.func.id} (line {node.lineno})")
         stack.extend(ast.iter_child_nodes(node))
     return sorted(found)
+
+
+def _grid_outside_resolution(source: str) -> list[str]:
+    return _outside_class(source, "Resolution", names=GRID_DEFAULTS, parameters=GRID_PARAMETERS)
 
 
 def test_theorems_reads_its_grid_from_resolution():
@@ -172,3 +179,32 @@ def test_theorems_reads_its_grid_from_resolution():
 )
 def test_grid_guard_sees_each_form(source, want):
     assert _grid_outside_resolution(source) == want
+
+
+# theorems.py: phi's per-map values are read in MapOnGrid, once per classify,
+# and no function outside it takes them loose
+MAP_READS = {"lipschitz_constant", "max_preimage_count", "derivative", "sample_composed", "compose"}
+MAP_PARAMETERS = {"lip", "phi_prime"}
+
+
+def _map_outside_reading(source: str) -> list[str]:
+    return _outside_class(source, "MapOnGrid", parameters=MAP_PARAMETERS, calls=MAP_READS)
+
+
+def test_theorems_reads_each_map_once():
+    assert _map_outside_reading((PACKAGE / "theorems.py").read_text()) == []
+
+
+@pytest.mark.parametrize(
+    "source, want",
+    [
+        ("class MapOnGrid:\n    def read(phi, lip=1):\n        return derivative(phi)", []),
+        ("def f(phi):\n    return lipschitz_constant(phi)", ["call lipschitz_constant (line 2)"]),
+        ("g = compose(f, phi)", ["call compose (line 1)"]),
+        ("g = mg.compose(f)", []),
+        ("def f(mg, *, phi_prime): pass", ["parameter phi_prime (line 1)"]),
+        ("h = lambda phi, lip: 0", ["parameter lip (line 1)"]),
+    ],
+)
+def test_map_guard_sees_each_form(source, want):
+    assert _map_outside_reading(source) == want

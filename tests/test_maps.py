@@ -8,6 +8,7 @@ from besovlab import _kernels as K
 from besovlab.grid import sample
 from besovlab.maps import (
     LineMap,
+    LineMapDerivative,
     M_functional,
     U_functional,
     UnboundedPreimageError,
@@ -163,6 +164,22 @@ def test_derivative_c1_flag_jump_error():
     bad = LineMap(phi.breakpoints, phi.coeffs, 0.5, 1.0, c1=True)
     with pytest.raises(ValueError):
         derivative(bad)
+
+
+@pytest.mark.parametrize("tails", [(1.0, 2.0), (2.0, 1.0)], ids=["right", "left"])
+def test_derivative_c1_flag_tail_jump_error(tails):
+    # slope 1 on the window; a C1-flagged tail of slope 2 is a jump of 1 at that edge
+    phi = LineMap(np.array([-16.0, 16.0]), np.array([[-16.0, 1.0, 0, 0]]), *tails, c1=True)
+    assert LineMapDerivative(phi).max_jump() == 1.0
+    with pytest.raises(ValueError, match="jump 1"):
+        derivative(phi)
+
+
+def test_sin_tails_take_the_spline_end_slopes():
+    phi = sin_map()
+    assert derivative(phi).max_jump() < 1e-9  # the tails included
+    assert phi.left_slope == pytest.approx(math.cos(10.0), abs=1e-3)
+    assert phi.right_slope == pytest.approx(math.cos(10.0), abs=1e-3)
 
 
 def test_lipschitz_values():

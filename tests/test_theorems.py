@@ -6,16 +6,16 @@ import numpy as np
 import pytest
 
 from besovlab.gadgets import unit_bump
-from besovlab.grid import Extension, GridFunction, SpaceParams, lp_norm, sample
+from besovlab.grid import Extension, GridFunction, GridMismatchError, SpaceParams, grid_derivative, lp_norm, sample
 from besovlab.maps import (
     LineMap,
     U_functional,
     affine_map,
     compose,
-    derivative,
     identity_map,
     inverse_map,
     lipschitz_constant,
+    max_preimage_count,
     named_map,
     quadratic_map,
     sample_composed,
@@ -24,6 +24,7 @@ from besovlab.maps import (
 from besovlab.norms import DEFAULT_HGRID, besov_norm_diff, besov_seminorm_diff, sobolev_norm_diff
 from besovlab.theorems import (
     CheckReport,
+    MapOnGrid,
     RangeGateError,
     Resolution,
     check_infinity_witness,
@@ -67,11 +68,9 @@ def test_gate_p_inf_and_sobolev():
     gate_space(SpaceParams(1.5, math.inf, 2.0, 2))
     with pytest.raises(RangeGateError):
         gate_space(SpaceParams(0.9, math.inf, 2.0, 1))
-    gate_space(SP, kind="sobolev", homeomorphism=True)
-    with pytest.raises(RangeGateError, match="homeomorphism"):
-        gate_space(SP, kind="sobolev", homeomorphism=False)
+    gate_space(SP, kind="sobolev")
     with pytest.raises(RangeGateError):
-        gate_space(SpaceParams(2.1, math.inf, 2.0, 3), kind="sobolev", homeomorphism=True)
+        gate_space(SpaceParams(2.1, math.inf, 2.0, 3), kind="sobolev")
 
 
 # ---------------------------------------------------------------------------
@@ -79,16 +78,17 @@ def test_gate_p_inf_and_sobolev():
 # ---------------------------------------------------------------------------
 
 def test_opnorm_identity_exact():
-    assert opnorm_lower_detailed(identity_map(), SP, Resolution())[0] == 1.0
+    assert opnorm_lower_detailed(MapOnGrid.read(identity_map(), Resolution()), SP)[0] == 1.0
 
 
 def test_opnorm_translation_invariance():
-    assert opnorm_lower_detailed(affine_map(1.0, 1.0), SP, Resolution())[0] == pytest.approx(1.0, abs=1e-9)
+    mg = MapOnGrid.read(affine_map(1.0, 1.0), Resolution())
+    assert opnorm_lower_detailed(mg, SP)[0] == pytest.approx(1.0, abs=1e-9)
 
 
 def test_opnorm_dilation_monotone():
     res = Resolution()
-    vals = [opnorm_lower_detailed(affine_map(lam, 0.0), SP, res)[0] for lam in (1.0, 1.5, 2.0, 3.0)]
+    vals = [opnorm_lower_detailed(MapOnGrid.read(affine_map(lam, 0.0), res), SP)[0] for lam in (1, 1.5, 2, 3)]
     assert all(a <= b + 1e-12 for a, b in zip(vals, vals[1:]))
 
 
@@ -99,7 +99,7 @@ def test_witness_family_members_are_distinct():
 
 
 def test_opnorm_detail_records_argmax():
-    val, arg, ratios = opnorm_lower_detailed(affine_map(2.0, 0.0), SP, Resolution())
+    val, arg, ratios = opnorm_lower_detailed(MapOnGrid.read(affine_map(2.0, 0.0), Resolution()), SP)
     assert val == max(r for r, _ in ratios)
     assert any(arg == n for _, n in ratios)
 
@@ -110,7 +110,7 @@ def test_opnorm_detail_records_argmax():
 
 def test_nec_U_identity():
     phi = identity_map()
-    frag = check_nec_U(phi, SP, Resolution(), opnorm=1.0, uval=U_functional(phi))
+    frag = check_nec_U(MapOnGrid.read(phi, Resolution()), SP, opnorm=1.0, uval=U_functional(phi))
     assert frag.passed
     assert frag.values["U"] == pytest.approx(1.0, abs=1e-9)
     assert frag.values["kappa_required"] <= 3.0
@@ -118,8 +118,8 @@ def test_nec_U_identity():
 
 def test_nec_U_halving_map():
     phi = affine_map(0.5, 0.0)
-    res = Resolution()
-    frag = check_nec_U(phi, SP, res, opnorm_lower_detailed(phi, SP, res)[0], U_functional(phi))
+    mg = MapOnGrid.read(phi, Resolution())
+    frag = check_nec_U(mg, SP, opnorm_lower_detailed(mg, SP)[0], U_functional(phi))
     assert frag.passed
     assert frag.values["U"] == pytest.approx(2.0, abs=1e-9)
     assert frag.values["witness_worst_margin"] >= -1e-9
@@ -127,13 +127,13 @@ def test_nec_U_halving_map():
 
 def test_nec_U_requires_finite_p():
     with pytest.raises(ValueError):
-        check_nec_U(identity_map(), SP_INF, Resolution(), opnorm=1.0, uval=1.0)
+        check_nec_U(MapOnGrid.read(identity_map(), Resolution()), SP_INF, opnorm=1.0, uval=1.0)
 
 
 def test_nec_U_flat_tail_fails():
     phi = flat_right_tail()
-    res = Resolution()
-    frag = check_nec_U(phi, SP, res, opnorm_lower_detailed(phi, SP, res)[0], U_functional(phi))
+    mg = MapOnGrid.read(phi, Resolution())
+    frag = check_nec_U(mg, SP, opnorm_lower_detailed(mg, SP)[0], U_functional(phi))
     assert not frag.passed
     assert math.isinf(frag.values["U"])
 
@@ -141,45 +141,44 @@ def test_nec_U_flat_tail_fails():
 def test_bump_masses_equal_the_compose_loop():
     phi = named_map("affine:a=0.5,b=2")
     targets = np.arange(-13.0, 12.0, 0.25)
-    masses = composed_bump_masses(phi, targets, SP.p, Resolution())
+    masses = composed_bump_masses(MapOnGrid.read(phi, Resolution()), targets, SP.p)
     loop = [lp_norm(compose(unit_bump(float(a)), phi), SP.p) ** SP.p for a in targets]
     assert masses == loop
 
 
 def test_nec_lipschitz_identity():
-    frag = check_nec_lipschitz(identity_map(), SP, Resolution(), 1.0)
+    frag = check_nec_lipschitz(MapOnGrid.read(identity_map(), Resolution()), SP)
     assert frag.passed and not frag.vacuous
     assert frag.values["implied_lip"] == pytest.approx(1.0, rel=0.5)
 
 
 def test_nec_lipschitz_dilation_factor_two():
-    frag = check_nec_lipschitz(affine_map(3.0, 0.0), SP, Resolution(), 3.0)
+    frag = check_nec_lipschitz(MapOnGrid.read(affine_map(3.0, 0.0), Resolution()), SP)
     assert frag.passed
     assert 1.5 <= frag.values["implied_lip"] <= 6.0  # within factor 2 of 3
 
 
 def test_nec_lipschitz_flat_vacuous():
     flat = LineMap(np.array([-16.0, 16.0]), np.array([[0.0, 0.0, 0, 0]]), 0.0, 0.0)
-    frag = check_nec_lipschitz(flat, SP, Resolution(), lipschitz_constant(flat))
+    frag = check_nec_lipschitz(MapOnGrid.read(flat, Resolution()), SP)
     assert frag.passed and frag.vacuous
 
 
 def test_chain_identity_exact():
     f = sample("gaussian")
-    frag = check_sufficiency_chain(identity_map(), f, SP, Resolution(), 1.0)
+    frag = check_sufficiency_chain(MapOnGrid.read(identity_map(), Resolution()), f, SP)
     assert frag.passed
     assert frag.values["residual"] == 0.0
 
 
 def test_chain_zero_function():
-    frag = check_sufficiency_chain(identity_map(), sample("zero"), SP, Resolution(), 1.0)
+    frag = check_sufficiency_chain(MapOnGrid.read(identity_map(), Resolution()), sample("zero"), SP)
     assert frag.passed
     assert frag.values["lhs"] == 0.0 and frag.values["rhs"] == 0.0
 
 
 def test_chain_sin_drift_residual():
-    phi = sin_drift_map(0.5)
-    frag = check_sufficiency_chain(phi, sample("gaussian"), SP, Resolution(), lipschitz_constant(phi))
+    frag = check_sufficiency_chain(MapOnGrid.read(sin_drift_map(0.5), Resolution()), sample("gaussian"), SP)
     assert frag.passed
     assert frag.values["residual"] < 1e-4
 
@@ -189,26 +188,20 @@ def test_chain_requires_c1():
     cf = np.array([[-16.0, 1.0, 0, 0], [0.0, 2.0, 0, 0]])
     kinked = LineMap(bp, cf, 1.0, 2.0, c1=False)
     with pytest.raises(ValueError):
-        check_sufficiency_chain(kinked, sample("gaussian"), SP, Resolution(), 2.0)
-
-
-def _infinity_witness(phi, sp, res, opnorm=None):
-    """check_infinity_witness with the per-map values classify hands it."""
-    if opnorm is None:
-        opnorm = opnorm_lower_detailed(phi, sp, res)[0]
-    phi_prime = derivative(phi).sample(res.count)
-    return check_infinity_witness(phi, sp, res, opnorm, lipschitz_constant(phi), phi_prime)
+        check_sufficiency_chain(MapOnGrid.read(kinked, Resolution()), sample("gaussian"), SP)
 
 
 def test_infinity_witness_identity_degenerate():
-    frag = _infinity_witness(identity_map(), SP_INF, Resolution())
+    mg = MapOnGrid.read(identity_map(), Resolution())
+    frag = check_infinity_witness(mg, SP_INF, opnorm_lower_detailed(mg, SP_INF)[0])
     assert frag.passed
     assert frag.values["phiprime_seminorm_direct"] == pytest.approx(0.0, abs=1e-9)
     assert frag.values["lip_reconstructed"] == pytest.approx(1.0, rel=1e-6)
 
 
 def test_infinity_witness_affine():
-    frag = _infinity_witness(affine_map(2.0, 1.0), SP_INF, Resolution())
+    mg = MapOnGrid.read(affine_map(2.0, 1.0), Resolution())
+    frag = check_infinity_witness(mg, SP_INF, opnorm_lower_detailed(mg, SP_INF)[0])
     assert frag.passed
     assert frag.values["lip_reconstructed"] == pytest.approx(2.0, rel=0.02)
 
@@ -217,14 +210,15 @@ def test_infinity_witness_off_lattice_range():
     # the shift's range puts a_lo = -13.9 off the 0.25 step of the targets a;
     # no target may pass a_hi = 14, where the cutoff support leaves the window
     phi = named_map("shift:c=2.1")
-    frag = _infinity_witness(phi, SpaceParams(1.5, math.inf, math.inf, 2), Resolution(2**11 + 1), 1.0)
+    mg = MapOnGrid.read(phi, Resolution(2**11 + 1))
+    frag = check_infinity_witness(mg, SpaceParams(1.5, math.inf, math.inf, 2), 1.0)
     assert frag.passed
     assert frag.values["lip_reconstructed"] == pytest.approx(1.0, rel=1e-9)
 
 
 def test_infinity_witness_requires_p_inf():
     with pytest.raises(ValueError):
-        _infinity_witness(identity_map(), SP, Resolution(), opnorm=1.0)
+        check_infinity_witness(MapOnGrid.read(identity_map(), Resolution()), SP, opnorm=1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -265,10 +259,11 @@ def test_classify_p_inf_route():
 
 
 def test_classify_sobolev_route():
-    rep = classify(sin_drift_map(0.5), SP, kind="sobolev", homeomorphism=True)
+    # the route runs on every homeomorphism, read off the segment table; no flag asks for it
+    rep = classify(sin_drift_map(0.5), SP, kind="sobolev")
     assert rep.verdict == "ConsistentBounded"
-    with pytest.raises(RangeGateError):
-        classify(quadratic_map(), SP, kind="sobolev", homeomorphism=True)
+    with pytest.raises(RangeGateError, match="homeomorphism"):
+        classify(quadratic_map(), SP, kind="sobolev")
 
 
 def test_classify_sobolev_refuses_a_flat_piece():
@@ -280,7 +275,7 @@ def test_classify_sobolev_refuses_a_flat_piece():
         1.0,
     )
     with pytest.raises(RangeGateError, match="homeomorphism"):
-        classify(phi, SP, kind="sobolev", homeomorphism=True, res=Resolution(2**11 + 1))
+        classify(phi, SP, kind="sobolev", res=Resolution(2**11 + 1))
 
 
 def test_classify_threads_count_into_fragments():
@@ -380,3 +375,37 @@ def test_resolution_key_separates_extension_space_and_kind():
     # a hit returns the stored value and adds no entry
     assert res.norm(f_const, SP, kind="besov_seminorm") == want[1]
     assert len(res) == len(want)
+
+
+# ---------------------------------------------------------------------------
+# the per-map reading: phi evaluated on the grid once per classify
+# ---------------------------------------------------------------------------
+
+def test_reading_holds_the_per_map_values():
+    res = Resolution(2**10 + 1)
+    phi = sin_drift_map(0.5)
+    mg = MapOnGrid.read(phi, res)
+    assert np.array_equal(mg.ys, phi(res.x))
+    assert (mg.lip, mg.npre) == (lipschitz_constant(phi), max_preimage_count(phi))
+    f = sample("gauss_cos", res.window, res.count)
+    assert np.array_equal(mg.compose(f).samples, sample_composed(f, phi).samples)
+    fprime = grid_derivative(f)  # no descriptor: interpolated, as compose reads it
+    assert np.array_equal(mg.compose(fprime).samples, compose(fprime, phi).samples)
+    with pytest.raises(GridMismatchError):
+        mg.compose(sample("gaussian", res.window, res.count + 1))
+
+
+@pytest.mark.parametrize("sp", [SP, SP_INF], ids=["p=2", "p=inf"])
+def test_classify_evaluates_phi_on_the_grid_once(sp, monkeypatch):
+    res = Resolution()
+    on_grid = []
+    call = LineMap.__call__
+
+    def counting(self, xs):
+        if np.ndim(xs) == 1 and len(xs) == res.count:
+            on_grid.append(self.name)
+        return call(self, xs)
+
+    monkeypatch.setattr(LineMap, "__call__", counting)
+    classify(named_map("sin_drift:amp=0.5"), sp, res=res)
+    assert on_grid == ["sin_drift(0.5)"]
