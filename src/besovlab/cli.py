@@ -141,10 +141,11 @@ def cmd_norm(args) -> int:
 
 def cmd_map(args) -> int:
     phi = named_map(args.map)
-    mest = M_functional(phi)
+    uval = U_functional(phi)
+    mest = M_functional(phi, uval)
     record = {
         "map": phi.name,
-        "U": U_functional(phi),
+        "U": uval,
         "M": None if mest.infinite else mest.value,
         "M_infinite": mest.infinite,
         "M_ladder": [list(p) for p in zip(mest.widths, mest.sups)],

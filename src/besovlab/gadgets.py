@@ -111,12 +111,17 @@ def zigzag_value(m: int) -> Callable:
     return fn
 
 
+def zigzag_window_length(m: int) -> int:
+    """The shortest window zigzag_g(m, ...) accepts: two 8m-periods."""
+    return 32 * m
+
+
 def _require_two_periods(m: int, window):
     if m < 1:
         raise ValueError("m must be a positive integer")
     lo, hi = window
-    if hi - lo < 32.0 * m:
-        raise ValueError(f"window must cover two 8m-periods (need length >= {32 * m})")
+    if hi - lo < zigzag_window_length(m):
+        raise ValueError(f"window must cover two 8m-periods (need length >= {zigzag_window_length(m)})")
 
 
 def _window_taper(m: int, window):

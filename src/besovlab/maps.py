@@ -501,16 +501,18 @@ def U_functional(phi: LineMap) -> float:
     return _sup_preimage_length(phi, 1.0)
 
 
-def M_functional(phi: LineMap) -> MEstimate:
+def M_functional(phi: LineMap, uval: Optional[float] = None) -> MEstimate:
     """Ladder search for sup_I |I|^-1 |phi^-1(I)| over widths 2^0 .. 2^-M_LEVELS.
 
-    The infinite flag fires when the ladder exceeds 10x its width-1 rung and
-    is still increasing at the resolution floor.
+    The width-1 rung is U(phi); a caller that has computed it passes it as
+    ``uval``. The infinite flag fires when the ladder exceeds 10x its width-1
+    rung and is still increasing at the resolution floor.
     """
     if phi.left_slope == 0.0 or phi.right_slope == 0.0:
         return MEstimate(math.inf, True, [], [])
     widths = [2.0**-k for k in range(M_LEVELS + 1)]
-    sups = [_sup_preimage_length(phi, w) / w for w in widths]
+    sups = [_sup_preimage_length(phi, 1.0) if uval is None else uval]
+    sups += [_sup_preimage_length(phi, w) / w for w in widths[1:]]
     infinite = sups[-1] > 10.0 * sups[0] and sups[-1] > sups[-2]
     return MEstimate(math.inf if infinite else max(sups), infinite, widths, sups)
 
@@ -527,7 +529,7 @@ def max_preimage_count(phi: LineMap) -> int:
     yhi = np.maximum(seg[:, 7], seg[:, 8])
     nondeg = yhi > ylo
     if not nondeg.any():
-        raise ValueError("map is flat on the window; regular values do not exist")
+        return 0  # flat on the window: every other value is regular, with no preimage
     crit = np.unique(np.concatenate([ylo[nondeg], yhi[nondeg]]))
     mids = 0.5 * (crit[:-1] + crit[1:])
     counts = (

@@ -15,10 +15,13 @@ about 1e-3 once w spans 64 cells, at most 3.3e-3 (s = 1.5, w = 2), a bias
 of the h-quadrature that refining to 2^15+1 samples leaves; at 8 cells the
 sampling error dominates (+7.4e-2 at s = 2.6).
 
-A difference table (one stencil row per node) is never held whole: its
-rows stream through _BLOCK_ROWS-row blocks that are reduced in place, so a
-norm at 2^15+1 samples touches about 1 MB of table instead of 21 MB, with
-every value bit-identical to a whole-table pass.
+A difference table (one stencil row per node) is never held whole: one row
+buffer is filled and reduced per node, so a norm at 2^15+1 samples touches
+a few rows instead of a 21 MB table. Each row evaluates its stencil, |.|
+and ^p only on its live columns, the ones with a read where f differs from
+its extension values (most witnesses are compactly supported); the other
+columns take the constant's value, and the sum or max still runs over the
+whole row, so every value is bit-identical to a whole-table pass.
 
 The Fourier paths take the real half spectrum (rfft/irfft). Every band
 mask and the Sobolev lift depend on |xi| only, so this is the same operator
@@ -28,6 +31,7 @@ most 1.8e-15 relative over the catalog family (tests bound it at 1e-13).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -41,10 +45,6 @@ LN2 = math.log(2.0)
 # above this ratio the function is unresolved at the floor and no tail is
 # added (the extrapolation would otherwise manufacture most of the value)
 TAIL_RATIO_CAP = 0.95
-# stencil rows per block of a difference table; of 1, 2, 4, 8, 16 and 80
-# rows, 4 ran fastest at both 2^13+1 and 2^15+1 samples (a 1 MB block at
-# 2^15+1, reduced while it is still in cache)
-_BLOCK_ROWS = 4
 
 
 @dataclass(frozen=True)
@@ -84,29 +84,33 @@ class DyadicHGrid:
         Nodes >= spacing are snapped to grid multiples; nodes below one
         spacing are dropped (their mass goes to the extrapolated tail), so
         levels stop at the first one without a kept node. Both signs are
-        emitted for every node.
+        emitted for every node. The arrays are built once per (h-grid,
+        spacing) and are read-only.
         """
-        hs, wlog, wlin, lev = [], [], [], []
-        for k in range(self.levels):
-            mags = self.magnitudes(k)
-            keep = mags >= spacing
-            if not keep.any():
-                break
-            widths = np.diff(self.level_edges(k))[keep]
-            snapped = np.round(mags[keep] / spacing) * spacing
-            for sign in (1.0, -1.0):
-                hs.append(sign * snapped)
-                wlog.append(np.full(snapped.size, LN2 / self.n_mag))
-                wlin.append(widths)
-                lev.append(np.full(snapped.size, k, dtype=np.int64))
-        if not hs:
-            raise ValueError("grid spacing too coarse for any dyadic level")
-        return (
-            np.concatenate(hs),
-            np.concatenate(wlog),
-            np.concatenate(wlin),
-            np.concatenate(lev),
-        )
+        return _materialize(self, float(spacing))
+
+
+@functools.lru_cache(maxsize=32)
+def _materialize(hg: DyadicHGrid, spacing: float):
+    hs, wlog, wlin, lev = [], [], [], []
+    for k in range(hg.levels):
+        mags = hg.magnitudes(k)
+        keep = mags >= spacing
+        if not keep.any():
+            break
+        widths = np.diff(hg.level_edges(k))[keep]
+        snapped = np.round(mags[keep] / spacing) * spacing
+        for sign in (1.0, -1.0):
+            hs.append(sign * snapped)
+            wlog.append(np.full(snapped.size, LN2 / hg.n_mag))
+            wlin.append(widths)
+            lev.append(np.full(snapped.size, k, dtype=np.int64))
+    if not hs:
+        raise ValueError("grid spacing too coarse for any dyadic level")
+    out = tuple(np.concatenate(parts) for parts in (hs, wlog, wlin, lev))
+    for arr in out:
+        arr.flags.writeable = False
+    return out
 
 
 DEFAULT_HGRID = DyadicHGrid()
@@ -143,22 +147,31 @@ def _difference_norm_table(f: GridFunction, m: int, hs: np.ndarray, p: float) ->
     """||Delta^m_h f||_{L^p} for every h in ``hs``, each a nonzero grid
     multiple as DyadicHGrid.materialize snaps them.
 
-    The stencil rows are computed and reduced _BLOCK_ROWS at a time, in
-    place; each row's reduction is the one a whole-table pass would do.
+    One row buffer serves every h: the stencil, |.| and ^p run on the row's
+    live columns (see _kernels.Stencil), the constant columns take the
+    constant's value through the same |.| and ^p, and the sum or max runs
+    over the whole row, as a whole-table pass reduces it.
     """
     left, right = f.ext_values()
     offs = np.round(hs / f.spacing).astype(np.int64)
+    stencil = _kernels.Stencil(f.samples, left, right, m)
+    sup = math.isinf(p)
+    ends = np.abs(np.array([stencil.left_value, stencil.right_value]))
+    if not sup:
+        ends **= p
+    fill_left, fill_right = ends.tolist()
+    row = np.empty(f.count)
     acc = np.empty(offs.shape[0])
-    for start in range(0, offs.shape[0], _BLOCK_ROWS):
-        stop = start + _BLOCK_ROWS
-        block = _kernels.shift_difference_batch(f.samples, left, right, offs[start:stop], m)
-        np.abs(block, out=block)
-        if math.isinf(p):
-            np.max(block, axis=1, out=acc[start:stop])
-        else:
-            block **= p
-            np.sum(block, axis=1, out=acc[start:stop])
-    if math.isinf(p):
+    for k, off in enumerate(offs.tolist()):
+        a, b = stencil.live_row(off, row)
+        live = row[a:b]
+        np.abs(live, out=live)
+        if not sup:
+            live **= p
+        row[:a] = fill_left
+        row[b:] = fill_right
+        acc[k] = row.max() if sup else row.sum()
+    if sup:
         return acc
     return acc ** (1.0 / p) * f.spacing ** (1.0 / p)
 
@@ -261,13 +274,16 @@ def sobolev_seminorm_diff(
         raise ValueError("m > s required")
     hs, _, wlin, lev = hg.materialize(f.spacing)
     left, right = f.ext_values()
+    offs = np.round(hs / f.spacing).astype(np.int64)
+    stencil = _kernels.Stencil(f.samples, left, right, m)
     n_levels = int(lev.max()) + 1
     absd_weighted = np.zeros((n_levels, f.count))
     # materialize keeps levels 0..n_levels-1 without gaps, all on the grid
     for k_lev in range(n_levels):
         idx = np.nonzero(lev == k_lev)[0]
-        offs = np.round(hs[idx] / f.spacing).astype(np.int64)
-        rows = _kernels.shift_difference_batch(f.samples, left, right, offs, m)
+        rows = np.empty((idx.size, f.count))
+        for row, off in zip(rows, offs[idx].tolist()):
+            stencil.row(off, row)
         np.abs(rows, out=rows)
         rows *= wlin[idx][:, None]
         np.sum(rows, axis=0, out=absd_weighted[k_lev])

@@ -43,7 +43,7 @@ from typing import Optional
 import numpy as np
 
 from . import _kernels
-from .gadgets import eta_eps, linear_cutoff, plateau, unit_bump, zigzag_g
+from .gadgets import eta_eps, linear_cutoff, plateau, unit_bump, zigzag_g, zigzag_window_length
 from .grid import (
     DEFAULT_COUNT,
     DEFAULT_WINDOW,
@@ -177,15 +177,14 @@ class MapOnGrid:
     res: Resolution
     ys: np.ndarray  # phi(res.x)
     lip: float
+    npre: int
     phi_prime: GridFunction
 
     @classmethod
     def read(cls, phi: LineMap, res: Resolution) -> "MapOnGrid":
-        return cls(phi, res, phi(res.x), lipschitz_constant(phi), derivative(phi).sample(res.count))
-
-    @functools.cached_property
-    def npre(self) -> int:  # read on first use: a map flat on its window has no regular value
-        return max_preimage_count(self.phi)
+        return cls(
+            phi, res, phi(res.x), lipschitz_constant(phi), max_preimage_count(phi), derivative(phi).sample(res.count)
+        )
 
     def compose(self, f: GridFunction) -> GridFunction:
         """``sample_composed(f, phi)`` for f on the grid of ``res``, read at ``ys``."""
@@ -514,13 +513,23 @@ def check_infinity_witness(mg: MapOnGrid, sp: SpaceParams, opnorm: float) -> Fra
         d = grid_derivative(mg.compose(fa))
         for interval in preimage_intervals(phi, (float(a), float(a) + 1.0)):
             recon = max(recon, linf_on_interval(d, interval))
+    lip_ok = abs(recon - lip) <= LIP_RECON_TOL * max(lip, 1e-12) or lip < 1e-12
     down = sp.shifted_down()
     direct = res.norm(mg.phi_prime, down, kind="besov_seminorm")
+    need = zigzag_window_length(down.m)
+    if window[1] - window[0] < need:
+        return Fragment(
+            "infinity_witness",
+            passed=lip_ok,
+            vacuous=True,
+            values={"lip": lip, "lip_reconstructed": recon, "phiprime_seminorm_direct": direct, "opnorm_lower": opnorm},
+            note=f"zigzag stage vacuous: the window is shorter than two 8m-periods of the m = {down.m} "
+            f"zigzag (length {need})",
+        )
     g_norm = res.norm(zigzag_g(down.m, window, res.count), sp)
     # one l^q term for each of the four translated covers I_m + 2*l*m, l = 0..3
     qroot = 1.0 if math.isinf(sp.q) else 4.0 ** (1.0 / sp.q)
     bound = qroot * opnorm * g_norm
-    lip_ok = abs(recon - lip) <= LIP_RECON_TOL * max(lip, 1e-12) or lip < 1e-12
     zig_ok = direct <= bound * (1.0 + ZIGZAG_TOL)
     return Fragment(
         "infinity_witness",
@@ -572,7 +581,7 @@ def classify(
             raise RangeGateError("Sobolev route requires a homeomorphism (strictly monotone map)")
     mg = MapOnGrid.read(phi, res)
     uval = U_functional(phi)
-    mest = M_functional(phi)
+    mest = M_functional(phi, uval)
     op_val, op_arg, _ = opnorm_lower_detailed(mg, sp, kind)
 
     down = sp.shifted_down()

@@ -5,6 +5,7 @@ Each test pins the criterion's stated tolerance, measures its runtime
 Run with ``pytest tests/test_acceptance.py -v -s``.
 """
 
+import hashlib
 import json
 import math
 import time
@@ -233,13 +234,29 @@ def test_A11_multiplier_ordering():
     report("A11", ok, 60, t.elapsed, f"ordering {ordering_ok}, identity err {identity_err:.2e}")
 
 
-def test_A12_suite_determinism(tmp_path):
+# sha256 of the default suite's records.json; a change that moves one bit
+# of any record must update it and say which fields moved
+SUITE_RECORDS_SHA256 = "6151ce8e82d511a6a31336b7b13264044805e092e0b7890befc0220d470a374f"
+
+
+@pytest.fixture(scope="module")
+def suite_runs(tmp_path_factory):
+    """Two runs of the default suite: exit codes, records.json bytes, seconds."""
     from besovlab.cli import main
 
+    out = tmp_path_factory.mktemp("suite")
     with Timer() as t:
-        code1 = main(["suite", "--out", str(tmp_path / "run1")])
-        code2 = main(["suite", "--out", str(tmp_path / "run2")])
-        b1 = (tmp_path / "run1" / "records.json").read_bytes()
-        b2 = (tmp_path / "run2" / "records.json").read_bytes()
+        codes = [main(["suite", "--out", str(out / run)]) for run in ("run1", "run2")]
+        records = [(out / run / "records.json").read_bytes() for run in ("run1", "run2")]
+    return codes, records, t.elapsed
+
+
+def test_A12_suite_determinism(suite_runs):
+    (code1, code2), (b1, b2), elapsed = suite_runs
     ok = code1 == 0 and code2 == 0 and b1 == b2
-    report("A12", ok, 600, t.elapsed, f"{len(b1)} bytes, identical={b1 == b2}")
+    report("A12", ok, 600, elapsed, f"{len(b1)} bytes, identical={b1 == b2}")
+
+
+def test_default_suite_records_are_pinned(suite_runs):
+    _, (b1, _), _ = suite_runs
+    assert hashlib.sha256(b1).hexdigest() == SUITE_RECORDS_SHA256

@@ -151,6 +151,41 @@ def test_check_sobolev_flat_piece_exit_3(tmp_path, capsys):
     assert "homeomorphism" in err
 
 
+def test_check_flat_map_reads_unbounded(tmp_path, capsys):
+    # constant on its window, flat tails too: every other value is regular
+    # with no preimage, and U is infinite
+    path = tmp_path / "flat.json"
+    path.write_text(json.dumps({
+        "pieces": [{"interval": [-16, 16], "coeffs": [0, 0, 0, 0]}],
+        "tails": {"left_slope": 0, "right_slope": 0},
+    }))
+    out = tmp_path / "report.json"
+    code, _, err = run(
+        capsys, "check", "--map", str(path), "--space", "s=2.1,p=2,q=2,m=3", "--count", "2049", "--json", str(out),
+    )
+    assert "config error" not in err
+    report = json.loads(out.read_text())[0]
+    assert report["verdict"] == "ConsistentUnbounded"
+    assert report["computed"]["max_preimage"] == 0 and report["computed"]["U"] == float("inf")
+    assert code == 2  # nec_U fails: U is infinite
+    code, out_text, _ = run(capsys, "map", "--map", str(path))
+    assert code == 0 and json.loads(out_text)[0]["max_preimage"] == 0
+
+
+def test_check_p_inf_m3_zigzag_vacuous(tmp_path, capsys):
+    # the m - 1 = 2 zigzag needs a window of length 64; the default one is 32
+    out = tmp_path / "report.json"
+    code, _, err = run(
+        capsys, "check", "--map", "sin_drift:amp=0.5", "--space", "s=2.1,p=inf,q=2,m=3",
+        "--count", "2049", "--json", str(out),
+    )
+    assert code == 0 and "config error" not in err
+    (frag,) = [fr for fr in json.loads(out.read_text())[0]["fragments"] if fr["name"] == "infinity_witness"]
+    assert frag["vacuous"] and frag["passed"]
+    assert "two 8m-periods" in frag["note"] and "64" in frag["note"]
+    assert "zigzag_bound" not in frag["values"]
+
+
 def test_check_sobolev_runs_without_a_flag(tmp_path, capsys):
     path = tmp_path / "report.json"
     code, _, _ = run(

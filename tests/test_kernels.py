@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from besovlab import _kernels as K
+from besovlab.grid import Extension, GridFunction
 from besovlab.maps import (
     M_functional,
     U_functional,
@@ -16,6 +17,7 @@ from besovlab.maps import (
     quadratic_map,
     sin_map,
 )
+from besovlab.norms import _difference_norm_table
 from besovlab.splitting import IntervalFamily, intersection_degree
 
 
@@ -61,7 +63,7 @@ def _reference_lengths(seg, los, his):
     return out
 
 
-def test_preimage_lengths_parity(rng, monkeypatch):
+def test_preimage_lengths_parity(rng):
     seg = _segment_table(rng)
     ends = np.concatenate([seg[:, 7], seg[:, 8]])
     los = np.concatenate([
@@ -73,10 +75,48 @@ def test_preimage_lengths_parity(rng, monkeypatch):
     his = np.concatenate([los[:120] + rng.uniform(0.0, 3.0, size=120), ends + 0.5, ends, ends])
     want = _reference_lengths(seg, los, his)
     assert (want > 0).any()
-    # one chunk, several targets per chunk, one target per chunk
-    for chunk_pairs in (K._CHUNK_PAIRS, 200, 1):
-        monkeypatch.setattr(K, "_CHUNK_PAIRS", chunk_pairs)
-        assert np.array_equal(K.preimage_lengths(seg, los, his), want)
+    assert np.array_equal(K.preimage_lengths(seg, los, his), want)
+
+
+def test_preimage_lengths_mixed_widths(rng):
+    # the widest target sets how far below a segment's values a candidate
+    # lo may sit; narrow targets there must still be filtered out exactly
+    seg = _segment_table(rng)
+    widths = rng.choice([0.0, 1e-12, 0.3, 1.0, 4.0, 25.0], size=400)
+    los = np.concatenate([rng.uniform(-40.0, 12.0, size=400), seg[:, 7] - 25.0])
+    his = np.concatenate([los[:400] + widths, seg[:, 7]])
+    want = _reference_lengths(seg, los, his)
+    got = K.preimage_lengths(seg, los, his)
+    assert np.array_equal(got, want)
+    assert (got == 0).any() and (got > 0).any()
+    # the same targets in another order give the same lengths
+    perm = rng.permutation(los.size)
+    assert np.array_equal(K.preimage_lengths(seg, los[perm], his[perm]), want[perm])
+    # an infinite width reaches every lo
+    los, his = np.array([-np.inf, 3.0, 0.0, 5.0]), np.array([np.inf, np.inf, 0.5, 5.0])
+    assert np.array_equal(K.preimage_lengths(seg, los, his), _reference_lengths(seg, los, his))
+    # a flat row at 1.0 and the target [-2^-60, 1.0]: hi - lo rounds to the
+    # widest width 1.0, so lo lies below ymin - 1.0 and still meets the row
+    seg = np.vstack([seg, [seg[-1, 6], 1.0, 0.0, 0.0, 0.0, seg[-1, 6], seg[-1, 6] + 0.5, 1.0, 1.0]])
+    los, his = np.array([-(2.0**-60), 4.0]), np.array([1.0, 5.0])
+    want = _reference_lengths(seg, los, his)
+    assert np.array_equal(K.preimage_lengths(seg, los, his), want) and want[0] >= 0.5
+
+
+def test_preimage_lengths_roots_at_the_step_cap():
+    # roots within 1e-300 of 0 run all N_BISECT steps; interior ones retire
+    rows = np.array([
+        [0.0, 0.0, 1.0, 0.0, 0.0, -1.0, 1.0, -1.0, 1.0],
+        [0.0, 0.0, -2.0, 0.0, 0.0, -0.5, 0.75, 1.0, -1.5],
+    ])
+    ys = np.array([0.0, 1e-300, -1e-300, 5e-324, 0.3, -0.7])
+    for row in rows:
+        seg = row[None, :]
+        for los, his in ((ys, np.full(ys.size, 2.0)), (np.full(ys.size, -2.0), ys)):
+            assert np.array_equal(K.preimage_lengths(seg, los, his), _reference_lengths(seg, los, his))
+    roots = K._solve_mono_batch(np.repeat(rows, ys.size, axis=0), np.tile(ys, 2))
+    want = [_solve_fixed_steps(row, y) for row in rows for y in ys]
+    assert roots.tobytes() == np.array(want).tobytes()
 
 
 def test_preimage_lengths_empty_inputs(rng):
@@ -156,6 +196,21 @@ def test_solve_mono_matches_the_fixed_step_loop(rng, monkeypatch):
     assert max(steps) == K.N_BISECT
 
 
+def test_solve_mono_batch_matches_the_fixed_step_loop(rng):
+    # lanes retire at float convergence in groups; each keeps the value all
+    # N_BISECT steps give it
+    seg = _segment_table(rng, 90)
+    rows, ys = [], []
+    for row in seg[seg[:, 7] != seg[:, 8]]:
+        ymin, ymax = sorted(row[7:9])
+        for y in (*rng.uniform(ymin, ymax, size=4), row[7], row[8]):
+            rows.append(row)
+            ys.append(y)
+    rows, ys = np.array(rows), np.array(ys)
+    want = np.array([_solve_fixed_steps(row, y) for row, y in zip(rows, ys)])
+    assert K._solve_mono_batch(rows, ys).tobytes() == want.tobytes()
+
+
 def test_segment_clip_flat_segment():
     row = np.array([0.0, 2.0, 0.0, 0.0, 0.0, 0.0, 3.0, 2.0, 2.0])
     assert K.segment_clip(row, 1.0, 2.5) == (0.0, 3.0)
@@ -188,6 +243,84 @@ def test_shift_difference_parity(rng):
         for left, right in ((0.0, 0.0), (0.25, -0.5)):
             got = K.shift_difference_batch(samples, left, right, np.array(offsets), m)
             assert np.array_equal(got, _reference_difference(samples, left, right, offsets, m))
+
+
+def _stencil_cases(rng):
+    """(samples, left, right) rows whose live spans are empty, partial or whole."""
+    n = 40
+    bump = np.zeros(n)
+    bump[12:25] = rng.normal(size=13)
+    signed = bump.copy()
+    signed[1:12:2] = -0.0  # -0.0 samples next to a 0.0 extension value
+    signed[30:] = -0.0
+    step = np.where(np.arange(n) < 17, 0.75, -3.0)
+    consts = np.full(n, 1.25)
+    consts[15:22] = rng.normal(size=7)
+    thirds = np.where(np.arange(n) < n // 2, 2.0 / 3.0, 0.3)
+    thirds[15:22] = rng.normal(size=7)
+    return [
+        (bump, 0.0, 0.0),  # zero extension
+        (signed, 0.0, 0.0),
+        (signed, -0.0, -0.0),
+        (consts, 1.25, -0.5),  # unequal nonzero constant extensions
+        # constants whose third difference rounds to 1.1e-16 and -5.6e-17,
+        # not to 0; a step between two neighbouring floats keeps every
+        # live value as small as those
+        (thirds, 2.0 / 3.0, 0.3),
+        (np.where(np.arange(n) < 20, 2.0 / 3.0, np.nextafter(2.0 / 3.0, 1.0)), 2.0 / 3.0, np.nextafter(2.0 / 3.0, 1.0)),
+        (step, 0.75, -3.0),  # a step: no sample differs from both sides
+        (np.full(n, 0.3), 0.3, 0.3),  # all constant
+        (np.full(n, -0.0), 0.0, 0.0),
+        (rng.normal(size=n), 0.6, 0.6),
+    ]
+
+
+# both signs, shifts past the window and m * |off| > n
+STENCIL_OFFSETS = [1, -1, 2, -3, 7, -9, 13, 20, -21, 39, -39, 40, 57, -150]
+
+
+def test_stencil_rows_equal_the_brute_force_loop(rng):
+    for samples, left, right in _stencil_cases(rng):
+        for m in (1, 2, 3):
+            got = K.shift_difference_batch(samples, left, right, np.array(STENCIL_OFFSETS), m)
+            want = _reference_difference(samples, left, right, STENCIL_OFFSETS, m)
+            # bytes, so that the sign of every zero counts
+            assert got.tobytes() == want.tobytes(), (samples, left, right, m)
+
+
+def test_stencil_rows_keep_the_sign_of_zero():
+    # +0.0 and -0.0 samples alternate, next to a +0.0 extension: compared
+    # by value every column would read the constant 0.0, but a column that
+    # starts from -(+0.0) and adds -0.0 is -0.0
+    samples = np.zeros(16)
+    samples[1::2] = -0.0
+    offsets = [1, -1, 3, 30]
+    for m in (1, 2, 3):
+        want = _reference_difference(samples, 0.0, 0.0, offsets, m)
+        got = K.shift_difference_batch(samples, 0.0, 0.0, np.array(offsets), m)
+        assert got.tobytes() == want.tobytes(), m
+    assert np.signbit(want).any() and not np.signbit(want).all()
+
+
+def test_difference_norm_table_equals_the_brute_force_table(rng):
+    spacing = 0.125
+    hs = np.array(STENCIL_OFFSETS) * spacing
+    for samples, left, right in _stencil_cases(rng):
+        ext = Extension.ZERO if left == right == 0.0 else Extension.CONSTANT
+        f = GridFunction(samples, spacing, 0.0, ext)
+        if ext is Extension.CONSTANT:
+            # a CONSTANT function extends by its end samples
+            f = GridFunction(np.concatenate(([left], samples, [right])), spacing, 0.0, ext)
+        left, right = f.ext_values()
+        for m in (1, 2, 3):
+            table = np.abs(_reference_difference(f.samples, left, right, STENCIL_OFFSETS, m))
+            for p in (1.5, 2.0, math.inf):
+                if math.isinf(p):
+                    want = table.max(axis=1)
+                else:
+                    want = (table**p).sum(axis=1) ** (1.0 / p) * spacing ** (1.0 / p)
+                got = _difference_norm_table(f, m, hs, p)
+                assert got.tobytes() == want.tobytes(), (f.samples, m, p)
 
 
 def test_shift_difference_without_offsets(rng):

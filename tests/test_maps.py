@@ -383,6 +383,9 @@ def test_max_preimage_count():
     assert max_preimage_count(affine_map(3.0, 1.0)) == 1
     assert max_preimage_count(quadratic_map()) == 2
     assert max_preimage_count(sin_map()) == 7
+    # flat on the window: no value other than the constant has a preimage
+    flat = LineMap(np.array([-16.0, 0.0, 16.0]), np.array([[0.0, 0, 0, 0], [0.0, 0, 0, 0]]), 0.0, 2.0)
+    assert max_preimage_count(flat) == 0
 
 
 def test_U_le_M():

@@ -18,6 +18,7 @@ from besovlab.grid import (
 from besovlab.norms import (
     DyadicHGrid,
     _difference_norm_table,
+    _materialize,
     besov_norm_diff,
     besov_seminorm_diff,
     difference,
@@ -89,6 +90,22 @@ def test_polynomial_annihilation():
 # ---------------------------------------------------------------------------
 # Besov norms
 # ---------------------------------------------------------------------------
+
+def test_hgrid_nodes_are_built_once_per_grid_and_read_only():
+    for hg, spacing in ((DyadicHGrid(), 32.0 / 8192), (DyadicHGrid(6, 4), 0.01), (DyadicHGrid(), 0.3)):
+        first = hg.materialize(spacing)
+        again = hg.materialize(np.float64(spacing))
+        fresh = _materialize.__wrapped__(hg, spacing)
+        assert all(a is b for a, b in zip(first, again))
+        for cached, built in zip(first, fresh):
+            assert not cached.flags.writeable
+            assert cached.dtype == built.dtype and cached.tobytes() == built.tobytes()
+        with pytest.raises(ValueError):
+            first[0][0] = 1.0
+    # an equal h-grid shares the entry; another node count does not
+    assert DyadicHGrid(10, 8).materialize(0.3)[0] is DyadicHGrid().materialize(0.3)[0]
+    assert DyadicHGrid(10, 16).materialize(0.3)[0].size != DyadicHGrid().materialize(0.3)[0].size
+
 
 def test_besov_zero():
     assert besov_norm_diff(sample("zero"), SP) == 0.0

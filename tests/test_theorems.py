@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from besovlab import maps
 from besovlab.gadgets import unit_bump
 from besovlab.grid import Extension, GridFunction, GridMismatchError, SpaceParams, grid_derivative, lp_norm, sample
 from besovlab.maps import (
@@ -409,3 +410,19 @@ def test_classify_evaluates_phi_on_the_grid_once(sp, monkeypatch):
     monkeypatch.setattr(LineMap, "__call__", counting)
     classify(named_map("sin_drift:amp=0.5"), sp, res=res)
     assert on_grid == ["sin_drift(0.5)"]
+
+
+def test_classify_sweeps_U_once(monkeypatch):
+    # M's width-1 rung is U itself: one sweep per width, M_LEVELS + 1 in all
+    widths = []
+    sweep = maps._sup_preimage_length
+
+    def counting(phi, width):
+        widths.append(width)
+        return sweep(phi, width)
+
+    monkeypatch.setattr(maps, "_sup_preimage_length", counting)
+    rep = classify(named_map("sin_drift:amp=0.5"), SP, res=Resolution(2049))
+    assert sorted(widths, reverse=True) == [2.0**-k for k in range(maps.M_LEVELS + 1)]
+    assert rep.computed["M_ladder"][0] == [1.0, rep.computed["U"]]
+    assert rep.computed["U"] == U_functional(named_map("sin_drift:amp=0.5"))
