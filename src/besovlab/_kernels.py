@@ -5,21 +5,19 @@ There is one implementation of each kernel. The batched kernels
 the same floating-point operations, in the same order, as the scalar
 reference loops they replace, so their results are bit-identical to them;
 tests/test_kernels.py checks them against those loops and against
-closed-form oracles. Both skip work whose result is known: ``Stencil``
+closed-form oracles. ``Stencil`` skips work whose result is known: it
 evaluates only the columns of a row that read a sample differing from the
 extension values, and adds each stencil term through one reused temporary
-row, so a term allocates nothing; ``preimage_lengths`` enumerates only the
-(target, segment) pairs that meet.
+row, so a term allocates nothing.
 
 The scalar kernels (``segment_clip``, ``greedy_classes``) run on Python floats
 and lists, which do the same IEEE double arithmetic as numpy scalars at a
-fraction of the cost per operation. The bisection stops at float
+fraction of the cost per operation. The scalar bisection stops at float
 convergence: once the midpoint rounds to an end of the bracket, every later
 midpoint equals it, so the early result is bit-identical to running all
 steps. ``N_BISECT`` caps the steps; roots very near 0 reach it before
-converging. The scalar bisection exits at that step; the batched one
-retires its converged lanes every ``_RETIRE_EVERY`` steps, each with its
-midpoint, and runs the rest on.
+converging. The batched bisection always runs ``N_BISECT`` steps: some lane
+of a batch usually has such a root, so a whole-batch exit saves nothing.
 """
 
 from __future__ import annotations
@@ -149,9 +147,10 @@ def interp_difference(samples, origin, spacing, left, right, h, m):
 # ylo == yhi.
 
 N_BISECT = 80  # cap on bisection steps; 2^-80 of the segment width
-# batched bisection steps between retirements of converged lanes; most
-# lanes converge after 44 to 52 steps
-_RETIRE_EVERY = 8
+
+# (target, segment) pairs screened at once by preimage_lengths; bounds the
+# size of its masks and gathered arrays
+_CHUNK_PAIRS = 1 << 20
 
 
 def _poly3(t0, c0, c1, c2, c3, x):
@@ -194,57 +193,16 @@ def _clip_segment_py(row, lo, hi):
 
 
 def _solve_mono_batch(rows, ys):
-    """_solve_mono_py for each (rows[k], ys[k]), as whole-array steps.
-
-    Every _RETIRE_EVERY steps the lanes whose midpoint has rounded to an end
-    of their bracket leave with that midpoint, the value every later step
-    gives them; the rest run on, to N_BISECT steps at most."""
+    """_solve_mono_py for each (rows[k], ys[k]), as whole-array steps."""
     t0, c0, c1, c2, c3, a, b, ylo, yhi = np.ascontiguousarray(rows.T)
     inc = yhi >= ylo
-    out = np.empty(ys.shape[0])
-    lane = np.arange(ys.shape[0])
-    for step in range(N_BISECT):
+    for _ in range(N_BISECT):
         mid = 0.5 * (a + b)
-        if step % _RETIRE_EVERY == 0:
-            done = (mid == a) | (mid == b)
-            if done.any():
-                out[lane[done]] = mid[done]
-                keep = ~done
-                lane, mid, a, b, t0, c0, c1, c2, c3, ys, inc = (
-                    v[keep] for v in (lane, mid, a, b, t0, c0, c1, c2, c3, ys, inc)
-                )
         fm = _poly3(t0, c0, c1, c2, c3, mid) - ys
         up = (fm <= 0.0) == inc
         a = np.where(up, mid, a)
         b = np.where(up, b, mid)
-    out[lane] = 0.5 * (a + b)
-    return out
-
-
-def _meeting_pairs(ymin, ymax, los, his):
-    """(target, segment) index arrays of every pair with lo <= ymax and
-    hi >= ymin, segment by segment.
-
-    With targets sorted by lo and W the widest hi - lo, a segment's
-    candidates are the one sorted range lo in [ymin - W, ymax] (widened by
-    a few ulps against rounding); the exact hi >= ymin test then filters
-    them. Targets must not be NaN.
-    """
-    order = np.argsort(los)
-    lo_sorted = los[order]
-    width = float(np.max(his - los))
-    if math.isnan(width):  # inf - inf: no finite width bounds the reach
-        width = math.inf
-    reach = width + 4.0 * np.finfo(np.float64).eps * (np.abs(ymin) + abs(width))
-    first = np.searchsorted(lo_sorted, ymin - reach, side="left")
-    counts = np.maximum(np.searchsorted(lo_sorted, ymax, side="right") - first, 0)
-    s = np.repeat(np.arange(ymin.shape[0]), counts)
-    # position of each pair inside its segment's range, plus the range start
-    ends = np.cumsum(counts)
-    pos = np.arange(ends[-1]) - np.repeat(ends - counts - first, counts)
-    t = order[pos]
-    keep = his[t] >= ymin[s]
-    return t[keep], s[keep]
+    return 0.5 * (a + b)
 
 
 def preimage_lengths(seg, los, his):
@@ -256,28 +214,34 @@ def preimage_lengths(seg, los, his):
     seg = np.ascontiguousarray(seg, dtype=np.float64)
     los = np.ascontiguousarray(los, dtype=np.float64)
     his = np.ascontiguousarray(his, dtype=np.float64)
-    if seg.shape[0] == 0 or los.shape[0] == 0:
-        return np.zeros(los.shape[0])
+    out = np.zeros(los.shape[0])
+    if seg.shape[0] == 0:
+        return out
     xlo, xhi, ylo, yhi = seg[:, 5], seg[:, 6], seg[:, 7], seg[:, 8]
     ymin, ymax = np.minimum(ylo, yhi), np.maximum(ylo, yhi)
-    t, s = _meeting_pairs(ymin, ymax, los, his)
-    lo_t, hi_t, ymin_s, ymax_s, inc_s = los[t], his[t], ymin[s], ymax[s], yhi[s] >= ylo[s]
-    flat = ymin_s == ymax_s
-    solve_a = ~flat & ~(lo_t <= ymin_s)
-    solve_b = ~flat & ~(hi_t >= ymax_s)
-    xa = np.where(inc_s, xlo[s], xhi[s])
-    xb = np.where(inc_s, xhi[s], xlo[s])
-    roots = _solve_mono_batch(
-        seg[np.concatenate((s[solve_a], s[solve_b]))],
-        np.concatenate((lo_t[solve_a], hi_t[solve_b])),
-    )
-    n_a = int(solve_a.sum())
-    xa[solve_a] = roots[:n_a]
-    xb[solve_b] = roots[n_a:]
-    terms = np.where(flat, xhi[s] - xlo[s], np.abs(xb - xa))
-    # the pairs run segment by segment and bincount adds in input order, so
-    # each target's terms are added in segment order, starting from 0.0
-    return np.bincount(t, weights=terms, minlength=los.shape[0])
+    inc = yhi >= ylo
+    step = max(1, _CHUNK_PAIRS // seg.shape[0])
+    for start in range(0, los.shape[0], step):
+        lo, hi = los[start : start + step], his[start : start + step]
+        # row-major: each target's pairs come out in segment order
+        t, s = np.nonzero(~((ymax < lo[:, None]) | (ymin > hi[:, None])))
+        lo_t, hi_t, ymin_s, ymax_s, inc_s = lo[t], hi[t], ymin[s], ymax[s], inc[s]
+        flat = ymin_s == ymax_s
+        solve_a = ~flat & ~(lo_t <= ymin_s)
+        solve_b = ~flat & ~(hi_t >= ymax_s)
+        xa = np.where(inc_s, xlo[s], xhi[s])
+        xb = np.where(inc_s, xhi[s], xlo[s])
+        roots = _solve_mono_batch(
+            seg[np.concatenate((s[solve_a], s[solve_b]))],
+            np.concatenate((lo_t[solve_a], hi_t[solve_b])),
+        )
+        n_a = int(solve_a.sum())
+        xa[solve_a] = roots[:n_a]
+        xb[solve_b] = roots[n_a:]
+        terms = np.where(flat, xhi[s] - xlo[s], np.abs(xb - xa))
+        # bincount adds each target's terms in input order, starting from 0.0
+        out[start : start + lo.shape[0]] = np.bincount(t, weights=terms, minlength=lo.shape[0])
+    return out
 
 
 def segment_clip(seg_row, lo, hi):

@@ -501,18 +501,17 @@ def U_functional(phi: LineMap) -> float:
     return _sup_preimage_length(phi, 1.0)
 
 
-def M_functional(phi: LineMap, uval: Optional[float] = None) -> MEstimate:
+def M_functional(phi: LineMap, uval: float) -> MEstimate:
     """Ladder search for sup_I |I|^-1 |phi^-1(I)| over widths 2^0 .. 2^-M_LEVELS.
 
-    The width-1 rung is U(phi); a caller that has computed it passes it as
-    ``uval``. The infinite flag fires when the ladder exceeds 10x its width-1
+    The width-1 rung is ``uval``, which must be U_functional(phi). The
+    infinite flag fires when the ladder exceeds 10x its width-1
     rung and is still increasing at the resolution floor.
     """
     if phi.left_slope == 0.0 or phi.right_slope == 0.0:
         return MEstimate(math.inf, True, [], [])
     widths = [2.0**-k for k in range(M_LEVELS + 1)]
-    sups = [_sup_preimage_length(phi, 1.0) if uval is None else uval]
-    sups += [_sup_preimage_length(phi, w) / w for w in widths[1:]]
+    sups = [uval] + [_sup_preimage_length(phi, w) / w for w in widths[1:]]
     infinite = sups[-1] > 10.0 * sups[0] and sups[-1] > sups[-2]
     return MEstimate(math.inf if infinite else max(sups), infinite, widths, sups)
 

@@ -173,15 +173,20 @@ def test_check_flat_map_reads_unbounded(tmp_path, capsys):
 
 
 def test_check_p_inf_m3_zigzag_vacuous(tmp_path, capsys):
-    # the m - 1 = 2 zigzag needs a window of length 64; the default one is 32
+    # the m - 1 = 2 zigzag needs a window of length 64; the default one is 32.
+    # The Lipschitz stage alone does not make the map ConsistentBounded.
     out = tmp_path / "report.json"
     code, _, err = run(
         capsys, "check", "--map", "sin_drift:amp=0.5", "--space", "s=2.1,p=inf,q=2,m=3",
         "--count", "2049", "--json", str(out),
     )
-    assert code == 0 and "config error" not in err
-    (frag,) = [fr for fr in json.loads(out.read_text())[0]["fragments"] if fr["name"] == "infinity_witness"]
-    assert frag["vacuous"] and frag["passed"]
+    assert code == 2 and "config error" not in err
+    report = json.loads(out.read_text())[0]
+    assert report["verdict"] == "Inconclusive"
+    assert report["computed"]["note"] == "failed fragments: infinity_witness"
+    (frag,) = [fr for fr in report["fragments"] if fr["name"] == "infinity_witness"]
+    assert frag["vacuous"] and not frag["passed"]
+    assert frag["note"].startswith("zigzag stage not evaluated")
     assert "two 8m-periods" in frag["note"] and "64" in frag["note"]
     assert "zigzag_bound" not in frag["values"]
 

@@ -63,7 +63,7 @@ def _reference_lengths(seg, los, his):
     return out
 
 
-def test_preimage_lengths_parity(rng):
+def test_preimage_lengths_parity(rng, monkeypatch):
     seg = _segment_table(rng)
     ends = np.concatenate([seg[:, 7], seg[:, 8]])
     los = np.concatenate([
@@ -75,12 +75,15 @@ def test_preimage_lengths_parity(rng):
     his = np.concatenate([los[:120] + rng.uniform(0.0, 3.0, size=120), ends + 0.5, ends, ends])
     want = _reference_lengths(seg, los, his)
     assert (want > 0).any()
-    assert np.array_equal(K.preimage_lengths(seg, los, his), want)
+    # one chunk, several targets per chunk, one target per chunk
+    for chunk_pairs in (K._CHUNK_PAIRS, 200, 1):
+        monkeypatch.setattr(K, "_CHUNK_PAIRS", chunk_pairs)
+        assert np.array_equal(K.preimage_lengths(seg, los, his), want)
 
 
 def test_preimage_lengths_mixed_widths(rng):
-    # the widest target sets how far below a segment's values a candidate
-    # lo may sit; narrow targets there must still be filtered out exactly
+    # zero, tiny and wide targets side by side, far below and inside the
+    # segment values
     seg = _segment_table(rng)
     widths = rng.choice([0.0, 1e-12, 0.3, 1.0, 4.0, 25.0], size=400)
     los = np.concatenate([rng.uniform(-40.0, 12.0, size=400), seg[:, 7] - 25.0])
@@ -92,11 +95,11 @@ def test_preimage_lengths_mixed_widths(rng):
     # the same targets in another order give the same lengths
     perm = rng.permutation(los.size)
     assert np.array_equal(K.preimage_lengths(seg, los[perm], his[perm]), want[perm])
-    # an infinite width reaches every lo
+    # infinite ends
     los, his = np.array([-np.inf, 3.0, 0.0, 5.0]), np.array([np.inf, np.inf, 0.5, 5.0])
     assert np.array_equal(K.preimage_lengths(seg, los, his), _reference_lengths(seg, los, his))
-    # a flat row at 1.0 and the target [-2^-60, 1.0]: hi - lo rounds to the
-    # widest width 1.0, so lo lies below ymin - 1.0 and still meets the row
+    # a flat row at 1.0 meets the target [-2^-60, 1.0], whose width rounds
+    # to 1.0, at its upper end
     seg = np.vstack([seg, [seg[-1, 6], 1.0, 0.0, 0.0, 0.0, seg[-1, 6], seg[-1, 6] + 0.5, 1.0, 1.0]])
     los, his = np.array([-(2.0**-60), 4.0]), np.array([1.0, 5.0])
     want = _reference_lengths(seg, los, his)
@@ -104,7 +107,8 @@ def test_preimage_lengths_mixed_widths(rng):
 
 
 def test_preimage_lengths_roots_at_the_step_cap():
-    # roots within 1e-300 of 0 run all N_BISECT steps; interior ones retire
+    # roots within 1e-300 of 0, where the step cap binds before convergence,
+    # and interior ones
     rows = np.array([
         [0.0, 0.0, 1.0, 0.0, 0.0, -1.0, 1.0, -1.0, 1.0],
         [0.0, 0.0, -2.0, 0.0, 0.0, -0.5, 0.75, 1.0, -1.5],
@@ -137,7 +141,7 @@ def test_quadratic_unit_preimages_closed_form():
 def test_affine_distortion_is_the_inverse_slope(a):
     phi = affine_map(a, 0.0)
     assert U_functional(phi) == pytest.approx(1.0 / abs(a), rel=1e-9)
-    assert M_functional(phi).value == pytest.approx(1.0 / abs(a), rel=1e-9)
+    assert M_functional(phi, U_functional(phi)).value == pytest.approx(1.0 / abs(a), rel=1e-9)
 
 
 def test_sin_preimage_count_and_band_length():
@@ -197,8 +201,6 @@ def test_solve_mono_matches_the_fixed_step_loop(rng, monkeypatch):
 
 
 def test_solve_mono_batch_matches_the_fixed_step_loop(rng):
-    # lanes retire at float convergence in groups; each keeps the value all
-    # N_BISECT steps give it
     seg = _segment_table(rng, 90)
     rows, ys = [], []
     for row in seg[seg[:, 7] != seg[:, 8]]:

@@ -371,9 +371,10 @@ def test_U_infinite_for_flat_tail():
 
 
 def test_M_values_and_ladder():
-    assert M_functional(identity_map()).value == pytest.approx(1.0, abs=1e-9)
-    assert M_functional(affine_map(2.0, 0.0)).value == pytest.approx(0.5, abs=1e-9)
-    m = M_functional(quadratic_map())
+    for phi, want in ((identity_map(), 1.0), (affine_map(2.0, 0.0), 0.5)):
+        assert M_functional(phi, U_functional(phi)).value == pytest.approx(want, abs=1e-9)
+    quad = quadratic_map()
+    m = M_functional(quad, U_functional(quad))
     assert m.infinite
     for w, s in zip(m.widths, m.sups):
         assert s == pytest.approx(2.0 / math.sqrt(w), rel=0.05)
@@ -390,7 +391,7 @@ def test_max_preimage_count():
 
 def test_U_le_M():
     for phi in (identity_map(), affine_map(0.5, 0.0), sin_drift_map(0.5)):
-        m = M_functional(phi)
+        m = M_functional(phi, U_functional(phi))
         assert not m.infinite
         assert U_functional(phi) <= m.value * (1.0 + 1e-9)
 
@@ -400,7 +401,7 @@ def test_affine_shift_equivariance():
     shifted = polynomial_map([5.0, 0.0, 1.0], name="x^2+5")
     assert U_functional(base) == pytest.approx(U_functional(shifted), abs=1e-9)
     assert max_preimage_count(base) == max_preimage_count(shifted)
-    mb, ms = M_functional(base), M_functional(shifted)
+    mb, ms = (M_functional(phi, U_functional(phi)) for phi in (base, shifted))
     assert mb.infinite == ms.infinite
 
 
