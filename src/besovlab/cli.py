@@ -47,10 +47,6 @@ EXIT_CONFIG = 4
 KINDS = ("besov", "sobolev")
 
 
-class ConfigError(ValueError):
-    pass
-
-
 def _space(s, p, q=2.0, m=2):
     return SpaceParams(float(s), float(p), float(q), int(m))
 
@@ -72,14 +68,14 @@ def parse_fn(text: str, window, count):
     try:
         return sample(name, window, count, **{k: _spec_value(v) for k, v in params.items()})
     except TypeError as exc:  # a value of the wrong type, e.g. center=[1]
-        raise ConfigError(str(exc)) from exc
+        raise ValueError(str(exc)) from exc
 
 
 def _pair(option: str, text: str) -> tuple[float, float]:
     """The two numbers of ``--option a,b``."""
     values = text.split(",")
     if len(values) != 2:
-        raise ConfigError(f"--{option} needs two values a,b, got {text!r}")
+        raise ValueError(f"--{option} needs two values a,b, got {text!r}")
     return float(values[0]), float(values[1])
 
 
@@ -115,7 +111,7 @@ def cmd_norm(args) -> int:
     methods = [m.strip() for m in args.method.split(",")]
     for method in methods:
         if method not in METHODS:
-            raise ConfigError(f"unknown method {method!r} (choose from {tuple(METHODS)})")
+            raise ValueError(f"unknown method {method!r} (choose from {tuple(METHODS)})")
     f = parse_fn(args.fn, window, args.count)
     hg = DyadicHGrid(levels=args.levels)
     records = [
@@ -217,18 +213,18 @@ DEFAULT_SUITE = {
 def _suite_settings(space, maps, seed=1234, count=DEFAULT_COUNT, kind="besov"):
     """The suite config's fields, with their defaults."""
     if not isinstance(maps, list) or not maps or not all(isinstance(spec, str) for spec in maps):
-        raise ConfigError(f"suite config: maps must be a nonempty list of map specs, got {maps!r}")
+        raise ValueError(f"suite config: maps must be a nonempty list of map specs, got {maps!r}")
     twice = [spec for spec in maps if maps.count(spec) > 1]
     if twice:
-        raise ConfigError(f"suite config: maps lists {twice[0]!r} more than once")
+        raise ValueError(f"suite config: maps lists {twice[0]!r} more than once")
     if kind not in KINDS:
-        raise ConfigError(f"suite config: kind must be one of {KINDS}, got {kind!r}")
+        raise ValueError(f"suite config: kind must be one of {KINDS}, got {kind!r}")
     for key, value in (("seed", seed), ("count", count)):
         if type(value) is not int:
-            raise ConfigError(f"suite config: {key} must be an integer, got {value!r}")
+            raise ValueError(f"suite config: {key} must be an integer, got {value!r}")
     for key, value in space.items() if isinstance(space, dict) else ():
         if not is_json_number(value):
-            raise ConfigError(f"suite config: space key {key!r} must be a number, got {value!r}")
+            raise ValueError(f"suite config: space key {key!r} must be a number, got {value!r}")
     return call_declared("suite space", SpaceParams, space), maps, seed, count, kind
 
 
@@ -313,9 +309,6 @@ def main(argv=None) -> int:
     try:
         args = ap.parse_args(argv)
         return args.func(args)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
     except RangeGateError as exc:
         print(f"refused: {exc}", file=sys.stderr)
         return EXIT_REFUSED_RANGE

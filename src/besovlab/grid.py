@@ -8,7 +8,6 @@ rectangle rule sum(|f_i|^p) * dx over the window samples.
 
 from __future__ import annotations
 
-import csv
 import inspect
 import math
 from dataclasses import dataclass, field
@@ -97,15 +96,8 @@ class GridFunction:
         out = _kernels.interp_eval(self.samples, self.origin, self.spacing, left, right, arr)
         return float(out[0]) if scalar else out
 
-    def same_grid(self, other: "GridFunction") -> bool:
-        return (
-            self.count == other.count
-            and self.origin == other.origin
-            and self.spacing == other.spacing
-        )
-
     def _require_same_grid(self, other: "GridFunction"):
-        if not self.same_grid(other):
+        if (self.count, self.origin, self.spacing) != (other.count, other.origin, other.spacing):
             raise GridMismatchError(
                 "grids differ (origin/spacing/count); resample explicitly first"
             )
@@ -125,25 +117,6 @@ class GridFunction:
 
     __rmul__ = __mul__
 
-    def __add__(self, other):
-        if isinstance(other, GridFunction):
-            self._require_same_grid(other)
-            ext = (
-                Extension.ZERO
-                if self.extension is Extension.ZERO and other.extension is Extension.ZERO
-                else Extension.CONSTANT
-            )
-            return GridFunction(self.samples + other.samples, self.spacing, self.origin, ext)
-        return NotImplemented
-
-    def __sub__(self, other):
-        if isinstance(other, GridFunction):
-            return self + (other * -1.0)
-        return NotImplemented
-
-    def __neg__(self):
-        return self * -1.0
-
     def resample(self, count: int) -> "GridFunction":
         """Same window on ``count`` points; exact when a descriptor is known."""
         if count < 2:
@@ -155,47 +128,6 @@ class GridFunction:
         else:
             vals = self(xs)
         return GridFunction(vals, spacing, self.origin, self.extension, self.descriptor)
-
-    def shifted(self, cells: int) -> "GridFunction":
-        """Translate by an exact number of grid cells: g(x) = f(x - cells*dx)."""
-        n = self.count
-        left, right = self.ext_values()
-        out = np.empty(n)
-        if cells >= 0:
-            out[:cells] = left
-            out[cells:] = self.samples[: n - cells] if cells < n else left
-        else:
-            c = -cells
-            out[n - c :] = right
-            out[: n - c] = self.samples[c:] if c < n else right
-        return GridFunction(out, self.spacing, self.origin, self.extension)
-
-    def to_csv(self, path):
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["x", "value"])
-            for xi, vi in zip(self.x, self.samples):
-                writer.writerow([repr(float(xi)), repr(float(vi))])
-
-    @staticmethod
-    def from_csv(path, extension: Extension = Extension.ZERO) -> "GridFunction":
-        xs, vals = [], []
-        with open(path, newline="") as fh:
-            reader = csv.reader(fh)
-            header = next(reader)
-            if [c.strip().lower() for c in header[:2]] != ["x", "value"]:
-                raise ValueError("expected 'x,value' header")
-            for row in reader:
-                xs.append(float(row[0]))
-                vals.append(float(row[1]))
-        xs = np.asarray(xs)
-        if xs.size < 2:
-            raise ValueError("need at least two samples")
-        steps = np.diff(xs)
-        spacing = float(steps[0])
-        if not np.allclose(steps, spacing, rtol=1e-9, atol=1e-12):
-            raise ValueError("grid is not uniform")
-        return GridFunction(np.asarray(vals), spacing, float(xs[0]), extension)
 
 
 @dataclass(frozen=True)

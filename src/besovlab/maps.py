@@ -291,29 +291,26 @@ def quadratic_map(window=DEFAULT_WINDOW) -> LineMap:
     return polynomial_map([0.0, 0.0, 1.0], window, name="quadratic")
 
 
-def _spline_map(xs, ys, name: str, tails: Optional[tuple[float, float]] = None) -> LineMap:
-    """The cubic spline through (xs, ys) as a C^1 LineMap; tail slopes
-    default to the spline derivative at the end nodes."""
+def _spline_map(xs, ys, name: str) -> LineMap:
+    """The cubic spline through (xs, ys) as a C^1 LineMap; the tail slopes
+    are the spline derivative at the end nodes."""
     cs = CubicSpline(xs, ys)
-    if tails is None:
-        tails = (float(cs(xs[0], 1)), float(cs(xs[-1], 1)))
     # scipy stores descending powers
-    return LineMap(xs, cs.c[::-1].T.copy(), tails[0], tails[1], c1=True, name=name)
+    return LineMap(xs, cs.c[::-1].T.copy(), float(cs(xs[0], 1)), float(cs(xs[-1], 1)), c1=True, name=name)
 
 
 def from_callable(
     fn: Callable,
     window=DEFAULT_WINDOW,
     pieces: int = 512,
-    tails: Optional[tuple[float, float]] = None,
     name: str = "spline",
 ) -> LineMap:
     """Cubic-spline representation of a smooth map on ``pieces`` intervals.
 
-    Tail slopes default to the spline derivative at the window edges.
+    The tail slopes are the spline derivative at the window edges.
     """
     xs = np.linspace(window[0], window[1], pieces + 1)
-    return _spline_map(xs, fn(xs), name, tails)
+    return _spline_map(xs, fn(xs), name)
 
 
 def sin_drift_map(amp: float = 0.5, window=DEFAULT_WINDOW, pieces: int = 512) -> LineMap:
@@ -403,8 +400,9 @@ class LineMapDerivative:
         leaving = np.concatenate((phi.coeffs[:, 1], [phi.right_slope]))
         return float(np.max(np.abs(arriving - leaving)))
 
-    def sample(self, count: int = DEFAULT_COUNT) -> GridFunction:
-        return sample_fn(self.__call__, self.parent.window, count, Extension.CONSTANT)
+    def sample(self, count: int = DEFAULT_COUNT, window=None) -> GridFunction:
+        """phi' at ``count`` points over ``window``, phi's own by default."""
+        return sample_fn(self.__call__, window or self.parent.window, count, Extension.CONSTANT)
 
 
 def derivative(phi: LineMap) -> LineMapDerivative:

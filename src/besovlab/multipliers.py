@@ -84,22 +84,10 @@ def make_psi(profile="mollifier") -> PsiBump:
     return PsiBump(psi, residual)
 
 
-@dataclass(frozen=True)
-class CoefSequence:
-    """Coefficients on integer translates, normalized in l^p."""
-
-    entries: np.ndarray
-    label: str
-
-    @staticmethod
-    def normalized(entries, p: float, label: str) -> "CoefSequence":
-        arr = np.asarray(entries, dtype=np.float64)
-        nrm = float(np.max(np.abs(arr))) if math.isinf(p) else float(
-            (np.abs(arr) ** p).sum() ** (1.0 / p)
-        )
-        if nrm == 0.0:
-            raise ValueError("zero coefficient sequence")
-        return CoefSequence(arr / nrm, label)
+def _normalized(entries, p: float) -> np.ndarray:
+    """Nonzero ``entries`` scaled to unit l^p norm, p < inf."""
+    arr = np.asarray(entries, dtype=np.float64)
+    return arr / float((np.abs(arr) ** p).sum() ** (1.0 / p))
 
 
 def translate_range(f: GridFunction, margin: int = 0) -> np.ndarray:
@@ -142,7 +130,6 @@ def unif_profile(
 class LowerBoundResult:
     value: float
     argmax: str
-    seed: Optional[int] = None
 
 
 def msq_norm_lower_detailed(
@@ -158,8 +145,8 @@ def msq_norm_lower_detailed(
     """Certified lower bound for the coefficient-sup multiplier norm.
 
     Candidates: all coordinate sequences (so the result dominates the max
-    of unif_profile exactly), Rademacher sign sequences with the recorded
-    seed, and block-constant sequences, all normalized in l^p. ``profile``
+    of unif_profile exactly), Rademacher sign sequences drawn from
+    ``seed``, and block-constant sequences, all normalized in l^p. ``profile``
     is the (zs, vals) that unif_profile returned for the same arguments;
     it supplies the coordinate norms instead of recomputing them.
     """
@@ -173,29 +160,29 @@ def msq_norm_lower_detailed(
     best = float(coord_vals.max())
     arg = f"coordinate z={int(zs[int(np.argmax(coord_vals))])}"
 
-    def try_candidate(c: CoefSequence):
+    def try_candidate(entries, label: str):
         nonlocal best, arg
         g = GridFunction(
-            f.samples * (c.entries @ rows), f.spacing, f.origin, Extension.ZERO
+            f.samples * (_normalized(entries, sp.p) @ rows), f.spacing, f.origin, Extension.ZERO
         )
         v = norm_fn(g, sp, hg)
         if v > best:
             best = v
-            arg = c.label
+            arg = label
 
     rng = np.random.default_rng(seed)
     for i in range(n_random):
         signs = rng.integers(0, 2, size=n) * 2.0 - 1.0
-        try_candidate(CoefSequence.normalized(signs, sp.p, f"rademacher#{i}"))
-    try_candidate(CoefSequence.normalized(np.ones(n), sp.p, "block all-ones"))
+        try_candidate(signs, f"rademacher#{i}")
+    try_candidate(np.ones(n), "block all-ones")
     for width in (2, 4, 8):
         if width >= n:
             continue
         for start in (0, (n - width) // 2, n - width):
             c = np.zeros(n)
             c[start : start + width] = 1.0
-            try_candidate(CoefSequence.normalized(c, sp.p, f"block w={width}@{start}"))
-    return LowerBoundResult(best, arg, seed)
+            try_candidate(c, f"block w={width}@{start}")
+    return LowerBoundResult(best, arg)
 
 
 def multiplier_norm_lower_detailed(

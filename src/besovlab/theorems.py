@@ -24,9 +24,10 @@ with or without sharing.
 
 ``classify`` reads phi once, into a ``MapOnGrid``: phi's values at the
 grid points, its Lipschitz constant, its largest preimage count and phi'
-sampled at the grid's count. Every fragment takes that reading, so phi is
-evaluated on the grid once per ``classify``; a witness on the grid is
-composed with phi by reading it at those values.
+sampled at the grid's count over the hull of the grid's window and phi's
+own. Every fragment takes that reading, so phi is evaluated on the grid
+once per ``classify``; a witness on the grid is composed with phi by
+reading it at those values.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ import hashlib
 import io
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -61,6 +62,7 @@ from .maps import (
     LineMap,
     M_functional,
     U_functional,
+    UnboundedPreimageError,
     derivative,
     lipschitz_constant,
     max_preimage_count,
@@ -171,7 +173,10 @@ class Resolution:
 
 @dataclass(frozen=True)
 class MapOnGrid:
-    """phi read once on ``res``; ``phi_prime`` is phi' at res.count points over phi's own window."""
+    """phi read once on ``res``. ``phi_prime`` is phi' at res.count points
+    over the hull of phi's window and res.window: a map file may give a
+    window too short to hold one multiplier translate, and beyond phi's
+    window phi' is the tail slope, so those samples are exact."""
 
     phi: LineMap
     res: Resolution
@@ -182,9 +187,9 @@ class MapOnGrid:
 
     @classmethod
     def read(cls, phi: LineMap, res: Resolution) -> "MapOnGrid":
-        return cls(
-            phi, res, phi(res.x), lipschitz_constant(phi), max_preimage_count(phi), derivative(phi).sample(res.count)
-        )
+        hull = (min(phi.window[0], res.window[0]), max(phi.window[1], res.window[1]))
+        phi_prime = derivative(phi).sample(res.count, hull)
+        return cls(phi, res, phi(res.x), lipschitz_constant(phi), max_preimage_count(phi), phi_prime)
 
     def compose(self, f: GridFunction) -> GridFunction:
         """``sample_composed(f, phi)`` for f on the grid of ``res``, read at ``ys``."""
@@ -201,15 +206,6 @@ class Fragment:
     vacuous: bool = False
     values: dict = field(default_factory=dict)
     note: str = ""
-
-    def to_json(self) -> dict:
-        return {
-            "name": self.name,
-            "passed": self.passed,
-            "vacuous": self.vacuous,
-            "values": self.values,
-            "note": self.note,
-        }
 
 
 @dataclass
@@ -232,7 +228,7 @@ class CheckReport:
             "space": self.space,
             "kind": self.kind,
             "computed": self.computed,
-            "fragments": [fr.to_json() for fr in self.fragments],
+            "fragments": [asdict(fr) for fr in self.fragments],
             "verdict": self.verdict,
             "tolerances": self.tolerances,
             "grid": self.grid,
@@ -285,9 +281,9 @@ def default_witness_family(res: Resolution) -> list[tuple[str, GridFunction]]:
     return fam
 
 
-def opnorm_lower_detailed(mg: MapOnGrid, sp: SpaceParams, kind: str = "besov"):
-    """max over the witness family of ||C_phi f|| / ||f||; a certified
-    lower bound."""
+def opnorm_lower_detailed(mg: MapOnGrid, sp: SpaceParams, kind: str = "besov") -> tuple[float, str]:
+    """(value, argmax): the max over the witness family of ||C_phi f|| / ||f||,
+    a certified lower bound, and the witness that reaches it."""
     res = mg.res
     ratios = []
     for name, f in default_witness_family(res):
@@ -298,8 +294,7 @@ def opnorm_lower_detailed(mg: MapOnGrid, sp: SpaceParams, kind: str = "besov"):
         ratios.append((num / denom, name))
     if not ratios:
         raise ValueError("degenerate witness family")
-    best = max(ratios)
-    return best[0], best[1], ratios
+    return max(ratios)
 
 
 # ---------------------------------------------------------------------------
@@ -307,8 +302,9 @@ def opnorm_lower_detailed(mg: MapOnGrid, sp: SpaceParams, kind: str = "besov"):
 # ---------------------------------------------------------------------------
 
 def composed_bump_masses(mg: MapOnGrid, targets, p: float) -> list[float]:
-    """||C_phi f_a||_p^p for the unit bump f_a of every target a, each bump
-    interpolated at phi's grid values, as ``compose`` would read it."""
+    """||C_phi f_a||_p^p for the unit bump f_a of every target a. Each bump's
+    samples are interpolated at phi's grid values; ``MapOnGrid.compose`` would
+    instead evaluate the bump's descriptor there."""
     masses = []
     for a in targets:
         fa = unit_bump(float(a), mg.res.window, mg.res.count)
@@ -509,9 +505,12 @@ def check_infinity_witness(mg: MapOnGrid, sp: SpaceParams, opnorm: float) -> Fra
     a_grid = np.arange(a_lo, a_hi + A_STEP, A_STEP)
     # an a_lo off the step lattice would put the last target past a_hi
     for a in a_grid[a_grid <= a_hi]:
-        fa = linear_cutoff(float(a), 1.0, window, res.count)
-        d = grid_derivative(mg.compose(fa))
-        for interval in preimage_intervals(phi, (float(a), float(a) + 1.0)):
+        try:
+            intervals = preimage_intervals(phi, (float(a), float(a) + 1.0))
+        except UnboundedPreimageError:
+            continue  # [a, a+1] holds a flat tail's value, where phi' = 0 adds nothing to the sup
+        d = grid_derivative(mg.compose(linear_cutoff(float(a), 1.0, window, res.count)))
+        for interval in intervals:
             recon = max(recon, linf_on_interval(d, interval))
     down = sp.shifted_down()
     direct = res.norm(mg.phi_prime, down, kind="besov_seminorm")
@@ -584,7 +583,7 @@ def classify(
     mg = MapOnGrid.read(phi, res)
     uval = U_functional(phi)
     mest = M_functional(phi, uval)
-    op_val, op_arg, _ = opnorm_lower_detailed(mg, sp, kind)
+    op_val, op_arg = opnorm_lower_detailed(mg, sp, kind)
 
     down = sp.shifted_down()
     phi_prime = mg.phi_prime
@@ -612,7 +611,8 @@ def classify(
     if phi.c1:
         fragments.append(check_sufficiency_chain(mg, sample("gaussian", res.window, res.count), sp))
 
-    if math.isinf(uval):
+    if math.isinf(uval) and not math.isinf(sp.p):
+        # U < inf is necessary for p < inf only; at p = inf no fragment reads U
         verdict = "ConsistentUnbounded"
         note = "U(phi) infinite: the necessary unit-interval distortion bound fails"
     elif window_limited:

@@ -1,7 +1,8 @@
 """Acceptance criteria A1-A12.
 
-Each test pins the criterion's stated tolerance, measures its runtime
-(after kernel warm-up, see conftest), and prints one PASS/FAIL line.
+Each test pins the criterion's stated tolerance, measures its wall time
+(the first test to run also pays the imports), and prints one PASS/FAIL
+line.
 Run with ``pytest tests/test_acceptance.py -v -s``.
 """
 

@@ -172,6 +172,50 @@ def test_check_flat_map_reads_unbounded(tmp_path, capsys):
     assert code == 0 and json.loads(out_text)[0]["max_preimage"] == 0
 
 
+def test_check_flat_map_at_p_inf_is_bounded(tmp_path, capsys):
+    # at p = inf f o phi is the constant f(0), so U = inf does not make the
+    # verdict, and the Lipschitz stage skips the targets holding the flat
+    # tails' value instead of refusing the map
+    path = tmp_path / "flat.json"
+    path.write_text(json.dumps({
+        "pieces": [{"interval": [-16, 16], "coeffs": [0, 0, 0, 0]}],
+        "tails": {"left_slope": 0, "right_slope": 0},
+    }))
+    out = tmp_path / "report.json"
+    code, _, err = run(
+        capsys, "check", "--map", str(path), "--space", "s=1.5,p=inf,q=2,m=2", "--count", "2049", "--json", str(out),
+    )
+    assert (code, err) == (0, "")
+    report = json.loads(out.read_text())[0]
+    assert report["verdict"] == "ConsistentBounded"
+    (frag,) = report["fragments"]
+    assert frag["values"]["lip_reconstructed"] == 0.0 and frag["values"]["phiprime_seminorm_direct"] == 0.0
+
+
+def test_check_short_map_window_reads_like_its_map(tmp_path, capsys):
+    # the identity written as one piece on [-2, 2]: its own window holds no
+    # multiplier translate, so phi' is sampled over the grid's window too,
+    # where the tails give phi' = 1 exactly
+    path = tmp_path / "id4.json"
+    path.write_text(json.dumps({
+        "pieces": [{"interval": [-2, 2], "coeffs": [-2, 1, 0, 0]}],
+        "tails": {"left_slope": 1, "right_slope": 1},
+        "c1": True,
+    }))
+    reports = []
+    for spec in (str(path), "identity"):
+        out = tmp_path / "report.json"
+        code, _, err = run(
+            capsys, "check", "--map", spec, "--space", "s=2.1,p=2,q=2,m=3", "--count", "2049", "--json", str(out),
+        )
+        assert (code, err) == (0, "")
+        reports.append(json.loads(out.read_text())[0])
+    short, identity = reports
+    assert short["verdict"] == "ConsistentBounded"
+    for key in ("phiprime_unif", "phiprime_mult_lower", "phiprime_msq_lower"):
+        assert short["computed"][key] == identity["computed"][key]
+
+
 def test_check_p_inf_m3_zigzag_vacuous(tmp_path, capsys):
     # the m - 1 = 2 zigzag needs a window of length 64; the default one is 32.
     # The Lipschitz stage alone does not make the map ConsistentBounded.

@@ -1,8 +1,9 @@
 """Every name a besovlab module imports is used in that module, every name
-it defines at top level is used somewhere in the project, the package
-reads no environment variable that is not declared here, and the fragments
-in theorems.py read their grid from one Resolution and their map from one
-MapOnGrid."""
+it defines at top level is used somewhere in the project and, with its
+classes' public methods, reached from the program itself (src or perfbench)
+unless declared test-only, the package reads no environment variable that
+is not declared here, and the fragments in theorems.py read their grid
+from one Resolution and their map from one MapOnGrid."""
 
 import ast
 from pathlib import Path
@@ -208,3 +209,66 @@ def test_theorems_reads_each_map_once():
 )
 def test_map_guard_sees_each_form(source, want):
     assert _map_outside_reading(source) == want
+
+
+# Names that only the tests reach, each kept as a paper check, an oracle or a
+# reference that the tests compare the program against.
+TEST_ONLY_API = {
+    "difference": "Delta^m_h f itself, the textbook operator the difference stencils are held to",
+    "embedding_lhs": "the l^p sum of per-cell sups in the paper's embedding, kept as a paper check",
+    "inverse_map": "phi^-1 as a spline: classify must read phi and phi^-1 alike",
+    "pairwise_disjoint": "the property every greedy class must have, checked on each split",
+}
+
+
+def _program_references() -> tuple[dict, set[str]]:
+    """Per src module, its parsed tree; and everything perfbench references,
+    its string constants included (layers.py names the traced functions as
+    strings). The package's __init__ is left out: a re-export there is not a
+    use."""
+    trees = {path: ast.parse(path.read_text()) for path in MODULES}
+    bench = set()
+    for path in (ROOT / "perfbench").rglob("*.py"):
+        tree = ast.parse(path.read_text())
+        bench |= _references(tree)
+        bench |= {n.value for n in ast.walk(tree) if isinstance(n, ast.Constant) and isinstance(n.value, str)}
+    return trees, bench
+
+
+def _definitions(tree: ast.Module):
+    """Top-level names, and the public methods of top-level classes."""
+    for name, node in _top_level_definitions(tree):
+        yield name, node
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef) and not item.name.startswith("_"):
+                    yield item.name, item
+
+
+def test_every_definition_is_reached_by_the_program():
+    """Every name defined in src/besovlab is referenced from src or perfbench,
+    or is declared in TEST_ONLY_API. References are matched by name, so
+    this guard cannot see operator methods (``__add__`` and the like),
+    which no name reaches."""
+    trees, bench = _program_references()
+    whole = {path: _references(tree) for path, tree in trees.items()}
+    unreached = []
+    for path, tree in trees.items():
+        others = set(bench)
+        for other, refs in whole.items():
+            if other != path:
+                others |= refs
+        for name, node in _definitions(tree):
+            if name not in others and name not in _references(tree, skip=node) and name not in TEST_ONLY_API:
+                unreached.append(f"{path.name}:{name}")
+    assert unreached == []
+
+
+def test_test_only_api_is_defined_and_unreached():
+    """Each TEST_ONLY_API name exists in src and nothing in the program
+    reaches it, so the exemption list cannot go stale."""
+    trees, bench = _program_references()
+    defined = {name for tree in trees.values() for name, _ in _definitions(tree)}
+    reached = bench.union(*(_references(tree) for tree in trees.values()))
+    assert set(TEST_ONLY_API) <= defined
+    assert set(TEST_ONLY_API).isdisjoint(reached)

@@ -100,9 +100,11 @@ def test_witness_family_members_are_distinct():
 
 
 def test_opnorm_detail_records_argmax():
-    val, arg, ratios = opnorm_lower_detailed(MapOnGrid.read(affine_map(2.0, 0.0), Resolution()), SP)
-    assert val == max(r for r, _ in ratios)
-    assert any(arg == n for _, n in ratios)
+    res = Resolution()
+    mg = MapOnGrid.read(affine_map(2.0, 0.0), res)
+    ratios = {name: res.norm(mg.compose(f), SP) / res.norm(f, SP) for name, f in default_witness_family(res)}
+    val, arg = opnorm_lower_detailed(mg, SP)
+    assert val == max(ratios.values()) == ratios[arg]
 
 
 # ---------------------------------------------------------------------------
