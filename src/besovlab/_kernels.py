@@ -8,7 +8,11 @@ tests/test_kernels.py checks them against those loops and against
 closed-form oracles. ``Stencil`` skips work whose result is known: it
 evaluates only the columns of a row that read a sample differing from the
 extension values, and adds each stencil term through one reused temporary
-row, so a term allocates nothing.
+row, so a term allocates nothing. The terms are summed for j = 0 .. m in
+increasing order, as the reference loop sums them. The end coefficients are
+c_0 = (-1)^m and c_m = 1, which multiply exactly, so the row starts as
+c_1 s_1 -/+ s_0 (the same IEEE value as c_0 s_0 + c_1 s_1; s_1 - s_0 at
+m = 1) and s_m is added as read.
 
 The scalar kernels (``segment_clip``, ``greedy_classes``) run on Python floats
 and lists, which do the same IEEE double arithmetic as numpy scalars at a
@@ -95,13 +99,27 @@ class Stencil:
         reach = self.m * off
         a = min(max(self.lo - max(reach, 0), 0), self.n)
         b = min(max(self.hi + 1 - min(reach, 0), a), self.n)
-        seg, tmp = out[a:b], self._tmp[: b - a]
-        np.multiply(self.coefs[0], self.samples[a:b], out=seg)
-        n = self.n
-        for j in range(1, self.m + 1):
+        n, m, width = self.n, self.m, b - a
+        seg, tmp = out[a:b], self._tmp[:width]
+
+        def term(j):
             start = n + min(max(j * off, -n), n) + a
-            np.multiply(self.coefs[j], self.buf[start : start + b - a], out=tmp)
+            return self.buf[start : start + width]
+
+        # c_0 = (-1)^m and c_m = 1 multiply exactly, so c_0 s_0 + c_1 s_1
+        # is c_1 s_1 -/+ s_0 and the last term is added as read
+        if m == 1:
+            np.subtract(term(1), self.samples[a:b], out=seg)
+            return a, b
+        np.multiply(self.coefs[1], term(1), out=seg)
+        if m % 2:
+            seg -= self.samples[a:b]
+        else:
+            seg += self.samples[a:b]
+        for j in range(2, m):
+            np.multiply(self.coefs[j], term(j), out=tmp)
             seg += tmp
+        seg += term(m)
         return a, b
 
     def row(self, off: int, out):
@@ -166,7 +184,8 @@ def _solve_mono_py(row, y):
         mid = 0.5 * (a + b)
         if mid == a or mid == b:
             return mid
-        fm = _poly3(t0, c0, c1, c2, c3, mid) - y
+        u = mid - t0  # _poly3 inlined, in its operation order
+        fm = c0 + u * (c1 + u * (c2 + u * c3)) - y
         if (fm <= 0.0) == inc:
             a = mid
         else:
@@ -245,10 +264,13 @@ def preimage_lengths(seg, los, his):
 
 
 def segment_clip(seg_row, lo, hi):
-    """The clip of one segment table row to the band [lo, hi], as Python
-    floats: (xa, xb) with xa <= xb, or None when the row misses the band.
-    preimage_lengths sums the same clip over a batch of targets."""
-    return _clip_segment_py(np.asarray(seg_row, dtype=np.float64).tolist(), lo, hi)
+    """The clip of one segment table row, or of the row's list of Python
+    floats, to the band [lo, hi], as Python floats: (xa, xb) with xa <= xb,
+    or None when the row misses the band. preimage_lengths sums the same
+    clip over a batch of targets."""
+    if not isinstance(seg_row, list):
+        seg_row = np.asarray(seg_row, dtype=np.float64).tolist()
+    return _clip_segment_py(seg_row, lo, hi)
 
 
 # ---------------------------------------------------------------------------

@@ -96,6 +96,7 @@ class LineMap:
     c1: bool = False
     name: str = "linemap"
     _segments: Optional[np.ndarray] = field(default=None, compare=False, repr=False)
+    _clip_table: Optional[tuple] = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
         bp = np.ascontiguousarray(self.breakpoints, dtype=np.float64)
@@ -173,6 +174,17 @@ class LineMap:
         table = np.column_stack([t0, c, t0 + a, t0 + b, _cubic(c, a), _cubic(c, b)])
         object.__setattr__(self, "_segments", table)
         return table
+
+    def clip_table(self) -> tuple:
+        """The segment table as preimage_intervals reads it for each target:
+        ymin and ymax of every row as arrays and as lists, the rows as lists
+        of Python floats, and the edge values. Cached after first build."""
+        if self._clip_table is None:
+            seg = self.segments()
+            ymin, ymax = np.minimum(seg[:, 7], seg[:, 8]), np.maximum(seg[:, 7], seg[:, 8])
+            table = (ymin, ymax, ymin.tolist(), ymax.tolist(), seg.tolist(), self.edge_values())
+            object.__setattr__(self, "_clip_table", table)
+        return self._clip_table
 
     def value_range(self) -> tuple[float, float]:
         seg = self.segments()
@@ -446,36 +458,41 @@ def lipschitz_constant(phi: LineMap) -> float:
     return max(abs(phi.left_slope), abs(phi.right_slope), steepest_point(phi)[0])
 
 
-def _check_flat_tails(phi: LineMap, lo: float, hi: float):
-    left_val, right_val = phi.edge_values()
-    if phi.left_slope == 0.0 and lo <= left_val <= hi:
-        raise UnboundedPreimageError("target hits the flat left tail value")
-    if phi.right_slope == 0.0 and lo <= right_val <= hi:
-        raise UnboundedPreimageError("target hits the flat right tail value")
-
-
 def preimage_intervals(phi: LineMap, target) -> IntervalSet:
     """phi^-1([lo, hi]) within the window as a disjoint union of closed
     intervals; intervals at most 1e-9 window widths apart are merged."""
     lo, hi = float(target[0]), float(target[1])
     if hi < lo:
         raise ValueError("target must satisfy lo <= hi")
-    _check_flat_tails(phi, lo, hi)
-    seg = phi.segments()
-    ymin = np.minimum(seg[:, 7], seg[:, 8])
-    ymax = np.maximum(seg[:, 7], seg[:, 8])
-    idx = np.nonzero((ymax >= lo) & (ymin <= hi))[0]
-    if idx.size == 0:
-        return IntervalSet(())
-    # flat segments and segments inside [lo, hi] are kept whole; the rest need a root
-    xl, xh, ymin, ymax = seg[idx, 5], seg[idx, 6], ymin[idx], ymax[idx]
-    for k in np.nonzero((ymin != ymax) & ((ymin < lo) | (ymax > hi)))[0].tolist():
-        xl[k], xh[k] = _kernels.segment_clip(seg[idx[k]], lo, hi)
+    ymin, ymax, ymin_l, ymax_l, rows, (left_val, right_val) = phi.clip_table()
+    if phi.left_slope == 0.0 and lo <= left_val <= hi:
+        raise UnboundedPreimageError("target hits the flat left tail value")
+    if phi.right_slope == 0.0 and lo <= right_val <= hi:
+        raise UnboundedPreimageError("target hits the flat right tail value")
     # segments are ordered in x and clips stay inside them, so a gap opens only
     # between neighbours; min/max absorb an ulp of overlap at piece ends
     tol = 1e-9 * max(1.0, phi.window[1] - phi.window[0])
-    starts = np.flatnonzero(np.concatenate(([True], xl[1:] > xh[:-1] + tol)))
-    return IntervalSet(tuple(zip(np.minimum.reduceat(xl, starts).tolist(), np.maximum.reduceat(xh, starts).tolist())))
+    merged, start, end, prev = [], None, None, None
+    for k in np.flatnonzero((ymax >= lo) & (ymin <= hi)).tolist():
+        row, y0, y1 = rows[k], ymin_l[k], ymax_l[k]
+        # flat segments and segments inside [lo, hi] are kept whole; the rest need a root
+        if y0 == y1 or (y0 >= lo and y1 <= hi):
+            xa, xb = row[5], row[6]
+        else:
+            xa, xb = _kernels.segment_clip(row, lo, hi)
+        if start is None or xa > prev + tol:
+            if start is not None:
+                merged.append((start, end))
+            start, end = xa, xb
+        else:
+            if xa < start:
+                start = xa
+            if xb > end:
+                end = xb
+        prev = xb
+    if start is not None:
+        merged.append((start, end))
+    return IntervalSet(tuple(merged))
 
 
 def _sup_preimage_length(phi: LineMap, width: float) -> float:

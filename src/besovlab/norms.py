@@ -21,18 +21,32 @@ a few rows instead of a 21 MB table. Each row evaluates its stencil, |.|
 and ^p only on its live columns, the ones with a read where f differs from
 its extension values (most witnesses are compactly supported); the other
 columns take the constant's value, and the sum or max still runs over the
-whole row, so every value is bit-identical to a whole-table pass.
+whole row, so every value is bit-identical to a whole-table pass. Within
+that, no pass runs whose result is known: the stencil adds or subtracts
+its +-1 end terms instead of multiplying them (see _kernels.Stencil), |.|
+is skipped at p = 2, and a constant column is refilled only when the live
+span moved over it since the previous row. The Sobolev square function
+likewise weights only live columns; a column that is constant in every row
+of a level takes the row-order sum of the constants.
 
 The Fourier paths take the real half spectrum (rfft/irfft). Every band
 mask and the Sobolev lift depend on |xi| only, so this is the same operator
-on half the data; against the full complex fft/ifft the values move by at
-most 1.8e-15 relative over the catalog family (tests bound it at 1e-13).
+on half the data. At p = 2 no band is inverted: by discrete Parseval a
+band's L^2 norm is read from the half spectrum, each bin weighted by the
+number of full-spectrum bins it stands for. The band masks are built once
+per (cell count, spacing) and kept read-only on their support only. Against
+the full complex fft/ifft, the values at p = 2 move by at most 1.8e-15
+relative over the catalog family and the narrow gadgets at 2^13+1 and
+2^15+1 (tests bound it at 1e-13), and by at most 4.1e-16 against inverting
+each band. p != 2 inverts each band; there the plateau at 2^15+1, p = 3
+differs from the full-spectrum reference by 3.3e-13.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -150,7 +164,10 @@ def _difference_norm_table(f: GridFunction, m: int, hs: np.ndarray, p: float) ->
     One row buffer serves every h: the stencil, |.| and ^p run on the row's
     live columns (see _kernels.Stencil), the constant columns take the
     constant's value through the same |.| and ^p, and the sum or max runs
-    over the whole row, as a whole-table pass reduces it.
+    over the whole row, as a whole-table pass reduces it. |.| is skipped at
+    p = 2, where x^2 = |x|^2 bit for bit. A constant column keeps its value
+    from the previous row, so only the columns where the live span [a, b)
+    moved since then are refilled.
     """
     left, right = f.ext_values()
     offs = np.round(hs / f.spacing).astype(np.int64)
@@ -162,14 +179,19 @@ def _difference_norm_table(f: GridFunction, m: int, hs: np.ndarray, p: float) ->
     fill_left, fill_right = ends.tolist()
     row = np.empty(f.count)
     acc = np.empty(offs.shape[0])
+    pa, pb = 0, f.count  # previous live span; nothing is filled yet
     for k, off in enumerate(offs.tolist()):
         a, b = stencil.live_row(off, row)
         live = row[a:b]
-        np.abs(live, out=live)
+        if p != 2.0:
+            np.abs(live, out=live)
         if not sup:
             live **= p
-        row[:a] = fill_left
-        row[b:] = fill_right
+        if a > pa:
+            row[pa:a] = fill_left
+        if b < pb:
+            row[b:pb] = fill_right
+        pa, pb = a, b
         acc[k] = row.max() if sup else row.sum()
     if sup:
         return acc
@@ -215,10 +237,10 @@ def _cutoff(xi):
     return 1.0 - smoothstep(np.abs(xi) - 1.0)
 
 
-def _fourier_samples(f: GridFunction):
+def _half_spectrum(f: GridFunction):
     """Window treated as one period of 2^k cells; returns (f resampled to
-    2^k + 1 points when needed, real half spectrum, its angular freqs >= 0).
-    Invert with np.fft.irfft(..., n=f.count - 1)."""
+    2^k + 1 points when needed, its real half spectrum). Invert with
+    np.fft.irfft(..., n=f.count - 1)."""
     if f.extension is not Extension.ZERO:
         raise ValueError("Fourier path requires zero extension")
     m = f.count - 1
@@ -226,37 +248,91 @@ def _fourier_samples(f: GridFunction):
         target = 2 ** int(math.ceil(math.log2(m))) + 1
         f = f.resample(target)
         m = f.count - 1
-    spec = np.fft.rfft(f.samples[:m])
-    xi = 2.0 * math.pi * np.fft.rfftfreq(m, d=f.spacing)
-    return f, spec, xi
+    return f, np.fft.rfft(f.samples[:m])
+
+
+def _angular_freqs(m: int, spacing: float) -> np.ndarray:
+    return 2.0 * math.pi * np.fft.rfftfreq(m, d=spacing)
+
+
+def _weighted_power(spec, m: int) -> np.ndarray:
+    """|spec|^2 times the number of full-spectrum bins each half-spectrum bin
+    stands for: 1 at xi = 0 and at the Nyquist bin of an even m, 2 elsewhere.
+    By discrete Parseval, (weighted power * mult^2).sum() / m is the sum of
+    squares of irfft(spec * mult, n=m) for a real multiplier mult."""
+    power = spec.real**2 + spec.imag**2
+    power[1 : (m + 1) // 2] *= 2.0
+    return power
+
+
+def _l2_from_power(weighted: np.ndarray, m: int, spacing: float) -> float:
+    """The rectangle-rule L^2 norm (lp_norm at p = 2) of the m samples whose
+    weighted half-spectrum power is ``weighted``. .sum(), not np.dot, which
+    may start BLAS threads."""
+    return (float(weighted.sum()) * spacing / m) ** 0.5
+
+
+@functools.lru_cache(maxsize=32)
+def _band_masks(m: int, spacing: float):
+    """(j, a, b, mask_j[a:b]) for every dyadic band with a nonzero mask on
+    the half spectrum of m cells at ``spacing``; [a, b) spans the mask's
+    nonzero bins. Built once per grid; the masks are read-only."""
+    xi = _angular_freqs(m, spacing)
+    n_bands = int(math.ceil(math.log2(math.pi / spacing))) + 1
+    out = []
+    lower = np.zeros_like(xi)
+    for j in range(n_bands + 1):
+        cut = _cutoff(2.0 ** (-j) * xi)
+        mask, lower = cut - lower, cut
+        support = np.flatnonzero(mask)
+        if not support.size:
+            continue
+        a, b = int(support[0]), int(support[-1]) + 1
+        band = mask[a:b].copy()
+        band.flags.writeable = False
+        out.append((j, a, b, band))
+    return tuple(out)
 
 
 def littlewood_paley_norm(f: GridFunction, sp: SpaceParams) -> float:
     """Fourier-side norm (sum_j 2^{jsq} ||band_j f||_p^q)^{1/q} over the
     dyadic bands band_j(xi) = cut(2^-j xi) - cut(2^-(j-1) xi), band_0 = cut,
-    for j = 0 .. ceil(log2(pi / spacing)) + 1."""
-    f, spec, xi = _fourier_samples(f)
-    n_bands = int(math.ceil(math.log2(math.pi / f.spacing))) + 1
+    for j = 0 .. ceil(log2(pi / spacing)) + 1. At p = 2 each band's norm is
+    read from the spectrum by Parseval; otherwise each band is inverted."""
+    f, spec = _half_spectrum(f)
+    m = f.count - 1
+    parseval = sp.p == 2.0
+    if parseval:
+        power = _weighted_power(spec, m)
     terms = []
-    lower = np.zeros_like(xi)
-    for j in range(n_bands + 1):
-        cut = _cutoff(2.0 ** (-j) * xi)
-        mask, lower = cut - lower, cut
-        if not mask.any():
-            continue
-        band = np.fft.irfft(spec * mask, n=f.count - 1)
-        terms.append((j, lp_norm(GridFunction(band, f.spacing, f.origin), sp.p)))
+    for j, a, b, mask in _band_masks(m, float(f.spacing)):
+        if parseval:
+            energy = mask * power[a:b]
+            energy *= mask
+            v = _l2_from_power(energy, m, f.spacing)
+        else:
+            banded = np.zeros_like(spec)
+            banded[a:b] = spec[a:b] * mask
+            v = lp_norm(GridFunction(np.fft.irfft(banded, n=m), f.spacing, f.origin), sp.p)
+        terms.append((j, v))
     if math.isinf(sp.q):
         return max(2.0 ** (j * sp.s) * v for j, v in terms)
     return float(sum(2.0 ** (j * sp.s * sp.q) * v**sp.q for j, v in terms)) ** (1.0 / sp.q)
 
 
 def sobolev_norm_fourier(f: GridFunction, s: float, p: float) -> float:
-    """||F^-1[(1+|xi|^2)^{s/2} F f]||_{L^p}, angular frequency convention."""
+    """||F^-1[(1+|xi|^2)^{s/2} F f]||_{L^p}, angular frequency convention;
+    at p = 2 read from the spectrum by Parseval."""
     if not (1.0 < p < math.inf):
         raise ValueError("Sobolev space requires p in (1, inf)")
-    f, spec, xi = _fourier_samples(f)
-    lifted = np.fft.irfft(spec * (1.0 + xi**2) ** (s / 2.0), n=f.count - 1)
+    f, spec = _half_spectrum(f)
+    m = f.count - 1
+    xi2 = _angular_freqs(m, f.spacing) ** 2
+    if p == 2.0:
+        power = _weighted_power(spec, m)
+        power *= (1.0 + xi2) ** s
+        return _l2_from_power(power, m, f.spacing)
+    lifted = np.fft.irfft(spec * (1.0 + xi2) ** (s / 2.0), n=m)
     return lp_norm(GridFunction(lifted, f.spacing, f.origin), p)
 
 
@@ -277,16 +353,35 @@ def sobolev_seminorm_diff(
     offs = np.round(hs / f.spacing).astype(np.int64)
     stencil = _kernels.Stencil(f.samples, left, right, m)
     n_levels = int(lev.max()) + 1
-    absd_weighted = np.zeros((n_levels, f.count))
-    # materialize keeps levels 0..n_levels-1 without gaps, all on the grid
+    absd_weighted = np.empty((n_levels, f.count))
+    ends = (abs(stencil.left_value), abs(stencil.right_value))
+    rows = np.empty((hg.nodes_per_level, f.count))
+    # materialize keeps levels 0..n_levels-1 without gaps, all on the grid.
+    # Each level's weighted |rows| are summed column by column in row order.
+    # A column before every row's live span holds |left_value| * w in each
+    # row, one after every span |right_value| * w, so their sums are scalars.
     for k_lev in range(n_levels):
-        idx = np.nonzero(lev == k_lev)[0]
-        rows = np.empty((idx.size, f.count))
-        for row, off in zip(rows, offs[idx].tolist()):
-            stencil.row(off, row)
-        np.abs(rows, out=rows)
-        rows *= wlin[idx][:, None]
-        np.sum(rows, axis=0, out=absd_weighted[k_lev])
+        idx = np.flatnonzero(lev == k_lev)
+        spans, fills = [], []
+        for row, off, w in zip(rows, offs[idx].tolist(), wlin[idx].tolist()):
+            a, b = stencil.live_row(off, row)
+            live = row[a:b]
+            np.abs(live, out=live)
+            live *= w
+            spans.append((a, b))
+            fills.append((ends[0] * w, ends[1] * w))
+        lo = min(a for a, _ in spans)
+        hi = max(b for _, b in spans)
+        level = rows[: idx.size]
+        for row, (a, b), (fill_left, fill_right) in zip(level, spans, fills):
+            row[lo:a] = fill_left
+            row[b:hi] = fill_right
+        out = absd_weighted[k_lev]
+        out[lo:hi] = level[0, lo:hi]
+        for row in level[1:]:
+            out[lo:hi] += row[lo:hi]
+        out[:lo] = functools.reduce(operator.add, [fill for fill, _ in fills])
+        out[hi:] = functools.reduce(operator.add, [fill for _, fill in fills])
     # inner integral over |h| <= t_k accumulates all levels >= k
     square = np.zeros(f.count)
     inner = np.zeros(f.count)

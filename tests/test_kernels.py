@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from besovlab import _kernels as K
-from besovlab.grid import Extension, GridFunction
+from besovlab.grid import Extension, GridFunction, lp_norm
 from besovlab.maps import (
     M_functional,
     U_functional,
@@ -15,9 +15,10 @@ from besovlab.maps import (
     max_preimage_count,
     preimage_intervals,
     quadratic_map,
+    sin_drift_map,
     sin_map,
 )
-from besovlab.norms import _difference_norm_table
+from besovlab.norms import DEFAULT_HGRID, LN2, _difference_norm_table, sobolev_seminorm_diff
 from besovlab.splitting import IntervalFamily, intersection_degree
 
 
@@ -169,7 +170,7 @@ def _solve_fixed_steps(row, y):
     return 0.5 * (a + b)
 
 
-def test_solve_mono_matches_the_fixed_step_loop(rng, monkeypatch):
+def test_solve_mono_matches_the_fixed_step_loop(rng):
     seg = _segment_table(rng, 90)
     cases = []
     for row in seg[seg[:, 7] != seg[:, 8]]:
@@ -180,18 +181,19 @@ def test_solve_mono_matches_the_fixed_step_loop(rng, monkeypatch):
     for y in (0.0, 1e-300, -1e-300, 5e-324):
         cases.append((np.array([0.0, 0.0, 1.0, 0.0, 0.0, -1.0, 1.0, -1.0, 1.0]), y))
         cases.append((np.array([0.0, 0.0, -2.0, 0.0, 0.0, -0.5, 0.75, 1.0, -1.5]), y))
-    poly3 = K._poly3
     steps = []
 
-    def counted(*args):
-        steps[-1] += 1
-        return poly3(*args)
+    class Counted(float):
+        """The target level; each step subtracts it from the cubic once."""
 
-    monkeypatch.setattr(K, "_poly3", counted)
+        def __rsub__(self, other):
+            steps[-1] += 1
+            return other - float(self)
+
     for row, y in cases:
         want = _solve_fixed_steps(row, y)
         steps.append(0)
-        got = K._solve_mono_py(row.tolist(), float(y))
+        got = K._solve_mono_py(row.tolist(), Counted(y))
         assert got == want and type(got) is float, (row, y)
         # the exit fires at float convergence; only roots very near 0 need
         # more than N_BISECT steps to get there
@@ -217,6 +219,37 @@ def test_segment_clip_flat_segment():
     row = np.array([0.0, 2.0, 0.0, 0.0, 0.0, 0.0, 3.0, 2.0, 2.0])
     assert K.segment_clip(row, 1.0, 2.5) == (0.0, 3.0)
     assert K.segment_clip(row, 2.5, 3.0) is None
+    assert K.segment_clip(row.tolist(), 1.0, 2.5) == (0.0, 3.0)
+
+
+def _vectorized_intervals(phi, lo, hi):
+    """preimage_intervals as whole-array steps: screen, clip the rows that
+    leave the band, then merge neighbours closer than the tolerance."""
+    seg = phi.segments()
+    ymin, ymax = np.minimum(seg[:, 7], seg[:, 8]), np.maximum(seg[:, 7], seg[:, 8])
+    idx = np.nonzero((ymax >= lo) & (ymin <= hi))[0]
+    if idx.size == 0:
+        return ()
+    xl, xh, ymin, ymax = seg[idx, 5], seg[idx, 6], ymin[idx], ymax[idx]
+    for k in np.nonzero((ymin != ymax) & ((ymin < lo) | (ymax > hi)))[0].tolist():
+        xl[k], xh[k] = K.segment_clip(seg[idx[k]], lo, hi)
+    tol = 1e-9 * max(1.0, phi.window[1] - phi.window[0])
+    starts = np.flatnonzero(np.concatenate(([True], xl[1:] > xh[:-1] + tol)))
+    return tuple(zip(np.minimum.reduceat(xl, starts).tolist(), np.maximum.reduceat(xh, starts).tolist()))
+
+
+@pytest.mark.parametrize("phi", [sin_map(), quadratic_map(), sin_drift_map(0.5), affine_map(-2.0, 1.0)])
+def test_preimage_intervals_equal_the_vectorized_merge(phi, rng):
+    crit = phi.critical_values()
+    lo, hi = phi.value_range()
+    starts = rng.uniform(lo - 2.0, hi + 1.0, size=300)
+    targets = [(a, a + w) for a, w in zip(starts, rng.choice([0.0, 1e-12, 0.3, 1.0, 4.0], size=300))]
+    # bands starting, ending and degenerate at the segment end values
+    targets += [(c, c + 1.0) for c in crit] + [(c - 1.0, c) for c in crit] + [(c, c) for c in crit]
+    for a, b in targets:
+        got = preimage_intervals(phi, (a, b)).intervals
+        want = _vectorized_intervals(phi, float(a), float(b))
+        assert np.array(got).tobytes() == np.array(want).tobytes(), (phi.name, a, b)
 
 
 # ---------------------------------------------------------------------------
@@ -282,8 +315,9 @@ STENCIL_OFFSETS = [1, -1, 2, -3, 7, -9, 13, 20, -21, 39, -39, 40, 57, -150]
 
 
 def test_stencil_rows_equal_the_brute_force_loop(rng):
+    # m = 4 has the coefficients -4 and 6 between its +-1 end terms
     for samples, left, right in _stencil_cases(rng):
-        for m in (1, 2, 3):
+        for m in (1, 2, 3, 4):
             got = K.shift_difference_batch(samples, left, right, np.array(STENCIL_OFFSETS), m)
             want = _reference_difference(samples, left, right, STENCIL_OFFSETS, m)
             # bytes, so that the sign of every zero counts
@@ -304,25 +338,61 @@ def test_stencil_rows_keep_the_sign_of_zero():
     assert np.signbit(want).any() and not np.signbit(want).all()
 
 
+def _stencil_functions(rng, spacing):
+    """_stencil_cases as grid functions whose ext_values are the case's."""
+    for samples, left, right in _stencil_cases(rng):
+        ext = Extension.ZERO if left == right == 0.0 else Extension.CONSTANT
+        if ext is Extension.CONSTANT:
+            # a CONSTANT function extends by its end samples
+            samples = np.concatenate(([left], samples, [right]))
+        yield GridFunction(samples, spacing, 0.0, ext)
+
+
 def test_difference_norm_table_equals_the_brute_force_table(rng):
     spacing = 0.125
     hs = np.array(STENCIL_OFFSETS) * spacing
-    for samples, left, right in _stencil_cases(rng):
-        ext = Extension.ZERO if left == right == 0.0 else Extension.CONSTANT
-        f = GridFunction(samples, spacing, 0.0, ext)
-        if ext is Extension.CONSTANT:
-            # a CONSTANT function extends by its end samples
-            f = GridFunction(np.concatenate(([left], samples, [right])), spacing, 0.0, ext)
+    for f in _stencil_functions(rng, spacing):
         left, right = f.ext_values()
-        for m in (1, 2, 3):
+        for m in (1, 2, 3, 4):
             table = np.abs(_reference_difference(f.samples, left, right, STENCIL_OFFSETS, m))
-            for p in (1.5, 2.0, math.inf):
+            for p in (1.0, 1.5, 2.0, 3.0, math.inf):
                 if math.isinf(p):
                     want = table.max(axis=1)
                 else:
                     want = (table**p).sum(axis=1) ** (1.0 / p) * spacing ** (1.0 / p)
                 got = _difference_norm_table(f, m, hs, p)
                 assert got.tobytes() == want.tobytes(), (f.samples, m, p)
+
+
+def _reference_sobolev_seminorm(f, s, p, m):
+    """sobolev_seminorm_diff from the brute-force difference table: each
+    level's weighted |rows| summed column by column in row order."""
+    hs, _, wlin, lev = DEFAULT_HGRID.materialize(f.spacing)
+    left, right = f.ext_values()
+    offs = np.round(hs / f.spacing).astype(np.int64).tolist()
+    table = np.abs(_reference_difference(f.samples, left, right, offs, m)) * wlin[:, None]
+    square, inner = np.zeros(f.count), np.zeros(f.count)
+    for k in range(int(lev.max()), -1, -1):
+        rows = table[lev == k]
+        level = rows[0].copy()
+        for row in rows[1:]:
+            level += row
+        inner += level
+        t_k = 2.0 ** (-(k + 0.5))
+        square += (inner / t_k) ** 2 * (LN2 * t_k ** (-2.0 * s))
+    return lp_norm(GridFunction(np.sqrt(square), f.spacing, f.origin), p)
+
+
+def test_sobolev_seminorm_equals_the_brute_force_loop(rng):
+    # 0.125 keeps three whole levels; 0.04 snaps nodes and keeps three of
+    # the four magnitudes of a fifth level
+    for spacing in (0.125, 0.04):
+        for f in _stencil_functions(rng, spacing):
+            for s, m in ((0.7, 1), (1.25, 2), (1.25, 3), (2.5, 4)):
+                for p in (1.5, 2.0, 3.0):
+                    got = sobolev_seminorm_diff(f, s, p, m)
+                    want = _reference_sobolev_seminorm(f, s, p, m)
+                    assert np.float64(got).tobytes() == np.float64(want).tobytes(), (f.samples, s, p, m)
 
 
 def test_shift_difference_without_offsets(rng):

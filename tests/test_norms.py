@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from besovlab import _kernels
+from besovlab.gadgets import eta_eps, linear_cutoff, unit_bump
 from besovlab.grid import (
     Extension,
     GridFunction,
@@ -18,6 +19,7 @@ from besovlab.grid import (
 from besovlab.norms import (
     DyadicHGrid,
     _difference_norm_table,
+    _band_masks,
     _materialize,
     besov_norm_diff,
     besov_seminorm_diff,
@@ -105,6 +107,35 @@ def test_hgrid_nodes_are_built_once_per_grid_and_read_only():
     # an equal h-grid shares the entry; another node count does not
     assert DyadicHGrid(10, 8).materialize(0.3)[0] is DyadicHGrid().materialize(0.3)[0]
     assert DyadicHGrid(10, 16).materialize(0.3)[0].size != DyadicHGrid().materialize(0.3)[0].size
+
+
+def test_band_masks_are_built_once_per_grid_and_read_only():
+    for m, spacing in ((8192, 32.0 / 8192), (32768, 32.0 / 32768), (4096, 0.01)):
+        first = _band_masks(m, spacing)
+        again = _band_masks(m, float(np.float64(spacing)))
+        fresh = _band_masks.__wrapped__(m, spacing)
+        assert first is again
+        xi = 2.0 * math.pi * np.fft.rfftfreq(m, d=spacing)
+        lower = np.zeros_like(xi)
+        for (j, a, b, mask), (j2, a2, b2, built) in zip(first, fresh, strict=True):
+            assert (j, a, b) == (j2, a2, b2)
+            assert not mask.flags.writeable and mask.tobytes() == built.tobytes()
+            with pytest.raises(ValueError):
+                mask[0] = 1.0
+        # each stored band is the difference of cutoffs on its support [a, b)
+        # and zero off it; bands with no support are left out
+        kept = {j: (a, b, mask) for j, a, b, mask in first}
+        for j in range(int(math.ceil(math.log2(math.pi / spacing))) + 2):
+            cut = 1.0 - smoothstep(np.abs(2.0 ** (-j) * xi) - 1.0)
+            full, lower = cut - lower, cut
+            if j not in kept:
+                assert not full.any()
+                continue
+            a, b, mask = kept[j]
+            assert mask.tobytes() == full[a:b].tobytes()
+            assert not full[:a].any() and not full[b:].any() and full[a] and full[b - 1]
+    # another grid gets its own masks
+    assert _band_masks(8192, 32.0 / 8192) is not _band_masks(8192, 16.0 / 8192)
 
 
 def test_besov_zero():
@@ -237,13 +268,15 @@ def _full_spectrum(f):
 
 def _full_fft_lp(f, sp):
     f, spec, xi = _full_spectrum(f)
-    total, lower = 0.0, np.zeros_like(xi)
+    terms, lower = [], np.zeros_like(xi)
     for j in range(int(math.ceil(math.log2(math.pi / f.spacing))) + 2):
         cut = 1.0 - smoothstep(np.abs(2.0 ** (-j) * xi) - 1.0)
         band = np.fft.ifft(spec * (cut - lower)).real
         lower = cut
-        total += 2.0 ** (j * sp.s * sp.q) * lp_norm(GridFunction(band, f.spacing, f.origin), sp.p) ** sp.q
-    return total ** (1.0 / sp.q)
+        terms.append((j, lp_norm(GridFunction(band, f.spacing, f.origin), sp.p)))
+    if math.isinf(sp.q):
+        return max(2.0 ** (j * sp.s) * v for j, v in terms)
+    return sum(2.0 ** (j * sp.s * sp.q) * v**sp.q for j, v in terms) ** (1.0 / sp.q)
 
 
 def _full_fft_sobolev(f, s, p):
@@ -253,11 +286,17 @@ def _full_fft_sobolev(f, s, p):
 
 
 def test_fourier_paths_equal_the_full_spectrum_reference():
-    # the half spectrum is the same operator on half the data; measured
-    # worst relative change 1.8e-15 over the catalog at 2^13+1 and 2^15+1
+    # the half spectrum is the same operator on half the data, and at p = 2
+    # Parseval reads each band's norm from it; measured worst relative
+    # change 1.8e-15 over the catalog at 2^13+1 and 2^15+1
     funcs = [f for _, f in catalog_family(count=2**11 + 1)] + [sample("xgauss", count=3000)]
+    count = 2**13 + 1
+    funcs += [unit_bump(0.0, count=count), eta_eps(0.1, count=count), linear_cutoff(0.0, 2.0, count=count)]
+    # white noise puts weight on every bin, the Nyquist bin included
+    noise = np.random.default_rng(5).normal(size=2**11 + 1)
+    funcs.append(GridFunction(noise, 32.0 / 2**11, -16.0, Extension.ZERO))
     for f in funcs:
-        for sp in (SP, SpaceParams(2.1, 3.0, 1.5, 3)):
+        for sp in (SP, SpaceParams(2.1, 3.0, 1.5, 3), SpaceParams(1.5, 2.0, math.inf, 2)):
             assert littlewood_paley_norm(f, sp) == pytest.approx(_full_fft_lp(f, sp), rel=1e-13, abs=0.0)
         for s, p in ((1.25, 2.0), (0.7, 1.5)):
             assert sobolev_norm_fourier(f, s, p) == pytest.approx(_full_fft_sobolev(f, s, p), rel=1e-13, abs=0.0)
