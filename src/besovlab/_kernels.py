@@ -20,8 +20,10 @@ fraction of the cost per operation. The scalar bisection stops at float
 convergence: once the midpoint rounds to an end of the bracket, every later
 midpoint equals it, so the early result is bit-identical to running all
 steps. ``N_BISECT`` caps the steps; roots very near 0 reach it before
-converging. The batched bisection always runs ``N_BISECT`` steps: some lane
-of a batch usually has such a root, so a whole-batch exit saves nothing.
+converging. The batched bisection retires each lane at that point, so only
+lanes with such a root run all ``N_BISECT`` steps. ``preimage_lengths``
+runs its targets in fixed-size chunks, which bound its memory, and skips
+the (target, segment) pairs that cannot meet, block by block of targets.
 """
 
 from __future__ import annotations
@@ -166,9 +168,9 @@ def interp_difference(samples, origin, spacing, left, right, h, m):
 
 N_BISECT = 80  # cap on bisection steps; 2^-80 of the segment width
 
-# (target, segment) pairs screened at once by preimage_lengths; bounds the
-# size of its masks and gathered arrays
-_CHUNK_PAIRS = 1 << 20
+_CHUNK_TARGETS = 2048  # targets per preimage_lengths chunk; bounds its masks and gathered arrays
+_BLOCK = 64  # targets per screening block of a chunk
+_RETIRE_EVERY = 8  # bisection steps between retirements of converged lanes
 
 
 def _poly3(t0, c0, c1, c2, c3, x):
@@ -212,23 +214,43 @@ def _clip_segment_py(row, lo, hi):
 
 
 def _solve_mono_batch(rows, ys):
-    """_solve_mono_py for each (rows[k], ys[k]), as whole-array steps."""
+    """_solve_mono_py for each (rows[k], ys[k]), as whole-array steps.
+
+    Every _RETIRE_EVERY steps the lanes whose midpoint equals an end of
+    their bracket leave the batch with that midpoint as their root: from
+    that step on the midpoint never changes, so it is the root that all
+    N_BISECT steps give, bit for bit."""
     t0, c0, c1, c2, c3, a, b, ylo, yhi = np.ascontiguousarray(rows.T)
     inc = yhi >= ylo
-    for _ in range(N_BISECT):
+    lane = np.arange(ys.shape[0])
+    out = np.empty(ys.shape[0])
+    for step in range(N_BISECT):
         mid = 0.5 * (a + b)
+        if step % _RETIRE_EVERY == 0:
+            done = (mid == a) | (mid == b)
+            if done.any():
+                out[lane[done]] = mid[done]
+                live = ~done
+                lane, mid, t0, c0, c1, c2, c3, a, b, ys, inc = (
+                    v[live] for v in (lane, mid, t0, c0, c1, c2, c3, a, b, ys, inc)
+                )
         fm = _poly3(t0, c0, c1, c2, c3, mid) - ys
         up = (fm <= 0.0) == inc
         a = np.where(up, mid, a)
         b = np.where(up, b, mid)
-    return 0.5 * (a + b)
+    out[lane] = 0.5 * (a + b)
+    return out
 
 
 def preimage_lengths(seg, los, his):
     """Total preimage length |phi^-1([lo, hi])| for a batch of targets.
 
     Each target's total is the sum, in segment order from 0.0, of the
-    _clip_segment_py lengths of the segments that meet [lo, hi].
+    _clip_segment_py lengths of the segments that meet [lo, hi]. A segment
+    that meets a target meets the [min lo, max hi] of the target's block of
+    _BLOCK, so only those segments enter the block's dense mask. Its pairs
+    come out segment by segment, so each target's terms stay in segment
+    order, and bincount adds them in input order from 0.0.
     """
     seg = np.ascontiguousarray(seg, dtype=np.float64)
     los = np.ascontiguousarray(los, dtype=np.float64)
@@ -239,11 +261,16 @@ def preimage_lengths(seg, los, his):
     xlo, xhi, ylo, yhi = seg[:, 5], seg[:, 6], seg[:, 7], seg[:, 8]
     ymin, ymax = np.minimum(ylo, yhi), np.maximum(ylo, yhi)
     inc = yhi >= ylo
-    step = max(1, _CHUNK_PAIRS // seg.shape[0])
-    for start in range(0, los.shape[0], step):
-        lo, hi = los[start : start + step], his[start : start + step]
-        # row-major: each target's pairs come out in segment order
-        t, s = np.nonzero(~((ymax < lo[:, None]) | (ymin > hi[:, None])))
+    for start in range(0, los.shape[0], _CHUNK_TARGETS):
+        lo, hi = los[start : start + _CHUNK_TARGETS], his[start : start + _CHUNK_TARGETS]
+        n = lo.shape[0]
+        firsts = np.arange(0, n, _BLOCK)
+        block_lo, block_hi = np.minimum.reduceat(lo, firsts), np.maximum.reduceat(hi, firsts)
+        b, s = np.nonzero(~((ymax < block_lo[:, None]) | (ymin > block_hi[:, None])))
+        t, s = (firsts[b][:, None] + np.arange(_BLOCK)).ravel(), np.repeat(s, _BLOCK)
+        t, s = t[t < n], s[t < n]
+        meet = ~((ymax[s] < lo[t]) | (ymin[s] > hi[t]))
+        t, s = t[meet], s[meet]
         lo_t, hi_t, ymin_s, ymax_s, inc_s = lo[t], hi[t], ymin[s], ymax[s], inc[s]
         flat = ymin_s == ymax_s
         solve_a = ~flat & ~(lo_t <= ymin_s)
@@ -258,8 +285,7 @@ def preimage_lengths(seg, los, his):
         xa[solve_a] = roots[:n_a]
         xb[solve_b] = roots[n_a:]
         terms = np.where(flat, xhi[s] - xlo[s], np.abs(xb - xa))
-        # bincount adds each target's terms in input order, starting from 0.0
-        out[start : start + lo.shape[0]] = np.bincount(t, weights=terms, minlength=lo.shape[0])
+        out[start : start + n] = np.bincount(t, weights=terms, minlength=n)
     return out
 
 

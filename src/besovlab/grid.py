@@ -181,8 +181,8 @@ def lp_norm(f: GridFunction, p: float) -> float:
             raise InfiniteMassError(
                 "L^p norm with p < inf of a nonzero constant extension is infinite"
             )
-    a = np.abs(f.samples)
-    a **= p
+    # x^2 = |x|^2 bit for bit, and np.square is ** 2.0 at a third of its cost
+    a = np.square(f.samples) if p == 2.0 else np.abs(f.samples) ** p
     return float(a.sum() * f.spacing) ** (1.0 / p)
 
 

@@ -198,24 +198,10 @@ class LineMap:
 
     # -- serialization --------------------------------------------------------
 
-    def to_json(self) -> dict:
-        return {
-            "pieces": [
-                {
-                    "interval": [float(self.breakpoints[i]), float(self.breakpoints[i + 1])],
-                    "coeffs": [float(c) for c in self.coeffs[i]],
-                }
-                for i in range(self.coeffs.shape[0])
-            ],
-            "tails": {"left_slope": self.left_slope, "right_slope": self.right_slope},
-            "c1": self.c1,
-            "name": self.name,
-        }
-
     @staticmethod
     def from_json(obj) -> "LineMap":
-        """The inverse of ``to_json``; a missing or malformed key raises
-        ValueError naming it."""
+        """The map of a map file's object (the schema is in the README); a
+        missing or malformed key raises ValueError naming it."""
         pieces = obj.get("pieces") if isinstance(obj, dict) else None
         if not isinstance(pieces, list) or not pieces:
             raise ValueError(f"map file: 'pieces' must be a nonempty list, got {pieces!r}")
@@ -495,17 +481,19 @@ def preimage_intervals(phi: LineMap, target) -> IntervalSet:
     return IntervalSet(tuple(merged))
 
 
-def _sup_preimage_length(phi: LineMap, width: float) -> float:
-    """Largest |phi^-1([y, y + width])| over a sweep of left endpoints y: a
-    grid of step SWEEP_STEP times the essential-range width, seeded with the
-    critical values and the critical values minus width, where the length
-    function has its kinks."""
+def _sup_preimage_lengths(phi: LineMap, widths: list[float]) -> list[float]:
+    """Largest |phi^-1([y, y + w])| for each width w, in one preimage_lengths
+    call, over a sweep of left endpoints y: a grid of step SWEEP_STEP times
+    the essential-range width, seeded with the critical values and the
+    critical values minus w, where the length function has its kinks."""
     ymin, ymax = phi.value_range()
     step = SWEEP_STEP * max(ymax - ymin, 1.0)
-    grid = np.arange(ymin - width - 2.0 * step, ymax + 2.0 * step, step)
     crit = phi.critical_values()
-    cands = np.unique(np.concatenate([grid, crit, crit - width]))
-    return float(_kernels.preimage_lengths(phi.segments(), cands, cands + width).max())
+    grids = [np.arange(ymin - w - 2.0 * step, ymax + 2.0 * step, step) for w in widths]
+    cands = [np.unique(np.concatenate([grid, crit, crit - w])) for grid, w in zip(grids, widths)]
+    his = [c + w for c, w in zip(cands, widths)]
+    lengths = _kernels.preimage_lengths(phi.segments(), np.concatenate(cands), np.concatenate(his))
+    return [float(part.max()) for part in np.split(lengths, np.cumsum([c.size for c in cands])[:-1])]
 
 
 def U_functional(phi: LineMap) -> float:
@@ -513,7 +501,7 @@ def U_functional(phi: LineMap) -> float:
     width-1 sweep. Maps with a flat tail report inf."""
     if phi.left_slope == 0.0 or phi.right_slope == 0.0:
         return math.inf
-    return _sup_preimage_length(phi, 1.0)
+    return _sup_preimage_lengths(phi, [1.0])[0]
 
 
 def M_functional(phi: LineMap, uval: float) -> MEstimate:
@@ -526,7 +514,7 @@ def M_functional(phi: LineMap, uval: float) -> MEstimate:
     if phi.left_slope == 0.0 or phi.right_slope == 0.0:
         return MEstimate(math.inf, True, [], [])
     widths = [2.0**-k for k in range(M_LEVELS + 1)]
-    sups = [uval] + [_sup_preimage_length(phi, w) / w for w in widths[1:]]
+    sups = [uval] + [sup / w for sup, w in zip(_sup_preimage_lengths(phi, widths[1:]), widths[1:])]
     infinite = sups[-1] > 10.0 * sups[0] and sups[-1] > sups[-2]
     return MEstimate(math.inf if infinite else max(sups), infinite, widths, sups)
 

@@ -164,8 +164,9 @@ def _difference_norm_table(f: GridFunction, m: int, hs: np.ndarray, p: float) ->
     One row buffer serves every h: the stencil, |.| and ^p run on the row's
     live columns (see _kernels.Stencil), the constant columns take the
     constant's value through the same |.| and ^p, and the sum or max runs
-    over the whole row, as a whole-table pass reduces it. |.| is skipped at
-    p = 2, where x^2 = |x|^2 bit for bit. A constant column keeps its value
+    over the whole row, as a whole-table pass reduces it. At p = 2 the row is
+    squared by np.square, where x^2 = |x|^2 bit for bit and ** 2.0 gives the
+    same product at three times the cost. A constant column keeps its value
     from the previous row, so only the columns where the live span [a, b)
     moved since then are refilled.
     """
@@ -183,10 +184,12 @@ def _difference_norm_table(f: GridFunction, m: int, hs: np.ndarray, p: float) ->
     for k, off in enumerate(offs.tolist()):
         a, b = stencil.live_row(off, row)
         live = row[a:b]
-        if p != 2.0:
+        if p == 2.0:
+            np.square(live, out=live)
+        else:
             np.abs(live, out=live)
-        if not sup:
-            live **= p
+            if not sup:
+                live **= p
         if a > pa:
             row[pa:a] = fill_left
         if b < pb:

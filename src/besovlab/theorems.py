@@ -53,6 +53,7 @@ from .grid import (
     GridFunction,
     GridMismatchError,
     SpaceParams,
+    _plateau,
     grid_derivative,
     linf_on_interval,
     lp_norm,
@@ -304,11 +305,21 @@ def opnorm_lower_detailed(mg: MapOnGrid, sp: SpaceParams, kind: str = "besov") -
 def composed_bump_masses(mg: MapOnGrid, targets, p: float) -> list[float]:
     """||C_phi f_a||_p^p for the unit bump f_a of every target a. Each bump's
     samples are interpolated at phi's grid values; ``MapOnGrid.compose`` would
-    instead evaluate the bump's descriptor there."""
+    instead evaluate the bump's descriptor there. f_a is sampled only on the
+    cells of its support [a-1, a+2] and two more on each side, and read only
+    at the values within a cell of those; every other sample and value is
+    exactly 0, as on the whole grid, and lp_norm sums the whole array, so
+    each mass keeps the whole-grid bits."""
+    x, dx, n = mg.res.x, mg.res.spacing, mg.res.count
     masses = []
     for a in targets:
-        fa = unit_bump(float(a), mg.res.window, mg.res.count)
-        masses.append(lp_norm(GridFunction(fa(mg.ys), fa.spacing, fa.origin, fa.extension), p) ** p)
+        samples, vals = np.zeros(n), np.zeros(n)
+        i0 = max(math.floor((a - 1.0 - x[0]) / dx) - 2, 0)
+        i1 = min(math.ceil((a + 2.0 - x[0]) / dx) + 3, n)
+        samples[i0:i1] = _plateau(a, a + 1.0, 1.0)(x[i0:i1])
+        near = (mg.ys >= x[i0] - dx) & (mg.ys <= x[i1 - 1] + dx)
+        vals[near] = _kernels.interp_eval(samples, x[0], dx, 0.0, 0.0, mg.ys[near])
+        masses.append(lp_norm(GridFunction(vals, dx, x[0], Extension.ZERO), p) ** p)
     return masses
 
 

@@ -77,8 +77,8 @@ def test_preimage_lengths_parity(rng, monkeypatch):
     want = _reference_lengths(seg, los, his)
     assert (want > 0).any()
     # one chunk, several targets per chunk, one target per chunk
-    for chunk_pairs in (K._CHUNK_PAIRS, 200, 1):
-        monkeypatch.setattr(K, "_CHUNK_PAIRS", chunk_pairs)
+    for chunk in (K._CHUNK_TARGETS, 200, 1):
+        monkeypatch.setattr(K, "_CHUNK_TARGETS", chunk)
         assert np.array_equal(K.preimage_lengths(seg, los, his), want)
 
 
@@ -107,13 +107,16 @@ def test_preimage_lengths_mixed_widths(rng):
     assert np.array_equal(K.preimage_lengths(seg, los, his), want) and want[0] >= 0.5
 
 
+# rows whose roots within 1e-300 of 0 reach the step cap before convergence
+_STEP_CAP_ROWS = np.array([
+    [0.0, 0.0, 1.0, 0.0, 0.0, -1.0, 1.0, -1.0, 1.0],
+    [0.0, 0.0, -2.0, 0.0, 0.0, -0.5, 0.75, 1.0, -1.5],
+])
+
+
 def test_preimage_lengths_roots_at_the_step_cap():
-    # roots within 1e-300 of 0, where the step cap binds before convergence,
-    # and interior ones
-    rows = np.array([
-        [0.0, 0.0, 1.0, 0.0, 0.0, -1.0, 1.0, -1.0, 1.0],
-        [0.0, 0.0, -2.0, 0.0, 0.0, -0.5, 0.75, 1.0, -1.5],
-    ])
+    # roots within 1e-300 of 0 and interior ones
+    rows = _STEP_CAP_ROWS
     ys = np.array([0.0, 1e-300, -1e-300, 5e-324, 0.3, -0.7])
     for row in rows:
         seg = row[None, :]
@@ -129,6 +132,45 @@ def test_preimage_lengths_empty_inputs(rng):
     assert K.preimage_lengths(seg, np.zeros(0), np.zeros(0)).shape == (0,)
     out = K.preimage_lengths(np.zeros((0, 9)), np.array([0.0, 1.0]), np.array([1.0, 2.0]))
     assert np.array_equal(out, np.zeros(2))
+
+
+def test_preimage_lengths_over_several_chunks(rng):
+    # more targets than one chunk, in a count that is a multiple of neither
+    # the block nor the chunk, on increasing, decreasing and flat rows, with
+    # roots at 0 that run to N_BISECT and targets that meet no segment
+    seg = np.vstack([_segment_table(rng, 30), _STEP_CAP_ROWS])
+    n = K._CHUNK_TARGETS + 3 * K._BLOCK + 5
+    # sorted targets, as the sweeps pass them, then shuffled ones
+    los = np.concatenate([np.sort(rng.uniform(-8.0, 8.0, size=n // 2)), rng.uniform(-8.0, 8.0, size=n - n // 2)])
+    his = los + rng.choice([0.0, 0.05, 0.5, 2.0], size=n)
+    near_0 = np.array([0.0, 1e-300, -1e-300, 5e-324])
+    los[:4], his[:4] = near_0, 2.0
+    los[4:8], his[4:8] = -2.0, near_0
+    los[-70:] = rng.uniform(30.0, 40.0, size=70)
+    his[-70:] = los[-70:] + 1.0
+    want = _reference_lengths(seg, los, his)
+    assert (want[-70:] == 0.0).all() and (want[:-70] > 0.0).any()
+    assert K.preimage_lengths(seg, los, his).tobytes() == want.tobytes()
+
+
+def test_preimage_lengths_bisects_one_chunk_at_a_time(monkeypatch):
+    # a homeomorphism solves at most two roots per target, so no bisection
+    # batch may hold more lanes than two per target of one chunk
+    phi = sin_drift_map(0.5)
+    assert max_preimage_count(phi) == 1
+    lanes = []
+    solve = K._solve_mono_batch
+
+    def counting(rows, ys):
+        lanes.append(ys.shape[0])
+        return solve(rows, ys)
+
+    monkeypatch.setattr(K, "_solve_mono_batch", counting)
+    ymin, ymax = phi.value_range()
+    los = np.linspace(ymin - 1.0, ymax, 50_000)
+    assert (K.preimage_lengths(phi.segments(), los, los + 0.5) > 0.0).any()
+    assert len(lanes) == math.ceil(los.size / K._CHUNK_TARGETS)
+    assert max(lanes) <= 2 * K._CHUNK_TARGETS
 
 
 def test_quadratic_unit_preimages_closed_form():

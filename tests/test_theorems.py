@@ -149,6 +149,30 @@ def test_bump_masses_equal_the_compose_loop():
     assert masses == loop
 
 
+def _whole_grid_masses(mg, targets, p):
+    """The bump masses with every bump sampled and interpolated over the
+    whole grid, and the rectangle-rule sum written out."""
+    res, masses = mg.res, []
+    for a in targets:
+        fa = unit_bump(float(a), res.window, res.count)
+        power = np.abs(fa(mg.ys)) ** p
+        masses.append((float(power.sum() * fa.spacing) ** (1.0 / p)) ** p)
+    return masses
+
+
+@pytest.mark.parametrize("spec", ["sin_drift:amp=1.5", "scale:k=3", "affine:a=0.5,b=2", "quadratic"])
+def test_bump_masses_equal_the_whole_grid_formula(spec):
+    # a folded map among them; targets within 2 of both window edges, where
+    # the bump's support leaves the window
+    mg = MapOnGrid.read(named_map(spec), Resolution())
+    lo, hi = mg.res.window
+    targets = np.concatenate([[lo, lo + 0.3, lo + 1.75], np.arange(-6.0, 6.0, 0.75), [hi - 2.9, hi - 1.5, hi - 1.0]])
+    for p in (1.5, 2.0, 4.0):
+        got = np.array(composed_bump_masses(mg, targets, p))
+        assert got.tobytes() == np.array(_whole_grid_masses(mg, targets, p)).tobytes(), p
+        assert (got > 0.0).any()
+
+
 def test_nec_lipschitz_identity():
     frag = check_nec_lipschitz(MapOnGrid.read(identity_map(), Resolution()), SP)
     assert frag.passed and not frag.vacuous
@@ -415,16 +439,17 @@ def test_classify_evaluates_phi_on_the_grid_once(sp, monkeypatch):
 
 
 def test_classify_sweeps_U_once(monkeypatch):
-    # M's width-1 rung is U itself: one sweep per width, M_LEVELS + 1 in all
-    widths = []
-    sweep = maps._sup_preimage_length
+    # M's width-1 rung is U itself: U sweeps width 1, and one more sweep
+    # covers every other width of the ladder once
+    sweeps = []
+    sweep = maps._sup_preimage_lengths
 
-    def counting(phi, width):
-        widths.append(width)
-        return sweep(phi, width)
+    def counting(phi, widths):
+        sweeps.append(list(widths))
+        return sweep(phi, widths)
 
-    monkeypatch.setattr(maps, "_sup_preimage_length", counting)
+    monkeypatch.setattr(maps, "_sup_preimage_lengths", counting)
     rep = classify(named_map("sin_drift:amp=0.5"), SP, res=Resolution(2049))
-    assert sorted(widths, reverse=True) == [2.0**-k for k in range(maps.M_LEVELS + 1)]
+    assert sweeps == [[1.0], [2.0**-k for k in range(1, maps.M_LEVELS + 1)]]
     assert rep.computed["M_ladder"][0] == [1.0, rep.computed["U"]]
     assert rep.computed["U"] == U_functional(named_map("sin_drift:amp=0.5"))
