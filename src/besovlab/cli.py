@@ -250,6 +250,8 @@ def cmd_suite(args) -> int:
         "started": started,
         "finished": time.time(),
         "runtime_s": {r.map_name: r.runtime_s for r in ordered},
+        # wall_s, cpu_s of the phi' worker and the caller's wait_s; null where classify ran in one process
+        "worker": {r.map_name: r.worker for r in ordered},
         "config": cfg,
     }
     with open(os.path.join(args.out, "meta.json"), "w") as fh:

@@ -28,6 +28,21 @@ sampled at the grid's count over the hull of the grid's window and phi's
 own. Every fragment takes that reading, so phi is evaluated on the grid
 once per ``classify``; a witness on the grid is composed with phi by
 reading it at those values.
+
+``classify`` runs in two halves at once, the two conditions the paper
+reduces boundedness to. After reading phi it forks a ``worker.Worker`` for
+the phi' half (``_multiplier_half``: the uniform profile, the tester lower
+bound of the multiplier norm and, for p < inf, the msq search), pinned to
+a CPU other than the caller's, while the caller computes U, M, the opnorm
+lower bound and the fragments. No fragment reads the phi' half, and the
+verdict reads it only at the end. The worker starts from a fork-time copy
+of ``res``'s norm cache and sends back its results with the cache entries it
+added, which the caller merges, so a later map with the same phi' still
+finds them. A norm is a function of its key, so the report is the same bit
+for bit whichever process computed it; where only one CPU is allowed
+(``taskset -c 0``) the phi' half runs in the caller. ``CheckReport.worker``
+holds the worker's wall and CPU seconds and the caller's wait, for
+``meta.json`` only.
 """
 
 from __future__ import annotations
@@ -36,6 +51,7 @@ import csv
 import functools
 import hashlib
 import io
+import itertools
 import math
 import time
 from dataclasses import asdict, dataclass, field
@@ -71,6 +87,7 @@ from .maps import (
     steepest_point,
 )
 from .multipliers import (
+    LowerBoundResult,
     make_psi,
     msq_norm_lower_detailed,
     multiplier_norm_lower_detailed,
@@ -83,6 +100,7 @@ from .norms import (
     besov_seminorm_diff,
     sobolev_norm_diff,
 )
+from .worker import Worker
 
 SCHEMA_VERSION = 1
 
@@ -171,6 +189,16 @@ class Resolution:
             value = self._values[key] = self.NORMS[kind](f, sp, hg)
         return value
 
+    def entries_since(self, size: int) -> list:
+        """The (key, value) entries added after the cache held ``size``;
+        entries are only ever appended, so they follow insertion order."""
+        return list(itertools.islice(self._values.items(), size, None))
+
+    def merge(self, entries) -> None:
+        """Add another copy's entries; a key both hold has the same value."""
+        for key, value in entries:
+            self._values.setdefault(key, value)
+
 
 @dataclass(frozen=True)
 class MapOnGrid:
@@ -221,6 +249,7 @@ class CheckReport:
     runtime_s: float
     grid: dict
     seed: int
+    worker: Optional[dict] = None  # Worker.timing of the phi' half; meta only, never in to_json
 
     def to_json(self) -> dict:
         return {
@@ -573,6 +602,38 @@ def _window_limited(zs: np.ndarray, vals: np.ndarray) -> bool:
     return bool(rising or falling)
 
 
+@dataclass(frozen=True)
+class MultiplierHalf:
+    """phi' read as a multiplier of the derivative space B^{s-1}_{p,q}."""
+
+    unif: float  # the uniform norm: the max of unif_profile
+    window_limited: bool  # the profile still grows at the window edge
+    mult: LowerBoundResult  # the tester lower bound of the multiplier norm
+    msq: Optional[float]  # the coefficient-sup lower bound; None at p = inf
+
+
+def _multiplier_half(mg: MapOnGrid, sp: SpaceParams, kind: str, seed: int) -> tuple[MultiplierHalf, list]:
+    """classify's phi' half, and the norm-cache entries it added. It reads
+    only ``mg`` and the cache, and no fragment reads it, so it runs beside
+    the rest of classify; a worker returns its entries for the caller to
+    merge, and in the caller they are already there."""
+    res, phi_prime, down = mg.res, mg.phi_prime, sp.shifted_down()
+    size = len(res)
+    psi = make_psi("mollifier")
+    norm_fn = functools.partial(res.norm, kind=kind)
+    zs, zvals = unif_profile(phi_prime, down, psi, norm_fn=norm_fn)
+    testers = [(f"psi(z={z})", psi.on_grid(phi_prime, float(z))) for z in (-2, 0, 3)]
+    testers.append(("gaussian", sample("gaussian", phi_prime.window, res.count)))
+    mult = multiplier_norm_lower_detailed(phi_prime, down, testers, norm_fn=norm_fn)
+    msq = None
+    if not math.isinf(sp.p):
+        msq = msq_norm_lower_detailed(
+            phi_prime, down, psi, n_random=16, seed=seed, norm_fn=norm_fn, profile=(zs, zvals)
+        ).value
+    half = MultiplierHalf(float(zvals.max()), _window_limited(zs, zvals), mult, msq)
+    return half, res.entries_since(size)
+
+
 def classify(
     phi: LineMap, sp: SpaceParams, kind: str = "besov", seed: int = 1234, res: Optional[Resolution] = None
 ) -> CheckReport:
@@ -592,41 +653,27 @@ def classify(
         if not (np.all(slopes > 0) or np.all(slopes < 0)):
             raise RangeGateError("Sobolev route requires a homeomorphism (strictly monotone map)")
     mg = MapOnGrid.read(phi, res)
-    uval = U_functional(phi)
-    mest = M_functional(phi, uval)
-    op_val, op_arg = opnorm_lower_detailed(mg, sp, kind)
-
-    down = sp.shifted_down()
-    phi_prime = mg.phi_prime
-    psi = make_psi("mollifier")
-    norm_fn = functools.partial(res.norm, kind=kind)
-    zs, zvals = unif_profile(phi_prime, down, psi, norm_fn=norm_fn)
-    unif_val = float(zvals.max())
-    testers = [(f"psi(z={z})", psi.on_grid(phi_prime, float(z))) for z in (-2, 0, 3)]
-    testers.append(("gaussian", sample("gaussian", phi_prime.window, res.count)))
-    mult = multiplier_norm_lower_detailed(phi_prime, down, testers, norm_fn=norm_fn)
-    msq_val = None
-    if not math.isinf(sp.p):
-        msq_val = msq_norm_lower_detailed(
-            phi_prime, down, psi, n_random=16, seed=seed, norm_fn=norm_fn, profile=(zs, zvals)
-        ).value
-    window_limited = _window_limited(zs, zvals)
-
-    fragments = []
-    if math.isinf(sp.p):
-        fragments.append(check_infinity_witness(mg, sp, op_val))
-    else:
-        fragments.append(check_nec_U(mg, sp, op_val, uval, kind))
-        if kind == "besov":
-            fragments.append(check_nec_lipschitz(mg, sp))
-    if phi.c1:
-        fragments.append(check_sufficiency_chain(mg, sample("gaussian", res.window, res.count), sp))
+    with Worker(_multiplier_half, mg, sp, kind, seed) as worker:
+        uval = U_functional(phi)
+        mest = M_functional(phi, uval)
+        op_val, op_arg = opnorm_lower_detailed(mg, sp, kind)
+        fragments = []
+        if math.isinf(sp.p):
+            fragments.append(check_infinity_witness(mg, sp, op_val))
+        else:
+            fragments.append(check_nec_U(mg, sp, op_val, uval, kind))
+            if kind == "besov":
+                fragments.append(check_nec_lipschitz(mg, sp))
+        if phi.c1:
+            fragments.append(check_sufficiency_chain(mg, sample("gaussian", res.window, res.count), sp))
+        half, entries = worker.result()
+    res.merge(entries)
 
     if math.isinf(uval) and not math.isinf(sp.p):
         # U < inf is necessary for p < inf only; at p = inf no fragment reads U
         verdict = "ConsistentUnbounded"
         note = "U(phi) infinite: the necessary unit-interval distortion bound fails"
-    elif window_limited:
+    elif half.window_limited:
         verdict = "Inconclusive"
         note = (
             "window-limited: multiplier profile of phi' still growing at the "
@@ -648,11 +695,11 @@ def classify(
         "max_preimage": mg.npre,
         "opnorm_lower": op_val,
         "opnorm_argmax": op_arg,
-        "phiprime_unif": unif_val,
-        "phiprime_mult_lower": mult.value,
-        "phiprime_mult_argmax": mult.argmax,
-        "phiprime_msq_lower": msq_val,
-        "window_limited": window_limited,
+        "phiprime_unif": half.unif,
+        "phiprime_mult_lower": half.mult.value,
+        "phiprime_mult_argmax": half.mult.argmax,
+        "phiprime_msq_lower": half.msq,
+        "window_limited": half.window_limited,
         "note": note,
     }
     return CheckReport(
@@ -666,4 +713,5 @@ def classify(
         runtime_s=time.perf_counter() - t0,
         grid={"count": res.count, "window": list(res.window), "hgrid_levels": DEFAULT_HGRID.levels},
         seed=seed,
+        worker=worker.timing,
     )
