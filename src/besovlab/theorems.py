@@ -32,7 +32,7 @@ reading it at those values.
 ``classify`` runs in two halves at once, the two conditions the paper
 reduces boundedness to. After reading phi it forks a ``worker.Worker`` for
 the phi' half (``_multiplier_half``: the uniform profile, the tester lower
-bound of the multiplier norm and, for p < inf, the msq search), pinned to
+bound of the multiplier norm and, for p < inf, the msq search), started on
 a CPU other than the caller's, while the caller computes U, M, the opnorm
 lower bound and the fragments. No fragment reads the phi' half, and the
 verdict reads it only at the end. The worker starts from a fork-time copy

@@ -2,21 +2,25 @@
 
 ``Worker(fn, *args)`` forks a process that runs ``fn(*args)`` while the
 caller goes on with its own work; ``result()`` waits for it and returns what
-``fn`` returned. The worker is pinned to the CPUs the caller may use minus
-the one the calling thread is on at the fork (field 39 of its
-``/proc/thread-self/stat``); the caller's own mask is never touched, so the
-scheduler keeps the two apart. Without the pin the worker starts on the
+``fn`` returned. The worker moves itself off the CPU the calling thread is
+on at the fork (field 39 of its ``/proc/thread-self/stat``) by narrowing its
+mask to the other allowed CPUs, then widens the mask back to all of them: it
+stays where it landed, but once the caller waits, the scheduler may move it
+to the caller's CPU should another process hold the worker's. The caller's
+own mask is never touched. Without the move the worker starts on the
 caller's CPU and stays there, and both halves take turns on one core.
 
-Where the process may use one CPU only (``taskset -c 0``), cannot fork, or is
-itself a daemonic multiprocessing worker, nothing is forked: ``result()``
-runs ``fn`` in the caller, and the outputs are the same.
+Where the process may use one CPU only (``taskset -c 0``) or cannot fork,
+nothing is forked: ``result()`` runs ``fn`` in the caller, and the outputs are
+the same.
 
 The worker runs in a fork-time copy of the caller's memory, so whatever
 ``fn`` changes there is lost unless ``fn`` returns it. What comes back over
 the pipe is ``fn``'s result, or its exception (re-raised in the caller with
 the same type and message, the worker's traceback as its cause), and the
-warnings it raised, which the caller re-emits through its own filters. A
+warnings it raised, which the caller re-emits through its own filters and
+the warning registry of the module they name, so a warning shown once per
+location in one process is shown once per location with the worker too. A
 worker that dies without answering raises ``WorkerDied`` naming its exit
 code. Leaving the ``with`` block always joins the worker, and terminates it
 first when the caller leaves before the result, on an exception or a
@@ -28,6 +32,7 @@ from __future__ import annotations
 
 import os
 import pickle
+import sys
 import time
 import traceback
 import warnings
@@ -57,7 +62,7 @@ def _current_cpu() -> Optional[int]:
 
 
 def _worker_cpus() -> Optional[set]:
-    """The CPUs to pin a worker to, or None to run in the caller."""
+    """The CPUs a worker starts on, or None to run in the caller."""
     if not hasattr(os, "sched_getaffinity"):  # not Linux
         return None
     allowed = os.sched_getaffinity(0)
@@ -65,10 +70,6 @@ def _worker_cpus() -> Optional[set]:
         return None
     cpu = _current_cpu()
     if cpu is None:
-        return None
-    import multiprocessing
-
-    if multiprocessing.current_process().daemon:  # a daemonic process may not fork a worker
         return None
     return allowed - {cpu}
 
@@ -84,7 +85,9 @@ def _portable(exc: BaseException) -> BaseException:
 
 def _serve(conn, cpus: set, fn: Callable, args: tuple):
     """The worker's body: run fn, then send one pickled message and exit."""
-    os.sched_setaffinity(0, cpus)
+    allowed = os.sched_getaffinity(0)
+    os.sched_setaffinity(0, cpus)  # moves the worker off the caller's CPU
+    os.sched_setaffinity(0, allowed)  # keeps it there, free to move back when that CPU idles
     wall0, cpu0 = time.perf_counter(), time.process_time()
     with warnings.catch_warnings(record=True) as caught:
         try:
@@ -95,6 +98,18 @@ def _serve(conn, cpus: set, fn: Callable, args: tuple):
     raised = [(w.message, w.category, w.filename, w.lineno) for w in caught]
     conn.send_bytes(pickle.dumps((outcome, raised, timing)))
     conn.close()
+
+
+def _reemit(message, category, filename: str, lineno: int) -> None:
+    """Warn as ``warnings.warn`` would have at ``filename:lineno`` in the caller:
+    with the module's name for the filters and its ``__warningregistry__``,
+    which remembers what was already shown there."""
+    for module in list(sys.modules.values()):
+        if getattr(module, "__file__", None) == filename:
+            registry = module.__dict__.setdefault("__warningregistry__", {})
+            warnings.warn_explicit(message, category, filename, lineno, module.__name__, registry)
+            return
+    warnings.warn_explicit(message, category, filename, lineno)
 
 
 class Worker:
@@ -150,7 +165,7 @@ class Worker:
         outcome, raised, timing = pickle.loads(payload)
         self.timing = dict(timing, wait_s=time.perf_counter() - t0)
         for message, category, filename, lineno in raised:
-            warnings.warn_explicit(message, category, filename, lineno)
+            _reemit(message, category, filename, lineno)
         if outcome[0] == "error":
             raise outcome[1] from WorkerTraceback(outcome[2])
         return outcome[1]

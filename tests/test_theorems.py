@@ -1,6 +1,7 @@
 import csv
 import itertools
 import math
+import os
 
 import numpy as np
 import pytest
@@ -424,6 +425,8 @@ def test_reading_holds_the_per_map_values():
 
 @pytest.mark.parametrize("sp", [SP, SP_INF], ids=["p=2", "p=inf"])
 def test_classify_evaluates_phi_on_the_grid_once(sp, monkeypatch):
+    # one CPU: classify runs its phi' half in this process, where the count sees it
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
     res = Resolution()
     on_grid = []
     call = LineMap.__call__
@@ -440,7 +443,9 @@ def test_classify_evaluates_phi_on_the_grid_once(sp, monkeypatch):
 
 def test_classify_sweeps_U_once(monkeypatch):
     # M's width-1 rung is U itself: U sweeps width 1, and one more sweep
-    # covers every other width of the ladder once
+    # covers every other width of the ladder once; one CPU keeps every
+    # sweep in this process, where the count sees it
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
     sweeps = []
     sweep = maps._sup_preimage_lengths
 

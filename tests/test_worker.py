@@ -1,5 +1,5 @@
 """The forked worker that runs classify's phi' half beside the rest: it is
-pinned off the caller's CPU, hands back results, exceptions and warnings,
+started off the caller's CPU, hands back results, exceptions and warnings,
 never outlives its caller, and changes no bit of any report."""
 
 import json
@@ -8,7 +8,6 @@ import multiprocessing
 import os
 import time
 import warnings
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -42,13 +41,17 @@ def _raise(exc):
 # ---------------------------------------------------------------------------
 
 @two_cpus
-def test_worker_runs_in_another_process_off_the_callers_cpu():
-    allowed = os.sched_getaffinity(0)
-    with Worker(lambda: (os.getpid(), os.sched_getaffinity(0))) as worker:
-        pid, cpus = worker.result()
+def test_worker_runs_in_another_process_off_the_callers_cpu(monkeypatch):
+    # the worker's masks, in order: off the caller's CPU, then all of them again
+    allowed, masks = os.sched_getaffinity(0), []
+    setaffinity = os.sched_setaffinity
+    monkeypatch.setattr(os, "sched_setaffinity", lambda pid, cpus: (masks.append(set(cpus)), setaffinity(pid, cpus)))
+    with Worker(lambda: (os.getpid(), masks, os.sched_getaffinity(0))) as worker:
+        pid, worker_masks, cpus = worker.result()
     assert pid != os.getpid()
-    assert len(cpus) == len(allowed) - 1 and cpus < allowed
-    assert os.sched_getaffinity(0) == allowed  # the caller's mask is untouched
+    assert len(worker_masks[0]) == len(allowed) - 1 and worker_masks[0] < allowed
+    assert worker_masks[1:] == [allowed] and cpus == allowed
+    assert masks == [] and os.sched_getaffinity(0) == allowed  # the caller's mask is untouched
     assert set(worker.timing) == {"wall_s", "cpu_s", "wait_s"}
     assert all(t >= 0.0 for t in worker.timing.values())
 
@@ -61,10 +64,9 @@ def _no_fork(process):
     "target, attribute, value",
     [
         (os, "sched_getaffinity", lambda pid: {0}),  # one CPU
-        (multiprocessing, "current_process", lambda: SimpleNamespace(daemon=True)),  # a Pool worker
         (multiprocessing.context.ForkProcess, "_Popen", staticmethod(_no_fork)),  # fork fails
     ],
-    ids=["one-cpu", "daemonic", "fork-fails"],
+    ids=["one-cpu", "fork-fails"],
 )
 def test_worker_runs_in_the_caller_where_it_cannot_fork(target, attribute, value, monkeypatch):
     monkeypatch.setattr(target, attribute, value)
@@ -114,6 +116,11 @@ def test_caller_leaving_early_terminates_the_worker(exc):
     assert multiprocessing.active_children() == []
 
 
+def _warn_twice():
+    for _ in range(2):
+        warnings.warn("raised twice at one line", UserWarning)
+
+
 @pytest.mark.parametrize("cpus", ["two", "one"])
 def test_worker_warnings_reach_the_caller(cpus, monkeypatch):
     if cpus == "one":
@@ -128,6 +135,14 @@ def test_worker_warnings_reach_the_caller(cpus, monkeypatch):
     with pytest.warns(RuntimeWarning, match="raised beside the caller"):
         with Worker(noisy) as worker:
             assert worker.result() == 5
+    # under the "default" rule a location warns once, however many workers
+    # raise there: the caller re-emits through the module's registry
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("default")
+        for _ in range(2):
+            with Worker(_warn_twice) as worker:
+                worker.result()
+    assert [str(w.message) for w in caught] == ["raised twice at one line"]
 
 
 # ---------------------------------------------------------------------------
