@@ -6,13 +6,13 @@ the same floating-point operations, in the same order, as the scalar
 reference loops they replace, so their results are bit-identical to them;
 tests/test_kernels.py checks them against those loops and against
 closed-form oracles. ``Stencil`` skips work whose result is known: it
-evaluates only the columns of a row that read a sample differing from the
-extension values, and adds each stencil term through one reused temporary
-row, so a term allocates nothing. The terms are summed for j = 0 .. m in
-increasing order, as the reference loop sums them. The end coefficients are
-c_0 = (-1)^m and c_m = 1, which multiply exactly, so the row starts as
-c_1 s_1 -/+ s_0 (the same IEEE value as c_0 s_0 + c_1 s_1; s_1 - s_0 at
-m = 1) and s_m is added as read.
+computes each distinct shift of a table once, only on the columns of its
+row that read a sample differing from the extension values, and adds each
+term through one reused temporary row, so a term allocates nothing. The
+terms are summed for j = 0 .. m in increasing order, as the reference loop
+sums them. The end coefficients are c_0 = (-1)^m and c_m = 1, which
+multiply exactly, so the row starts as c_1 s_1 -/+ s_0 (the same IEEE
+value as c_0 s_0 + c_1 s_1; s_1 - s_0 at m = 1) and s_m is added as read.
 
 The scalar kernels (``segment_clip``, ``greedy_classes``) run on Python floats
 and lists, which do the same IEEE double arithmetic as numpy scalars at a
@@ -55,35 +55,46 @@ def interp_eval(samples, origin, spacing, left, right, xs):
 # ---------------------------------------------------------------------------
 
 class Stencil:
-    """Delta^m of one sample row for integer shift counts, computed only on
-    the columns whose reads are not all one extension value.
+    """Delta^m of one sample row for a table of integer shift counts: each
+    distinct shift once, on the columns whose reads are not all one
+    extension value.
 
-    Built once per function: the buffer padded with the extension values,
-    and the live span [lo, hi] outside which every sample is bitwise equal
-    to its side's extension value (``lo`` is the first sample that differs
-    from ``left``, ``hi`` the last that differs from ``right``). A column
-    whose every read lies before ``lo`` holds the stencil of the constant
-    ``left``, one whose every read lies after ``hi`` that of ``right``; both
-    are computed once, term by term in the same order as a column, so every
-    value is bit-identical to evaluating the whole row.
+    The plan is built up front as plain lists: the distinct shifts
+    (``shifts``, sorted; ``inverse`` maps each table entry to its own), the
+    live span [a, b) of each, and the starts of its m + 1 terms in the
+    buffer padded with min(m * max|off|, n) extension values on each side.
+    Outside [lo, hi] every sample is bitwise equal to its side's extension
+    value, so a column whose every read lies before ``lo`` holds the stencil
+    of the constant ``left``, one whose every read lies after ``hi`` that of
+    ``right``; both are computed once, term by term in the same order as a
+    column, so every value is bit-identical to evaluating the whole row.
     """
 
-    def __init__(self, samples, left, right, m):
-        self.samples = samples = np.ascontiguousarray(samples, dtype=np.float64)
+    def __init__(self, samples, left, right, m, offsets):
+        samples = np.ascontiguousarray(samples, dtype=np.float64)
         self.m = m
         self.n = n = samples.shape[0]
         self.coefs = [(-1.0) ** (m - j) * math.comb(m, j) for j in range(m + 1)]
         left, right = float(left), float(right)
-        # reads more than n cells away see only extension values, so n cells
-        # of padding on each side serve every shift
-        self.buf = np.concatenate((np.full(n, left), samples, np.full(n, right)))
+        shifts, inverse = np.unique(np.asarray(offsets, dtype=np.int64), return_inverse=True)
+        self.shifts, self.inverse = shifts, inverse.reshape(-1)
+        # no read reaches past m * max|off| cells, and every read past n
+        # cells is an extension value, so a read is clamped to n cells
+        pad = min(m * int(np.abs(shifts).max(initial=0)), n)
+        self.buf = np.concatenate((np.full(pad, left), samples, np.full(pad, right)))
         self._tmp = np.empty(n)
         # compared as bits: a -0.0 sample next to a 0.0 extension is live
         bits = samples.view(np.int64)
-        off_left = np.flatnonzero(bits != np.array(left).view(np.int64))
-        off_right = np.flatnonzero(bits != np.array(right).view(np.int64))
-        self.lo = int(off_left[0]) if off_left.size else n
-        self.hi = int(off_right[-1]) if off_right.size else -1
+        off_left = bits != np.array(left).view(np.int64)
+        off_right = (bits != np.array(right).view(np.int64))[::-1]
+        lo, hi = int(off_left.argmax()), n - 1 - int(off_right.argmax())
+        lo, hi = lo if off_left[lo] else n, hi if off_right[n - 1 - hi] else -1
+        reach = m * shifts
+        a = np.minimum(np.maximum(lo - np.maximum(reach, 0), 0), n)
+        b = np.minimum(np.maximum(hi + 1 - np.minimum(reach, 0), a), n)
+        starts = pad + np.minimum(np.maximum(np.arange(m + 1)[:, None] * shifts, -pad), pad) + a
+        self.spans = list(zip(a.tolist(), b.tolist()))
+        self.starts = starts.T.tolist()
         self.left_value = self._constant(left)
         self.right_value = self._constant(right)
 
@@ -93,43 +104,30 @@ class Stencil:
             acc += c * v
         return acc
 
-    def live_row(self, off: int, out) -> tuple[int, int]:
-        """Write Delta^m for shift ``off`` into out[a:b], the columns with a
-        read inside the live span, and return (a, b). The columns before a
-        read only ``left`` and those from b on only ``right`` (when a == b
-        the two are the same bits); they are left untouched."""
-        reach = self.m * off
-        a = min(max(self.lo - max(reach, 0), 0), self.n)
-        b = min(max(self.hi + 1 - min(reach, 0), a), self.n)
-        n, m, width = self.n, self.m, b - a
-        seg, tmp = out[a:b], self._tmp[:width]
-
-        def term(j):
-            start = n + min(max(j * off, -n), n) + a
-            return self.buf[start : start + width]
-
+    def live(self, k: int, out):
+        """Write Delta^m for distinct shift ``k`` into out[a:b], its live
+        span, and return that view. The columns before a read only ``left``
+        and those from b on only ``right`` (when a == b the two are the same
+        bits); they are left untouched."""
+        a, b = self.spans[k]
+        width, buf, seg = b - a, self.buf, out[a:b]
+        s0, s1, *rest = self.starts[k]
         # c_0 = (-1)^m and c_m = 1 multiply exactly, so c_0 s_0 + c_1 s_1
         # is c_1 s_1 -/+ s_0 and the last term is added as read
-        if m == 1:
-            np.subtract(term(1), self.samples[a:b], out=seg)
-            return a, b
-        np.multiply(self.coefs[1], term(1), out=seg)
-        if m % 2:
-            seg -= self.samples[a:b]
+        if self.m == 1:
+            np.subtract(buf[s1 : s1 + width], buf[s0 : s0 + width], out=seg)
+            return seg
+        np.multiply(self.coefs[1], buf[s1 : s1 + width], out=seg)
+        if self.m % 2:
+            seg -= buf[s0 : s0 + width]
         else:
-            seg += self.samples[a:b]
-        for j in range(2, m):
-            np.multiply(self.coefs[j], term(j), out=tmp)
+            seg += buf[s0 : s0 + width]
+        tmp = self._tmp[:width]
+        for c, s in zip(self.coefs[2:-1], rest):
+            np.multiply(c, buf[s : s + width], out=tmp)
             seg += tmp
-        seg += term(m)
-        return a, b
-
-    def row(self, off: int, out):
-        """The whole signed row of Delta^m for shift ``off`` into ``out``."""
-        a, b = self.live_row(off, out)
-        out[:a] = self.left_value
-        out[b:] = self.right_value
-        return out
+        seg += buf[rest[-1] : rest[-1] + width]
+        return seg
 
 
 def shift_difference_batch(samples, left, right, offsets, m):
@@ -137,14 +135,15 @@ def shift_difference_batch(samples, left, right, offsets, m):
 
     Entry [k, i] is sum_j (-1)^(m-j) C(m,j) f(x_i + j*offsets[k]*dx), with
     out-of-window reads replaced by the extension values. The sum runs over
-    j in increasing order.
+    j in increasing order; a repeated shift is computed once.
     """
-    offsets = np.asarray(offsets, dtype=np.int64)
-    stencil = Stencil(samples, left, right, m)
-    out = np.empty((offsets.shape[0], samples.shape[0]))
-    for k, off in enumerate(offsets.tolist()):
-        stencil.row(off, out[k])
-    return out
+    stencil = Stencil(samples, left, right, m, offsets)
+    table = np.empty((len(stencil.spans), stencil.n))
+    for k, (a, b) in enumerate(stencil.spans):
+        stencil.live(k, table[k])
+        table[k, :a] = stencil.left_value
+        table[k, b:] = stencil.right_value
+    return table[stencil.inverse]
 
 
 def interp_difference(samples, origin, spacing, left, right, h, m):

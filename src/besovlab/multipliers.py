@@ -114,16 +114,18 @@ def unif_profile(
     psi: PsiBump,
     hg: DyadicHGrid = DEFAULT_HGRID,
     norm_fn: Callable = besov_norm_diff,
-) -> tuple[np.ndarray, np.ndarray]:
+    with_rows: bool = False,
+) -> tuple[np.ndarray, ...]:
     """Per-translate localized norms ||f psi(.-z)|| for every admissible z;
-    their max is the uniform localization norm sup_z on the window."""
+    their max is the uniform localization norm sup_z on the window. Returns
+    (zs, vals), and with ``with_rows`` also the rows psi(x - z) it built."""
     zs = translate_range(f, margin=sp.m)
     rows = _translate_matrix(f, psi, zs)
     vals = np.empty(zs.size)
     for i in range(zs.size):
         g = GridFunction(f.samples * rows[i], f.spacing, f.origin, Extension.ZERO)
         vals[i] = norm_fn(g, sp, hg)
-    return zs, vals
+    return (zs, vals, rows) if with_rows else (zs, vals)
 
 
 @dataclass
@@ -140,22 +142,22 @@ def msq_norm_lower_detailed(
     n_random: int = 64,
     seed: int = 1234,
     norm_fn: Callable = besov_norm_diff,
-    profile: Optional[tuple[np.ndarray, np.ndarray]] = None,
+    profile: Optional[tuple[np.ndarray, ...]] = None,
 ) -> LowerBoundResult:
     """Certified lower bound for the coefficient-sup multiplier norm.
 
     Candidates: all coordinate sequences (so the result dominates the max
     of unif_profile exactly), Rademacher sign sequences drawn from
     ``seed``, and block-constant sequences, all normalized in l^p. ``profile``
-    is the (zs, vals) that unif_profile returned for the same arguments;
-    it supplies the coordinate norms instead of recomputing them.
+    is the (zs, vals, rows) that unif_profile returned with its rows for the
+    same arguments; it supplies the coordinate norms and the translate rows
+    instead of recomputing them.
     """
     if math.isinf(sp.p):
         raise ValueError("coefficient-sup estimator is defined for p < inf")
     if profile is None:
-        profile = unif_profile(f, sp, psi, hg, norm_fn)
-    zs, coord_vals = profile
-    rows = _translate_matrix(f, psi, zs)
+        profile = unif_profile(f, sp, psi, hg, norm_fn, with_rows=True)
+    zs, coord_vals, rows = profile
     n = zs.size
     best = float(coord_vals.max())
     arg = f"coordinate z={int(zs[int(np.argmax(coord_vals))])}"

@@ -16,18 +16,18 @@ of the h-quadrature that refining to 2^15+1 samples leaves; at 8 cells the
 sampling error dominates (+7.4e-2 at s = 2.6).
 
 A difference table (one stencil row per node) is never held whole: one row
-buffer is filled and reduced per node, so a norm at 2^15+1 samples touches
-a few rows instead of a 21 MB table. Each row evaluates its stencil, |.|
-and ^p only on its live columns, the ones with a read where f differs from
-its extension values (most witnesses are compactly supported); the other
-columns take the constant's value, and the sum or max still runs over the
-whole row, so every value is bit-identical to a whole-table pass. Within
-that, no pass runs whose result is known: the stencil adds or subtracts
-its +-1 end terms instead of multiplying them (see _kernels.Stencil), |.|
-is skipped at p = 2, and a constant column is refilled only when the live
-span moved over it since the previous row. The Sobolev square function
-likewise weights only live columns; a column that is constant in every row
-of a level takes the row-order sum of the constants.
+buffer is filled and reduced per distinct shift, and the nodes that snap to
+one shift share its row, so a norm at 2^15+1 samples touches a few rows
+instead of a 21 MB table. Each row evaluates its stencil, |.| and ^p only on
+its live columns, the ones with a read where f differs from its extension
+values (most witnesses are compactly supported); the other columns take the
+constant's value and the sum still runs over the whole row, so every value
+is bit-identical to a whole-table pass. The max at p = inf is read from the
+live columns and the constants the row has. The stencil adds or subtracts
+its +-1 end terms (see _kernels.Stencil), |.| is skipped at p = 2, and a
+constant column is refilled only when the live span moved over it. The
+Sobolev square function likewise weights only live columns; a column that is
+constant in every row of a level takes the row-order sum of the constants.
 
 The Fourier paths take the real half spectrum (rfft/irfft). Every band
 mask and the Sobolev lift depend on |xi| only, so this is the same operator
@@ -159,46 +159,48 @@ def difference(f: GridFunction, m: int, h: float) -> GridFunction:
 
 def _difference_norm_table(f: GridFunction, m: int, hs: np.ndarray, p: float) -> np.ndarray:
     """||Delta^m_h f||_{L^p} for every h in ``hs``, each a nonzero grid
-    multiple as DyadicHGrid.materialize snaps them.
+    multiple as DyadicHGrid.materialize snaps them; each distinct shift is
+    computed once and its norm copied to every h that snaps to it.
 
-    One row buffer serves every h: the stencil, |.| and ^p run on the row's
-    live columns (see _kernels.Stencil), the constant columns take the
-    constant's value through the same |.| and ^p, and the sum or max runs
-    over the whole row, as a whole-table pass reduces it. At p = 2 the row is
-    squared by np.square, where x^2 = |x|^2 bit for bit and ** 2.0 gives the
-    same product at three times the cost. A constant column keeps its value
-    from the previous row, so only the columns where the live span [a, b)
-    moved since then are refilled.
+    One row buffer serves every shift (see the module docstring). At p = 2
+    the row is squared by np.square, where x^2 = |x|^2 bit for bit and
+    ** 2.0 gives the same product at three times the cost. A constant column
+    keeps its value from the previous row, so only the columns where the live
+    span [a, b) moved are refilled. At p = inf nothing is filled: max is
+    exact and order-free, and np.max of the row's parts keeps a NaN.
     """
     left, right = f.ext_values()
-    offs = np.round(hs / f.spacing).astype(np.int64)
-    stencil = _kernels.Stencil(f.samples, left, right, m)
-    sup = math.isinf(p)
+    stencil = _kernels.Stencil(f.samples, left, right, m, np.round(hs / f.spacing).astype(np.int64))
+    n, sup = f.count, math.isinf(p)
     ends = np.abs(np.array([stencil.left_value, stencil.right_value]))
     if not sup:
         ends **= p
     fill_left, fill_right = ends.tolist()
-    row = np.empty(f.count)
-    acc = np.empty(offs.shape[0])
-    pa, pb = 0, f.count  # previous live span; nothing is filled yet
-    for k, off in enumerate(offs.tolist()):
-        a, b = stencil.live_row(off, row)
-        live = row[a:b]
+    row = np.empty(n)
+    acc = np.empty(len(stencil.spans))
+    pa, pb = 0, n  # previous live span; nothing is filled yet
+    for k, (a, b) in enumerate(stencil.spans):
+        live = stencil.live(k, row)
         if p == 2.0:
             np.square(live, out=live)
         else:
             np.abs(live, out=live)
             if not sup:
                 live **= p
+        if sup:
+            reads = [live.max()] if a < b else []
+            reads += [fill_left] * (a > 0) + [fill_right] * (b < n)
+            acc[k] = np.max(reads)
+            continue
         if a > pa:
             row[pa:a] = fill_left
         if b < pb:
             row[b:pb] = fill_right
         pa, pb = a, b
-        acc[k] = row.max() if sup else row.sum()
-    if sup:
-        return acc
-    return acc ** (1.0 / p) * f.spacing ** (1.0 / p)
+        acc[k] = row.sum()
+    if not sup:
+        acc = acc ** (1.0 / p) * f.spacing ** (1.0 / p)
+    return acc[stencil.inverse]
 
 
 def besov_seminorm_diff(
@@ -353,44 +355,37 @@ def sobolev_seminorm_diff(
         raise ValueError("m > s required")
     hs, _, wlin, lev = hg.materialize(f.spacing)
     left, right = f.ext_values()
-    offs = np.round(hs / f.spacing).astype(np.int64)
-    stencil = _kernels.Stencil(f.samples, left, right, m)
-    n_levels = int(lev.max()) + 1
-    absd_weighted = np.empty((n_levels, f.count))
+    stencil = _kernels.Stencil(f.samples, left, right, m, np.round(hs / f.spacing).astype(np.int64))
     ends = (abs(stencil.left_value), abs(stencil.right_value))
-    rows = np.empty((hg.nodes_per_level, f.count))
-    # materialize keeps levels 0..n_levels-1 without gaps, all on the grid.
-    # Each level's weighted |rows| are summed column by column in row order.
+    row, level, term = np.empty(f.count), np.empty(f.count), np.empty(f.count)
+    square, inner = np.zeros(f.count), np.zeros(f.count)
+    uses = np.bincount(stencil.inverse).tolist()
+    kept = {}  # a distinct shift's |live row|, from its first node to its last
+    # materialize keeps levels 0..lev.max() without gaps, all on the grid.
+    # Each level's weighted |rows| are summed column by column in row order,
+    # from +0.0, which leaves the first row's bits: every term is |.| * w >= 0.
     # A column before every row's live span holds |left_value| * w in each
     # row, one after every span |right_value| * w, so their sums are scalars.
-    for k_lev in range(n_levels):
+    # The inner integral over |h| <= t_k accumulates all levels >= k.
+    for k_lev in range(int(lev.max()), -1, -1):
         idx = np.flatnonzero(lev == k_lev)
-        spans, fills = [], []
-        for row, off, w in zip(rows, offs[idx].tolist(), wlin[idx].tolist()):
-            a, b = stencil.live_row(off, row)
-            live = row[a:b]
-            np.abs(live, out=live)
-            live *= w
-            spans.append((a, b))
-            fills.append((ends[0] * w, ends[1] * w))
-        lo = min(a for a, _ in spans)
-        hi = max(b for _, b in spans)
-        level = rows[: idx.size]
-        for row, (a, b), (fill_left, fill_right) in zip(level, spans, fills):
-            row[lo:a] = fill_left
-            row[b:hi] = fill_right
-        out = absd_weighted[k_lev]
-        out[lo:hi] = level[0, lo:hi]
-        for row in level[1:]:
-            out[lo:hi] += row[lo:hi]
-        out[:lo] = functools.reduce(operator.add, [fill for fill, _ in fills])
-        out[hi:] = functools.reduce(operator.add, [fill for _, fill in fills])
-    # inner integral over |h| <= t_k accumulates all levels >= k
-    square = np.zeros(f.count)
-    inner = np.zeros(f.count)
-    term = np.empty(f.count)
-    for k_lev in range(n_levels - 1, -1, -1):
-        inner += absd_weighted[k_lev]
+        ks, ws = stencil.inverse[idx].tolist(), wlin[idx].tolist()
+        lo = min(stencil.spans[k][0] for k in ks)
+        hi = max(stencil.spans[k][1] for k in ks)
+        level[lo:hi] = 0.0
+        for k, w in zip(ks, ws):
+            a, b = stencil.spans[k]
+            uses[k] -= 1
+            absd = kept.pop(k) if k in kept else np.abs(stencil.live(k, row))
+            if uses[k]:
+                kept[k] = absd
+            np.multiply(absd, w, out=row[a:b])
+            row[lo:a] = ends[0] * w
+            row[b:hi] = ends[1] * w
+            level[lo:hi] += row[lo:hi]
+        level[:lo] = functools.reduce(operator.add, [ends[0] * w for w in ws])
+        level[hi:] = functools.reduce(operator.add, [ends[1] * w for w in ws])
+        inner += level
         t_k = 2.0 ** (-(k_lev + 0.5))
         np.divide(inner, t_k, out=term)
         term **= 2

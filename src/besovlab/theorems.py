@@ -621,14 +621,15 @@ def _multiplier_half(mg: MapOnGrid, sp: SpaceParams, kind: str, seed: int) -> tu
     size = len(res)
     psi = make_psi("mollifier")
     norm_fn = functools.partial(res.norm, kind=kind)
-    zs, zvals = unif_profile(phi_prime, down, psi, norm_fn=norm_fn)
+    profile = unif_profile(phi_prime, down, psi, norm_fn=norm_fn, with_rows=True)
+    zs, zvals, _ = profile
     testers = [(f"psi(z={z})", psi.on_grid(phi_prime, float(z))) for z in (-2, 0, 3)]
     testers.append(("gaussian", sample("gaussian", phi_prime.window, res.count)))
     mult = multiplier_norm_lower_detailed(phi_prime, down, testers, norm_fn=norm_fn)
     msq = None
     if not math.isinf(sp.p):
         msq = msq_norm_lower_detailed(
-            phi_prime, down, psi, n_random=16, seed=seed, norm_fn=norm_fn, profile=(zs, zvals)
+            phi_prime, down, psi, n_random=16, seed=seed, norm_fn=norm_fn, profile=profile
         ).value
     half = MultiplierHalf(float(zvals.max()), _window_limited(zs, zvals), mult, msq)
     return half, res.entries_since(size)

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from besovlab import _kernels as K
-from besovlab.grid import Extension, GridFunction, lp_norm
+from besovlab.grid import Extension, GridFunction, lp_norm, sample
 from besovlab.maps import (
     M_functional,
     U_functional,
@@ -312,6 +312,22 @@ def _reference_difference(samples, left, right, offsets, m):
     return out
 
 
+def _reference_rows(samples, left, right, offsets, m):
+    """_reference_difference as whole-row array steps, for grids too large
+    for the loop: the same terms, added in the same order, on every column."""
+    n = samples.size
+    idx = np.arange(n)
+    out = np.empty((len(offsets), n))
+    for k, off in enumerate(offsets):
+        acc = (-1.0) ** m * samples
+        for j in range(1, m + 1):
+            sh = idx + j * off
+            v = np.where(sh < 0, left, np.where(sh > n - 1, right, samples[np.clip(sh, 0, n - 1)]))
+            acc = acc + (-1.0) ** (m - j) * math.comb(m, j) * v
+        out[k] = acc
+    return out
+
+
 def test_shift_difference_parity(rng):
     samples = rng.normal(size=129)
     # negative shifts, and shifts whose every read falls outside the window
@@ -352,8 +368,9 @@ def _stencil_cases(rng):
     ]
 
 
-# both signs, shifts past the window and m * |off| > n
-STENCIL_OFFSETS = [1, -1, 2, -3, 7, -9, 13, 20, -21, 39, -39, 40, 57, -150]
+# both signs, shifts past the window and m * |off| > n, and repeated shifts
+# of both signs apart from their first use
+STENCIL_OFFSETS = [1, -1, 2, -3, 7, -9, 13, 20, -21, 39, -39, 40, 57, -150, 2, -3, 1, -150, -1, 40, 2]
 
 
 def test_stencil_rows_equal_the_brute_force_loop(rng):
@@ -364,6 +381,7 @@ def test_stencil_rows_equal_the_brute_force_loop(rng):
             want = _reference_difference(samples, left, right, STENCIL_OFFSETS, m)
             # bytes, so that the sign of every zero counts
             assert got.tobytes() == want.tobytes(), (samples, left, right, m)
+            assert _reference_rows(samples, left, right, STENCIL_OFFSETS, m).tobytes() == want.tobytes()
 
 
 def test_stencil_rows_keep_the_sign_of_zero():
@@ -390,29 +408,36 @@ def _stencil_functions(rng, spacing):
         yield GridFunction(samples, spacing, 0.0, ext)
 
 
+NORM_PS = (1.0, 1.5, 2.0, 3.0, math.inf)
+
+
+def _reference_norms(table, spacing, p):
+    """||row||_{L^p} of every row of a difference table, each row reduced whole."""
+    table = np.abs(table)
+    if math.isinf(p):
+        return table.max(axis=1)
+    return (table**p).sum(axis=1) ** (1.0 / p) * spacing ** (1.0 / p)
+
+
 def test_difference_norm_table_equals_the_brute_force_table(rng):
     spacing = 0.125
     hs = np.array(STENCIL_OFFSETS) * spacing
     for f in _stencil_functions(rng, spacing):
         left, right = f.ext_values()
         for m in (1, 2, 3, 4):
-            table = np.abs(_reference_difference(f.samples, left, right, STENCIL_OFFSETS, m))
-            for p in (1.0, 1.5, 2.0, 3.0, math.inf):
-                if math.isinf(p):
-                    want = table.max(axis=1)
-                else:
-                    want = (table**p).sum(axis=1) ** (1.0 / p) * spacing ** (1.0 / p)
+            table = _reference_difference(f.samples, left, right, STENCIL_OFFSETS, m)
+            for p in NORM_PS:
                 got = _difference_norm_table(f, m, hs, p)
-                assert got.tobytes() == want.tobytes(), (f.samples, m, p)
+                assert got.tobytes() == _reference_norms(table, spacing, p).tobytes(), (f.samples, m, p)
 
 
-def _reference_sobolev_seminorm(f, s, p, m):
+def _reference_sobolev_seminorm(f, s, p, m, difference=_reference_difference):
     """sobolev_seminorm_diff from the brute-force difference table: each
     level's weighted |rows| summed column by column in row order."""
     hs, _, wlin, lev = DEFAULT_HGRID.materialize(f.spacing)
     left, right = f.ext_values()
     offs = np.round(hs / f.spacing).astype(np.int64).tolist()
-    table = np.abs(_reference_difference(f.samples, left, right, offs, m)) * wlin[:, None]
+    table = np.abs(difference(f.samples, left, right, offs, m)) * wlin[:, None]
     square, inner = np.zeros(f.count), np.zeros(f.count)
     for k in range(int(lev.max()), -1, -1):
         rows = table[lev == k]
@@ -435,6 +460,51 @@ def test_sobolev_seminorm_equals_the_brute_force_loop(rng):
                     got = sobolev_seminorm_diff(f, s, p, m)
                     want = _reference_sobolev_seminorm(f, s, p, m)
                     assert np.float64(got).tobytes() == np.float64(want).tobytes(), (f.samples, s, p, m)
+
+
+@pytest.mark.parametrize("count", [2**13 + 1, 2**15 + 1])
+def test_the_h_grids_own_repeated_shifts_equal_whole_rows(count):
+    for f in (sample("gaussian", count=count), sample("sine", count=count, freq=0.7, phase=0.3)):
+        hs = DEFAULT_HGRID.materialize(f.spacing)[0]
+        offs = np.round(hs / f.spacing).astype(np.int64).tolist()
+        # the finest levels snap 1, 2, 3 and 4 cells, of both signs, twice
+        assert all(offs.count(off) >= 2 for off in (1, -1, 2, -2, 3, -3, 4, -4))
+        left, right = f.ext_values()
+        for m in (1, 3):
+            table = _reference_rows(f.samples, left, right, offs, m)
+            for p in NORM_PS:
+                got = _difference_norm_table(f, m, hs, p)
+                assert got.tobytes() == _reference_norms(table, f.spacing, p).tobytes(), (f.extension, m, p)
+        for s, m in ((0.7, 1), (2.1, 3)):
+            got = sobolev_seminorm_diff(f, s, 2.0, m)
+            want = _reference_sobolev_seminorm(f, s, 2.0, m, _reference_rows)
+            assert np.float64(got).tobytes() == np.float64(want).tobytes(), (f.extension, s, m)
+
+
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+def test_the_sup_norm_reads_empty_live_spans_and_keeps_a_nan():
+    offsets = [1, -1, 3, 3, -50, 50]
+    hs = np.array(offsets) * 0.125
+    # no sample differs from the extension, so every live span is empty: at
+    # the end (-1), inside (1, 3) and at the start (50) of the row. The third
+    # difference of 2/3 rounds to 1.1e-16, not to 0.
+    flat = GridFunction(np.full(40, 2.0 / 3.0), 0.125, 0.0, Extension.CONSTANT)
+    spans = K.Stencil(flat.samples, 2.0 / 3.0, 2.0 / 3.0, 3, offsets).spans
+    assert {a for a, b in spans if a == b} == {0, 31, 37, 40}
+    with_nan = np.zeros(40)
+    with_nan[20] = np.nan
+    nan = GridFunction(with_nan, 0.125, 0.0, Extension.ZERO)
+    # an infinite left end: at m = 1 its constant's difference is inf - inf,
+    # a NaN, where the live columns read inf - x = inf
+    inf_end = GridFunction(np.concatenate(([np.inf], np.linspace(0.0, 1.0, 39))), 0.125, 0.0, Extension.CONSTANT)
+    for f, m in ((flat, 3), (nan, 3), (inf_end, 1)):
+        left, right = f.ext_values()
+        want = np.max(np.abs(_reference_difference(f.samples, left, right, offsets, m)), axis=1)
+        got = _difference_norm_table(f, m, hs, math.inf)
+        assert got.tobytes() == want.tobytes(), (f.samples, m)
+    assert (_difference_norm_table(flat, 3, hs, math.inf) > 0.0).all()
+    assert np.isnan(_difference_norm_table(nan, 3, hs, math.inf)).all()
+    assert np.isnan(got).any() and not np.isnan(got).all()
 
 
 def test_shift_difference_without_offsets(rng):

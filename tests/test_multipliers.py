@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from besovlab import multipliers
 from besovlab.grid import Extension, GridFunction, SpaceParams, lp_norm, sample
 from besovlab.multipliers import (
     PsiProfileError,
@@ -102,12 +103,34 @@ def test_msq_reuses_a_given_profile():
 
     plain = msq_norm_lower_detailed(f, SP, psi, n_random=8, norm_fn=counting)
     n_plain = len(calls)
-    profile = unif_profile(f, SP, psi)
+    profile = unif_profile(f, SP, psi, with_rows=True)
     calls.clear()
     reused = msq_norm_lower_detailed(f, SP, psi, n_random=8, norm_fn=counting, profile=profile)
     assert reused.value == plain.value
     assert reused.argmax == plain.argmax
     assert len(calls) == n_plain - profile[0].size
+
+
+def test_msq_builds_the_translate_rows_once(monkeypatch):
+    psi = make_psi("mollifier")
+    f = sample("sine", count=2**11 + 1)
+    plain = msq_norm_lower_detailed(f, SP, psi, n_random=8)
+    zs, vals = unif_profile(f, SP, psi)
+    profile = unif_profile(f, SP, psi, with_rows=True)
+    assert np.array_equal(profile[0], zs) and profile[1].tobytes() == vals.tobytes()
+    builds = []
+    build = multipliers._translate_matrix
+
+    def counting(*args):
+        builds.append(1)
+        return build(*args)
+
+    monkeypatch.setattr(multipliers, "_translate_matrix", counting)
+    for given, n_builds in ((None, 1), (profile, 0)):
+        builds.clear()
+        got = msq_norm_lower_detailed(f, SP, psi, n_random=8, profile=given)
+        assert (np.float64(got.value).tobytes(), got.argmax) == (np.float64(plain.value).tobytes(), plain.argmax)
+        assert len(builds) == n_builds
 
 
 def test_disjoint_translate_lp_identity():

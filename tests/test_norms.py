@@ -17,6 +17,7 @@ from besovlab.grid import (
     smoothstep,
 )
 from besovlab.norms import (
+    DEFAULT_HGRID,
     DyadicHGrid,
     _difference_norm_table,
     _band_masks,
@@ -219,6 +220,23 @@ def test_besov_norm_diff_streams_its_difference_table():
     finally:
         tracemalloc.stop()
     assert peak < 4 * 2**20, peak
+
+
+def test_a_default_table_evaluates_each_distinct_shift_once(monkeypatch):
+    # the finest levels snap 1, 1, 2, 2 | 2, 3, 3, 4 cells per sign: 64 nodes
+    # at 2^13+1, 54 distinct shifts
+    f = sample("gaussian", count=2**13 + 1)
+    rows = []
+    live = _kernels.Stencil.live
+
+    def counting(stencil, k, out):
+        rows.append(int(stencil.shifts[k]))
+        return live(stencil, k, out)
+
+    monkeypatch.setattr(_kernels.Stencil, "live", counting)
+    besov_seminorm_diff(f, SpaceParams(2.1, 2.0, 2.0, 3))
+    assert DEFAULT_HGRID.materialize(f.spacing)[0].size == 64
+    assert len(rows) == len(set(rows)) == 54
 
 
 # ---------------------------------------------------------------------------
