@@ -31,7 +31,7 @@ from .maps import (
     preimage_intervals,
 )
 from .norms import (
-    DyadicHGrid,
+    DEFAULT_HGRID,
     besov_norm_diff,
     littlewood_paley_norm,
     sobolev_norm_diff,
@@ -113,14 +113,13 @@ def cmd_norm(args) -> int:
         if method not in METHODS:
             raise ValueError(f"unknown method {method!r} (choose from {tuple(METHODS)})")
     f = parse_fn(args.fn, window, args.count)
-    hg = DyadicHGrid(levels=args.levels)
     records = [
         {
             "function": args.fn,
             "space": sp.as_dict(),
             "method": method,
-            "value": METHODS[method](f, sp, hg),
-            "grid": {"count": args.count, "window": list(window), "K": args.levels},
+            "value": METHODS[method](f, sp, DEFAULT_HGRID),
+            "grid": {"count": args.count, "window": list(window), "K": DEFAULT_HGRID.levels},
         }
         for method in methods
     ]
@@ -272,7 +271,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--method", default="diff", help=f"comma list from {tuple(METHODS)}")
     p.add_argument("--count", type=int, default=DEFAULT_COUNT)
     p.add_argument("--window", default=f"{DEFAULT_WINDOW[0]},{DEFAULT_WINDOW[1]}")
-    p.add_argument("--levels", type=int, default=10)
     p.add_argument("--json", default=None)
     p.add_argument("--csv", default=None)
     p.set_defaults(func=cmd_norm)

@@ -404,12 +404,11 @@ def sample_fn(fn: Callable, window, count: int, extension: Extension) -> GridFun
     return GridFunction(np.asarray(fn(xs), dtype=np.float64), spacing, lo, extension, fn)
 
 
-def catalog_family(
-    window: tuple[float, float] = DEFAULT_WINDOW, count: int = DEFAULT_COUNT
-) -> list[tuple[str, GridFunction]]:
-    """The fixed 10-function family used by the equivalence-band tests.
+def catalog_family(count: int = DEFAULT_COUNT) -> list[tuple[str, GridFunction]]:
+    """The fixed 10-function family used by the equivalence-band tests, on
+    the default window.
 
     All members are at least C^2, compactly supported or decaying below
     1e-12 at the window edge, and carry zero extension.
     """
-    return [(name, sample(name, window, count)) for name in FAMILY_NAMES]
+    return [(name, sample(name, count=count)) for name in FAMILY_NAMES]

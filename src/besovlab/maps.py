@@ -103,6 +103,10 @@ class LineMap:
         cf = np.ascontiguousarray(self.coeffs, dtype=np.float64)
         object.__setattr__(self, "breakpoints", bp)
         object.__setattr__(self, "coeffs", cf)
+        for key, values in (("breakpoints", bp), ("coeffs", cf), ("left_slope", self.left_slope),
+                            ("right_slope", self.right_slope)):
+            if not np.all(np.isfinite(values)):
+                raise ValueError(f"map {self.name}: {key!r} must be finite")
         if bp.ndim != 1 or bp.size < 2 or np.any(np.diff(bp) <= 0):
             raise ValueError("breakpoints must be strictly increasing, length >= 2")
         if cf.shape != (bp.size - 1, 4):
@@ -255,20 +259,20 @@ def _quadratic_roots(a, b, c):
 # constructors
 # ---------------------------------------------------------------------------
 
-def identity_map(window=DEFAULT_WINDOW) -> LineMap:
-    return affine_map(1.0, 0.0, window, name="identity")
+def identity_map() -> LineMap:
+    return affine_map(1.0, 0.0, name="identity")
 
 
-def affine_map(a: float, b: float, window=DEFAULT_WINDOW, name: Optional[str] = None) -> LineMap:
-    lo, hi = window
+def affine_map(a: float, b: float, name: Optional[str] = None) -> LineMap:
+    lo, hi = DEFAULT_WINDOW
     bp = np.array([lo, hi])
     cf = np.array([[a * lo + b, a, 0.0, 0.0]])
     return LineMap(bp, cf, a, a, c1=True, name=name or f"affine({a},{b})")
 
 
-def polynomial_map(coeffs_global, window=DEFAULT_WINDOW, name: Optional[str] = None) -> LineMap:
+def polynomial_map(coeffs_global, name: Optional[str] = None) -> LineMap:
     """Single global polynomial (degree <= 3), tails matching the edge slopes."""
-    lo, hi = window
+    lo, hi = DEFAULT_WINDOW
     cg = np.zeros(4)
     cg[: len(coeffs_global)] = coeffs_global
     # re-center at lo: p(lo + u)
@@ -285,8 +289,8 @@ def polynomial_map(coeffs_global, window=DEFAULT_WINDOW, name: Optional[str] = N
     )
 
 
-def quadratic_map(window=DEFAULT_WINDOW) -> LineMap:
-    return polynomial_map([0.0, 0.0, 1.0], window, name="quadratic")
+def quadratic_map() -> LineMap:
+    return polynomial_map([0.0, 0.0, 1.0], name="quadratic")
 
 
 def _spline_map(xs, ys, name: str) -> LineMap:
@@ -311,20 +315,19 @@ def from_callable(
     return _spline_map(xs, fn(xs), name)
 
 
-def sin_drift_map(amp: float = 0.5, window=DEFAULT_WINDOW, pieces: int = 512) -> LineMap:
-    return from_callable(
-        lambda x: x + amp * np.sin(x), window, pieces, name=f"sin_drift({amp})"
-    )
+def sin_drift_map(amp: float = 0.5) -> LineMap:
+    return from_callable(lambda x: x + amp * np.sin(x), name=f"sin_drift({amp})")
 
 
-def sin_map(window=(-10.0, 10.0), pieces: int = 400) -> LineMap:
-    return from_callable(np.sin, window, pieces, name="sin")
+def sin_map() -> LineMap:
+    return from_callable(np.sin, (-10.0, 10.0), 400, name="sin")
 
 
-def inverse_map(phi: LineMap, pieces: int = 512, samples: int = 2**15 + 1) -> LineMap:
-    """Spline fit of phi^-1 on [phi(lo), phi(hi)] for strictly monotone phi."""
+def inverse_map(phi: LineMap) -> LineMap:
+    """Spline fit of phi^-1 on [phi(lo), phi(hi)] for strictly monotone phi,
+    on 512 pieces from 2^15 + 1 samples of phi."""
     lo, hi = phi.window
-    xs = np.linspace(lo, hi, samples)
+    xs = np.linspace(lo, hi, 2**15 + 1)
     ys = phi(xs)
     dy = np.diff(ys)
     if np.all(dy > 0):
@@ -333,20 +336,20 @@ def inverse_map(phi: LineMap, pieces: int = 512, samples: int = 2**15 + 1) -> Li
         xs, ys = xs[::-1], ys[::-1]
     else:
         raise ValueError("inverse_map requires a strictly monotone map")
-    y_nodes = np.linspace(ys[0], ys[-1], pieces + 1)
+    y_nodes = np.linspace(ys[0], ys[-1], 512 + 1)
     return _spline_map(y_nodes, np.interp(y_nodes, ys, xs), f"{phi.name}^-1")
 
 
 # name -> constructor; its keywords are the spec's parameters and carry their
 # defaults. Spec values arrive as text, which shift and scale keep in the name.
 _NAMED = {
-    "identity": lambda: identity_map(),
+    "identity": identity_map,
     "shift": lambda c=1.0: affine_map(1.0, float(c), name=f"shift({c})"),
     "scale": lambda k=2.0: affine_map(float(k), 0.0, name=f"scale({k})"),
     "affine": lambda a=1.0, b=0.0: affine_map(float(a), float(b)),
-    "quadratic": lambda: quadratic_map(),
+    "quadratic": quadratic_map,
     "sin_drift": lambda amp=0.5: sin_drift_map(float(amp)),
-    "sin": lambda: sin_map(),
+    "sin": sin_map,
 }
 
 

@@ -6,6 +6,8 @@ are suprema over infinite families, so the artifact computes certified
 lower bounds over documented candidate sets and never labels them as the
 true norm. Coordinate sequences are always among the candidates, which
 makes the coefficient-sup estimate dominate the uniform one exactly.
+Each estimator evaluates ``norm_fn(g, sp, DEFAULT_HGRID)``, a norm of
+(function, space, h-grid) as in ``theorems.Resolution.NORMS``.
 """
 
 from __future__ import annotations
@@ -18,11 +20,11 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .grid import Extension, GridFunction, SpaceParams, _mollifier
-from .norms import DEFAULT_HGRID, DyadicHGrid, besov_norm_diff
+from .norms import DEFAULT_HGRID, besov_norm_diff
 
 
 class PsiProfileError(ValueError):
-    """Profile translates fail to cover the line (denominator vanishes)."""
+    """A partition-of-unity profile the package does not define."""
 
 
 @dataclass(frozen=True)
@@ -38,21 +40,13 @@ class PsiBump:
         return GridFunction(vals, like.spacing, like.origin, Extension.ZERO, None)
 
 
-def _triangle_profile(x):
-    return np.maximum(0.0, 1.0 - np.abs(np.asarray(x, dtype=np.float64)))
-
-
-_PROFILES = {"mollifier": _mollifier(0.0, 1.0), "triangle": _triangle_profile}
-
-
-def make_psi(profile="mollifier") -> PsiBump:
-    """Normalize a profile B supported in [-1, 1] into psi = B / sum_z B(.-z).
-
-    Raises PsiProfileError when the translates of B leave gaps.
-    """
-    base = _PROFILES.get(profile) if isinstance(profile, str) else profile
-    if base is None:
-        raise PsiProfileError(f"unknown profile {profile!r}")
+def make_psi(profile: str) -> PsiBump:
+    """Normalize the mollifier profile B, supported in [-1, 1], into
+    psi = B / sum_z B(.-z). ``profile`` names the profile; any name but
+    "mollifier" raises PsiProfileError."""
+    if profile != "mollifier":
+        raise PsiProfileError(f"unknown profile {profile!r} (the only one is 'mollifier')")
+    base = _mollifier(0.0, 1.0)
 
     def denom(x):
         x = np.asarray(x, dtype=np.float64)
@@ -61,11 +55,6 @@ def make_psi(profile="mollifier") -> PsiBump:
         for off in (-1.0, 0.0, 1.0, 2.0):
             total += base(x - (base_z + off))
         return total
-
-    probe = np.linspace(0.0, 1.0, 2049)
-    dvals = denom(probe)
-    if float(dvals.min()) < 1e-13:
-        raise PsiProfileError("profile translates leave gaps; cannot normalize")
 
     def psi(x):
         x = np.asarray(x, dtype=np.float64)
@@ -77,6 +66,7 @@ def make_psi(profile="mollifier") -> PsiBump:
         return out
 
     # partition-of-unity residual over one period
+    probe = np.linspace(0.0, 1.0, 2049)
     res = np.zeros_like(probe)
     for z in (-2.0, -1.0, 0.0, 1.0, 2.0):
         res += psi(probe - z)
@@ -112,7 +102,6 @@ def unif_profile(
     f: GridFunction,
     sp: SpaceParams,
     psi: PsiBump,
-    hg: DyadicHGrid = DEFAULT_HGRID,
     norm_fn: Callable = besov_norm_diff,
     with_rows: bool = False,
 ) -> tuple[np.ndarray, ...]:
@@ -124,7 +113,7 @@ def unif_profile(
     vals = np.empty(zs.size)
     for i in range(zs.size):
         g = GridFunction(f.samples * rows[i], f.spacing, f.origin, Extension.ZERO)
-        vals[i] = norm_fn(g, sp, hg)
+        vals[i] = norm_fn(g, sp, DEFAULT_HGRID)
     return (zs, vals, rows) if with_rows else (zs, vals)
 
 
@@ -138,7 +127,6 @@ def msq_norm_lower_detailed(
     f: GridFunction,
     sp: SpaceParams,
     psi: PsiBump,
-    hg: DyadicHGrid = DEFAULT_HGRID,
     n_random: int = 64,
     seed: int = 1234,
     norm_fn: Callable = besov_norm_diff,
@@ -156,7 +144,7 @@ def msq_norm_lower_detailed(
     if math.isinf(sp.p):
         raise ValueError("coefficient-sup estimator is defined for p < inf")
     if profile is None:
-        profile = unif_profile(f, sp, psi, hg, norm_fn, with_rows=True)
+        profile = unif_profile(f, sp, psi, norm_fn, with_rows=True)
     zs, coord_vals, rows = profile
     n = zs.size
     best = float(coord_vals.max())
@@ -167,7 +155,7 @@ def msq_norm_lower_detailed(
         g = GridFunction(
             f.samples * (_normalized(entries, sp.p) @ rows), f.spacing, f.origin, Extension.ZERO
         )
-        v = norm_fn(g, sp, hg)
+        v = norm_fn(g, sp, DEFAULT_HGRID)
         if v > best:
             best = v
             arg = label
@@ -191,7 +179,6 @@ def multiplier_norm_lower_detailed(
     f: GridFunction,
     sp: SpaceParams,
     testers: Sequence[tuple[str, GridFunction]],
-    hg: DyadicHGrid = DEFAULT_HGRID,
     norm_fn: Callable = besov_norm_diff,
 ) -> LowerBoundResult:
     """max over testers g of ||f g|| / ||g||, a lower bound for the
@@ -199,11 +186,11 @@ def multiplier_norm_lower_detailed(
     best = -math.inf
     arg = ""
     for label, g in testers:
-        gn = norm_fn(g, sp, hg)
+        gn = norm_fn(g, sp, DEFAULT_HGRID)
         if gn == 0.0:
             warnings.warn(f"tester {label!r} has zero norm; skipped")
             continue
-        v = norm_fn(f * g, sp, hg) / gn
+        v = norm_fn(f * g, sp, DEFAULT_HGRID) / gn
         if v > best:
             best, arg = v, label
     if not math.isfinite(best):

@@ -70,7 +70,7 @@ def test_A1_characterization_equivalence():
         for count in (2**13 + 1, 2**14 + 1):
             ratios = [
                 besov_norm_diff(f, sp) / littlewood_paley_norm(f, sp)
-                for _, f in catalog_family(WINDOW, count)
+                for _, f in catalog_family(count)
             ]
             consts.append(_band_constant(ratios))
     c0, c1 = consts
@@ -85,7 +85,7 @@ def test_A2_sobolev_equivalence():
         for count in (2**13 + 1, 2**14 + 1):
             ratios = [
                 sobolev_norm_diff(f, s, p, m) / sobolev_norm_fourier(f, s, p)
-                for _, f in catalog_family(WINDOW, count)
+                for _, f in catalog_family(count)
             ]
             consts.append(_band_constant(ratios))
     c0, c1 = consts

@@ -1,5 +1,6 @@
 import csv
 import json
+import math
 
 import numpy as np
 import pytest
@@ -263,6 +264,10 @@ BAD_MAP_FILE = {
     "an interval with null": ({"pieces": [{"interval": [None, 1], "coeffs": [0, 1, 0, 0]}]}, "'interval'"),
     "c1 a string": ({"pieces": [PIECE], "c1": "false"}, "'c1'"),
     "a gap between pieces": ({"pieces": [PIECE, {"interval": [2, 3], "coeffs": [2, 1, 0, 0]}]}, "'interval'"),
+    "a NaN tail slope": ({"pieces": [PIECE], "tails": {"left_slope": math.nan}}, "'left_slope'"),
+    "an infinite tail slope": ({"pieces": [PIECE], "tails": {"right_slope": -math.inf}}, "'right_slope'"),
+    "an infinite breakpoint": ({"pieces": [{"interval": [-1, math.inf], "coeffs": [0, 1, 0, 0]}]}, "'breakpoints'"),
+    "a NaN coefficient": ({"pieces": [{"interval": [-1, 1], "coeffs": [0, 1, math.nan, 0]}]}, "'coeffs'"),
 }
 
 
@@ -272,6 +277,25 @@ def test_bad_map_file_exit_4(case, tmp_path, capsys):
     path = tmp_path / "map.json"
     path.write_text(json.dumps(obj))
     code, out, err = run(capsys, "map", "--map", str(path))
+    assert code == 4
+    assert out == ""
+    assert err.startswith("config error:") and key in err
+
+
+# check refuses a non-finite map before it samples anything, naming the field
+NON_FINITE_CHECK = {
+    "a map file with a NaN tail slope": ("{path}", "'left_slope'"),
+    "scale:k=nan": ("scale:k=nan", "'coeffs'"),
+    "affine:a=1,b=inf": ("affine:a=1,b=inf", "'coeffs'"),
+}
+
+
+@pytest.mark.parametrize("case", list(NON_FINITE_CHECK))
+def test_check_non_finite_map_exit_4(case, tmp_path, capsys):
+    spec, key = NON_FINITE_CHECK[case]
+    path = tmp_path / "map.json"
+    path.write_text(json.dumps({"pieces": [PIECE], "tails": {"left_slope": math.nan}}))
+    code, out, err = run(capsys, "check", "--map", spec.format(path=path), "--space", "s=2.1,p=2,q=2,m=3")
     assert code == 4
     assert out == ""
     assert err.startswith("config error:") and key in err

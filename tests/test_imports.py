@@ -1,11 +1,13 @@
 """Every name a besovlab module imports is used in that module, every name
 it defines at top level is used somewhere in the project and, with its
 classes' public methods, reached from the program itself (src or perfbench)
-unless declared test-only, the package reads no environment variable that
-is not declared here, and the fragments in theorems.py read their grid
-from one Resolution and their map from one MapOnGrid."""
+unless declared test-only, every defaulted parameter is passed by some
+call in the program unless declared here, the package reads no environment
+variable that is not declared here, and the fragments in theorems.py read
+their grid from one Resolution and their map from one MapOnGrid."""
 
 import ast
+import math
 from pathlib import Path
 
 import pytest
@@ -272,3 +274,120 @@ def test_test_only_api_is_defined_and_unreached():
     reached = bench.union(*(_references(tree) for tree in trees.values()))
     assert set(TEST_ONLY_API) <= defined
     assert set(TEST_ONLY_API).isdisjoint(reached)
+
+
+# Defs with a defaulted parameter that no call in the program passes, each
+# with the reason it stays a parameter. A value that no caller varies is
+# otherwise a module constant.
+SPEC_KEYS = "called through grid.call_declared: its keywords are the keys a spec or config may set"
+UNPASSED_DEFAULTS = {
+    "grid._gaussian": SPEC_KEYS,
+    "grid._indicator": SPEC_KEYS,
+    "grid._const": SPEC_KEYS,
+    "grid._sine": SPEC_KEYS,
+    "cli._space": SPEC_KEYS,
+    "cli._suite_settings": SPEC_KEYS,
+}
+
+
+def _defaulted_parameters(tree: ast.Module, module: str):
+    """(where, callee, parameter, position) for each defaulted parameter of
+    each def in ``tree``. ``callee`` is the name a call uses: the def's own,
+    or its class's for ``__init__``. ``position`` counts the positional
+    arguments before it, ``self`` excluded, and is None for a keyword-only
+    parameter."""
+    stack = [(tree, module, False)]
+    while stack:
+        node, prefix, in_class = stack.pop()
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef):
+                stack.append((child, f"{prefix}.{child.name}", True))
+            elif isinstance(child, ast.FunctionDef):
+                where = f"{prefix}.{child.name}"
+                stack.append((child, where, False))
+                args = child.args
+                positional = args.posonlyargs + args.args
+                static = any(isinstance(d, ast.Name) and d.id == "staticmethod" for d in child.decorator_list)
+                if in_class and not static:
+                    positional = positional[1:]
+                callee = prefix.rsplit(".", 1)[1] if child.name == "__init__" else child.name
+                first = len(positional) - len(args.defaults)
+                for position, arg in enumerate(positional[first:], first):
+                    yield where, callee, arg.arg, position
+                for arg, default in zip(args.kwonlyargs, args.kw_defaults):
+                    if default is not None:
+                        yield where, callee, arg.arg, None
+            else:
+                stack.append((child, prefix, in_class))
+
+
+def _calls(tree: ast.AST):
+    """(callee name, positional argument count, keyword names) of each call
+    in ``tree``. A ``*args`` counts for every position from its own on; a
+    ``**kwargs`` names no keyword, since its keys are known only at run time."""
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        name = func.id if isinstance(func, ast.Name) else func.attr if isinstance(func, ast.Attribute) else None
+        if name is None:
+            continue
+        count = math.inf if any(isinstance(a, ast.Starred) for a in node.args) else len(node.args)
+        yield name, count, {k.arg for k in node.keywords if k.arg}
+
+
+def _unpassed_defaults(sources: dict[str, str], callers: list[str]) -> list[str]:
+    """``module.function(parameter)`` for each defaulted parameter of a def
+    in ``sources`` (module name -> text) that no call in ``callers`` passes,
+    by position or by keyword."""
+    calls = [call for text in callers for call in _calls(ast.parse(text))]
+    unpassed = []
+    for module, text in sources.items():
+        for where, callee, param, position in _defaulted_parameters(ast.parse(text), module):
+            if not any(
+                name == callee and (param in keywords or (position is not None and count > position))
+                for name, count, keywords in calls
+            ):
+                unpassed.append(f"{where}({param})")
+    return sorted(unpassed)
+
+
+def _program_unpassed_defaults() -> list[str]:
+    sources = {path.stem: path.read_text() for path in MODULES}
+    callers = [*sources.values(), *(p.read_text() for p in (ROOT / "perfbench").rglob("*.py"))]
+    return _unpassed_defaults(sources, callers)
+
+
+def test_every_default_is_passed_by_the_program():
+    """Each defaulted parameter in src/besovlab is passed at some call in
+    src or perfbench, or is declared in UNPASSED_DEFAULTS. Calls are matched
+    by the callee's name, and ``Class(...)`` counts for ``__init__``."""
+    found = _program_unpassed_defaults()
+    assert [entry for entry in found if entry.split("(")[0] not in UNPASSED_DEFAULTS] == []
+
+
+def test_unpassed_defaults_are_current():
+    """Each UNPASSED_DEFAULTS entry names a def with a parameter that no
+    program call passes, so the exemptions cannot go stale."""
+    found = {entry.split("(")[0] for entry in _program_unpassed_defaults()}
+    assert set(UNPASSED_DEFAULTS) <= found
+
+
+@pytest.mark.parametrize(
+    "source, want",
+    [
+        ("def f(a, b=1): pass\nf(0)", ["m.f(b)"]),
+        ("def f(a, b=1): pass\nf(0, 2)", []),
+        ("def f(a, b=1): pass\nf(0, b=2)", []),
+        ("def f(a, *, b=1): pass\nf(0, 2)", ["m.f(b)"]),
+        ("def f(a, b=1, *, c=2): pass\nf(0, *xs)", ["m.f(c)"]),
+        ("def f(a=0, b=1): pass\nf(**kw)", ["m.f(a)", "m.f(b)"]),
+        ("class C:\n    def __init__(self, n=1): pass\nC(2)", []),
+        ("class C:\n    def go(self, n=1): pass\nC().go()", ["m.C.go(n)"]),
+        ("class C:\n    def go(self, n=1): pass\nc.go(2)", []),
+        ("class C:\n    @staticmethod\n    def go(n, k=1): pass\nC.go(2)", ["m.C.go(k)"]),
+        ("def f():\n    def g(x=1): pass\n    return g", ["m.f.g(x)"]),
+    ],
+)
+def test_default_guard_sees_each_form(source, want):
+    assert _unpassed_defaults({"m": source}, [source]) == want

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 
@@ -5,7 +6,7 @@ import numpy as np
 import pytest
 
 from besovlab import _kernels as K
-from besovlab.grid import sample
+from besovlab.grid import catalog_family, sample
 from besovlab.maps import (
     LineMap,
     LineMapDerivative,
@@ -51,6 +52,24 @@ def test_continuity_validation():
         LineMap(bp, cf, 1.0, 1.0)
 
 
+# sha256 of each named map's segment table at its defaults, in this order,
+# and of the catalog family's samples; both fixed when the constructors'
+# window and pieces became constants, so that change kept every bit
+NAMED_SPECS = ("identity", "shift", "scale", "affine", "quadratic", "sin_drift", "sin")
+NAMED_SEGMENTS_SHA256 = "9309f36deaa5d07d5bb8da0e7f260e4b88d3f5fbdc90bae4f1bf7778dcfeed5a"
+CATALOG_FAMILY_SHA256 = "2b113c1ac558951836ab33ef327bef15446d353bda9c1ab53b15e184c6836e7f"
+
+
+def test_constructors_keep_their_bits():
+    segments = hashlib.sha256()
+    for spec in NAMED_SPECS:
+        segments.update(named_map(spec).segments().tobytes())
+    family = hashlib.sha256()
+    for _, f in catalog_family():
+        family.update(f.samples.tobytes())
+    assert (segments.hexdigest(), family.hexdigest()) == (NAMED_SEGMENTS_SHA256, CATALOG_FAMILY_SHA256)
+
+
 def test_eval_and_tails():
     phi = affine_map(2.0, 1.0)
     xs = np.array([-20.0, 0.0, 3.0, 20.0])
@@ -59,7 +78,7 @@ def test_eval_and_tails():
 
 
 def test_json_roundtrip():
-    phi = sin_drift_map(0.5, pieces=32)
+    phi = from_callable(lambda x: x + 0.5 * np.sin(x), pieces=32, name="sin_drift(0.5)")
     bp, cf = phi.breakpoints.tolist(), phi.coeffs.tolist()
     obj = {
         "pieces": [{"interval": bp[i : i + 2], "coeffs": cf[i]} for i in range(len(cf))],

@@ -30,15 +30,9 @@ def test_make_psi_mollifier_residual():
     assert psi.residual < 1e-12
 
 
-def test_make_psi_tent_exact():
-    psi = make_psi("triangle")
-    assert psi.residual == 0.0
-    assert psi.func(np.array([0.0]))[0] == 1.0
-
-
-def test_make_psi_gap_error():
-    with pytest.raises(PsiProfileError):
-        make_psi(lambda x: np.maximum(0.0, 0.4 - np.abs(np.asarray(x))))
+def test_make_psi_refuses_any_other_profile():
+    with pytest.raises(PsiProfileError, match="'triangle'"):
+        make_psi("triangle")
 
 
 def test_psi_support():
