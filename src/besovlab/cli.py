@@ -1,9 +1,9 @@
 """Command-line orchestration: norm, map, split, check, suite.
 
 Exit codes: 0 all checks passed, 2 a check failed, 3 refused parameter
-range, 4 config error. All reports are reproducible from config + seed;
-timestamps live only in the separate meta output so record files are
-byte-identical across reruns. The suite classifies its maps one after
+range, 4 config or usage error. All reports are reproducible from config
++ seed; timestamps live only in the separate meta output so record files
+are byte-identical across reruns. The suite classifies its maps one after
 another in sorted order, and one theorems.Resolution (the grid and the norm
 cache) serves every classify of a run.
 """
@@ -249,7 +249,7 @@ def cmd_suite(args) -> int:
         "started": started,
         "finished": time.time(),
         "runtime_s": {r.map_name: r.runtime_s for r in ordered},
-        # wall_s, cpu_s of the phi' worker and the caller's wait_s; null where classify ran in one process
+        # wall_s, cpu_s of the phi' worker and the caller's wait_s; null where the half ran in the caller
         "worker": {r.map_name: r.worker for r in ordered},
         "config": cfg,
     }
@@ -305,9 +305,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    ap = build_parser()
     try:
-        args = ap.parse_args(argv)
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:  # argparse exits 0 after --help, 2 (a failed check's code) after a usage error
+        if exc.code == 0:
+            raise
+        return EXIT_CONFIG
+    try:
         return args.func(args)
     except RangeGateError as exc:
         print(f"refused: {exc}", file=sys.stderr)

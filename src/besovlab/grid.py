@@ -387,6 +387,8 @@ def sample(
     if count < 2:
         raise ValueError("count must be >= 2")
     a, b = float(window[0]), float(window[1])
+    if not (math.isfinite(a) and math.isfinite(b)):
+        raise ValueError(f"window [{a}, {b}] must have finite ends")
     if not (b > a):
         raise ValueError("window is degenerate")
     if name not in _CATALOG:

@@ -451,8 +451,8 @@ def preimage_intervals(phi: LineMap, target) -> IntervalSet:
     """phi^-1([lo, hi]) within the window as a disjoint union of closed
     intervals; intervals at most 1e-9 window widths apart are merged."""
     lo, hi = float(target[0]), float(target[1])
-    if hi < lo:
-        raise ValueError("target must satisfy lo <= hi")
+    if not lo <= hi:  # NaN fails too
+        raise ValueError(f"target must satisfy lo <= hi, got [{lo}, {hi}]")
     ymin, ymax, ymin_l, ymax_l, rows, (left_val, right_val) = phi.clip_table()
     if phi.left_slope == 0.0 and lo <= left_val <= hi:
         raise UnboundedPreimageError("target hits the flat left tail value")

@@ -28,8 +28,8 @@ class IntervalFamily:
         object.__setattr__(self, "items", arr)
         if arr.ndim != 2 or arr.shape[1] != 2:
             raise ValueError("items must be an (n, 2) array of [l, r] pairs")
-        if np.any(arr[:, 1] < arr[:, 0]):
-            raise ValueError("interval with r < l")
+        if not np.all(arr[:, 0] <= arr[:, 1]):  # NaN fails too
+            raise ValueError("interval with r < l or a NaN end")
 
     def __len__(self) -> int:
         return self.items.shape[0]

@@ -39,10 +39,14 @@ verdict reads it only at the end. The worker starts from a fork-time copy
 of ``res``'s norm cache and sends back its results with the cache entries it
 added, which the caller merges, so a later map with the same phi' still
 finds them. A norm is a function of its key, so the report is the same bit
-for bit whichever process computed it; where only one CPU is allowed
-(``taskset -c 0``) the phi' half runs in the caller. ``CheckReport.worker``
-holds the worker's wall and CPU seconds and the caller's wait, for
-``meta.json`` only.
+for bit whichever process computed it. The phi' half runs in the caller
+unless a worker answered clean: where only one CPU is allowed
+(``taskset -c 0``), and where the worker raised, warned, died or could not
+pickle its result, so an exception or a warning comes from the caller as in
+one process.
+``CheckReport.worker`` holds the worker's wall and CPU seconds and the
+caller's wait, for ``meta.json`` only; it is None where the half ran in the
+caller.
 """
 
 from __future__ import annotations
@@ -249,7 +253,7 @@ class CheckReport:
     runtime_s: float
     grid: dict
     seed: int
-    worker: Optional[dict] = None  # Worker.timing of the phi' half; meta only, never in to_json
+    worker: Optional[dict] = None  # Worker.timing of the phi' half (None: it ran in the caller); never in to_json
 
     def to_json(self) -> dict:
         return {

@@ -10,44 +10,29 @@ to the caller's CPU should another process hold the worker's. The caller's
 own mask is never touched. Without the move the worker starts on the
 caller's CPU and stays there, and both halves take turns on one core.
 
-Where the process may use one CPU only (``taskset -c 0``) or cannot fork,
-nothing is forked: ``result()`` runs ``fn`` in the caller, and the outputs are
-the same.
+One rule: the caller runs ``fn`` itself unless a forked worker answered
+clean, that is, ``fn`` returned, raised no warning, and its result pickled.
+So ``fn`` runs in the caller where the process may use one CPU only
+(``taskset -c 0``) or cannot fork, and where the worker raised, warned, died
+or returned a result that does not pickle; such a worker exits without a
+word. An exception or a warning thus comes from the caller's own frames,
+filters and warning registries, as in one process, and the outputs are the
+same. The cost: a call that does not come back clean runs twice.
 
 The worker runs in a fork-time copy of the caller's memory, so whatever
-``fn`` changes there is lost unless ``fn`` returns it. What comes back over
-the pipe is ``fn``'s result, or its exception (re-raised in the caller with
-the same type and message, the worker's traceback as its cause), and the
-warnings it raised, which the caller re-emits through its own filters and
-the warning registry of the module they name, so a warning shown once per
-location in one process is shown once per location with the worker too. A
-worker that dies without answering raises ``WorkerDied`` naming its exit
-code. Leaving the ``with`` block always joins the worker, and terminates it
-first when the caller leaves before the result, on an exception or a
-KeyboardInterrupt. ``multiprocessing`` is imported only when a worker is
-forked.
+``fn`` changes there is lost unless ``fn`` returns it. Leaving the ``with``
+block always joins the worker, and terminates it first when the caller
+leaves before the result, on an exception or a KeyboardInterrupt.
+``multiprocessing`` is imported only when a worker is forked.
 """
 
 from __future__ import annotations
 
 import os
 import pickle
-import sys
 import time
-import traceback
 import warnings
 from typing import Callable, Optional
-
-
-class WorkerDied(RuntimeError):
-    """The worker exited without sending its result."""
-
-
-class WorkerTraceback(Exception):
-    """The worker's formatted traceback, the cause of an exception it raised."""
-
-    def __str__(self) -> str:
-        return "\n" + self.args[0]
 
 
 def _current_cpu() -> Optional[int]:
@@ -74,50 +59,30 @@ def _worker_cpus() -> Optional[set]:
     return allowed - {cpu}
 
 
-def _portable(exc: BaseException) -> BaseException:
-    """``exc`` if it survives pickling, else a RuntimeError with its type and message."""
-    try:
-        pickle.loads(pickle.dumps(exc))
-        return exc
-    except Exception:
-        return RuntimeError(f"{type(exc).__name__}: {exc}")
-
-
 def _serve(conn, cpus: set, fn: Callable, args: tuple):
-    """The worker's body: run fn, then send one pickled message and exit."""
-    allowed = os.sched_getaffinity(0)
-    os.sched_setaffinity(0, cpus)  # moves the worker off the caller's CPU
-    os.sched_setaffinity(0, allowed)  # keeps it there, free to move back when that CPU idles
-    wall0, cpu0 = time.perf_counter(), time.process_time()
-    with warnings.catch_warnings(record=True) as caught:
-        try:
-            outcome = ("ok", fn(*args))
-        except BaseException as exc:
-            outcome = ("error", _portable(exc), traceback.format_exc())
-    timing = {"wall_s": time.perf_counter() - wall0, "cpu_s": time.process_time() - cpu0}
-    raised = [(w.message, w.category, w.filename, w.lineno) for w in caught]
-    conn.send_bytes(pickle.dumps((outcome, raised, timing)))
-    conn.close()
-
-
-def _reemit(message, category, filename: str, lineno: int) -> None:
-    """Warn as ``warnings.warn`` would have at ``filename:lineno`` in the caller:
-    with the module's name for the filters and its ``__warningregistry__``,
-    which remembers what was already shown there."""
-    for module in list(sys.modules.values()):
-        if getattr(module, "__file__", None) == filename:
-            registry = module.__dict__.setdefault("__warningregistry__", {})
-            warnings.warn_explicit(message, category, filename, lineno, module.__name__, registry)
-            return
-    warnings.warn_explicit(message, category, filename, lineno)
+    """The worker's body: run fn and send its result and timing only if it
+    came back clean; on any other outcome exit without a word."""
+    try:
+        allowed = os.sched_getaffinity(0)
+        os.sched_setaffinity(0, cpus)  # moves the worker off the caller's CPU
+        os.sched_setaffinity(0, allowed)  # keeps it there, free to move back when that CPU idles
+        wall0, cpu0 = time.perf_counter(), time.process_time()
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            result = fn(*args)
+        if not caught:
+            timing = {"wall_s": time.perf_counter() - wall0, "cpu_s": time.process_time() - cpu0}
+            conn.send_bytes(pickle.dumps((result, timing)))
+    except BaseException:
+        pass  # the caller reads EOF and runs fn itself
 
 
 class Worker:
     """``fn(*args)`` run beside the caller; see the module docstring.
 
-    ``timing`` is None until ``result()`` returns from a forked worker; then
-    it holds the worker's wall and CPU seconds in ``fn`` and the seconds the
-    caller waited for it (``wall_s``, ``cpu_s``, ``wait_s``).
+    ``timing`` is None unless ``result()`` returned a forked worker's answer;
+    then it holds the worker's wall and CPU seconds in ``fn`` and the seconds
+    the caller waited for it (``wall_s``, ``cpu_s``, ``wait_s``).
     """
 
     def __init__(self, fn: Callable, *args):
@@ -151,21 +116,15 @@ class Worker:
             self._conn.close()
 
     def result(self):
-        if self._proc is None:
-            return self._fn(*self._args)
-        t0 = time.perf_counter()
-        try:
-            payload = self._conn.recv_bytes()
-        except EOFError:
+        if self._proc is not None:
+            t0 = time.perf_counter()
+            try:
+                payload = self._conn.recv_bytes()
+            except EOFError:  # the worker did not answer clean
+                payload = None
             self._proc.join()
-            raise WorkerDied(
-                f"the worker exited with code {self._proc.exitcode} without sending its result"
-            ) from None
-        self._proc.join()
-        outcome, raised, timing = pickle.loads(payload)
-        self.timing = dict(timing, wait_s=time.perf_counter() - t0)
-        for message, category, filename, lineno in raised:
-            _reemit(message, category, filename, lineno)
-        if outcome[0] == "error":
-            raise outcome[1] from WorkerTraceback(outcome[2])
-        return outcome[1]
+            if payload is not None:
+                result, timing = pickle.loads(payload)
+                self.timing = dict(timing, wait_s=time.perf_counter() - t0)
+                return result
+        return self._fn(*self._args)  # outside the except: nothing is chained to its exceptions

@@ -1,6 +1,7 @@
 import csv
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -245,10 +246,11 @@ def test_check_sobolev_runs_without_a_flag(tmp_path, capsys):
     assert code == 0
     assert json.loads(path.read_text())[0]["verdict"] == "ConsistentBounded"
     # the removed --homeo is a usage error
-    with pytest.raises(SystemExit) as exc:
-        main(["check", "--map", "sin_drift", "--space", "s=2.1,p=2,q=2,m=3", "--kind", "sobolev", "--homeo"])
-    assert exc.value.code == 2
-    assert "--homeo" in capsys.readouterr().err
+    code, _, err = run(
+        capsys, "check", "--map", "sin_drift", "--space", "s=2.1,p=2,q=2,m=3", "--kind", "sobolev", "--homeo"
+    )
+    assert code == 4
+    assert "--homeo" in err
 
 
 # each malformed map file is refused with the key it names
@@ -381,6 +383,59 @@ def test_pair_option_needs_two_values_exit_4(argv, option, capsys):
     assert code == 4
     assert out == ""
     assert option in err and "two values" in err
+
+
+NON_FINITE_INPUT = {
+    "map --target nan,1": (["map", "--map", "identity", "--target", "nan,1"], "target"),
+    "split with a NaN end": (["split", "--family", "{family}"], "NaN"),
+    "norm --window 0,inf": (["norm", "--fn", "gaussian", "--space", "s=1.5,p=2", "--window", "0,inf"], "window"),
+}
+
+
+@pytest.mark.parametrize("case", list(NON_FINITE_INPUT))
+def test_non_finite_input_exit_4(case, tmp_path, capsys):
+    argv, name = NON_FINITE_INPUT[case]
+    family = tmp_path / "family.json"
+    family.write_text("[[NaN, 1], [0, 2], [0.5, 3]]")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # refused before any arithmetic warns
+        code, out, err = run(capsys, *(arg.format(family=family) for arg in argv))
+    assert code == 4
+    assert out == ""
+    assert err.startswith("config error:") and name in err
+
+
+def test_map_target_may_end_at_infinity(capsys):
+    code, out, _ = run(capsys, "map", "--map", "identity", "--target", "0,inf")
+    assert code == 0
+    rec = json.loads(out)[0]
+    assert rec["target"] == [0.0, math.inf]
+    [(lo, hi)] = rec["preimage"]
+    assert lo == pytest.approx(0.0, abs=1e-9) and hi == DEFAULT_WINDOW[1]
+
+
+USAGE_ERRORS = {
+    "a removed flag": ["norm", "--fn", "gaussian", "--space", "s=1.5,p=2", "--levels", "5"],
+    "a missing required flag": ["check", "--map", "identity"],
+    "an unknown command": ["classify"],
+    "no command": [],
+}
+
+
+@pytest.mark.parametrize("case", list(USAGE_ERRORS))
+def test_usage_error_exit_4(case, capsys):
+    code, out, err = run(capsys, *USAGE_ERRORS[case])
+    assert code == 4
+    assert out == ""
+    assert err.startswith("usage: besovlab") and "error:" in err
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["check", "--help"]], ids=["top", "check"])
+def test_help_exits_0(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: besovlab")
 
 
 SUITE_SPACE = {"s": 2.1, "p": 2.0, "q": 2.0, "m": 3}
