@@ -21,14 +21,17 @@ convergence: once the midpoint rounds to an end of the bracket, every later
 midpoint equals it, so the early result is bit-identical to running all
 steps. ``N_BISECT`` caps the steps; roots very near 0 reach it before
 converging. The batched bisection retires each lane at that point, so only
-lanes with such a root run all ``N_BISECT`` steps. ``preimage_lengths``
-runs its targets in fixed-size chunks, which bound its memory, and skips
-the (target, segment) pairs that cannot meet, block by block of targets.
+lanes with such a root run all ``N_BISECT`` steps; a chunk with only a few
+roots runs the scalar bisection on them instead. ``preimage_lengths``
+runs its targets in fixed-size chunks, which bound its memory, and forms
+only the (target, segment) pairs that meet. ``preimage_length_bounds``
+bounds its totals from above without solving, from certified slopes.
 """
 
 from __future__ import annotations
 
 import bisect
+import functools
 import math
 
 import numpy as np
@@ -59,10 +62,11 @@ class Stencil:
     distinct shift once, on the columns whose reads are not all one
     extension value.
 
-    The plan is built up front as plain lists: the distinct shifts
-    (``shifts``, sorted; ``inverse`` maps each table entry to its own), the
-    live span [a, b) of each, and the starts of its m + 1 terms in the
-    buffer padded with min(m * max|off|, n) extension values on each side.
+    The plan is built up front: the distinct shifts (``shifts``, sorted;
+    ``inverse`` maps each table entry to its own; both read-only and cached
+    by the offsets' content), and as plain lists the live span [a, b) of
+    each and the starts of its m + 1 terms in the buffer padded with
+    min(m * max|off|, n) extension values on each side.
     Outside [lo, hi] every sample is bitwise equal to its side's extension
     value, so a column whose every read lies before ``lo`` holds the stencil
     of the constant ``left``, one whose every read lies after ``hi`` that of
@@ -76,8 +80,8 @@ class Stencil:
         self.n = n = samples.shape[0]
         self.coefs = [(-1.0) ** (m - j) * math.comb(m, j) for j in range(m + 1)]
         left, right = float(left), float(right)
-        shifts, inverse = np.unique(np.asarray(offsets, dtype=np.int64), return_inverse=True)
-        self.shifts, self.inverse = shifts, inverse.reshape(-1)
+        shifts, inverse = _distinct_shifts(np.asarray(offsets, dtype=np.int64).tobytes())
+        self.shifts, self.inverse = shifts, inverse
         # no read reaches past m * max|off| cells, and every read past n
         # cells is an extension value, so a read is clamped to n cells
         pad = min(m * int(np.abs(shifts).max(initial=0)), n)
@@ -130,6 +134,17 @@ class Stencil:
         return seg
 
 
+@functools.lru_cache(maxsize=64)
+def _distinct_shifts(offsets: bytes):
+    """The sorted distinct shifts of the int64 ``offsets`` bytes and the
+    inverse, read-only. Cached by content: every table of one (h-grid,
+    spacing) has the same snapped offsets, so np.unique runs once for them."""
+    shifts, inverse = np.unique(np.frombuffer(offsets, dtype=np.int64), return_inverse=True)
+    inverse = inverse.reshape(-1)
+    shifts.flags.writeable = inverse.flags.writeable = False
+    return shifts, inverse
+
+
 def shift_difference_batch(samples, left, right, offsets, m):
     """Delta^m_h on the sample grid for integer shift counts ``offsets``.
 
@@ -167,14 +182,19 @@ def interp_difference(samples, origin, spacing, left, right, h, m):
 
 N_BISECT = 80  # cap on bisection steps; 2^-80 of the segment width
 
-_CHUNK_TARGETS = 2048  # targets per preimage_lengths chunk; bounds its masks and gathered arrays
-_BLOCK = 64  # targets per screening block of a chunk
+_CHUNK_TARGETS = 2048  # targets per preimage_lengths chunk; bounds its pairs and gathered arrays
 _RETIRE_EVERY = 8  # bisection steps between retirements of converged lanes
+_SCALAR_ROOTS = 32  # preimage_lengths bisects up to this many roots of a chunk as Python floats
 
 
 def _poly3(t0, c0, c1, c2, c3, x):
     u = x - t0
     return c0 + u * (c1 + u * (c2 + u * c3))
+
+
+def _slope3(c1, c2, c3, u):
+    """d/du of c0 + c1 u + c2 u^2 + c3 u^3."""
+    return c1 + u * (2.0 * c2 + 3.0 * u * c3)
 
 
 def _solve_mono_py(row, y):
@@ -241,15 +261,32 @@ def _solve_mono_batch(rows, ys):
     return out
 
 
+def _meeting_pairs(ymin, ymax, lo, hi):
+    """Every (target t, segment s) with ymin[s] <= hi[t] and lo[t] <= ymax[s],
+    grouped by segment in increasing order.
+
+    With the targets in increasing lo, those with lo <= ymax[s] are a
+    prefix, and those before the first whose running max of hi reaches
+    ymin[s] all miss s; the rest of the prefix is checked one by one. When
+    hi increases with lo, as in a sweep of one width, every target checked
+    meets s."""
+    order = np.argsort(lo, kind="stable")
+    first = np.searchsorted(np.maximum.accumulate(hi[order]), ymin, "left")
+    count = np.maximum(np.searchsorted(lo[order], ymax, "right") - first, 0)
+    s = np.repeat(np.arange(ymin.shape[0]), count)
+    t = order[np.arange(s.shape[0]) + np.repeat(first - (np.cumsum(count) - count), count)]
+    meet = hi[t] >= ymin[s]
+    return t[meet], s[meet]
+
+
 def preimage_lengths(seg, los, his):
     """Total preimage length |phi^-1([lo, hi])| for a batch of targets.
 
     Each target's total is the sum, in segment order from 0.0, of the
-    _clip_segment_py lengths of the segments that meet [lo, hi]. A segment
-    that meets a target meets the [min lo, max hi] of the target's block of
-    _BLOCK, so only those segments enter the block's dense mask. Its pairs
-    come out segment by segment, so each target's terms stay in segment
-    order, and bincount adds them in input order from 0.0.
+    _clip_segment_py lengths of the segments that meet [lo, hi]. The pairs
+    that meet come out of _meeting_pairs segment by segment, so each
+    target's terms stay in segment order, and bincount adds them in input
+    order from 0.0.
     """
     seg = np.ascontiguousarray(seg, dtype=np.float64)
     los = np.ascontiguousarray(los, dtype=np.float64)
@@ -263,28 +300,93 @@ def preimage_lengths(seg, los, his):
     for start in range(0, los.shape[0], _CHUNK_TARGETS):
         lo, hi = los[start : start + _CHUNK_TARGETS], his[start : start + _CHUNK_TARGETS]
         n = lo.shape[0]
-        firsts = np.arange(0, n, _BLOCK)
-        block_lo, block_hi = np.minimum.reduceat(lo, firsts), np.maximum.reduceat(hi, firsts)
-        b, s = np.nonzero(~((ymax < block_lo[:, None]) | (ymin > block_hi[:, None])))
-        t, s = (firsts[b][:, None] + np.arange(_BLOCK)).ravel(), np.repeat(s, _BLOCK)
-        t, s = t[t < n], s[t < n]
-        meet = ~((ymax[s] < lo[t]) | (ymin[s] > hi[t]))
-        t, s = t[meet], s[meet]
+        t, s = _meeting_pairs(ymin, ymax, lo, hi)
         lo_t, hi_t, ymin_s, ymax_s, inc_s = lo[t], hi[t], ymin[s], ymax[s], inc[s]
         flat = ymin_s == ymax_s
         solve_a = ~flat & ~(lo_t <= ymin_s)
         solve_b = ~flat & ~(hi_t >= ymax_s)
         xa = np.where(inc_s, xlo[s], xhi[s])
         xb = np.where(inc_s, xhi[s], xlo[s])
-        roots = _solve_mono_batch(
-            seg[np.concatenate((s[solve_a], s[solve_b]))],
-            np.concatenate((lo_t[solve_a], hi_t[solve_b])),
-        )
+        rows = seg[np.concatenate((s[solve_a], s[solve_b]))]
+        ys = np.concatenate((lo_t[solve_a], hi_t[solve_b]))
+        if ys.shape[0] > _SCALAR_ROOTS:
+            roots = _solve_mono_batch(rows, ys)
+        else:  # a few roots bisect faster one by one, on Python floats
+            roots = np.array([_solve_mono_py(row, y) for row, y in zip(rows.tolist(), ys.tolist())])
         n_a = int(solve_a.sum())
         xa[solve_a] = roots[:n_a]
         xb[solve_b] = roots[n_a:]
         terms = np.where(flat, xhi[s] - xlo[s], np.abs(xb - xa))
         out[start : start + n] = np.bincount(t, weights=terms, minlength=n)
+    return out
+
+
+def _slope_floor(seg):
+    """Per segment: (1 + 4 eps) / mu, the margin and the width xhi - xlo,
+    where mu > 0 is a certified lower bound on |p'| over [xlo, xhi]. Where
+    none is certified (a flat segment among them) the first is 0 and the
+    margin is the width, so a bounded term is the whole width.
+
+    p' is a quadratic in u = x - t0, so its extremes on the segment lie at
+    the ends and at its vertex when that is inside. mu is the least |p'|
+    there less a bound on the rounding of those evaluations, and is
+    certified only when all of them have one sign by more than that bound,
+    which makes p monotone on the segment. Let U be the largest |u| and
+    delta = 16 eps sum_k (k + 1) |c_k| U^k, a bound on the Horner rounding
+    of p and on the rounding of x - t0 in value terms. Then every root the
+    bisection returns, and every end value in the table, is within
+    delta / mu + 4 eps X in x of where the exact p puts it, with
+    X = |xlo| + |xhi| + |t0| for the roundings in x. A clipped length is
+    therefore at most overlap / mu + margin, with margin =
+    4 delta / mu + 16 eps X and overlap the length of the target band
+    inside [ymin, ymax]; 1 + 4 eps covers the rounding of overlap / mu.
+    Without the margin the bound fails by an ulp of x: a target of
+    sin_drift(0.5) that meets a segment by 3.5e-15 in x gets a clip of
+    2^-48, one ulp at x = -16."""
+    eps = np.finfo(np.float64).eps
+    t0, c0, c1, c2, c3, xlo, xhi, ylo, yhi = np.ascontiguousarray(seg.T)
+    ua, ub = xlo - t0, xhi - t0
+    big = np.maximum(np.abs(ua), np.abs(ub))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        vertex = -c2 / (3.0 * c3)
+    inside = (c3 != 0.0) & (ua < vertex) & (vertex < ub)
+    ends = [_slope3(c1, c2, c3, u) for u in (ua, ub, np.where(inside, vertex, ua))]
+    low, high = np.minimum.reduce(ends), np.maximum.reduce(ends)
+    slop = 16.0 * eps * (np.abs(c1) + big * (4.0 * np.abs(c2) + 9.0 * big * np.abs(c3)))
+    mu = np.where(ylo != yhi, np.maximum(np.maximum(low, -high) - slop, 0.0), 0.0)
+    delta = 16.0 * eps * (np.abs(c0) + big * (2.0 * np.abs(c1) + big * (3.0 * np.abs(c2) + 4.0 * big * np.abs(c3))))
+    with np.errstate(divide="ignore"):
+        inv = np.where(mu > 0.0, (1.0 + 4.0 * eps) / mu, 0.0)
+    width = xhi - xlo
+    margin = np.where(mu > 0.0, 4.0 * delta * inv + 16.0 * eps * (np.abs(xlo) + np.abs(xhi) + np.abs(t0)), width)
+    return inv, margin, width
+
+
+def preimage_length_bounds(seg, los, his):
+    """An upper bound on each preimage_lengths total, without solving.
+
+    Each (target, segment) pair that preimage_lengths sums contributes
+    min(width, overlap / mu + margin) (see _slope_floor). A computed clip
+    lies inside its segment, so it is at most the width, and a flat term is
+    the width. The terms are summed as preimage_lengths sums its own, in
+    segment order from 0.0, and rounding is monotone, so each total is at
+    least the computed one. The targets run in the chunks of
+    preimage_lengths, and the pairs come from the same _meeting_pairs."""
+    seg = np.ascontiguousarray(seg, dtype=np.float64)
+    los = np.ascontiguousarray(los, dtype=np.float64)
+    his = np.ascontiguousarray(his, dtype=np.float64)
+    inv, margin, width = _slope_floor(seg)
+    ymin, ymax = np.minimum(seg[:, 7], seg[:, 8]), np.maximum(seg[:, 7], seg[:, 8])
+    out = np.zeros(los.shape[0])
+    for start in range(0, los.shape[0], _CHUNK_TARGETS):
+        lo, hi = los[start : start + _CHUNK_TARGETS], his[start : start + _CHUNK_TARGETS]
+        t, s = _meeting_pairs(ymin, ymax, lo, hi)
+        terms = np.minimum(hi[t], ymax[s])
+        terms -= np.maximum(lo[t], ymin[s])
+        terms *= inv[s]
+        terms += margin[s]
+        np.minimum(terms, width[s], out=terms)
+        out[start : start + lo.shape[0]] = np.bincount(t, weights=terms, minlength=lo.shape[0])
     return out
 
 
@@ -334,4 +436,5 @@ def warm_up():
     shift_difference_batch(s, 0.0, 0.0, np.array([1, 2]), 2)
     seg = np.array([[0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0, 0.0, 1.0]])
     preimage_lengths(seg, np.array([0.2]), np.array([0.4]))
+    preimage_length_bounds(seg, np.array([0.2]), np.array([0.4]))
     greedy_classes(np.array([0.0, 0.5]), np.array([1.0, 1.5]))

@@ -79,6 +79,18 @@ def _pair(option: str, text: str) -> tuple[float, float]:
     return float(values[0]), float(values[1])
 
 
+def _attach_pair_values(argv: list) -> list:
+    """``--window -8,8`` as ``--window=-8,8``: argparse takes a value that
+    starts with '-' and is not a plain number for an option."""
+    out = []
+    for arg in argv:
+        if out and out[-1] in ("--window", "--target") and arg.startswith("-") and not arg.startswith("--"):
+            out[-1] += "=" + arg
+        else:
+            out.append(arg)
+    return out
+
+
 def _np_default(obj):
     if isinstance(obj, (np.floating, np.integer, np.bool_)):
         return obj.item()
@@ -306,7 +318,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     try:
-        args = build_parser().parse_args(argv)
+        args = build_parser().parse_args(_attach_pair_values(sys.argv[1:] if argv is None else argv))
     except SystemExit as exc:  # argparse exits 0 after --help, 2 (a failed check's code) after a usage error
         if exc.code == 0:
             raise

@@ -239,7 +239,7 @@ def _cubic(c, u):
 def _cubic_slope(c, u):
     """d/du of _cubic(c, u)."""
     _, c1, c2, c3 = c.T
-    return c1 + u * (2.0 * c2 + 3.0 * u * c3)
+    return _kernels._slope3(c1, c2, c3, u)
 
 
 def _quadratic_roots(a, b, c):
@@ -485,18 +485,37 @@ def preimage_intervals(phi: LineMap, target) -> IntervalSet:
 
 
 def _sup_preimage_lengths(phi: LineMap, widths: list[float]) -> list[float]:
-    """Largest |phi^-1([y, y + w])| for each width w, in one preimage_lengths
-    call, over a sweep of left endpoints y: a grid of step SWEEP_STEP times
-    the essential-range width, seeded with the critical values and the
-    critical values minus w, where the length function has its kinks."""
+    """Largest |phi^-1([y, y + w])| for each width w over a sweep of left
+    endpoints y: a grid of step SWEEP_STEP times the essential-range width,
+    seeded with the critical values and the critical values minus w, where
+    the length function has its kinks.
+
+    Only the targets that can reach the max are solved. Every target gets
+    an upper bound from the segments' certified slopes
+    (_kernels.preimage_length_bounds). Each width's threshold is the exact
+    length of its target with the largest bound; then preimage_lengths
+    solves only the targets whose bound reaches their width's threshold. A
+    skipped target's length is at most its bound, which is below the
+    threshold, which is at most the max, so each max is the max over all
+    targets, bit for bit: a target's length does not depend on the others
+    in its call."""
+    seg = phi.segments()
     ymin, ymax = phi.value_range()
     step = SWEEP_STEP * max(ymax - ymin, 1.0)
     crit = phi.critical_values()
     grids = [np.arange(ymin - w - 2.0 * step, ymax + 2.0 * step, step) for w in widths]
     cands = [np.unique(np.concatenate([grid, crit, crit - w])) for grid, w in zip(grids, widths)]
-    his = [c + w for c, w in zip(cands, widths)]
-    lengths = _kernels.preimage_lengths(phi.segments(), np.concatenate(cands), np.concatenate(his))
-    return [float(part.max()) for part in np.split(lengths, np.cumsum([c.size for c in cands])[:-1])]
+    los = np.concatenate(cands)
+    his = np.concatenate([c + w for c, w in zip(cands, widths)])
+    rung = np.repeat(np.arange(len(widths)), [c.size for c in cands])
+    bounds = _kernels.preimage_length_bounds(seg, los, his)
+    firsts = np.searchsorted(rung, np.arange(len(widths)))
+    seeds = firsts + np.array([int(part.argmax()) for part in np.split(bounds, firsts[1:])])
+    threshold = _kernels.preimage_lengths(seg, los[seeds], his[seeds])
+    solve = np.flatnonzero(bounds >= threshold[rung])
+    sups = np.full(len(widths), -np.inf)
+    np.maximum.at(sups, rung[solve], _kernels.preimage_lengths(seg, los[solve], his[solve]))
+    return sups.tolist()
 
 
 def U_functional(phi: LineMap) -> float:

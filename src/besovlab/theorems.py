@@ -12,15 +12,15 @@ Every fragment samples on one grid that stands in for R, and every norm
 goes through one cache; both live in a ``Resolution``. It holds the
 window (``DEFAULT_WINDOW``, the only place this module reads it), the
 sample count, the spacing and sample points derived from them, and the
-norm values keyed by content: (kind, blake2b-16 digest of the samples,
-spacing, extension values, (s, p, q, m), h-grid). The grid origin is left
-out because every norm is translation invariant. ``classify`` makes a
-``Resolution`` for its own call unless it is handed one; ``besovlab
-suite`` hands one to every ``classify`` of a run, so the family
-denominators, the bump norm and the multiplier half of maps that share
-phi' (affine(0.5, 2) and scale(0.5)) are computed once per run. A hit
-returns the stored float, so the arithmetic, and every output, is the same
-with or without sharing.
+norm values keyed by content: (kind, the first 16 bytes of the samples'
+sha256 digest, spacing, extension values, (s, p, q, m), h-grid). The grid
+origin is left out because every norm is translation invariant.
+``classify`` makes a ``Resolution`` for its own call unless it is handed
+one; ``besovlab suite`` hands one to every ``classify`` of a run, so the
+family denominators, the bump norm and the multiplier half of maps that
+share phi' (affine(0.5, 2) and scale(0.5)) are computed once per run. A
+hit returns the stored float, so the arithmetic, and every output, is the
+same with or without sharing.
 
 ``classify`` reads phi once, into a ``MapOnGrid``: phi's values at the
 grid points, its Lipschitz constant, its largest preimage count and phi'
@@ -186,7 +186,7 @@ class Resolution:
         return len(self._values)
 
     def norm(self, f: GridFunction, sp: SpaceParams, hg: DyadicHGrid = DEFAULT_HGRID, kind: str = "besov") -> float:
-        digest = hashlib.blake2b(f.samples, digest_size=16).digest()
+        digest = hashlib.sha256(f.samples).digest()[:16]
         key = (kind, digest, f.spacing, f.ext_values(), (sp.s, sp.p, sp.q, sp.m), hg)
         value = self._values.get(key)
         if value is None:

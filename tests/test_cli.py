@@ -414,6 +414,23 @@ def test_map_target_may_end_at_infinity(capsys):
     assert lo == pytest.approx(0.0, abs=1e-9) and hi == DEFAULT_WINDOW[1]
 
 
+@pytest.mark.parametrize("form", ["space", "equals"])
+def test_pair_values_may_start_with_a_minus(form, capsys):
+    def pair(option, value):
+        return [option, value] if form == "space" else [f"{option}={value}"]
+
+    code, out, err = run(capsys, "norm", "--fn", "gaussian", "--space", "s=1.5,p=2", "--count", "513",
+                         *pair("--window", "-8,8"))
+    assert (code, err) == (0, "")
+    assert json.loads(out)[0]["grid"]["window"] == [-8.0, 8.0]
+    code, out, err = run(capsys, "map", "--map", "identity", *pair("--target", "-1,0"))
+    assert (code, err) == (0, "")
+    rec = json.loads(out)[0]
+    assert rec["target"] == [-1.0, 0.0]
+    [(lo, hi)] = rec["preimage"]
+    assert lo == pytest.approx(-1.0, abs=1e-9) and hi == pytest.approx(0.0, abs=1e-9)
+
+
 USAGE_ERRORS = {
     "a removed flag": ["norm", "--fn", "gaussian", "--space", "s=1.5,p=2", "--levels", "5"],
     "a missing required flag": ["check", "--map", "identity"],

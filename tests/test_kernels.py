@@ -134,12 +134,33 @@ def test_preimage_lengths_empty_inputs(rng):
     assert np.array_equal(out, np.zeros(2))
 
 
+def test_preimage_length_bounds_dominate_in_any_order(rng):
+    # increasing, decreasing and flat rows and roots at the step cap;
+    # two sorted runs of different widths, then shuffled targets and
+    # infinite, zero-width and near-0 ones
+    seg = np.vstack([_segment_table(rng), _STEP_CAP_ROWS])
+    run = np.sort(rng.uniform(-12.0, 12.0, size=300))
+    shuffled = rng.uniform(-12.0, 12.0, size=300)
+    los = np.concatenate([run, run, shuffled, [-np.inf, 0.0, 1e-300, 5.0]])
+    his = np.concatenate([
+        run + 0.01, run + 2.0, shuffled + rng.choice([0.0, 1e-12, 0.3, 4.0], size=300), [np.inf, 0.0, 2.0, 5.0],
+    ])
+    bounds = K.preimage_length_bounds(seg, los, his)
+    lengths = K.preimage_lengths(seg, los, his)
+    assert (bounds >= lengths).all() and (lengths > 0.0).mean() > 0.5
+    # a target's terms are summed in segment order whatever the others are
+    perm = rng.permutation(los.size)
+    assert K.preimage_length_bounds(seg, los[perm], his[perm]).tobytes() == bounds[perm].tobytes()
+    assert K.preimage_length_bounds(seg, np.zeros(0), np.zeros(0)).shape == (0,)
+    assert np.array_equal(K.preimage_length_bounds(np.zeros((0, 9)), los, his), np.zeros(los.size))
+
+
 def test_preimage_lengths_over_several_chunks(rng):
-    # more targets than one chunk, in a count that is a multiple of neither
-    # the block nor the chunk, on increasing, decreasing and flat rows, with
-    # roots at 0 that run to N_BISECT and targets that meet no segment
+    # more targets than one chunk, in a count that is not a multiple of it,
+    # on increasing, decreasing and flat rows, with roots at 0 that run to
+    # N_BISECT and targets that meet no segment
     seg = np.vstack([_segment_table(rng, 30), _STEP_CAP_ROWS])
-    n = K._CHUNK_TARGETS + 3 * K._BLOCK + 5
+    n = K._CHUNK_TARGETS + 197
     # sorted targets, as the sweeps pass them, then shuffled ones
     los = np.concatenate([np.sort(rng.uniform(-8.0, 8.0, size=n // 2)), rng.uniform(-8.0, 8.0, size=n - n // 2)])
     his = los + rng.choice([0.0, 0.05, 0.5, 2.0], size=n)
@@ -505,6 +526,18 @@ def test_the_sup_norm_reads_empty_live_spans_and_keeps_a_nan():
     assert (_difference_norm_table(flat, 3, hs, math.inf) > 0.0).all()
     assert np.isnan(_difference_norm_table(nan, 3, hs, math.inf)).all()
     assert np.isnan(got).any() and not np.isnan(got).all()
+
+
+def test_stencils_of_one_offset_table_share_its_distinct_shifts():
+    spacing = 32.0 / 8192
+    offsets = np.round(DEFAULT_HGRID.materialize(spacing)[0] / spacing).astype(np.int64)
+    samples = np.linspace(0.0, 1.0, 8193)
+    first = K.Stencil(samples, 0.0, 1.0, 2, offsets)
+    again = K.Stencil(2.0 * samples, 0.0, 2.0, 3, offsets.tolist())
+    assert first.shifts is again.shifts and first.inverse is again.inverse
+    assert not first.shifts.flags.writeable and not first.inverse.flags.writeable
+    shifts, inverse = np.unique(offsets, return_inverse=True)
+    assert np.array_equal(first.shifts, shifts) and np.array_equal(first.inverse, inverse)
 
 
 def test_shift_difference_without_offsets(rng):

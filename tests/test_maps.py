@@ -8,11 +8,14 @@ import pytest
 from besovlab import _kernels as K
 from besovlab.grid import catalog_family, sample
 from besovlab.maps import (
+    M_LEVELS,
+    SWEEP_STEP,
     LineMap,
     LineMapDerivative,
     M_functional,
     U_functional,
     UnboundedPreimageError,
+    _sup_preimage_lengths,
     affine_map,
     compose,
     derivative,
@@ -442,6 +445,100 @@ def test_lemma_preimage_bounds_random_targets():
             dec = preimage_intervals(phi, (a - b, a + b))
             assert dec.total_length <= 2.0 * math.ceil(b) * uval * (1.0 + 1e-6)
             assert dec.count <= npre
+
+
+LADDER = [2.0**-k for k in range(M_LEVELS + 1)]
+
+
+def _flat_piece_map():
+    # slope 1, a flat piece on [-2, 3], then slope 1 again
+    bp = np.array([-16.0, -2.0, 3.0, 16.0])
+    cf = np.array([[-16.0, 1.0, 0, 0], [-2.0, 0.0, 0, 0], [-2.0, 1.0, 0, 0]])
+    return LineMap(bp, cf, 1.0, 1.0, name="flat_piece")
+
+
+def _near_flat_cubics():
+    # slope 3e-3 x^2 + 1e-12 (monotone, all but flat at 0), and 3e-3 x^2 -
+    # 1e-14, which turns twice within 2e-6 of 0
+    return [polynomial_map([0.0, c1, 0.0, 1e-3], name=f"cubic({c1})") for c1 in (1e-12, -1e-14)]
+
+
+SWEPT_MAPS = [named_map(spec) for spec in NAMED_SPECS] + [_flat_piece_map(), *_near_flat_cubics()]
+
+
+def _candidates(phi, w):
+    """The sweep's left endpoints for width w, as _sup_preimage_lengths lays
+    them out."""
+    ymin, ymax = phi.value_range()
+    step = SWEEP_STEP * max(ymax - ymin, 1.0)
+    crit = phi.critical_values()
+    return np.unique(np.concatenate([np.arange(ymin - w - 2.0 * step, ymax + 2.0 * step, step), crit, crit - w]))
+
+
+@pytest.mark.parametrize("phi", SWEPT_MAPS, ids=lambda phi: phi.name)
+def test_pruned_sweeps_equal_the_max_over_every_candidate(phi):
+    want = []
+    for w in LADDER:
+        los = _candidates(phi, w)
+        want.append(float(K.preimage_lengths(phi.segments(), los, los + w).max()))
+    got = _sup_preimage_lengths(phi, LADDER[:1]) + _sup_preimage_lengths(phi, LADDER[1:])
+    assert np.array(got).tobytes() == np.array(want).tobytes()
+    uval = U_functional(phi)
+    assert np.float64(uval).tobytes() == np.float64(want[0]).tobytes()
+    sups = [want[0]] + [sup / w for sup, w in zip(want[1:], LADDER[1:])]
+    assert np.array(M_functional(phi, uval).sups).tobytes() == np.array(sups).tobytes()
+
+
+@pytest.mark.parametrize("phi", SWEPT_MAPS, ids=lambda phi: phi.name)
+def test_the_slope_bound_dominates_every_swept_length(phi):
+    seg = phi.segments()
+    for w in LADDER:
+        los = _candidates(phi, w)
+        lengths = K.preimage_lengths(seg, los, los + w)
+        assert (K.preimage_length_bounds(seg, los, los + w) >= lengths).all(), w
+
+
+def test_the_slope_bound_covers_a_root_one_ulp_out():
+    # the target meets the first segment by 3.5e-15 in x: the computed
+    # clip is one ulp at x = -16, above overlap / mu alone (3.46e-15), so
+    # the bound holds only with its margin
+    seg = sin_drift_map(0.5).segments()
+    lo = np.array([-15.918548341667465])
+    assert lo[0] in _candidates(sin_drift_map(0.5), 2.0**-4)
+    length = K.preimage_lengths(seg, lo, lo + 2.0**-4)[0]
+    overlap = min(lo[0] + 2.0**-4, seg[0, 8]) - max(lo[0], seg[0, 7])
+    assert length == 2.0**-48 and overlap * K._slope_floor(seg)[0][0] < length
+    assert K.preimage_length_bounds(seg, lo, lo + 2.0**-4)[0] >= length
+
+
+def test_the_slope_bound_trusts_no_segment_whose_slope_may_change_sign():
+    # p' = -1e-3 + u + 1e-10 u^2 vanishes at u = 1e-3, but the cut between
+    # the two segments rounds to 1e-3 - 8e-7: the second segment dips for
+    # its first 8e-7, and |p'| at its ends is 8e-7 and 1, not 0. Taking
+    # 8e-7 as its slope floor undercounts the clip of a target that ends
+    # just above the dip's end value by up to 1.6e-6.
+    phi = LineMap(np.array([0.0, 1.0]), np.array([[0.0, -1e-3, 0.5, 1e-10 / 3.0]]), -1e-3, 1.0)
+    seg = phi.segments()
+    assert seg.shape[0] == 2 and abs(seg[0, 6] - 1e-3) > 5e-7
+    ends = np.repeat(seg[:, 7:].ravel(), 30)
+    gaps = np.tile(np.geomspace(1e-16, 1e-9, 30), 4)
+    for los, his in ((ends - 1.0, ends + gaps), (ends - gaps, ends + 1.0)):
+        assert (K.preimage_length_bounds(seg, los, his) >= K.preimage_lengths(seg, los, his)).all()
+
+
+def test_the_sweeps_solve_few_of_sin_drift_s_targets(monkeypatch):
+    phi = sin_drift_map(0.5)
+    solved = []
+    solve = K.preimage_lengths
+
+    def counting(seg, los, his):
+        solved.append(len(los))
+        return solve(seg, los, his)
+
+    monkeypatch.setattr(K, "preimage_lengths", counting)
+    M_functional(phi, U_functional(phi))
+    candidates = sum(_candidates(phi, w).size for w in LADDER)
+    assert sum(solved) < 0.05 * candidates
 
 
 def test_inverse_map_roundtrip():
