@@ -19,7 +19,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 from . import _kernels
 from .grid import (
@@ -294,11 +293,80 @@ def quadratic_map() -> LineMap:
 
 
 def _spline_map(xs, ys, name: str) -> LineMap:
-    """The cubic spline through (xs, ys) as a C^1 LineMap; the tail slopes
-    are the spline derivative at the end nodes."""
-    cs = CubicSpline(xs, ys)
-    # scipy stores descending powers
-    return LineMap(xs, cs.c[::-1].T.copy(), float(cs(xs[0], 1)), float(cs(xs[-1], 1)), c1=True, name=name)
+    """The not-a-knot cubic spline through (xs, ys) as a C^1 LineMap; the
+    tail slopes are the spline derivative at the end nodes.
+
+    This is ``CubicSpline(xs, ys)`` bit for bit, on uniform and non-uniform
+    nodes alike, by doing its arithmetic in its order. The node slopes s
+    solve a tridiagonal system. Inside, row i reads dx[i] s[i-1] +
+    2 (dx[i-1] + dx[i]) s[i] + dx[i-1] s[i+1] = 3 (dx[i] m[i-1] + dx[i-1]
+    m[i]), with m the chord slopes. The first row, dx[1] s[0] + (x[2] - x[0])
+    s[1], equates the cubic terms of the first two pieces (not-a-knot), and
+    the last row mirrors it. Its ``dx[0] ** 2`` is a numpy scalar power,
+    which is libm's pow and not always dx[0] * dx[0]. ``_dgtsv`` solves the
+    system as LAPACK does, and the pieces then take CubicHermiteSpline's
+    coefficients. A tail slope is the derivative as CubicSpline's PPoly
+    evaluates it at the end node. Fewer than 4 nodes (CubicSpline's two
+    special cases), a non-finite node or value, or nodes that do not
+    strictly increase raise ValueError."""
+    x, y = np.asarray(xs, dtype=np.float64), np.asarray(ys, dtype=np.float64)
+    if x.ndim != 1 or x.shape != y.shape or x.size < 4:
+        raise ValueError(f"spline {name}: needs 4 or more nodes, one value each; got {x.shape} and {y.shape}")
+    if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
+        raise ValueError(f"spline {name}: nodes and values must be finite")
+    dx = np.diff(x)
+    if np.any(dx <= 0):
+        raise ValueError(f"spline {name}: nodes must be strictly increasing")
+    m = np.diff(y) / dx
+    d0, d1 = x[2] - x[0], x[-1] - x[-3]
+    s = _dgtsv(
+        [*dx[1:].tolist(), float(d1)],
+        [float(dx[1]), *(2 * (dx[:-1] + dx[1:])).tolist(), float(dx[-2])],
+        [float(d0), *dx[:-1].tolist()],
+        [float(((dx[0] + 2 * d0) * dx[1] * m[0] + dx[0] ** 2 * m[1]) / d0),
+         *(3 * (dx[1:] * m[:-1] + dx[:-1] * m[1:])).tolist(),
+         float((dx[-1] ** 2 * m[-2] + (2 * d1 + dx[-1]) * dx[-2] * m[-1]) / d1)],
+    )
+    t = (s[:-1] + s[1:] - 2 * m) / dx
+    coeffs = np.column_stack([y[:-1], s[:-1], (m - s[:-1]) / dx - t, t / dx])
+    return LineMap(x, coeffs, _end_slope(coeffs[0].tolist(), 0.0), _end_slope(coeffs[-1].tolist(), float(dx[-1])),
+                   c1=True, name=name)
+
+
+def _dgtsv(dl, d, du, b) -> np.ndarray:
+    """LAPACK dgtsv for one right-hand side: the solution of the tridiagonal
+    system with sub-, main and super-diagonals dl, d, du and right side b,
+    in its operation order. Gaussian elimination swaps rows i and i+1 when
+    |d[i]| < |dl[i]|, and dl[i] then keeps the fill-in on the second
+    superdiagonal; a row eliminated without a swap zeroes dl[i], and back
+    substitution still subtracts its 0 * b[i+2]. The lists are overwritten."""
+    n = len(d)
+    for i in range(n - 1):
+        if abs(d[i]) >= abs(dl[i]):
+            fact = dl[i] / d[i]
+            d[i + 1] = d[i + 1] - fact * du[i]
+            b[i + 1] = b[i + 1] - fact * b[i]
+            dl[i] = 0.0
+        else:
+            fact = d[i] / dl[i]
+            d[i], temp = dl[i], d[i + 1]
+            d[i + 1] = du[i] - fact * temp
+            if i < n - 2:
+                dl[i] = du[i + 1]
+                du[i + 1] = -fact * dl[i]
+            du[i] = temp
+            b[i], b[i + 1] = b[i + 1], b[i] - fact * b[i + 1]
+    b[n - 1] = b[n - 1] / d[n - 1]
+    b[n - 2] = (b[n - 2] - du[n - 2] * b[n - 1]) / d[n - 2]
+    for i in range(n - 3, -1, -1):
+        b[i] = (b[i] - du[i] * b[i + 1] - dl[i] * b[i + 2]) / d[i]
+    return np.array(b)
+
+
+def _end_slope(c, u: float) -> float:
+    """d/du of the ascending cubic row c at u, summed as CubicSpline's PPoly
+    evaluates a first derivative."""
+    return 0.0 + c[1] + c[2] * u * 2.0 + c[3] * (u * u) * 3.0
 
 
 def from_callable(
@@ -307,9 +375,15 @@ def from_callable(
     pieces: int = 512,
     name: str = "spline",
 ) -> LineMap:
-    """Cubic-spline representation of a smooth map on ``pieces`` intervals.
+    """Not-a-knot cubic spline of fn on ``pieces`` equal intervals of the
+    window, built by ``_spline_map``.
 
-    The tail slopes are the spline derivative at the window edges.
+    On these uniform nodes the interior rows of its slope system read dx,
+    4 dx, dx, the first reads dx, x[2] - x[0], and dgtsv's elimination
+    swaps no row. Its coefficients and tail slopes are CubicSpline's bit
+    for bit; tests/test_maps.py pins that for every program caller and for
+    random non-uniform nodes, where rows do swap. The tail slopes are the
+    spline derivative at the window edges.
     """
     xs = np.linspace(window[0], window[1], pieces + 1)
     return _spline_map(xs, fn(xs), name)

@@ -3,11 +3,14 @@ it defines at top level is used somewhere in the project and, with its
 classes' public methods, reached from the program itself (src or perfbench)
 unless declared test-only, every defaulted parameter is passed by some
 call in the program unless declared here, the package reads no environment
-variable that is not declared here, and the fragments in theorems.py read
-their grid from one Resolution and their map from one MapOnGrid."""
+variable that is not declared here, the fragments in theorems.py read
+their grid from one Resolution and their map from one MapOnGrid, and the
+program runs without importing scipy."""
 
 import ast
 import math
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -81,6 +84,29 @@ def test_no_dead_definitions(path):
         if name not in elsewhere and name not in _references(tree, skip=node)
     ]
     assert dead == []
+
+
+# A fresh interpreter that runs the map command and builds every spline map
+# kind, then prints the scipy modules it has loaded. scipy is a test
+# dependency: maps._spline_map does its cubic spline in numpy.
+SPLINE_RUN = """
+import sys
+sys.path.insert(0, sys.argv[1])
+from besovlab.cli import main
+from besovlab.maps import inverse_map, named_map
+main(["map", "--map", "sin_drift:amp=0.5"])
+named_map("sin")
+inverse_map(named_map("sin_drift:amp=0.5"))
+print(sorted(name for name in sys.modules if name == "scipy" or name.startswith("scipy.")))
+"""
+
+
+def test_the_program_runs_without_scipy():
+    run = subprocess.run(
+        [sys.executable, "-c", SPLINE_RUN, str(PACKAGE.parent)], capture_output=True, text=True, timeout=120
+    )
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.splitlines()[-1] == "[]"
 
 
 # Every environment variable the package reads. A new knob is a visible

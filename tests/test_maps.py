@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from besovlab import _kernels as K
+from besovlab import maps as maps_module
 from besovlab.grid import catalog_family, sample
 from besovlab.maps import (
     M_LEVELS,
@@ -15,6 +16,7 @@ from besovlab.maps import (
     M_functional,
     U_functional,
     UnboundedPreimageError,
+    _spline_map,
     _sup_preimage_lengths,
     affine_map,
     compose,
@@ -551,3 +553,85 @@ def test_inverse_map_roundtrip():
 def test_from_callable_tails_match():
     phi = from_callable(lambda x: x + 0.25 * np.sin(x), pieces=128)
     assert phi.left_slope == pytest.approx(1.0 + 0.25 * math.cos(-16.0), abs=1e-3)
+
+
+def _spline_fits(monkeypatch, build) -> list:
+    """(xs, ys, map) for each spline that build() fits: the nodes of a
+    program caller."""
+    fits, fit = [], maps_module._spline_map
+
+    def spy(xs, ys, name):
+        fits.append((np.array(xs), np.array(ys), fit(xs, ys, name)))
+        return fits[-1][2]
+
+    monkeypatch.setattr(maps_module, "_spline_map", spy)
+    build()
+    return fits
+
+
+def _scipy_mismatches(xs, ys, phi) -> list[str]:
+    """The parts of phi that differ in any bit from scipy's CubicSpline
+    through (xs, ys): its coefficients and its end derivatives."""
+    cs = pytest.importorskip("scipy.interpolate").CubicSpline(xs, ys)
+    want = {
+        "coeffs": cs.c[::-1].T.tobytes(),  # scipy stores descending powers
+        "left_slope": np.float64(cs(xs[0], 1)).tobytes(),
+        "right_slope": np.float64(cs(xs[-1], 1)).tobytes(),
+    }
+    got = {
+        "coeffs": phi.coeffs.tobytes(),
+        "left_slope": np.float64(phi.left_slope).tobytes(),
+        "right_slope": np.float64(phi.right_slope).tobytes(),
+    }
+    return [key for key in want if got[key] != want[key]]
+
+
+@pytest.mark.parametrize(
+    "spec, inverse",
+    [
+        *((f"sin_drift:amp={amp}", False) for amp in (0.25, 0.5, 1, 1.5)),
+        ("sin", False),
+        ("sin_drift:amp=0.5", True),
+        ("affine:a=0.5,b=2", True),
+        ("scale:k=3", True),
+    ],
+)
+def test_program_splines_match_scipy_bit_for_bit(monkeypatch, spec, inverse):
+    fits = _spline_fits(monkeypatch, lambda: inverse_map(named_map(spec)) if inverse else named_map(spec))
+    assert fits
+    assert [_scipy_mismatches(*fit) for fit in fits] == [[]] * len(fits)
+
+
+def test_random_node_splines_match_scipy_bit_for_bit():
+    """Exponential gaps make most of these systems take dgtsv's row swap,
+    and non-uniform end pieces tell the tail-slope sum order apart."""
+    mismatched = {}
+    for seed in range(120):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(4, 64))
+        xs = np.cumsum(rng.exponential(1.0, n)) - 8.0
+        ys = rng.normal(size=n)
+        bad = _scipy_mismatches(xs, ys, _spline_map(xs, ys, "random"))
+        if bad:
+            mismatched[seed] = bad
+    assert mismatched == {}
+
+
+def test_spline_refuses_fewer_than_4_nodes():
+    xs = np.array([0.0, 1.0, 2.0])
+    with pytest.raises(ValueError, match="4 or more nodes"):
+        _spline_map(xs, xs**2, "three")
+
+
+@pytest.mark.parametrize("where", ["node", "value"])
+def test_spline_refuses_non_finite_input(where):
+    xs, ys = np.linspace(0.0, 4.0, 5), np.zeros(5)
+    (xs if where == "node" else ys)[2] = math.nan
+    with pytest.raises(ValueError, match="must be finite"):
+        _spline_map(xs, ys, "nan")
+
+
+@pytest.mark.parametrize("xs", [[0.0, 1.0, 1.0, 2.0, 3.0], [0.0, 2.0, 1.0, 3.0, 4.0]], ids=["repeated", "descending"])
+def test_spline_refuses_nodes_that_do_not_increase(xs):
+    with pytest.raises(ValueError, match="strictly increasing"):
+        _spline_map(np.array(xs), np.zeros(5), "unsorted")
