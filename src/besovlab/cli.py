@@ -170,7 +170,8 @@ def cmd_map(args) -> int:
 def cmd_split(args) -> int:
     with open(args.family) as fh:
         pairs = json.load(fh)
-    fam = IntervalFamily(np.asarray(pairs, dtype=float))
+    # [] is the empty family, which np.asarray would read as shape (0,)
+    fam = IntervalFamily(np.asarray(pairs, dtype=float) if pairs != [] else np.empty((0, 2)))
     degree = intersection_degree(fam)
     part = split_partition(fam)
     record = {

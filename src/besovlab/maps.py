@@ -94,8 +94,8 @@ class LineMap:
     right_slope: float
     c1: bool = False
     name: str = "linemap"
-    _segments: Optional[np.ndarray] = field(default=None, compare=False, repr=False)
-    _clip_table: Optional[tuple] = field(default=None, compare=False, repr=False)
+    _segments: Optional[np.ndarray] = field(default=None, init=False, compare=False, repr=False)
+    _clip_table: Optional[tuple] = field(default=None, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         bp = np.ascontiguousarray(self.breakpoints, dtype=np.float64)

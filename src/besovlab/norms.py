@@ -21,13 +21,13 @@ one shift share its row, so a norm at 2^15+1 samples touches a few rows
 instead of a 21 MB table. Each row evaluates its stencil, |.| and ^p only on
 its live columns, the ones with a read where f differs from its extension
 values (most witnesses are compactly supported); the other columns take the
-constant's value and the sum still runs over the whole row, so every value
-is bit-identical to a whole-table pass. The max at p = inf is read from the
-live columns and the constants the row has. The stencil adds or subtracts
-its +-1 end terms (see _kernels.Stencil), |.| is skipped at p = 2, and a
-constant column is refilled only when the live span moved over it. The
-Sobolev square function likewise weights only live columns; a column that is
-constant in every row of a level takes the row-order sum of the constants.
+constant's value and the whole row is reduced, its sum or at p = inf its
+max, so every value is bit-identical to a whole-table pass. The stencil adds
+or subtracts its +-1 end terms (see _kernels.Stencil), |.| is skipped at
+p = 2, and a constant column is refilled only when the live span moved over
+it. The Sobolev square function adds each node's weighted |live row| into
+its level's columns and its weighted end constants into the others, those
+only when nonzero; a node whose shift repeats recomputes the row.
 
 The Fourier paths take the real half spectrum (rfft/irfft). Every band
 mask and the Sobolev lift depend on |xi| only, so this is the same operator
@@ -46,7 +46,6 @@ from __future__ import annotations
 
 import functools
 import math
-import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -79,19 +78,6 @@ class DyadicHGrid:
         if self.nodes_per_level < 2 or self.nodes_per_level % 2:
             raise ValueError("nodes_per_level must be even and >= 2")
 
-    @property
-    def n_mag(self) -> int:
-        return self.nodes_per_level // 2
-
-    def magnitudes(self, level: int) -> np.ndarray:
-        """|h| nodes of one level: log-midpoints of [2^-(level+1), 2^-level]."""
-        j = np.arange(self.n_mag)
-        return 2.0 ** (-(level + 1) + (j + 0.5) / self.n_mag)
-
-    def level_edges(self, level: int) -> np.ndarray:
-        j = np.arange(self.n_mag + 1)
-        return 2.0 ** (-(level + 1) + j / self.n_mag)
-
     def materialize(self, spacing: float):
         """Node arrays (h, log-weight, linear width, level id) for a grid.
 
@@ -106,17 +92,20 @@ class DyadicHGrid:
 
 @functools.lru_cache(maxsize=32)
 def _materialize(hg: DyadicHGrid, spacing: float):
+    n_mag = hg.nodes_per_level // 2
     hs, wlog, wlin, lev = [], [], [], []
     for k in range(hg.levels):
-        mags = hg.magnitudes(k)
+        # |h| nodes of level k: the log-midpoints of n_mag equal log-pieces
+        # of [2^-(k+1), 2^-k], each weighted by its piece's width
+        mags = 2.0 ** (-(k + 1) + (np.arange(n_mag) + 0.5) / n_mag)
         keep = mags >= spacing
         if not keep.any():
             break
-        widths = np.diff(hg.level_edges(k))[keep]
+        widths = np.diff(2.0 ** (-(k + 1) + np.arange(n_mag + 1) / n_mag))[keep]
         snapped = np.round(mags[keep] / spacing) * spacing
         for sign in (1.0, -1.0):
             hs.append(sign * snapped)
-            wlog.append(np.full(snapped.size, LN2 / hg.n_mag))
+            wlog.append(np.full(snapped.size, LN2 / n_mag))
             wlin.append(widths)
             lev.append(np.full(snapped.size, k, dtype=np.int64))
     if not hs:
@@ -166,8 +155,8 @@ def _difference_norm_table(f: GridFunction, m: int, hs: np.ndarray, p: float) ->
     the row is squared by np.square, where x^2 = |x|^2 bit for bit and
     ** 2.0 gives the same product at three times the cost. A constant column
     keeps its value from the previous row, so only the columns where the live
-    span [a, b) moved are refilled. At p = inf nothing is filled: max is
-    exact and order-free, and np.max of the row's parts keeps a NaN.
+    span [a, b) moved are refilled. At p = inf the same row is reduced by
+    its max, which keeps a NaN.
     """
     left, right = f.ext_values()
     stencil = _kernels.Stencil(f.samples, left, right, m, np.round(hs / f.spacing).astype(np.int64))
@@ -187,17 +176,12 @@ def _difference_norm_table(f: GridFunction, m: int, hs: np.ndarray, p: float) ->
             np.abs(live, out=live)
             if not sup:
                 live **= p
-        if sup:
-            reads = [live.max()] if a < b else []
-            reads += [fill_left] * (a > 0) + [fill_right] * (b < n)
-            acc[k] = np.max(reads)
-            continue
         if a > pa:
             row[pa:a] = fill_left
         if b < pb:
             row[b:pb] = fill_right
         pa, pb = a, b
-        acc[k] = row.sum()
+        acc[k] = row.max() if sup else row.sum()
     if not sup:
         acc = acc ** (1.0 / p) * f.spacing ** (1.0 / p)
     return acc[stencil.inverse]
@@ -359,32 +343,25 @@ def sobolev_seminorm_diff(
     ends = (abs(stencil.left_value), abs(stencil.right_value))
     row, level, term = np.empty(f.count), np.empty(f.count), np.empty(f.count)
     square, inner = np.zeros(f.count), np.zeros(f.count)
-    uses = np.bincount(stencil.inverse).tolist()
-    kept = {}  # a distinct shift's |live row|, from its first node to its last
     # materialize keeps levels 0..lev.max() without gaps, all on the grid.
     # Each level's weighted |rows| are summed column by column in row order,
-    # from +0.0, which leaves the first row's bits: every term is |.| * w >= 0.
-    # A column before every row's live span holds |left_value| * w in each
-    # row, one after every span |right_value| * w, so their sums are scalars.
-    # The inner integral over |h| <= t_k accumulates all levels >= k.
+    # from +0.0. Every term is |.| * w, >= +0 or NaN, so +0.0 + term is the
+    # term's bits, and an end constant that is 0 would add +0.0 and change
+    # no bit: it is skipped. The inner integral over |h| <= t_k accumulates
+    # all levels >= k.
     for k_lev in range(int(lev.max()), -1, -1):
         idx = np.flatnonzero(lev == k_lev)
-        ks, ws = stencil.inverse[idx].tolist(), wlin[idx].tolist()
-        lo = min(stencil.spans[k][0] for k in ks)
-        hi = max(stencil.spans[k][1] for k in ks)
-        level[lo:hi] = 0.0
-        for k, w in zip(ks, ws):
+        level.fill(0.0)
+        for k, w in zip(stencil.inverse[idx].tolist(), wlin[idx].tolist()):
             a, b = stencil.spans[k]
-            uses[k] -= 1
-            absd = kept.pop(k) if k in kept else np.abs(stencil.live(k, row))
-            if uses[k]:
-                kept[k] = absd
-            np.multiply(absd, w, out=row[a:b])
-            row[lo:a] = ends[0] * w
-            row[b:hi] = ends[1] * w
-            level[lo:hi] += row[lo:hi]
-        level[:lo] = functools.reduce(operator.add, [ends[0] * w for w in ws])
-        level[hi:] = functools.reduce(operator.add, [ends[1] * w for w in ws])
+            live = stencil.live(k, row)
+            np.abs(live, out=live)
+            live *= w
+            level[a:b] += live
+            if ends[0]:
+                level[:a] += ends[0] * w
+            if ends[1]:
+                level[b:] += ends[1] * w
         inner += level
         t_k = 2.0 ** (-(k_lev + 0.5))
         np.divide(inner, t_k, out=term)

@@ -116,6 +116,24 @@ def test_split_roundtrip(tmp_path, capsys):
     assert rec["bound_ok"]
 
 
+def test_split_reads_an_empty_family(tmp_path, capsys):
+    path = tmp_path / "family.json"
+    path.write_text("[]")
+    code, out, _ = run(capsys, "split", "--family", str(path))
+    assert code == 0
+    rec = json.loads(out)[0]
+    assert (rec["n"], rec["degree"], rec["classes"], rec["bound_ok"]) == (0, 0, [], True)
+
+
+def test_split_refuses_a_flat_pair(tmp_path, capsys):
+    path = tmp_path / "family.json"
+    path.write_text("[1, 2]")
+    code, out, err = run(capsys, "split", "--family", str(path))
+    assert code == 4
+    assert out == ""
+    assert err.startswith("config error:") and "(n, 2)" in err
+
+
 def test_check_identity(tmp_path, capsys):
     jpath = tmp_path / "report.json"
     cpath = tmp_path / "report.csv"

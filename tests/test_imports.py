@@ -1,11 +1,11 @@
 """Every name a besovlab module imports is used in that module, every name
 it defines at top level is used somewhere in the project and, with its
 classes' public methods, reached from the program itself (src or perfbench)
-unless declared test-only, every defaulted parameter is passed by some
-call in the program unless declared here, the package reads no environment
-variable that is not declared here, the fragments in theorems.py read
-their grid from one Resolution and their map from one MapOnGrid, and the
-program runs without importing scipy."""
+unless declared test-only, every defaulted parameter and dataclass field
+is passed by some call in the program unless declared here, the package
+reads no environment variable that is not declared here, the fragments in
+theorems.py read their grid from one Resolution and their map from one
+MapOnGrid, and the program runs without importing scipy."""
 
 import ast
 import math
@@ -313,21 +313,53 @@ UNPASSED_DEFAULTS = {
     "grid._sine": SPEC_KEYS,
     "cli._space": SPEC_KEYS,
     "cli._suite_settings": SPEC_KEYS,
+    "norms.DyadicHGrid": (
+        "levels and nodes_per_level: test_besov_self_convergence_oracle holds the default nodes to a "
+        "reference with ten times as many"
+    ),
 }
+
+
+def _called_name(node: ast.AST):
+    """The name in ``name`` or ``x.name``, else None."""
+    return node.id if isinstance(node, ast.Name) else node.attr if isinstance(node, ast.Attribute) else None
+
+
+def _dataclass_fields(cls: ast.ClassDef):
+    """(name, defaulted) of each ``__init__`` field of ``cls``, in order, if
+    ``cls`` is a @dataclass; a ``field(init=False)`` is none of them."""
+    if not any(_called_name(d.func if isinstance(d, ast.Call) else d) == "dataclass" for d in cls.decorator_list):
+        return
+    for item in cls.body:
+        if not (isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name)):
+            continue
+        value = item.value
+        if isinstance(value, ast.Call) and _called_name(value.func) == "field":
+            keywords = {k.arg: k.value for k in value.keywords}
+            init = keywords.get("init")
+            if not (isinstance(init, ast.Constant) and init.value is False):
+                yield item.target.id, bool(keywords.keys() & {"default", "default_factory"})
+        else:
+            yield item.target.id, value is not None
 
 
 def _defaulted_parameters(tree: ast.Module, module: str):
     """(where, callee, parameter, position) for each defaulted parameter of
-    each def in ``tree``. ``callee`` is the name a call uses: the def's own,
-    or its class's for ``__init__``. ``position`` counts the positional
-    arguments before it, ``self`` excluded, and is None for a keyword-only
-    parameter."""
+    each def in ``tree``, and for each defaulted field of a @dataclass.
+    ``callee`` is the name a call uses: the def's own, or its class's for
+    ``__init__`` and a field. ``position`` counts the positional arguments
+    before it, ``self`` excluded (for a field, the ``__init__`` fields before
+    it), and is None for a keyword-only parameter."""
     stack = [(tree, module, False)]
     while stack:
         node, prefix, in_class = stack.pop()
         for child in ast.iter_child_nodes(node):
             if isinstance(child, ast.ClassDef):
-                stack.append((child, f"{prefix}.{child.name}", True))
+                where = f"{prefix}.{child.name}"
+                stack.append((child, where, True))
+                for position, (name, defaulted) in enumerate(_dataclass_fields(child)):
+                    if defaulted:
+                        yield where, child.name, name, position
             elif isinstance(child, ast.FunctionDef):
                 where = f"{prefix}.{child.name}"
                 stack.append((child, where, False))
@@ -354,8 +386,7 @@ def _calls(tree: ast.AST):
     for node in ast.walk(tree):
         if not isinstance(node, ast.Call):
             continue
-        func = node.func
-        name = func.id if isinstance(func, ast.Name) else func.attr if isinstance(func, ast.Attribute) else None
+        name = _called_name(node.func)
         if name is None:
             continue
         count = math.inf if any(isinstance(a, ast.Starred) for a in node.args) else len(node.args)
@@ -413,6 +444,12 @@ def test_unpassed_defaults_are_current():
         ("class C:\n    def go(self, n=1): pass\nc.go(2)", []),
         ("class C:\n    @staticmethod\n    def go(n, k=1): pass\nC.go(2)", ["m.C.go(k)"]),
         ("def f():\n    def g(x=1): pass\n    return g", ["m.f.g(x)"]),
+        ("@dataclass\nclass C:\n    a: int\n    b: int = 1\nC(0)", ["m.C(b)"]),
+        ("@dataclass(frozen=True)\nclass C:\n    a: int\n    b: int = 1\nC(0, 2)", []),
+        ("@dataclasses.dataclass\nclass C:\n    a: int = 0\n    b: int = 1\nC(b=2)", ["m.C(a)"]),
+        ("@dataclass\nclass C:\n    a: int = field(repr=False)\n    b: list = field(default_factory=list)\nC(0)", ["m.C(b)"]),
+        ("@dataclass\nclass C:\n    a: int = field(default=0, init=False)\n    b: int = 1\nC(2)", []),
+        ("class C:\n    a: int = 0\nC()", []),
     ],
 )
 def test_default_guard_sees_each_form(source, want):

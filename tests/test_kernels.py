@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 from besovlab import _kernels as K
-from besovlab.grid import Extension, GridFunction, lp_norm, sample
+from besovlab.gadgets import eta_eps, linear_cutoff, unit_bump
+from besovlab.grid import DEFAULT_WINDOW, Extension, GridFunction, lp_norm, sample
 from besovlab.maps import (
     M_functional,
     U_functional,
@@ -483,9 +484,28 @@ def test_sobolev_seminorm_equals_the_brute_force_loop(rng):
                     assert np.float64(got).tobytes() == np.float64(want).tobytes(), (f.samples, s, p, m)
 
 
+def _constant_steps(count):
+    """Two CONSTANT extensions over the default window, as _stencil_cases'
+    "thirds" and its step between neighbouring floats: from 2/3 to 0.3 with
+    a live middle, and from 2/3 to the next float up, where every live value
+    is as small as the end constants' third differences."""
+    lo, hi = DEFAULT_WINDOW
+    left = np.arange(count) < count // 2
+    thirds = np.where(left, 2.0 / 3.0, 0.3)
+    thirds[count // 2 - 50 : count // 2 + 50] = np.sin(0.1 * np.arange(100))
+    floats = np.where(left, 2.0 / 3.0, np.nextafter(2.0 / 3.0, 1.0))
+    return [GridFunction(v, (hi - lo) / (count - 1), lo, Extension.CONSTANT) for v in (thirds, floats)]
+
+
 @pytest.mark.parametrize("count", [2**13 + 1, 2**15 + 1])
 def test_the_h_grids_own_repeated_shifts_equal_whole_rows(count):
-    for f in (sample("gaussian", count=count), sample("sine", count=count, freq=0.7, phase=0.3)):
+    steps = _constant_steps(count)
+    # at m = 3 both end constants of the thirds are nonzero; the float
+    # step's left one is nonzero and its right one is 0
+    ends = [K.Stencil(f.samples, *f.ext_values(), 3, [1]) for f in steps]
+    assert [(e.left_value != 0.0, e.right_value != 0.0) for e in ends] == [(True, True), (True, False)]
+    rows = (sample("gaussian", count=count), sample("sine", count=count, freq=0.7, phase=0.3), *steps)
+    for f in rows:
         hs = DEFAULT_HGRID.materialize(f.spacing)[0]
         offs = np.round(hs / f.spacing).astype(np.int64).tolist()
         # the finest levels snap 1, 2, 3 and 4 cells, of both signs, twice
@@ -496,10 +516,14 @@ def test_the_h_grids_own_repeated_shifts_equal_whole_rows(count):
             for p in NORM_PS:
                 got = _difference_norm_table(f, m, hs, p)
                 assert got.tobytes() == _reference_norms(table, f.spacing, p).tobytes(), (f.extension, m, p)
+    # compactly supported zero-extension witnesses: live spans inside the row
+    witnesses = (unit_bump(0.0, count=count), eta_eps(0.1, count=count), linear_cutoff(0.0, 2.0, count=count))
+    for f in rows + witnesses:
         for s, m in ((0.7, 1), (2.1, 3)):
-            got = sobolev_seminorm_diff(f, s, 2.0, m)
-            want = _reference_sobolev_seminorm(f, s, 2.0, m, _reference_rows)
-            assert np.float64(got).tobytes() == np.float64(want).tobytes(), (f.extension, s, m)
+            for p in (1.5, 2.0, 3.0):
+                got = sobolev_seminorm_diff(f, s, p, m)
+                want = _reference_sobolev_seminorm(f, s, p, m, _reference_rows)
+                assert np.float64(got).tobytes() == np.float64(want).tobytes(), (f.extension, s, p, m)
 
 
 @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")

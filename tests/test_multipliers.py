@@ -157,7 +157,7 @@ def test_multiplier_lower_zero_tester_warns():
     with pytest.warns(UserWarning):
         v = multiplier_norm_lower_detailed(sample("const"), SP, testers).value
     assert v == 1.0
-    with pytest.raises(ValueError):
+    with pytest.warns(UserWarning), pytest.raises(ValueError):
         multiplier_norm_lower_detailed(sample("const"), SP, [("zero", sample("zero"))])
 
 
