@@ -55,19 +55,25 @@ def parse_space(text: str) -> SpaceParams:
     return call_declared("space", _space, parse_items(text))
 
 
-def _spec_value(text: str):
-    """A --fn value: JSON (numbers, lists) or a float such as inf."""
+def _spec_value(key: str, text: str):
+    """A --fn value: JSON (numbers, lists) or a bare float such as 1e-3. A
+    non-finite number (inf, NaN, 1e999, [1, NaN]) is refused by its key."""
+    def finite(number: str) -> float:
+        if not np.isfinite(value := float(number)):
+            raise ValueError(f"--fn parameter {key}={text} must be finite")
+        return value
+
     try:
-        return json.loads(text)
+        return json.loads(text, parse_float=finite, parse_constant=finite)
     except json.JSONDecodeError:
-        return float(text)
+        return finite(text)
 
 
 def parse_fn(text: str, window, count):
     name, params = parse_spec(text)
     try:
-        return sample(name, window, count, **{k: _spec_value(v) for k, v in params.items()})
-    except TypeError as exc:  # a value of the wrong type, e.g. center=[1]
+        return sample(name, window, count, **{k: _spec_value(k, v) for k, v in params.items()})
+    except (TypeError, OverflowError) as exc:  # a value of the wrong type (center=[1]) or an int past float range
         raise ValueError(str(exc)) from exc
 
 

@@ -29,6 +29,13 @@ it. The Sobolev square function adds each node's weighted |live row| into
 its level's columns and its weighted end constants into the others, those
 only when nonzero; a node whose shift repeats recomputes the row.
 
+At q = inf the sup over nodes runs the shifts from the largest |k| down and
+skips each whose certified bound, |h|^-s |k|^m (||Delta^m_1 f||_p on Z plus
+rounding; _sup_bounds), is below the running max; as m > s it grows with
+|k|. A skipped shift reads 0 in the same full-length arrays, so the sup keeps
+its bits. A nonzero extension value or p < 1 computes every shift, as does a
+NaN or infinite sample, whose bound is NaN or inf.
+
 The Fourier paths take the real half spectrum (rfft/irfft). Every band
 mask and the Sobolev lift depend on |xi| only, so this is the same operator
 on half the data. At p = 2 no band is inverted: by discrete Parseval a
@@ -146,7 +153,9 @@ def difference(f: GridFunction, m: int, h: float) -> GridFunction:
     return GridFunction(vals, f.spacing, f.origin, Extension.ZERO if m >= 1 else f.extension)
 
 
-def _difference_norm_table(f: GridFunction, m: int, hs: np.ndarray, p: float) -> np.ndarray:
+def _difference_norm_table(
+    f: GridFunction, m: int, hs: np.ndarray, p: float, weights: np.ndarray | None = None
+) -> np.ndarray:
     """||Delta^m_h f||_{L^p} for every h in ``hs``, each a nonzero grid
     multiple as DyadicHGrid.materialize snaps them; each distinct shift is
     computed once and its norm copied to every h that snaps to it.
@@ -157,18 +166,30 @@ def _difference_norm_table(f: GridFunction, m: int, hs: np.ndarray, p: float) ->
     keeps its value from the previous row, so only the columns where the live
     span [a, b) moved are refilled. At p = inf the same row is reduced by
     its max, which keeps a NaN.
-    """
+
+    With ``weights`` only max(weights * table) is wanted (the q = inf sup),
+    and a shift whose weighted _sup_bounds is below the running max reads 0."""
     left, right = f.ext_values()
     stencil = _kernels.Stencil(f.samples, left, right, m, np.round(hs / f.spacing).astype(np.int64))
     n, sup = f.count, math.isinf(p)
+    root = 1.0 if sup else f.spacing ** (1.0 / p)
     ends = np.abs(np.array([stencil.left_value, stencil.right_value]))
     if not sup:
         ends **= p
     fill_left, fill_right = ends.tolist()
     row = np.empty(n)
-    acc = np.empty(len(stencil.spans))
+    acc = np.zeros(len(stencil.spans))
+    order, bound, best = range(acc.size), None, -math.inf
+    if weights is not None and p >= 1.0 and left == right == 0.0:
+        wk = np.zeros(acc.size)
+        np.maximum.at(wk, stencil.inverse, weights)
+        bound, wk = (wk * _sup_bounds(f, m, p, stencil.shifts, root)).tolist(), wk.tolist()
+        order = np.argsort(-np.abs(stencil.shifts), kind="stable").tolist()
     pa, pb = 0, n  # previous live span; nothing is filled yet
-    for k, (a, b) in enumerate(stencil.spans):
+    for k in order:
+        if bound and bound[k] < best:  # a NaN bound never is
+            continue
+        a, b = stencil.spans[k]
         live = stencil.live(k, row)
         if p == 2.0:
             np.square(live, out=live)
@@ -181,10 +202,37 @@ def _difference_norm_table(f: GridFunction, m: int, hs: np.ndarray, p: float) ->
         if b < pb:
             row[b:pb] = fill_right
         pa, pb = a, b
-        acc[k] = row.max() if sup else row.sum()
+        acc[k] = v = row.max() if sup else row.sum()
+        if bound:
+            best = max(best, wk[k] * (v if sup else v ** (1.0 / p) * root))
     if not sup:
-        acc = acc ** (1.0 / p) * f.spacing ** (1.0 / p)
+        acc = acc ** (1.0 / p) * root
     return acc[stencil.inverse]
+
+
+def _sup_bounds(f: GridFunction, m: int, p: float, shifts: np.ndarray, root: float) -> np.ndarray:
+    """Bounds on the computed _difference_norm_table values of f at integer
+    shifts k, before weights, for p >= 1 and zero extension values.
+
+    On Z, Delta^m_k is +- a translate of Delta^m_1 (1 + T + ... + T^(|k|-1))^m,
+    a sum of |k|^m translates of Delta^m_1, so ||Delta^m_k f||_p <= |k|^m ||d||_p
+    for d = Delta^m_1 f on Z (the window and the m columns before it). A column
+    of a row or of d rounds by at most gamma sum_j |c_j| |f(x + jk)|, gamma =
+    (m+1) 2^-52, and sum_j |c_j| = 2^m; by Minkowski a computed row's norm is at
+    most |k|^m (||d|| + gamma ||2^(m+1) f||), d as computed. Each reduction
+    after that (a term's pow, allowed 2^6 ulps where SVML's is within 4; n + m
+    - 1 additions of nonnegative terms in any order; the root, p >= 1; the
+    products by ``root``, a weight and here) is within eps = (n + m + 2^8)
+    2^-53, for the table's values, its scalar running max and both norms
+    here, so a skip stacks at most (1 + eps)^2 / (1 - eps)^3 < 1 + 8 eps, the
+    factor applied. NaN or inf samples give NaN or inf bounds, and while 2^(m+1) f is
+    finite no row overflows.
+    """
+    d = np.abs(np.diff(f.samples, n=m, prepend=np.zeros(m), append=np.zeros(m)))
+    g = 2.0 ** (m + 1) * np.abs(f.samples)
+    n1, ng = (x.max() if math.isinf(p) else float((x**p).sum()) ** (1.0 / p) * root for x in (d, g))
+    eps = (f.count + m + 2**8) * 2.0**-53
+    return np.abs(shifts).astype(np.float64) ** m * ((n1 + (m + 1) * 2.0**-52 * ng) * (1.0 + 8.0 * eps))
 
 
 def besov_seminorm_diff(
@@ -196,12 +244,13 @@ def besov_seminorm_diff(
     w * |h|^(-sq) ||Delta^m_h f||_p^q; when the level sums decay, the tail
     below the resolution floor is extrapolated geometrically from the last
     two levels. For q = inf it is the sup over nodes of
-    |h|^(-s) ||Delta^m_h f||_p.
+    |h|^(-s) ||Delta^m_h f||_p, which skips the shifts a bound rules out.
     """
     hs, wlog, _, lev = hg.materialize(f.spacing)
-    norms = _difference_norm_table(f, sp.m, hs, sp.p)
     if math.isinf(sp.q):
-        return float(np.max(np.abs(hs) ** (-sp.s) * norms))
+        w = np.abs(hs) ** (-sp.s)
+        return float(np.max(w * _difference_norm_table(f, sp.m, hs, sp.p, w)))
+    norms = _difference_norm_table(f, sp.m, hs, sp.p)
     vals = wlog * np.abs(hs) ** (-sp.s * sp.q) * norms**sp.q
     per_level = np.bincount(lev, weights=vals)
     total = float(per_level.sum())

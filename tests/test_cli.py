@@ -407,6 +407,15 @@ NON_FINITE_INPUT = {
     "map --target nan,1": (["map", "--map", "identity", "--target", "nan,1"], "target"),
     "split with a NaN end": (["split", "--family", "{family}"], "NaN"),
     "norm --window 0,inf": (["norm", "--fn", "gaussian", "--space", "s=1.5,p=2", "--window", "0,inf"], "window"),
+    "norm --fn bump:center=inf": (["norm", "--fn", "bump:center=inf", "--space", "s=1.5,p=2"], "center=inf"),
+    "norm --fn gaussian:center=nan": (["norm", "--fn", "gaussian:center=nan", "--space", "s=1.5,p=2"], "center=nan"),
+    "norm --fn bump:width=inf": (["norm", "--fn", "bump:width=inf", "--space", "s=1.5,p=2"], "width=inf"),
+    "norm --fn gaussian:width=1e999": (["norm", "--fn", "gaussian:width=1e999", "--space", "s=1.5,p=2"], "width"),
+    "norm --fn const:value=-Infinity": (["norm", "--fn", "const:value=-Infinity", "--space", "s=1.5,p=2"], "value"),
+    "norm --fn poly:coeffs=[1,NaN]": (["norm", "--fn", "poly:coeffs=[1,NaN]", "--space", "s=1.5,p=2"], "coeffs"),
+    "norm --fn table with an inf point": (
+        ["norm", "--fn", "table:points=[[0,1],[1,Infinity]]", "--space", "s=1.5,p=2"], "points"
+    ),
 }
 
 
@@ -421,6 +430,19 @@ def test_non_finite_input_exit_4(case, tmp_path, capsys):
     assert code == 4
     assert out == ""
     assert err.startswith("config error:") and name in err
+
+
+def test_norm_refuses_an_int_past_float_range(capsys):
+    code, out, err = run(capsys, "norm", "--fn", "gaussian:width=1" + "0" * 400, "--space", "s=1.5,p=2")
+    assert (code, out) == (4, "")
+    assert err.startswith("config error:") and "too large" in err
+
+
+def test_finite_fn_parameters_keep_their_values(capsys):
+    code, out, err = run(capsys, "norm", "--fn", "bump:center=0.5,width=2", "--space", "s=1.5,p=2", "--count", "513")
+    assert (code, err) == (0, "")
+    want = besov_norm_diff(sample("bump", count=513, center=0.5, width=2.0), SpaceParams(1.5, 2.0, 2.0, 2))
+    assert json.loads(out)[0]["value"] == want
 
 
 def test_map_target_may_end_at_infinity(capsys):

@@ -22,6 +22,7 @@ from besovlab.norms import (
     _difference_norm_table,
     _band_masks,
     _materialize,
+    _sup_bounds,
     besov_norm_diff,
     besov_seminorm_diff,
     difference,
@@ -237,6 +238,191 @@ def test_a_default_table_evaluates_each_distinct_shift_once(monkeypatch):
     besov_seminorm_diff(f, SpaceParams(2.1, 2.0, 2.0, 3))
     assert DEFAULT_HGRID.materialize(f.spacing)[0].size == 64
     assert len(rows) == len(set(rows)) == 54
+
+
+# ---------------------------------------------------------------------------
+# q = inf: the sup skips the shifts a certified bound rules out
+# ---------------------------------------------------------------------------
+
+# the two q = inf spaces of the norms_sweep benchmark workload
+Q_INF_SPACES = {
+    "B1.5_inf_inf": SpaceParams(1.5, math.inf, math.inf, 2),
+    "B2.5_1.5_inf": SpaceParams(2.5, 1.5, math.inf, 3),
+}
+
+# besov_seminorm_diff at 2^13+1 as float.hex, computed by the whole-table
+# code before the sup skipped any shift
+Q_INF_PINS = {
+    ("B1.5_inf_inf", "gaussian"): "0x1.52f0299e7de61p+0",
+    ("B1.5_inf_inf", "gaussian_wide"): "0x1.ba53141a19120p-2",
+    ("B1.5_inf_inf", "gaussian_shift"): "0x1.df3e0acfbc802p+1",
+    ("B1.5_inf_inf", "gauss_cos"): "0x1.5d4ae68ed6f19p+2",
+    ("B1.5_inf_inf", "gauss_sin"): "0x1.556433a980d01p+3",
+    ("B1.5_inf_inf", "xgauss"): "0x1.32c6c07cc339bp+0",
+    ("B1.5_inf_inf", "two_bumps"): "0x1.52f0299e7bc25p+0",
+    ("B1.5_inf_inf", "bump"): "0x1.29a994242ea76p+2",
+    ("B1.5_inf_inf", "plateau"): "0x1.2fc4fbec45649p+1",
+    ("B1.5_inf_inf", "ramp_plateau"): "0x1.ad8b8016e23e8p+2",
+    ("B1.5_inf_inf", "unit_bump(0)"): "0x1.2fc4fbec45649p+1",
+    ("B1.5_inf_inf", "eta(0.1)"): "0x1.2c112a2301f84p+6",
+    ("B1.5_inf_inf", "cutoff(0,2)"): "0x1.979328a752658p+2",
+    ("B2.5_1.5_inf", "gaussian"): "0x1.7ab80f7d7f46ap+1",
+    ("B2.5_1.5_inf", "gaussian_wide"): "0x1.a085cd1f8baa9p-1",
+    ("B2.5_1.5_inf", "gaussian_shift"): "0x1.516673313bc03p+3",
+    ("B2.5_1.5_inf", "gauss_cos"): "0x1.305aa9bead08fp+4",
+    ("B2.5_1.5_inf", "gauss_sin"): "0x1.ab777d75f5857p+5",
+    ("B2.5_1.5_inf", "xgauss"): "0x1.d0e25de55395bp+1",
+    ("B2.5_1.5_inf", "two_bumps"): "0x1.2c74b5c00519cp+2",
+    ("B2.5_1.5_inf", "bump"): "0x1.6e8898ca2d3a2p+4",
+    ("B2.5_1.5_inf", "plateau"): "0x1.a1f35c9992598p+3",
+    ("B2.5_1.5_inf", "ramp_plateau"): "0x1.74b56400f8628p+5",
+    ("B2.5_1.5_inf", "unit_bump(0)"): "0x1.a1f35c9992598p+3",
+    ("B2.5_1.5_inf", "eta(0.1)"): "0x1.bcd1d7ebe0744p+9",
+    ("B2.5_1.5_inf", "cutoff(0,2)"): "0x1.099e5caf16ce5p+5",
+}
+
+
+@pytest.fixture(scope="module")
+def sweep_family():
+    """The norms_sweep functions at 2^13+1: the catalog family and three witnesses."""
+    count = 2**13 + 1
+    return catalog_family(count=count) + [
+        ("unit_bump(0)", unit_bump(0.0, count=count)),
+        ("eta(0.1)", eta_eps(0.1, count=count)),
+        ("cutoff(0,2)", linear_cutoff(0.0, 2.0, count=count)),
+    ]
+
+
+def _unpruned_sup(f, sp):
+    """max |h|^-s ||Delta^m_h f||_p over the whole table, every shift computed."""
+    hs = DEFAULT_HGRID.materialize(f.spacing)[0]
+    return float(np.max(np.abs(hs) ** (-sp.s) * _difference_norm_table(f, sp.m, hs, sp.p)))
+
+
+def _rows_and_sup(f, sp, monkeypatch):
+    """(distinct shifts computed, distinct shifts in the table, besov_seminorm_diff)."""
+    computed = []
+    live = _kernels.Stencil.live
+
+    def counting(stencil, k, out):
+        computed.append(k)
+        return live(stencil, k, out)
+
+    monkeypatch.setattr(_kernels.Stencil, "live", counting)
+    value = besov_seminorm_diff(f, sp)
+    monkeypatch.undo()
+    hs = DEFAULT_HGRID.materialize(f.spacing)[0]
+    return len(computed), np.unique(np.round(hs / f.spacing)).size, value
+
+
+@pytest.mark.parametrize("label", list(Q_INF_SPACES))
+def test_the_q_inf_sweep_values_are_pinned(label, sweep_family):
+    sp = Q_INF_SPACES[label]
+    got = {(label, name): besov_seminorm_diff(f, sp).hex() for name, f in sweep_family}
+    assert got == {key: pin for key, pin in Q_INF_PINS.items() if key[0] == label}
+
+
+@pytest.mark.parametrize("label", list(Q_INF_SPACES))
+def test_the_pruned_sup_equals_the_whole_table_max(label, sweep_family, monkeypatch):
+    sp = Q_INF_SPACES[label]
+    skipped = 0
+    for name, f in sweep_family:
+        computed, distinct, got = _rows_and_sup(f, sp, monkeypatch)
+        assert got.hex() == _unpruned_sup(f, sp).hex(), name
+        skipped += distinct - computed
+    assert skipped > 0  # the bound rules shifts out, so the comparison is not vacuous
+
+
+def _rough_functions(rng, count):
+    """White noise, steps of amplitude 1e6 and kinks, the last as a CONSTANT
+    extension whose end samples are 0."""
+    spacing = 32.0 / (count - 1)
+    noise = rng.normal(size=count)
+    steps = 1e6 * np.repeat(rng.choice([-1.0, 0.0, 1.0], size=count // 64 + 1), 64)[:count]
+    steps[[0, -1]] = 0.0
+    kinks = np.interp(np.arange(count), np.sort(rng.choice(count, size=12, replace=False)), rng.normal(size=12))
+    kinks[[0, -1]] = 0.0
+    return [
+        GridFunction(noise, spacing, -16.0, Extension.ZERO),
+        GridFunction(steps, spacing, -16.0, Extension.ZERO),
+        GridFunction(kinks, spacing, -16.0, Extension.CONSTANT),
+    ]
+
+
+def test_the_pruned_sup_equals_the_whole_table_max_on_rough_inputs():
+    rng = np.random.default_rng(2028)
+    for trial in range(4):
+        for f in _rough_functions(rng, 2**10 + 1):
+            for m in (1, 2, 3, 4):
+                for p in (1.0, 1.5, 2.0, 3.0, math.inf):
+                    sp = SpaceParams(float(rng.uniform(0.05, m - 0.05)), p, math.inf, m)
+                    assert besov_seminorm_diff(f, sp).hex() == _unpruned_sup(f, sp).hex(), (trial, m, p)
+
+
+def test_a_nan_sample_reads_nan_with_every_shift_computed(monkeypatch):
+    samples = sample("gaussian", count=2**10 + 1).samples.copy()
+    samples[300] = np.nan
+    f = GridFunction(samples, 32.0 / 2**10, -16.0, Extension.ZERO)
+    for sp in Q_INF_SPACES.values():
+        computed, distinct, value = _rows_and_sup(f, sp, monkeypatch)
+        assert math.isnan(value) and computed == distinct
+
+
+def test_a_nonzero_end_constant_falls_back_to_the_whole_table(monkeypatch):
+    # a step from 2/3 to 0.3: both third-difference end constants round to
+    # nonzero values
+    count = 2**10 + 1
+    steps = np.where(np.arange(count) < count // 2, 2.0 / 3.0, 0.3)
+    f = GridFunction(steps, 32.0 / (count - 1), -16.0, Extension.CONSTANT)
+    stencil = _kernels.Stencil(f.samples, *f.ext_values(), 3, [1])
+    assert stencil.left_value != 0.0 and stencil.right_value != 0.0
+    for sp in (SpaceParams(1.5, math.inf, math.inf, 3), SpaceParams(2.5, 1.5, math.inf, 3)):
+        computed, distinct, value = _rows_and_sup(f, sp, monkeypatch)
+        assert computed == distinct and value.hex() == _unpruned_sup(f, sp).hex()
+
+
+def _bounds(f, m, p):
+    """(distinct shifts, their _difference_norm_table values, their _sup_bounds)."""
+    hs = DEFAULT_HGRID.materialize(f.spacing)[0]
+    shifts, first = np.unique(np.round(hs / f.spacing).astype(np.int64), return_index=True)
+    root = 1.0 if math.isinf(p) else f.spacing ** (1.0 / p)
+    return shifts, _difference_norm_table(f, m, hs, p)[first], _sup_bounds(f, m, p, shifts, root)
+
+
+@pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0, math.inf])
+def test_the_sup_bound_against_a_single_sample(p):
+    # one nonzero sample c, away from the window ends: every row of
+    # Delta^m_k, |k| >= 1, holds the m + 1 values c (-1)^(m-j) C(m,j), so
+    # ||Delta^m_k f||_p^p = sum_j C(m,j)^p |c|^p on the grid, and
+    # Delta^m_1 f on Z is the same row
+    count = 2**10 + 1
+    samples = np.zeros(count)
+    samples[count // 2] = c = -2.75
+    f = GridFunction(samples, 32.0 / (count - 1), -16.0, Extension.ZERO)
+    for m in (1, 2, 3, 4):
+        binom = np.array([math.comb(m, j) for j in range(m + 1)], dtype=np.float64)
+        if math.isinf(p):
+            closed = binom.max() * abs(c)
+        else:
+            closed = (binom**p).sum() ** (1.0 / p) * abs(c) * f.spacing ** (1.0 / p)
+        shifts, values, bounds = _bounds(f, m, p)
+        assert m * np.abs(shifts).max() < count // 2  # every read lies in the window
+        np.testing.assert_allclose(values, closed, rtol=1e-14)
+        lower = closed * np.abs(shifts).astype(np.float64) ** m
+        assert (bounds >= lower).all() and (bounds <= lower * (1.0 + 1e-10)).all(), m
+
+
+def test_every_table_value_stays_below_its_bound(sweep_family):
+    # smooth functions at high order: Delta^m_1 f is within rounding of 0,
+    # so the rounding term carries the bound at the smallest shifts
+    rng = np.random.default_rng(7)
+    cases = [(f, m) for _, f in sweep_family for m in (2, 3)]
+    cases += [(sample("gaussian", count=2**13 + 1), 4), (sample("gaussian_wide", count=2**13 + 1), 6)]
+    cases += [(f, m) for f in _rough_functions(rng, 2**10 + 1) for m in (1, 4)]
+    for f, m in cases:
+        for p in (1.0, 1.5, 2.0, math.inf):
+            _, values, bounds = _bounds(f, m, p)
+            assert (values <= bounds).all(), (m, p)
 
 
 # ---------------------------------------------------------------------------
