@@ -39,7 +39,6 @@ from .maps import (
 from .splitting import IntervalFamily, Partition, intersection_degree, split_partition
 from .gadgets import eta_eps, linear_cutoff, unit_bump, zigzag_g
 from .multipliers import (
-    PsiBump,
     make_psi,
     msq_norm_lower_detailed,
     multiplier_norm_lower_detailed,

@@ -214,9 +214,11 @@ def _solve_mono_py(row, y):
     return 0.5 * (a + b)
 
 
-def _clip_segment_py(row, lo, hi):
-    """Return (xa, xb) with xa <= xb for {x in segment : lo <= p(x) <= hi},
-    or None when the segment misses the target band."""
+def segment_clip(row, lo, hi):
+    """The clip of one segment table row, a list of Python floats, to the
+    band [lo, hi]: (xa, xb) with xa <= xb for {x in segment : lo <= p(x) <= hi},
+    or None when the segment misses the band. preimage_lengths sums the same
+    clip over a batch of targets."""
     ylo, yhi = row[7], row[8]
     ymin, ymax = min(ylo, yhi), max(ylo, yhi)
     if ymax < lo or ymin > hi:
@@ -283,7 +285,7 @@ def preimage_lengths(seg, los, his):
     """Total preimage length |phi^-1([lo, hi])| for a batch of targets.
 
     Each target's total is the sum, in segment order from 0.0, of the
-    _clip_segment_py lengths of the segments that meet [lo, hi]. The pairs
+    segment_clip lengths of the segments that meet [lo, hi]. The pairs
     that meet come out of _meeting_pairs segment by segment, so each
     target's terms stay in segment order, and bincount adds them in input
     order from 0.0.
@@ -388,16 +390,6 @@ def preimage_length_bounds(seg, los, his):
         np.minimum(terms, width[s], out=terms)
         out[start : start + lo.shape[0]] = np.bincount(t, weights=terms, minlength=lo.shape[0])
     return out
-
-
-def segment_clip(seg_row, lo, hi):
-    """The clip of one segment table row, or of the row's list of Python
-    floats, to the band [lo, hi], as Python floats: (xa, xb) with xa <= xb,
-    or None when the row misses the band. preimage_lengths sums the same
-    clip over a batch of targets."""
-    if not isinstance(seg_row, list):
-        seg_row = np.asarray(seg_row, dtype=np.float64).tolist()
-    return _clip_segment_py(seg_row, lo, hi)
 
 
 # ---------------------------------------------------------------------------

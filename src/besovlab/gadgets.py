@@ -35,11 +35,16 @@ def eta_eps(eps: float, window=DEFAULT_WINDOW, count: int = DEFAULT_COUNT) -> Gr
     [-1-eps, 1+eps]. Each ramp carries unit derivative mass exactly."""
     if not (0.0 < eps <= 1.0):
         raise ValueError("eps must lie in (0, 1]")
-    lo, hi = window
-    spacing = (hi - lo) / (count - 1)
-    if eps < 2.0 * spacing:
+    if not eta_resolved(eps, window, count):
+        spacing = (window[1] - window[0]) / (count - 1)
         raise ValueError(f"eps = {eps} is below grid resolution (2*dx = {2 * spacing})")
     return plateau(-1.0, 1.0, eps, window, count)
+
+
+def eta_resolved(eps: float, window, count: int) -> bool:
+    """eta_eps(eps) is resolved on ``count`` points over ``window``: its
+    ramps are at least two cells wide."""
+    return not eps < 2.0 * ((window[1] - window[0]) / (count - 1))
 
 
 def linear_cutoff(

@@ -296,8 +296,9 @@ def _spline_map(xs, ys, name: str) -> LineMap:
     """The not-a-knot cubic spline through (xs, ys) as a C^1 LineMap; the
     tail slopes are the spline derivative at the end nodes.
 
-    This is ``CubicSpline(xs, ys)`` bit for bit, on uniform and non-uniform
-    nodes alike, by doing its arithmetic in its order. The node slopes s
+    This is ``CubicSpline(xs, ys)`` bit for bit, by doing its arithmetic in
+    its order, on nodes whose slope system needs no row swap, as uniform
+    nodes never do; other nodes raise ValueError. The node slopes s
     solve a tridiagonal system. Inside, row i reads dx[i] s[i-1] +
     2 (dx[i-1] + dx[i]) s[i] + dx[i-1] s[i+1] = 3 (dx[i] m[i-1] + dx[i-1]
     m[i]), with m the chord slopes. The first row, dx[1] s[0] + (x[2] - x[0])
@@ -308,7 +309,7 @@ def _spline_map(xs, ys, name: str) -> LineMap:
     coefficients. A tail slope is the derivative as CubicSpline's PPoly
     evaluates it at the end node. Fewer than 4 nodes (CubicSpline's two
     special cases), a non-finite node or value, or nodes that do not
-    strictly increase raise ValueError."""
+    strictly increase raise ValueError too."""
     x, y = np.asarray(xs, dtype=np.float64), np.asarray(ys, dtype=np.float64)
     if x.ndim != 1 or x.shape != y.shape or x.size < 4:
         raise ValueError(f"spline {name}: needs 4 or more nodes, one value each; got {x.shape} and {y.shape}")
@@ -336,30 +337,21 @@ def _spline_map(xs, ys, name: str) -> LineMap:
 def _dgtsv(dl, d, du, b) -> np.ndarray:
     """LAPACK dgtsv for one right-hand side: the solution of the tridiagonal
     system with sub-, main and super-diagonals dl, d, du and right side b,
-    in its operation order. Gaussian elimination swaps rows i and i+1 when
-    |d[i]| < |dl[i]|, and dl[i] then keeps the fill-in on the second
-    superdiagonal; a row eliminated without a swap zeroes dl[i], and back
-    substitution still subtracts its 0 * b[i+2]. The lists are overwritten."""
+    in its operation order. A system whose elimination would swap rows i and
+    i+1, where |d[i]| < |dl[i]|, raises ValueError. Back substitution keeps
+    dgtsv's 0 * b[i+2], which can flip the sign of a zero. d, du and b are
+    overwritten."""
     n = len(d)
     for i in range(n - 1):
-        if abs(d[i]) >= abs(dl[i]):
-            fact = dl[i] / d[i]
-            d[i + 1] = d[i + 1] - fact * du[i]
-            b[i + 1] = b[i + 1] - fact * b[i]
-            dl[i] = 0.0
-        else:
-            fact = d[i] / dl[i]
-            d[i], temp = dl[i], d[i + 1]
-            d[i + 1] = du[i] - fact * temp
-            if i < n - 2:
-                dl[i] = du[i + 1]
-                du[i + 1] = -fact * dl[i]
-            du[i] = temp
-            b[i], b[i + 1] = b[i + 1], b[i] - fact * b[i + 1]
+        if abs(d[i]) < abs(dl[i]):
+            raise ValueError(f"the spline slope system needs a row swap at row {i}: the nodes are too uneven")
+        fact = dl[i] / d[i]
+        d[i + 1] = d[i + 1] - fact * du[i]
+        b[i + 1] = b[i + 1] - fact * b[i]
     b[n - 1] = b[n - 1] / d[n - 1]
     b[n - 2] = (b[n - 2] - du[n - 2] * b[n - 1]) / d[n - 2]
     for i in range(n - 3, -1, -1):
-        b[i] = (b[i] - du[i] * b[i + 1] - dl[i] * b[i + 2]) / d[i]
+        b[i] = (b[i] - du[i] * b[i + 1] - 0.0 * b[i + 2]) / d[i]
     return np.array(b)
 
 
@@ -381,9 +373,8 @@ def from_callable(
     On these uniform nodes the interior rows of its slope system read dx,
     4 dx, dx, the first reads dx, x[2] - x[0], and dgtsv's elimination
     swaps no row. Its coefficients and tail slopes are CubicSpline's bit
-    for bit; tests/test_maps.py pins that for every program caller and for
-    random non-uniform nodes, where rows do swap. The tail slopes are the
-    spline derivative at the window edges.
+    for bit; tests/test_maps.py pins that for every program caller. The
+    tail slopes are the spline derivative at the window edges.
     """
     xs = np.linspace(window[0], window[1], pieces + 1)
     return _spline_map(xs, fn(xs), name)

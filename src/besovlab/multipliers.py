@@ -7,7 +7,9 @@ lower bounds over documented candidate sets and never labels them as the
 true norm. Coordinate sequences are always among the candidates, which
 makes the coefficient-sup estimate dominate the uniform one exactly.
 Each estimator evaluates ``norm_fn(g, sp, DEFAULT_HGRID)``, a norm of
-(function, space, h-grid) as in ``theorems.Resolution.NORMS``.
+(function, space, h-grid) as in ``theorems.Resolution.NORMS``. The bump
+``psi`` that ``make_psi`` returns is a plain function of x; a localization
+or a tester is psi(x - z) sampled at f's grid points.
 """
 
 from __future__ import annotations
@@ -27,23 +29,11 @@ class PsiProfileError(ValueError):
     """A partition-of-unity profile the package does not define."""
 
 
-@dataclass(frozen=True)
-class PsiBump:
-    """Nonnegative bump with support exactly [-1, 1] whose integer
-    translates sum to one."""
-
-    func: Callable
-    residual: float
-
-    def on_grid(self, like: GridFunction, shift: float = 0.0) -> GridFunction:
-        vals = np.asarray(self.func(like.x - shift), dtype=np.float64)
-        return GridFunction(vals, like.spacing, like.origin, Extension.ZERO, None)
-
-
-def make_psi(profile: str) -> PsiBump:
-    """Normalize the mollifier profile B, supported in [-1, 1], into
-    psi = B / sum_z B(.-z). ``profile`` names the profile; any name but
-    "mollifier" raises PsiProfileError."""
+def make_psi(profile: str) -> Callable:
+    """psi = B / sum_z B(.-z), the mollifier profile B, supported in
+    [-1, 1], normalized so that psi's integer translates sum to one.
+    ``profile`` names the profile; any name but "mollifier" raises
+    PsiProfileError."""
     if profile != "mollifier":
         raise PsiProfileError(f"unknown profile {profile!r} (the only one is 'mollifier')")
     base = _mollifier(0.0, 1.0)
@@ -65,13 +55,7 @@ def make_psi(profile: str) -> PsiBump:
             out[supp] = vals[supp] / denom(x[supp])
         return out
 
-    # partition-of-unity residual over one period
-    probe = np.linspace(0.0, 1.0, 2049)
-    res = np.zeros_like(probe)
-    for z in (-2.0, -1.0, 0.0, 1.0, 2.0):
-        res += psi(probe - z)
-    residual = float(np.max(np.abs(res - 1.0)))
-    return PsiBump(psi, residual)
+    return psi
 
 
 def _normalized(entries, p: float) -> np.ndarray:
@@ -91,17 +75,10 @@ def translate_range(f: GridFunction, margin: int = 0) -> np.ndarray:
     return np.arange(lo, hi + 1)
 
 
-def _translate_matrix(f: GridFunction, psi: PsiBump, zs: np.ndarray) -> np.ndarray:
-    rows = np.empty((zs.size, f.count))
-    for i, z in enumerate(zs):
-        rows[i] = psi.func(f.x - z)
-    return rows
-
-
 def unif_profile(
     f: GridFunction,
     sp: SpaceParams,
-    psi: PsiBump,
+    psi: Callable,
     norm_fn: Callable = besov_norm_diff,
     with_rows: bool = False,
 ) -> tuple[np.ndarray, ...]:
@@ -109,7 +86,7 @@ def unif_profile(
     their max is the uniform localization norm sup_z on the window. Returns
     (zs, vals), and with ``with_rows`` also the rows psi(x - z) it built."""
     zs = translate_range(f, margin=sp.m)
-    rows = _translate_matrix(f, psi, zs)
+    rows = np.array([psi(f.x - z) for z in zs]).reshape(zs.size, f.count)
     vals = np.empty(zs.size)
     for i in range(zs.size):
         g = GridFunction(f.samples * rows[i], f.spacing, f.origin, Extension.ZERO)
@@ -126,7 +103,7 @@ class LowerBoundResult:
 def msq_norm_lower_detailed(
     f: GridFunction,
     sp: SpaceParams,
-    psi: PsiBump,
+    psi: Callable,
     n_random: int = 64,
     seed: int = 1234,
     norm_fn: Callable = besov_norm_diff,

@@ -11,16 +11,19 @@ cutoffs and the zigzag witness for p = infinity).
 Every fragment samples on one grid that stands in for R, and every norm
 goes through one cache; both live in a ``Resolution``. It holds the
 window (``DEFAULT_WINDOW``, the only place this module reads it), the
-sample count, the spacing and sample points derived from them, and the
+sample count, the spacing and sample points derived from them, the witness
+family sampled on them (``Resolution.family``, built on first use), and the
 norm values keyed by content: (kind, the first 16 bytes of the samples'
 sha256 digest, spacing, extension values, (s, p, q, m), h-grid). The grid
-origin is left out because every norm is translation invariant.
+origin is left out because every norm is translation invariant. The opnorm
+sweep reads the whole family, nec_U its unit_bump(0) and the chain fragment
+its gaussian, so each witness is sampled and hashed once per grid.
 ``classify`` makes a ``Resolution`` for its own call unless it is handed
 one; ``besovlab suite`` hands one to every ``classify`` of a run, so the
-family denominators, the bump norm and the multiplier half of maps that
-share phi' (affine(0.5, 2) and scale(0.5)) are computed once per run. A
-hit returns the stored float, so the arithmetic, and every output, is the
-same with or without sharing.
+family, its denominators, the bump norm and the multiplier half of maps
+that share phi' (affine(0.5, 2) and scale(0.5)) are computed once per run.
+A hit returns the stored float, so the arithmetic, and every output, is
+the same with or without sharing.
 
 ``classify`` reads phi once, into a ``MapOnGrid``: phi's values at the
 grid points, its Lipschitz constant, its largest preimage count and phi'
@@ -32,7 +35,8 @@ reading it at those values.
 ``classify`` runs in two halves at once, the two conditions the paper
 reduces boundedness to. After reading phi it forks a ``worker.Worker`` for
 the phi' half (``_multiplier_half``: the uniform profile, the tester lower
-bound of the multiplier norm and, for p < inf, the msq search), started on
+bound of the multiplier norm and, for p < inf, the msq search, returned as
+the record entries they fill), started on
 a CPU other than the caller's, while the caller computes U, M, the opnorm
 lower bound and the fragments. No fragment reads the phi' half, and the
 verdict reads it only at the end. The worker starts from a fork-time copy
@@ -64,7 +68,7 @@ from typing import Optional
 import numpy as np
 
 from . import _kernels
-from .gadgets import eta_eps, linear_cutoff, plateau, unit_bump, zigzag_g, zigzag_window_length
+from .gadgets import eta_eps, eta_resolved, linear_cutoff, plateau, unit_bump, zigzag_g, zigzag_window_length
 from .grid import (
     DEFAULT_COUNT,
     DEFAULT_WINDOW,
@@ -91,7 +95,6 @@ from .maps import (
     steepest_point,
 )
 from .multipliers import (
-    LowerBoundResult,
     make_psi,
     msq_norm_lower_detailed,
     multiplier_norm_lower_detailed,
@@ -118,6 +121,7 @@ KAPPA_CHAIN = 10.0  # chain: ||C_phi f|| <= KAPPA_CHAIN * (chain-rule bound)
 LIP_RECON_TOL = 0.02  # infinity witness: relative error of the Lip reconstruction
 ZIGZAG_TOL = 0.1  # infinity witness: relative slack over the zigzag bound
 WINDOW_RUN = 4  # window-limited: profile steps that must grow toward the edge
+ETA_EPS = 0.1  # ramp width of the witness family's eta, its narrowest feature
 TOLERANCES = {
     "kappa_max": KAPPA_MAX,
     "chain_residual": CHAIN_RESIDUAL,
@@ -162,9 +166,10 @@ def gate_space(sp: SpaceParams, kind: str = "besov"):
 
 class Resolution:
     """The grid every fragment samples on, ``count`` points over
-    ``window``, and the content-keyed norm cache (see the module docstring
-    for the key and the scope). Only digests are stored, never sample
-    bytes."""
+    ``window``, the witness family sampled on it, and the content-keyed norm
+    cache (see the module docstring for the key and the scope). Only digests
+    are stored, never sample bytes. A count too coarse to resolve the
+    family's eta(ETA_EPS) is refused up front."""
 
     window = DEFAULT_WINDOW
     # kind -> norm of (f, sp, hg); besov_seminorm is the Lipschitz witness's
@@ -177,6 +182,10 @@ class Resolution:
     def __init__(self, count: int = DEFAULT_COUNT):
         if count < 2:
             raise ValueError("count must be >= 2")
+        if not eta_resolved(ETA_EPS, self.window, count):
+            least = next(n for n in itertools.count(count) if eta_resolved(ETA_EPS, self.window, n))
+            raise ValueError(f"count = {count} is too coarse for the witness eta({ETA_EPS}): "
+                             f"the smallest count that resolves it is {least}")
         self.count = count
         self.spacing = (self.window[1] - self.window[0]) / (count - 1)
         self.x = self.window[0] + self.spacing * np.arange(count)
@@ -184,6 +193,18 @@ class Resolution:
 
     def __len__(self) -> int:
         return len(self._values)
+
+    @functools.cached_property
+    def family(self) -> dict[str, GridFunction]:
+        """name -> witness, sampled once per grid: the catalog functions but
+        ``plateau``, the same function as unit_bump(0), plus the proof gadgets."""
+        grid = (self.window, self.count)
+        fam = {name: sample(name, *grid) for name in FAMILY_NAMES if name != "plateau"}
+        fam["unit_bump(-2)"] = unit_bump(-2.0, *grid)
+        fam["unit_bump(0)"] = unit_bump(0.0, *grid)
+        fam[f"eta({ETA_EPS})"] = eta_eps(ETA_EPS, *grid)
+        fam["cutoff(0,2)"] = linear_cutoff(0.0, 2.0, *grid)
+        return fam
 
     def norm(self, f: GridFunction, sp: SpaceParams, hg: DyadicHGrid = DEFAULT_HGRID, kind: str = "besov") -> float:
         digest = hashlib.sha256(f.samples).digest()[:16]
@@ -300,27 +321,12 @@ class CheckReport:
 # operator-norm lower bound
 # ---------------------------------------------------------------------------
 
-def default_witness_family(res: Resolution) -> list[tuple[str, GridFunction]]:
-    """Catalog functions plus the proof gadgets, used for opnorm sweeps.
-
-    The catalog's ``plateau`` is left out: it is the same function as
-    unit_bump(0).
-    """
-    grid = (res.window, res.count)
-    fam = [(name, sample(name, *grid)) for name in FAMILY_NAMES if name != "plateau"]
-    fam.append(("unit_bump(-2)", unit_bump(-2.0, *grid)))
-    fam.append(("unit_bump(0)", unit_bump(0.0, *grid)))
-    fam.append(("eta(0.1)", eta_eps(0.1, *grid)))
-    fam.append(("cutoff(0,2)", linear_cutoff(0.0, 2.0, *grid)))
-    return fam
-
-
 def opnorm_lower_detailed(mg: MapOnGrid, sp: SpaceParams, kind: str = "besov") -> tuple[float, str]:
     """(value, argmax): the max over the witness family of ||C_phi f|| / ||f||,
     a certified lower bound, and the witness that reaches it."""
     res = mg.res
     ratios = []
-    for name, f in default_witness_family(res):
+    for name, f in res.family.items():
         denom = res.norm(f, sp, kind=kind)
         if denom == 0.0:
             continue
@@ -378,7 +384,7 @@ def check_nec_U(mg: MapOnGrid, sp: SpaceParams, opnorm: float, uval: float, kind
         (lhs - (length - slack) for lhs, length in zip(masses, lengths[resolved])), default=math.inf
     )
     witness_ok = worst_margin >= -1e-9 or not math.isfinite(worst_margin)
-    bump_norm = res.norm(unit_bump(0.0, window, res.count), sp, kind=kind)
+    bump_norm = res.norm(res.family["unit_bump(0)"], sp, kind=kind)
     if math.isinf(uval):
         return Fragment(
             "nec_U",
@@ -606,28 +612,21 @@ def _window_limited(zs: np.ndarray, vals: np.ndarray) -> bool:
     return bool(rising or falling)
 
 
-@dataclass(frozen=True)
-class MultiplierHalf:
-    """phi' read as a multiplier of the derivative space B^{s-1}_{p,q}."""
-
-    unif: float  # the uniform norm: the max of unif_profile
-    window_limited: bool  # the profile still grows at the window edge
-    mult: LowerBoundResult  # the tester lower bound of the multiplier norm
-    msq: Optional[float]  # the coefficient-sup lower bound; None at p = inf
-
-
-def _multiplier_half(mg: MapOnGrid, sp: SpaceParams, kind: str, seed: int) -> tuple[MultiplierHalf, list]:
-    """classify's phi' half, and the norm-cache entries it added. It reads
-    only ``mg`` and the cache, and no fragment reads it, so it runs beside
-    the rest of classify; a worker returns its entries for the caller to
-    merge, and in the caller they are already there."""
+def _multiplier_half(mg: MapOnGrid, sp: SpaceParams, kind: str, seed: int) -> tuple[dict, list]:
+    """classify's phi' half, phi' read as a multiplier of B^{s-1}_{p,q}: the
+    phiprime_* and window_limited entries of the record's ``computed``, and
+    the norm-cache entries it added. It reads only ``mg`` and the cache, and
+    no fragment reads it, so it runs beside the rest of classify; a worker
+    returns its entries for the caller to merge, and in the caller they are
+    already there."""
     res, phi_prime, down = mg.res, mg.phi_prime, sp.shifted_down()
     size = len(res)
     psi = make_psi("mollifier")
     norm_fn = functools.partial(res.norm, kind=kind)
     profile = unif_profile(phi_prime, down, psi, norm_fn=norm_fn, with_rows=True)
     zs, zvals, _ = profile
-    testers = [(f"psi(z={z})", psi.on_grid(phi_prime, float(z))) for z in (-2, 0, 3)]
+    testers = [(f"psi(z={z})", GridFunction(psi(phi_prime.x - z), phi_prime.spacing, phi_prime.origin))
+               for z in (-2, 0, 3)]
     testers.append(("gaussian", sample("gaussian", phi_prime.window, res.count)))
     mult = multiplier_norm_lower_detailed(phi_prime, down, testers, norm_fn=norm_fn)
     msq = None
@@ -635,8 +634,14 @@ def _multiplier_half(mg: MapOnGrid, sp: SpaceParams, kind: str, seed: int) -> tu
         msq = msq_norm_lower_detailed(
             phi_prime, down, psi, n_random=16, seed=seed, norm_fn=norm_fn, profile=profile
         ).value
-    half = MultiplierHalf(float(zvals.max()), _window_limited(zs, zvals), mult, msq)
-    return half, res.entries_since(size)
+    computed = {
+        "phiprime_unif": float(zvals.max()),
+        "phiprime_mult_lower": mult.value,
+        "phiprime_mult_argmax": mult.argmax,
+        "phiprime_msq_lower": msq,
+        "window_limited": _window_limited(zs, zvals),
+    }
+    return computed, res.entries_since(size)
 
 
 def classify(
@@ -670,7 +675,7 @@ def classify(
             if kind == "besov":
                 fragments.append(check_nec_lipschitz(mg, sp))
         if phi.c1:
-            fragments.append(check_sufficiency_chain(mg, sample("gaussian", res.window, res.count), sp))
+            fragments.append(check_sufficiency_chain(mg, res.family["gaussian"], sp))
         half, entries = worker.result()
     res.merge(entries)
 
@@ -678,7 +683,7 @@ def classify(
         # U < inf is necessary for p < inf only; at p = inf no fragment reads U
         verdict = "ConsistentUnbounded"
         note = "U(phi) infinite: the necessary unit-interval distortion bound fails"
-    elif half.window_limited:
+    elif half["window_limited"]:
         verdict = "Inconclusive"
         note = (
             "window-limited: multiplier profile of phi' still growing at the "
@@ -700,11 +705,7 @@ def classify(
         "max_preimage": mg.npre,
         "opnorm_lower": op_val,
         "opnorm_argmax": op_arg,
-        "phiprime_unif": half.unif,
-        "phiprime_mult_lower": half.mult.value,
-        "phiprime_mult_argmax": half.mult.argmax,
-        "phiprime_msq_lower": half.msq,
-        "window_limited": half.window_limited,
+        **half,
         "note": note,
     }
     return CheckReport(

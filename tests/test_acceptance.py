@@ -216,7 +216,7 @@ def test_A11_multiplier_ordering():
         base = sample("zero", WINDOW, count)
         from besovlab.grid import Extension, GridFunction
 
-        psif = GridFunction(psi.func(base.x), base.spacing, base.origin, Extension.ZERO)
+        psif = GridFunction(psi(base.x), base.spacing, base.origin, Extension.ZERO)
         ordering_ok = True
         for f in (sample("const", WINDOW, count), sample("sine", WINDOW, count), psif):
             if msq_norm_lower_detailed(f, sp, psi).value < unif_profile(f, sp, psi)[1].max():
@@ -226,7 +226,7 @@ def test_A11_multiplier_ordering():
         c = np.array([0.3, -1.2, 0.77, 2.0, -0.41])
         total = np.zeros_like(base.x)
         for ci, zi in zip(c, zs):
-            total += ci * psi.func(base.x - zi)
+            total += ci * psi(base.x - zi)
         g = GridFunction(total, base.spacing, base.origin, Extension.ZERO)
         lhs = lp_norm(g, 2.0) ** 2
         rhs = float(np.sum(np.abs(c) ** 2)) * lp_norm(psif, 2.0) ** 2

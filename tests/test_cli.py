@@ -171,6 +171,22 @@ def test_check_sobolev_flat_piece_exit_3(tmp_path, capsys):
     assert "homeomorphism" in err
 
 
+def test_check_refuses_a_count_too_coarse_for_the_witness_family(capsys):
+    # eta(0.1) needs 2 * dx <= 0.1, so 32 / (count - 1) <= 0.05
+    code, _, err = run(capsys, "check", "--map", "identity", "--space", "s=2.1,p=2,q=2,m=3", "--count", "513")
+    assert code == 4
+    assert "count = 513" in err and "smallest count that resolves it is 641" in err
+
+
+def test_check_runs_at_the_smallest_count_the_family_allows(tmp_path, capsys):
+    out = tmp_path / "report.json"
+    code, _, err = run(
+        capsys, "check", "--map", "identity", "--space", "s=2.1,p=2,q=2,m=3", "--count", "641", "--json", str(out),
+    )
+    assert "config error" not in err and code in (0, 2)
+    assert json.loads(out.read_text())[0]["grid"]["count"] == 641
+
+
 def test_check_flat_map_reads_unbounded(tmp_path, capsys):
     # constant on its window, flat tails too: every other value is regular
     # with no preimage, and U is infinite

@@ -101,12 +101,31 @@ print(sorted(name for name in sys.modules if name == "scipy" or name.startswith(
 """
 
 
-def test_the_program_runs_without_scipy():
+def _fresh_run(script: str) -> str:
+    """The last line that ``script`` prints in a fresh interpreter."""
     run = subprocess.run(
-        [sys.executable, "-c", SPLINE_RUN, str(PACKAGE.parent)], capture_output=True, text=True, timeout=120
+        [sys.executable, "-c", script, str(PACKAGE.parent)], capture_output=True, text=True, timeout=120
     )
     assert run.returncode == 0, run.stderr
-    assert run.stdout.splitlines()[-1] == "[]"
+    return run.stdout.splitlines()[-1]
+
+
+def test_the_program_runs_without_scipy():
+    assert _fresh_run(SPLINE_RUN) == "[]"
+
+
+# A fresh interpreter that imports the CLI and prints whether multiprocessing
+# came with it: worker.py imports it only when a worker is forked.
+CLI_IMPORT = """
+import sys
+sys.path.insert(0, sys.argv[1])
+import besovlab.cli
+print("multiprocessing" in sys.modules)
+"""
+
+
+def test_importing_the_cli_leaves_multiprocessing_unloaded():
+    assert _fresh_run(CLI_IMPORT) == "False"
 
 
 # Every environment variable the package reads. A new knob is a visible

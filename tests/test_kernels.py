@@ -55,9 +55,9 @@ def _segment_table(rng, n=60):
 def _reference_lengths(seg, los, his):
     """The per-pair scalar clip, summed in segment order from 0.0."""
     out = np.zeros(los.size)
-    for t, (lo, hi) in enumerate(zip(los, his)):
+    for t, (lo, hi) in enumerate(zip(los.tolist(), his.tolist())):
         total = 0.0
-        for row in seg:
+        for row in seg.tolist():
             res = K.segment_clip(row, lo, hi)
             if res is not None:
                 total += res[1] - res[0]
@@ -280,10 +280,9 @@ def test_solve_mono_batch_matches_the_fixed_step_loop(rng):
 
 
 def test_segment_clip_flat_segment():
-    row = np.array([0.0, 2.0, 0.0, 0.0, 0.0, 0.0, 3.0, 2.0, 2.0])
+    row = [0.0, 2.0, 0.0, 0.0, 0.0, 0.0, 3.0, 2.0, 2.0]
     assert K.segment_clip(row, 1.0, 2.5) == (0.0, 3.0)
     assert K.segment_clip(row, 2.5, 3.0) is None
-    assert K.segment_clip(row.tolist(), 1.0, 2.5) == (0.0, 3.0)
 
 
 def _vectorized_intervals(phi, lo, hi):
@@ -296,7 +295,7 @@ def _vectorized_intervals(phi, lo, hi):
         return ()
     xl, xh, ymin, ymax = seg[idx, 5], seg[idx, 6], ymin[idx], ymax[idx]
     for k in np.nonzero((ymin != ymax) & ((ymin < lo) | (ymax > hi)))[0].tolist():
-        xl[k], xh[k] = K.segment_clip(seg[idx[k]], lo, hi)
+        xl[k], xh[k] = K.segment_clip(seg[idx[k]].tolist(), lo, hi)
     tol = 1e-9 * max(1.0, phi.window[1] - phi.window[0])
     starts = np.flatnonzero(np.concatenate(([True], xl[1:] > xh[:-1] + tol)))
     return tuple(zip(np.minimum.reduceat(xl, starts).tolist(), np.maximum.reduceat(xh, starts).tolist()))

@@ -3,7 +3,6 @@ import math
 import numpy as np
 import pytest
 
-from besovlab import multipliers
 from besovlab.grid import Extension, GridFunction, SpaceParams, lp_norm, sample
 from besovlab.multipliers import (
     PsiProfileError,
@@ -20,14 +19,15 @@ SP = SpaceParams(0.5, 2.0, 2.0, 1)
 
 def psi_grid_function(psi):
     base = sample("zero")
-    return GridFunction(
-        psi.func(base.x), base.spacing, base.origin, Extension.ZERO, psi.func
-    )
+    return GridFunction(psi(base.x), base.spacing, base.origin, Extension.ZERO, psi)
 
 
 def test_make_psi_mollifier_residual():
+    """The integer translates of psi sum to one over a period."""
     psi = make_psi("mollifier")
-    assert psi.residual < 1e-12
+    probe = np.linspace(0.0, 1.0, 2049)
+    total = sum(psi(probe - z) for z in (-2.0, -1.0, 0.0, 1.0, 2.0))
+    assert np.max(np.abs(total - 1.0)) < 1e-12
 
 
 def test_make_psi_refuses_any_other_profile():
@@ -38,7 +38,7 @@ def test_make_psi_refuses_any_other_profile():
 def test_psi_support():
     psi = make_psi("mollifier")
     xs = np.array([-1.0, 1.0, 1.5, -3.0])
-    assert np.all(psi.func(xs) == 0.0)
+    assert np.all(psi(xs) == 0.0)
 
 
 def test_unif_zero():
@@ -105,26 +105,24 @@ def test_msq_reuses_a_given_profile():
     assert len(calls) == n_plain - profile[0].size
 
 
-def test_msq_builds_the_translate_rows_once(monkeypatch):
+def test_msq_builds_the_translate_rows_once():
     psi = make_psi("mollifier")
     f = sample("sine", count=2**11 + 1)
     plain = msq_norm_lower_detailed(f, SP, psi, n_random=8)
     zs, vals = unif_profile(f, SP, psi)
     profile = unif_profile(f, SP, psi, with_rows=True)
     assert np.array_equal(profile[0], zs) and profile[1].tobytes() == vals.tobytes()
-    builds = []
-    build = multipliers._translate_matrix
+    rows = []
 
-    def counting(*args):
-        builds.append(1)
-        return build(*args)
+    def counting(x):
+        rows.append(1)
+        return psi(x)
 
-    monkeypatch.setattr(multipliers, "_translate_matrix", counting)
-    for given, n_builds in ((None, 1), (profile, 0)):
-        builds.clear()
-        got = msq_norm_lower_detailed(f, SP, psi, n_random=8, profile=given)
+    for given, n_rows in ((None, zs.size), (profile, 0)):
+        rows.clear()
+        got = msq_norm_lower_detailed(f, SP, counting, n_random=8, profile=given)
         assert (np.float64(got.value).tobytes(), got.argmax) == (np.float64(plain.value).tobytes(), plain.argmax)
-        assert len(builds) == n_builds
+        assert len(rows) == n_rows
 
 
 def test_disjoint_translate_lp_identity():
@@ -135,7 +133,7 @@ def test_disjoint_translate_lp_identity():
     c = np.array([0.3, -1.2, 0.77, 2.0, -0.41])
     total = np.zeros_like(base.x)
     for ci, zi in zip(c, zs):
-        total += ci * psi.func(base.x - zi)
+        total += ci * psi(base.x - zi)
     g = GridFunction(total, base.spacing, base.origin, Extension.ZERO)
     p = 2.0
     lhs = lp_norm(g, p) ** p

@@ -35,7 +35,6 @@ from besovlab.theorems import (
     check_sufficiency_chain,
     classify,
     composed_bump_masses,
-    default_witness_family,
     gate_space,
     opnorm_lower_detailed,
 )
@@ -95,15 +94,15 @@ def test_opnorm_dilation_monotone():
 
 
 def test_witness_family_members_are_distinct():
-    fam = default_witness_family(Resolution(2**10 + 1))
-    for (a, fa), (b, fb) in itertools.combinations(fam, 2):
+    fam = Resolution(2**10 + 1).family
+    for (a, fa), (b, fb) in itertools.combinations(fam.items(), 2):
         assert not np.array_equal(fa.samples, fb.samples), (a, b)
 
 
 def test_opnorm_detail_records_argmax():
     res = Resolution()
     mg = MapOnGrid.read(affine_map(2.0, 0.0), res)
-    ratios = {name: res.norm(mg.compose(f), SP) / res.norm(f, SP) for name, f in default_witness_family(res)}
+    ratios = {name: res.norm(mg.compose(f), SP) / res.norm(f, SP) for name, f in res.family.items()}
     val, arg = opnorm_lower_detailed(mg, SP)
     assert val == max(ratios.values()) == ratios[arg]
 
