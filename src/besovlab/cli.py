@@ -176,17 +176,16 @@ def cmd_map(args) -> int:
 def cmd_split(args) -> int:
     with open(args.family) as fh:
         pairs = json.load(fh)
-    # [] is the empty family, which np.asarray would read as shape (0,)
-    fam = IntervalFamily(np.asarray(pairs, dtype=float) if pairs != [] else np.empty((0, 2)))
+    if not isinstance(pairs, list):
+        raise ValueError(f"--family must hold a JSON list of [l, r] pairs, not {json.dumps(pairs)[:40]}")
+    try:
+        # [] is the empty family, which np.asarray would read as shape (0,)
+        fam = IntervalFamily(np.asarray(pairs, dtype=float) if pairs != [] else np.empty((0, 2)))
+    except TypeError as exc:  # an end that is an object or a list of them
+        raise ValueError(f"--family: {exc}") from exc
     degree = intersection_degree(fam)
     part = split_partition(fam)
-    record = {
-        "n": len(fam),
-        "degree": degree,
-        "classes": part.to_json()["classes"],
-        "labels": part.to_json()["labels"],
-        "bound_ok": part.count <= degree + 1,
-    }
+    record = {"n": len(fam), "degree": degree, **part.to_json(), "bound_ok": part.count <= degree + 1}
     _dump_records([record], args.json)
     return EXIT_OK if record["bound_ok"] else EXIT_CHECK_FAILED
 

@@ -275,6 +275,9 @@ def call_declared(what: str, make: Callable, params: dict):
 # ---------------------------------------------------------------------------
 
 def _mollifier(center: float, width: float):
+    if not (width > 0.0):  # at width 0 every sample is 0
+        raise CatalogError(f"width must be positive, got width={width}")
+
     def fn(x):
         u = (np.asarray(x, dtype=np.float64) - center) / width
         out = np.zeros_like(u)
@@ -313,6 +316,8 @@ def _table_interp(points):
 
 def _gaussian(center=0.0, width=1.0):
     c, w = float(center), float(width)
+    if not (w > 0.0):  # at width 0 the samples are NaN at the center and 0 elsewhere
+        raise CatalogError(f"width must be positive, got width={width}")
     return lambda x: np.exp(-(((np.asarray(x) - c) / w) ** 2))
 
 
@@ -333,6 +338,8 @@ def _sine(freq=1.0, phase=0.0):
 
 def _poly(coeffs):
     coeffs = [float(c) for c in coeffs]
+    if not coeffs:
+        raise CatalogError("poly needs at least one coefficient, got coeffs=[]")
     return lambda x: np.polynomial.polynomial.polyval(np.asarray(x, dtype=np.float64), coeffs)
 
 

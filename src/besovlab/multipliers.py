@@ -86,6 +86,8 @@ def unif_profile(
     their max is the uniform localization norm sup_z on the window. Returns
     (zs, vals), and with ``with_rows`` also the rows psi(x - z) it built."""
     zs = translate_range(f, margin=sp.m)
+    if zs.size == 0:
+        raise ValueError(f"difference order m = {sp.m} leaves no psi translate in the window [{f.origin}, {f.end}]")
     rows = np.array([psi(f.x - z) for z in zs]).reshape(zs.size, f.count)
     vals = np.empty(zs.size)
     for i in range(zs.size):

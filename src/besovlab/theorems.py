@@ -20,8 +20,8 @@ sweep reads the whole family, nec_U its unit_bump(0) and the chain fragment
 its gaussian, so each witness is sampled and hashed once per grid.
 ``classify`` makes a ``Resolution`` for its own call unless it is handed
 one; ``besovlab suite`` hands one to every ``classify`` of a run, so the
-family, its denominators, the bump norm and the multiplier half of maps
-that share phi' (affine(0.5, 2) and scale(0.5)) are computed once per run.
+family, its denominators, the bump norm and the phi' half of maps that
+share phi' (affine(0.5, 2) and scale(0.5)) are computed once per run.
 A hit returns the stored float, so the arithmetic, and every output, is
 the same with or without sharing.
 
@@ -33,28 +33,26 @@ once per ``classify``; a witness on the grid is composed with phi by
 reading it at those values.
 
 ``classify`` runs in two halves at once, the two conditions the paper
-reduces boundedness to. After reading phi it forks a ``worker.Worker`` for
-the phi' half (``_multiplier_half``: the uniform profile, the tester lower
-bound of the multiplier norm and, for p < inf, the msq search, returned as
-the record entries they fill), started on
-a CPU other than the caller's, while the caller computes U, M, the opnorm
-lower bound and the fragments. No fragment reads the phi' half, and the
-verdict reads it only at the end. The worker starts from a fork-time copy
-of ``res``'s norm cache and sends back its results with the cache entries it
-added, which the caller merges, so a later map with the same phi' still
-finds them. A norm is a function of its key, so the report is the same bit
-for bit whichever process computed it. The phi' half runs in the caller
-unless a worker answered clean: where only one CPU is allowed
-(``taskset -c 0``), and where the worker raised, warned, died or could not
-pickle its result, so an exception or a warning comes from the caller as in
-one process.
+reduces boundedness to. The phi' half (``_multiplier_half``: the uniform
+profile, the tester lower bound of the multiplier norm and, for p < inf,
+the msq search) reads phi' alone, so ``res.halves`` keeps its record
+entries by value, keyed by phi''s content (``Resolution.content``) and
+origin, the space, kind and seed: a map whose phi' was seen (scale(0.5)
+after affine(0.5, 2)) forks nothing. Otherwise a ``worker.Worker`` computes
+the half on another CPU and sends back its entries only, while the caller
+computes U, M, the opnorm lower bound and the fragments. A norm is a
+function of its key, so the report is the same bit for bit whichever
+process computed it. The half runs in the caller unless a worker answered
+clean: where only one CPU is allowed (``taskset -c 0``), and where the
+worker raised, warned, died or could not pickle its result, so an
+exception or a warning comes from the caller as in one process.
 ``CheckReport.worker`` holds the worker's wall and CPU seconds and the
-caller's wait, for ``meta.json`` only; it is None where the half ran in the
-caller.
+caller's wait, for ``meta.json`` only; it is None where no worker answered.
 """
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import functools
 import hashlib
@@ -190,6 +188,7 @@ class Resolution:
         self.spacing = (self.window[1] - self.window[0]) / (count - 1)
         self.x = self.window[0] + self.spacing * np.arange(count)
         self._values: dict = {}
+        self.halves: dict = {}  # classify's phi' half by value; see the module docstring
 
     def __len__(self) -> int:
         return len(self._values)
@@ -206,23 +205,18 @@ class Resolution:
         fam["cutoff(0,2)"] = linear_cutoff(0.0, 2.0, *grid)
         return fam
 
+    @staticmethod
+    def content(f: GridFunction) -> tuple:
+        """f's samples as the caches key them, its origin aside: the first 16
+        bytes of their sha256 digest, the spacing and the extension values."""
+        return (hashlib.sha256(f.samples).digest()[:16], f.spacing, f.ext_values())
+
     def norm(self, f: GridFunction, sp: SpaceParams, hg: DyadicHGrid = DEFAULT_HGRID, kind: str = "besov") -> float:
-        digest = hashlib.sha256(f.samples).digest()[:16]
-        key = (kind, digest, f.spacing, f.ext_values(), (sp.s, sp.p, sp.q, sp.m), hg)
+        key = (kind, *self.content(f), (sp.s, sp.p, sp.q, sp.m), hg)
         value = self._values.get(key)
         if value is None:
             value = self._values[key] = self.NORMS[kind](f, sp, hg)
         return value
-
-    def entries_since(self, size: int) -> list:
-        """The (key, value) entries added after the cache held ``size``;
-        entries are only ever appended, so they follow insertion order."""
-        return list(itertools.islice(self._values.items(), size, None))
-
-    def merge(self, entries) -> None:
-        """Add another copy's entries; a key both hold has the same value."""
-        for key, value in entries:
-            self._values.setdefault(key, value)
 
 
 @dataclass(frozen=True)
@@ -274,7 +268,7 @@ class CheckReport:
     runtime_s: float
     grid: dict
     seed: int
-    worker: Optional[dict] = None  # Worker.timing of the phi' half (None: it ran in the caller); never in to_json
+    worker: Optional[dict] = None  # Worker.timing of the phi' half (None: no worker answered); never in to_json
 
     def to_json(self) -> dict:
         return {
@@ -612,15 +606,12 @@ def _window_limited(zs: np.ndarray, vals: np.ndarray) -> bool:
     return bool(rising or falling)
 
 
-def _multiplier_half(mg: MapOnGrid, sp: SpaceParams, kind: str, seed: int) -> tuple[dict, list]:
+def _multiplier_half(mg: MapOnGrid, sp: SpaceParams, kind: str, seed: int) -> dict:
     """classify's phi' half, phi' read as a multiplier of B^{s-1}_{p,q}: the
-    phiprime_* and window_limited entries of the record's ``computed``, and
-    the norm-cache entries it added. It reads only ``mg`` and the cache, and
-    no fragment reads it, so it runs beside the rest of classify; a worker
-    returns its entries for the caller to merge, and in the caller they are
-    already there."""
+    phiprime_* and window_limited entries of the record's ``computed``. It
+    reads only phi', its grid and the norm cache, and no fragment reads it,
+    so it runs beside the rest of classify."""
     res, phi_prime, down = mg.res, mg.phi_prime, sp.shifted_down()
-    size = len(res)
     psi = make_psi("mollifier")
     norm_fn = functools.partial(res.norm, kind=kind)
     profile = unif_profile(phi_prime, down, psi, norm_fn=norm_fn, with_rows=True)
@@ -629,19 +620,15 @@ def _multiplier_half(mg: MapOnGrid, sp: SpaceParams, kind: str, seed: int) -> tu
                for z in (-2, 0, 3)]
     testers.append(("gaussian", sample("gaussian", phi_prime.window, res.count)))
     mult = multiplier_norm_lower_detailed(phi_prime, down, testers, norm_fn=norm_fn)
-    msq = None
-    if not math.isinf(sp.p):
-        msq = msq_norm_lower_detailed(
-            phi_prime, down, psi, n_random=16, seed=seed, norm_fn=norm_fn, profile=profile
-        ).value
-    computed = {
+    msq = None if math.isinf(sp.p) else msq_norm_lower_detailed(
+        phi_prime, down, psi, n_random=16, seed=seed, norm_fn=norm_fn, profile=profile).value
+    return {
         "phiprime_unif": float(zvals.max()),
         "phiprime_mult_lower": mult.value,
         "phiprime_mult_argmax": mult.argmax,
         "phiprime_msq_lower": msq,
         "window_limited": _window_limited(zs, zvals),
     }
-    return computed, res.entries_since(size)
 
 
 def classify(
@@ -663,7 +650,9 @@ def classify(
         if not (np.all(slopes > 0) or np.all(slopes < 0)):
             raise RangeGateError("Sobolev route requires a homeomorphism (strictly monotone map)")
     mg = MapOnGrid.read(phi, res)
-    with Worker(_multiplier_half, mg, sp, kind, seed) as worker:
+    key = (res.content(mg.phi_prime), mg.phi_prime.origin, (sp.s, sp.p, sp.q, sp.m), kind, seed)
+    half = res.halves.get(key)
+    with Worker(_multiplier_half, mg, sp, kind, seed) if half is None else contextlib.nullcontext() as worker:
         uval = U_functional(phi)
         mest = M_functional(phi, uval)
         op_val, op_arg = opnorm_lower_detailed(mg, sp, kind)
@@ -676,8 +665,8 @@ def classify(
                 fragments.append(check_nec_lipschitz(mg, sp))
         if phi.c1:
             fragments.append(check_sufficiency_chain(mg, res.family["gaussian"], sp))
-        half, entries = worker.result()
-    res.merge(entries)
+        if half is None:
+            half = res.halves[key] = worker.result()
 
     if math.isinf(uval) and not math.isinf(sp.p):
         # U < inf is necessary for p < inf only; at p = inf no fragment reads U
@@ -719,5 +708,5 @@ def classify(
         runtime_s=time.perf_counter() - t0,
         grid={"count": res.count, "window": list(res.window), "hgrid_levels": DEFAULT_HGRID.levels},
         seed=seed,
-        worker=worker.timing,
+        worker=None if worker is None else worker.timing,
     )

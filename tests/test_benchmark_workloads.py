@@ -12,19 +12,19 @@ import pytest
 import besovlab
 from besovlab import cli, gadgets, grid, maps, multipliers, norms, splitting
 
-WORKLOADS_PY = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 REFERENCE_SEED = 1234
 
 
-def _load_workloads():
-    spec = importlib.util.spec_from_file_location("perfbench_workloads", WORKLOADS_PY)
+def _load(name: str, filename: str):
+    spec = importlib.util.spec_from_file_location(name, PERFBENCH / filename)
     module = importlib.util.module_from_spec(spec)
     sys.modules[spec.name] = module
     spec.loader.exec_module(module)
     return module
 
 
-workloads = _load_workloads()
+workloads = _load("perfbench_workloads", "workloads.py")
 
 
 @pytest.mark.parametrize("name", sorted(workloads.WORKLOADS))
@@ -41,3 +41,16 @@ def test_one_pass_matches_the_references(name, tmp_path, monkeypatch):
     result = workload.check(state, [workload.run_pass(state)])
     assert result.attempted > 0
     assert result.failed == 0, result.problems
+
+
+def test_every_traced_function_resolves(monkeypatch):
+    # a traced pass patches each (module, attribute) pair of layers.TRACED with
+    # a bare getattr, so a renamed program function fails here, not in the run
+    # layers.py imports its sibling as a top-level module: `from spans import ...`
+    monkeypatch.setitem(sys.modules, "spans", _load("perfbench_spans", "spans.py"))
+    layers = _load("perfbench_layers", "layers.py")
+    missing = [f"{module}.{attr}" for module, attr, _ in layers.TRACED
+               if not callable(getattr(importlib.import_module(module), attr, None))]
+    assert missing == []
+    targets = layers.targets()
+    assert [(module, attr, name) for module, attr, name, _ in targets] == list(layers.TRACED)

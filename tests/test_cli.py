@@ -134,6 +134,15 @@ def test_split_refuses_a_flat_pair(tmp_path, capsys):
     assert err.startswith("config error:") and "(n, 2)" in err
 
 
+@pytest.mark.parametrize("text", ["{}", '"[[0, 1]]"', '[[0, {"r": 1}]]'], ids=["object", "string", "object end"])
+def test_split_refuses_a_family_that_is_not_a_list_of_pairs(text, tmp_path, capsys):
+    path = tmp_path / "family.json"
+    path.write_text(text)
+    code, out, err = run(capsys, "split", "--family", str(path))
+    assert (code, out) == (4, "")
+    assert err.startswith("config error:") and "--family" in err
+
+
 def test_check_identity(tmp_path, capsys):
     jpath = tmp_path / "report.json"
     cpath = tmp_path / "report.csv"
@@ -185,6 +194,19 @@ def test_check_runs_at_the_smallest_count_the_family_allows(tmp_path, capsys):
     )
     assert "config error" not in err and code in (0, 2)
     assert json.loads(out.read_text())[0]["grid"]["count"] == 641
+
+
+def test_check_refuses_a_difference_order_that_leaves_no_psi_translate(tmp_path, capsys):
+    # phi' is read in the space one order lower: m - 1 = 16 needs [z-17, z+17]
+    # inside [-16, 16]; m - 1 = 15 leaves z = 0
+    code, _, err = run(capsys, "check", "--map", "identity", "--space", "s=2.1,p=2,q=2,m=17", "--count", "2049")
+    assert code == 4
+    assert err.startswith("config error:") and "m = 16" in err and "window [-16.0, 16.0]" in err
+    out = tmp_path / "report.json"
+    code, _, err = run(capsys, "check", "--map", "identity", "--space", "s=2.1,p=2,q=2,m=16", "--count", "2049",
+                       "--json", str(out))
+    assert "config error" not in err and code in (0, 2)
+    assert math.isfinite(json.loads(out.read_text())[0]["computed"]["phiprime_unif"])
 
 
 def test_check_flat_map_reads_unbounded(tmp_path, capsys):
@@ -446,6 +468,14 @@ def test_non_finite_input_exit_4(case, tmp_path, capsys):
     assert code == 4
     assert out == ""
     assert err.startswith("config error:") and name in err
+
+
+@pytest.mark.parametrize("fn, key", [("poly:coeffs=[]", "coeffs"), ("gaussian:width=0", "width"),
+                                     ("bump:width=0", "width"), ("bump:width=-1", "width")])
+def test_norm_refuses_a_degenerate_descriptor(fn, key, capsys):
+    code, out, err = run(capsys, "norm", "--fn", fn, "--space", "s=1.5,p=2", "--count", "513")
+    assert (code, out) == (4, "")
+    assert err.startswith("config error:") and f"{key}=" in err
 
 
 def test_norm_refuses_an_int_past_float_range(capsys):

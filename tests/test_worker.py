@@ -1,7 +1,7 @@
 """The forked worker that runs classify's phi' half beside the rest: it is
 started off the caller's CPU, hands back only a clean result (anything else
 runs in the caller), never outlives its caller, and changes no bit of any
-report."""
+report; a phi' half already on the Resolution forks no worker."""
 
 import json
 import math
@@ -221,30 +221,38 @@ SLICE = dict(cli.DEFAULT_SUITE, maps=["sin_drift:amp=0.5", "affine:a=0.5,b=2", "
 
 @two_cpus
 def test_suite_records_are_the_same_bytes_with_and_without_the_worker(tmp_path, monkeypatch, capsys):
-    # scale(0.5) reads affine(0.5,2)'s phi' norms from the entries its worker sent back
     forked, meta = _suite(tmp_path, "forked", SLICE)
-    # every map's half came back from its worker: a silent fallback to the
-    # caller would run the half twice and change no byte
-    assert all(timing is not None for timing in meta["worker"].values())
+    # each new phi' half came back from its worker, where a silent fallback to
+    # the caller would run it twice and change no byte; scale(0.5) reads
+    # affine(0.5,2)'s half from the Resolution and forks nothing
+    assert meta["worker"]["affine(0.5,2.0)"] is not None and meta["worker"]["sin_drift(0.5)"] is not None
+    assert meta["worker"]["scale(0.5)"] is None
     one_cpu(monkeypatch)
     alone, _ = _suite(tmp_path, "alone", SLICE)
     assert forked == alone
 
 
-@two_cpus
-def test_worker_cache_entries_are_merged_into_the_callers_cache(monkeypatch):
-    def caches():
-        res, sizes = Resolution(SMALL), []
-        for spec in ("affine:a=0.5,b=2", "scale:k=0.5"):
-            classify(named_map(spec), SP, res=res)
-            sizes.append(len(res))
-        return dict(res.entries_since(0)), sizes
+def test_each_phi_prime_half_is_computed_once(tmp_path, monkeypatch, capsys):
+    one_cpu(monkeypatch)  # the half runs in this process, where the calls are counted
+    calls, half = [], theorems._multiplier_half
 
-    forked = caches()
-    one_cpu(monkeypatch)
-    # the same entries after each map: scale(0.5)'s worker forks with
-    # affine(0.5,2)'s phi' norms already merged, so it finds them
-    assert forked == caches()
+    def counted(mg, sp, kind, seed):
+        calls.append((mg.phi.name, sp, kind, seed))
+        return half(mg, sp, kind, seed)
+
+    monkeypatch.setattr(theorems, "_multiplier_half", counted)
+    _, meta = _suite(tmp_path, "suite", dict(cli.DEFAULT_SUITE, count=SMALL))
+    # scale(0.5) shares affine(0.5,2)'s phi', and shift(1) shares identity's
+    assert len(meta["worker"]) == 8
+    assert sorted(name for name, *_ in calls) == sorted(set(meta["worker"]) - {"scale(0.5)", "shift(1)"})
+    # the same phi' under another kind, seed or space computes its own half
+    calls.clear()
+    res = Resolution(SMALL)
+    runs = [(SP, "besov", 1234), (SP, "sobolev", 1234), (SP, "besov", 7), (SP_INF, "besov", 1234)]
+    for sp, kind, seed in runs:
+        for spec in ("affine:a=0.5,b=2", "scale:k=0.5"):
+            classify(named_map(spec), sp, kind=kind, seed=seed, res=res)
+    assert calls == [("affine(0.5,2.0)", sp, kind, seed) for sp, kind, seed in runs]
 
 
 def test_meta_gives_each_maps_worker_times(tmp_path, capsys):
