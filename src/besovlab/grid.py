@@ -307,6 +307,9 @@ def _table_interp(points):
         raise CatalogError("table descriptor needs an (n, 2) list of (x, value) points")
     order = np.argsort(pts[:, 0])
     xs, vs = pts[order, 0], pts[order, 1]
+    repeats = xs[1:][np.diff(xs) == 0]
+    if repeats.size:  # np.interp has no value at a repeated node
+        raise CatalogError(f"table points need distinct x values, got x={repeats[0]} twice")
 
     def fn(x):
         return np.interp(np.asarray(x, dtype=np.float64), xs, vs, left=0.0, right=0.0)
@@ -323,6 +326,8 @@ def _gaussian(center=0.0, width=1.0):
 
 def _indicator(a=0.0, b=1.0):
     a, b = float(a), float(b)
+    if not (a < b):  # [a, b] is empty, or a point that a grid node may or may not hit
+        raise CatalogError(f"indicator needs a < b, got a={a}, b={b}")
     return lambda x: np.where((np.asarray(x) >= a) & (np.asarray(x) <= b), 1.0, 0.0)
 
 

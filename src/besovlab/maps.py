@@ -26,6 +26,7 @@ from .grid import (
 )
 
 CONTINUITY_TOL = 1e-12
+C1_TOL = 1e-9  # the largest jump of phi' that LineMap.c1 reads as rounding
 SWEEP_STEP = 1e-3  # U and M sweep step, as a fraction of the range width
 M_LEVELS = 12  # the M ladder's finest width is 2^-M_LEVELS
 
@@ -92,7 +93,6 @@ class LineMap:
     coeffs: np.ndarray
     left_slope: float
     right_slope: float
-    c1: bool = False
     name: str = "linemap"
     _segments: Optional[np.ndarray] = field(default=None, init=False, compare=False, repr=False)
     _clip_table: Optional[tuple] = field(default=None, init=False, compare=False, repr=False)
@@ -149,6 +149,11 @@ class LineMap:
     def derivative_values(self, xs):
         return self._evaluate(xs, _cubic_slope, lambda d: self.left_slope, lambda d: self.right_slope)
 
+    @property
+    def c1(self) -> bool:
+        """phi' jumps by at most C1_TOL at each breakpoint and tail junction."""
+        return LineMapDerivative(self).max_jump() <= C1_TOL
+
     # -- monotone segment table ---------------------------------------------
 
     def segments(self) -> np.ndarray:
@@ -199,33 +204,47 @@ class LineMap:
         seg = self.segments()
         return np.unique(np.concatenate([seg[:, 7], seg[:, 8]]))
 
+    @property
+    def strictly_monotone(self) -> bool:
+        """Every segment and both tails strictly monotone one way: phi is a homeomorphism of R."""
+        seg = self.segments()
+        slopes = np.concatenate([seg[:, 8] - seg[:, 7], [self.left_slope, self.right_slope]])
+        return bool(np.all(slopes > 0) or np.all(slopes < 0))
+
     # -- serialization --------------------------------------------------------
 
     @staticmethod
     def from_json(obj) -> "LineMap":
         """The map of a map file's object (the schema is in the README); a
-        missing or malformed key raises ValueError naming it."""
+        missing, malformed or undeclared key raises ValueError naming it."""
         pieces = obj.get("pieces") if isinstance(obj, dict) else None
         if not isinstance(pieces, list) or not pieces:
             raise ValueError(f"map file: 'pieces' must be a nonempty list, got {pieces!r}")
+        _refuse_undeclared("the file", obj, ("pieces", "tails", "name"))
         for i, pc in enumerate(pieces):
             for key, size in (("interval", 2), ("coeffs", 4)):
                 value = pc.get(key) if isinstance(pc, dict) else None
                 if not (isinstance(value, list) and len(value) == size and all(map(is_json_number, value))):
                     raise ValueError(f"map file: piece {i} needs {key!r}: {size} numbers, got {value!r}")
+            _refuse_undeclared(f"piece {i}", pc, ("interval", "coeffs"))
             if i and pc["interval"][0] != pieces[i - 1]["interval"][1]:
                 raise ValueError(f"map file: piece {i}'s 'interval' does not start where piece {i - 1} ends")
         tails = obj.get("tails", {})
         slopes = [tails.get(k, 1.0) for k in ("left_slope", "right_slope")] if isinstance(tails, dict) else [None]
         if not all(map(is_json_number, slopes)):
             raise ValueError(f"map file: 'tails' must give numbers left_slope and right_slope, got {tails!r}")
-        c1 = obj.get("c1", False)
-        if type(c1) is not bool:
-            raise ValueError(f"map file: 'c1' must be true or false, got {c1!r}")
+        _refuse_undeclared("'tails'", tails, ("left_slope", "right_slope"))
         bp = [pieces[0]["interval"][0]] + [pc["interval"][1] for pc in pieces]
         cf = [pc["coeffs"] for pc in pieces]
         name = str(obj.get("name", "linemap"))
-        return LineMap(np.asarray(bp), np.asarray(cf), float(slopes[0]), float(slopes[1]), c1, name)
+        return LineMap(np.asarray(bp), np.asarray(cf), float(slopes[0]), float(slopes[1]), name)
+
+
+def _refuse_undeclared(where: str, obj: dict, keys: tuple) -> None:
+    """Raise ValueError naming a key of a map file's object that is not one of ``keys``."""
+    for key in obj:
+        if key not in keys:
+            raise ValueError(f"map file: {where} has undeclared key {key!r} (it takes: {', '.join(keys)})")
 
 
 def _cubic(c, u):
@@ -266,7 +285,7 @@ def affine_map(a: float, b: float, name: Optional[str] = None) -> LineMap:
     lo, hi = DEFAULT_WINDOW
     bp = np.array([lo, hi])
     cf = np.array([[a * lo + b, a, 0.0, 0.0]])
-    return LineMap(bp, cf, a, a, c1=True, name=name or f"affine({a},{b})")
+    return LineMap(bp, cf, a, a, name=name or f"affine({a},{b})")
 
 
 def polynomial_map(coeffs_global, name: Optional[str] = None) -> LineMap:
@@ -283,9 +302,7 @@ def polynomial_map(coeffs_global, name: Optional[str] = None) -> LineMap:
     dlo = c1
     u = hi - lo
     dhi = c1 + 2 * c2 * u + 3 * c3 * u**2
-    return LineMap(
-        np.array([lo, hi]), local, dlo, dhi, c1=True, name=name or "polynomial"
-    )
+    return LineMap(np.array([lo, hi]), local, dlo, dhi, name=name or "polynomial")
 
 
 def quadratic_map() -> LineMap:
@@ -293,7 +310,7 @@ def quadratic_map() -> LineMap:
 
 
 def _spline_map(xs, ys, name: str) -> LineMap:
-    """The not-a-knot cubic spline through (xs, ys) as a C^1 LineMap; the
+    """The not-a-knot cubic spline through (xs, ys) as a LineMap; the
     tail slopes are the spline derivative at the end nodes.
 
     This is ``CubicSpline(xs, ys)`` bit for bit, by doing its arithmetic in
@@ -330,8 +347,7 @@ def _spline_map(xs, ys, name: str) -> LineMap:
     )
     t = (s[:-1] + s[1:] - 2 * m) / dx
     coeffs = np.column_stack([y[:-1], s[:-1], (m - s[:-1]) / dx - t, t / dx])
-    return LineMap(x, coeffs, _end_slope(coeffs[0].tolist(), 0.0), _end_slope(coeffs[-1].tolist(), float(dx[-1])),
-                   c1=True, name=name)
+    return LineMap(x, coeffs, _end_slope(coeffs[0].tolist(), 0.0), _end_slope(coeffs[-1].tolist(), float(dx[-1])), name)
 
 
 def _dgtsv(dl, d, du, b) -> np.ndarray:
@@ -472,12 +488,7 @@ class LineMapDerivative:
 
 
 def derivative(phi: LineMap) -> LineMapDerivative:
-    view = LineMapDerivative(phi)
-    if phi.c1 and view.max_jump() > 1e-9:
-        raise ValueError(
-            f"map {phi.name} is flagged C1 but has derivative jump {view.max_jump():.3g}"
-        )
-    return view
+    return LineMapDerivative(phi)
 
 
 def steepest_point(phi: LineMap, margin: float = 0.0) -> tuple[float, float]:

@@ -314,7 +314,8 @@ def _l2_from_power(weighted: np.ndarray, m: int, spacing: float) -> float:
 def _band_masks(m: int, spacing: float):
     """(j, a, b, mask_j[a:b]) for every dyadic band with a nonzero mask on
     the half spectrum of m cells at ``spacing``; [a, b) spans the mask's
-    nonzero bins. Built once per grid; the masks are read-only."""
+    nonzero bins. Built once per grid; the masks are read-only. A grid too
+    coarse for any band raises ValueError."""
     xi = _angular_freqs(m, spacing)
     n_bands = int(math.ceil(math.log2(math.pi / spacing))) + 1
     out = []
@@ -329,6 +330,8 @@ def _band_masks(m: int, spacing: float):
         band = mask[a:b].copy()
         band.flags.writeable = False
         out.append((j, a, b, band))
+    if not out:
+        raise ValueError("grid spacing too coarse for any dyadic band")
     return tuple(out)
 
 

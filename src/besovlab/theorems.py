@@ -643,12 +643,8 @@ def classify(
     if res is None:
         res = Resolution()
     gate_space(sp, kind)
-    if kind == "sobolev":
-        # every segment and both tails strictly monotone one way; a flat segment makes phi non-injective
-        seg = phi.segments()
-        slopes = np.concatenate([seg[:, 8] - seg[:, 7], [phi.left_slope, phi.right_slope]])
-        if not (np.all(slopes > 0) or np.all(slopes < 0)):
-            raise RangeGateError("Sobolev route requires a homeomorphism (strictly monotone map)")
+    if kind == "sobolev" and not phi.strictly_monotone:
+        raise RangeGateError("Sobolev route requires a homeomorphism (strictly monotone map)")
     mg = MapOnGrid.read(phi, res)
     key = (res.content(mg.phi_prime), mg.phi_prime.origin, (sp.s, sp.p, sp.q, sp.m), kind, seed)
     half = res.halves.get(key)
@@ -663,7 +659,7 @@ def classify(
             fragments.append(check_nec_U(mg, sp, op_val, uval, kind))
             if kind == "besov":
                 fragments.append(check_nec_lipschitz(mg, sp))
-        if phi.c1:
+        if phi.c1 and 0.0 not in (phi.left_slope, phi.right_slope):  # past a flat tail f o phi is f(edge), not 0
             fragments.append(check_sufficiency_chain(mg, res.family["gaussian"], sp))
         if half is None:
             half = res.halves[key] = worker.result()

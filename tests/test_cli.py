@@ -258,7 +258,6 @@ def test_check_short_map_window_reads_like_its_map(tmp_path, capsys):
     path.write_text(json.dumps({
         "pieces": [{"interval": [-2, 2], "coeffs": [-2, 1, 0, 0]}],
         "tails": {"left_slope": 1, "right_slope": 1},
-        "c1": True,
     }))
     reports = []
     for spec in (str(path), "identity"):
@@ -309,6 +308,25 @@ def test_check_sobolev_runs_without_a_flag(tmp_path, capsys):
     assert "--homeo" in err
 
 
+@pytest.mark.parametrize(
+    "tails, chain", [((1, 2), True), ((1, 1), False)], ids=["C1 with no flag", "a tail meets the window with slope 1"]
+)
+def test_check_reads_c1_from_the_map_file_pieces(tails, chain, tmp_path, capsys):
+    # x on [-16, 0], x + x^2 / 32 on [0, 16]: phi' is 1 at 0 from both sides and 2 at 16
+    path = tmp_path / "join.json"
+    path.write_text(json.dumps({
+        "pieces": [{"interval": [-16, 0], "coeffs": [-16, 1, 0, 0]}, {"interval": [0, 16], "coeffs": [0, 1, 1 / 32, 0]}],
+        "tails": {"left_slope": tails[0], "right_slope": tails[1]},
+    }))
+    out = tmp_path / "report.json"
+    code, _, err = run(
+        capsys, "check", "--map", str(path), "--space", "s=2.1,p=2,q=2,m=3", "--count", "2049", "--json", str(out),
+    )
+    assert code in (0, 2) and "config error" not in err
+    names = [fr["name"] for fr in json.loads(out.read_text())[0]["fragments"]]
+    assert ("sufficiency_chain" in names) is chain
+
+
 # each malformed map file is refused with the key it names
 PIECE = {"interval": [-1, 1], "coeffs": [0, 1, 0, 0]}
 BAD_MAP_FILE = {
@@ -321,6 +339,10 @@ BAD_MAP_FILE = {
     "a null tail slope": ({"pieces": [PIECE], "tails": {"left_slope": None}}, "'tails'"),
     "an interval with null": ({"pieces": [{"interval": [None, 1], "coeffs": [0, 1, 0, 0]}]}, "'interval'"),
     "c1 a string": ({"pieces": [PIECE], "c1": "false"}, "'c1'"),
+    "c1 left from older files": ({"pieces": [PIECE], "c1": True}, "'c1'"),
+    "tail for tails": ({"pieces": [PIECE], "tail": {"left_slope": 2, "right_slope": 2}}, "'tail'"),
+    "an undeclared piece key": ({"pieces": [dict(PIECE, c1=True)]}, "'c1'"),
+    "an undeclared tails key": ({"pieces": [PIECE], "tails": {"left_slope": 2, "right": 2}}, "'right'"),
     "a gap between pieces": ({"pieces": [PIECE, {"interval": [2, 3], "coeffs": [2, 1, 0, 0]}]}, "'interval'"),
     "a NaN tail slope": ({"pieces": [PIECE], "tails": {"left_slope": math.nan}}, "'left_slope'"),
     "an infinite tail slope": ({"pieces": [PIECE], "tails": {"right_slope": -math.inf}}, "'right_slope'"),
@@ -471,11 +493,22 @@ def test_non_finite_input_exit_4(case, tmp_path, capsys):
 
 
 @pytest.mark.parametrize("fn, key", [("poly:coeffs=[]", "coeffs"), ("gaussian:width=0", "width"),
-                                     ("bump:width=0", "width"), ("bump:width=-1", "width")])
+                                     ("bump:width=0", "width"), ("bump:width=-1", "width"),
+                                     ("indicator:a=1,b=0", "a"), ("indicator:a=1,b=1", "b"),
+                                     ("table:points=[[0,1],[0,2]]", "x"), ("table:points=[[1,0],[0,1],[1,2]]", "x")])
 def test_norm_refuses_a_degenerate_descriptor(fn, key, capsys):
     code, out, err = run(capsys, "norm", "--fn", fn, "--space", "s=1.5,p=2", "--count", "513")
     assert (code, out) == (4, "")
     assert err.startswith("config error:") and f"{key}=" in err
+
+
+@pytest.mark.parametrize("count, space", [(2, "s=1.5,p=2"), (3, "s=1.5,p=2"), (3, "s=1.5,p=3"), (3, "s=1.5,p=2,q=inf")])
+def test_norm_lp_refuses_a_grid_with_no_dyadic_band(count, space, capsys):
+    code, out, err = run(capsys, "norm", "--fn", "gaussian", "--space", space, "--method", "lp", "--count", str(count))
+    assert (code, out) == (4, "")
+    assert err.startswith("config error:") and "too coarse" in err
+    # the difference norm refuses the same grid the same way
+    assert run(capsys, "norm", "--fn", "gaussian", "--space", space, "--count", str(count))[0] == 4
 
 
 def test_norm_refuses_an_int_past_float_range(capsys):

@@ -43,7 +43,7 @@ def piecewise_affine():
     v1 = v0 + 0.5 * 11.0
     v2 = v1 - 3.0 * 10.0
     cf = np.array([[v0, 0.5, 0, 0], [v1, -3.0, 0, 0], [v2, 1.0, 0, 0]])
-    return LineMap(bp, cf, 0.5, 1.0, c1=False, name="pw_affine")
+    return LineMap(bp, cf, 0.5, 1.0, name="pw_affine")
 
 
 # ---------------------------------------------------------------------------
@@ -88,7 +88,6 @@ def test_json_roundtrip():
     obj = {
         "pieces": [{"interval": bp[i : i + 2], "coeffs": cf[i]} for i in range(len(cf))],
         "tails": {"left_slope": phi.left_slope, "right_slope": phi.right_slope},
-        "c1": phi.c1,
         "name": phi.name,
     }
     psi = LineMap.from_json(json.loads(json.dumps(obj)))
@@ -189,20 +188,40 @@ def test_derivative_piecewise_affine_steps():
     assert d.max_jump() == 4.0  # -3 -> 1 at the second breakpoint
 
 
-def test_derivative_c1_flag_jump_error():
+def test_c1_is_read_from_the_breakpoint_jumps():
+    # phi' jumps by 3.5 and 4 at the breakpoints; derivative() is a plain view of it
     phi = piecewise_affine()
-    bad = LineMap(phi.breakpoints, phi.coeffs, 0.5, 1.0, c1=True)
-    with pytest.raises(ValueError):
-        derivative(bad)
+    assert not phi.c1
+    assert derivative(phi)(0.0) == -3.0
+    smooth = LineMap(phi.breakpoints, np.array([[0.0, 1.0, 0, 0], [11.0, 1.0, 0, 0], [21.0, 1.0, 0, 0]]), 1.0, 1.0)
+    assert smooth.c1 and derivative(smooth).max_jump() == 0.0
 
 
 @pytest.mark.parametrize("tails", [(1.0, 2.0), (2.0, 1.0)], ids=["right", "left"])
-def test_derivative_c1_flag_tail_jump_error(tails):
-    # slope 1 on the window; a C1-flagged tail of slope 2 is a jump of 1 at that edge
-    phi = LineMap(np.array([-16.0, 16.0]), np.array([[-16.0, 1.0, 0, 0]]), *tails, c1=True)
+def test_c1_is_read_from_the_tail_junctions(tails):
+    # slope 1 on the window; a tail of slope 2 is a jump of 1 at that edge
+    phi = LineMap(np.array([-16.0, 16.0]), np.array([[-16.0, 1.0, 0, 0]]), *tails)
     assert LineMapDerivative(phi).max_jump() == 1.0
-    with pytest.raises(ValueError, match="jump 1"):
-        derivative(phi)
+    assert not phi.c1
+    assert LineMap(phi.breakpoints, phi.coeffs, 1.0, 1.0).c1
+    # a jump just above the tolerance is one
+    assert not LineMap(phi.breakpoints, phi.coeffs, 1.0, 1.0 + 4 * maps_module.C1_TOL).c1
+
+
+# each named map at its defaults, one that reverses and one that folds,
+# with whether it is a homeomorphism; every one is C^1 to the last few ulps
+NAMED_MONOTONE = {
+    "identity": True, "shift": True, "scale": True, "affine": True, "quadratic": False,
+    "sin_drift": True, "sin": False, "affine:a=-0.5,b=0": True, "sin_drift:amp=1.5": False,
+}
+
+
+@pytest.mark.parametrize("spec", list(NAMED_MONOTONE))
+def test_every_named_map_is_c1_and_reads_its_monotonicity(spec):
+    phi = named_map(spec)
+    assert derivative(phi).max_jump() <= 4.5e-16
+    assert phi.c1
+    assert phi.strictly_monotone is NAMED_MONOTONE[spec]
 
 
 def test_sin_tails_take_the_spline_end_slopes():

@@ -210,12 +210,35 @@ def test_chain_sin_drift_residual():
     assert frag.values["residual"] < 1e-4
 
 
+def kink():
+    # phi(x) = x for x < 0 and 2x for x > 0: phi' jumps by 1 at 0
+    return LineMap(np.array([-16.0, 0.0, 16.0]), np.array([[-16.0, 1.0, 0, 0], [0.0, 2.0, 0, 0]]), 1.0, 2.0)
+
+
 def test_chain_requires_c1():
-    bp = np.array([-16.0, 0.0, 16.0])
-    cf = np.array([[-16.0, 1.0, 0, 0], [0.0, 2.0, 0, 0]])
-    kinked = LineMap(bp, cf, 1.0, 2.0, c1=False)
     with pytest.raises(ValueError):
-        check_sufficiency_chain(MapOnGrid.read(kinked, Resolution()), sample("gaussian"), SP)
+        check_sufficiency_chain(MapOnGrid.read(kink(), Resolution()), sample("gaussian"), SP)
+
+
+@pytest.mark.parametrize(
+    "phi, c1, chain",
+    [
+        (kink(), False, False),
+        # slope 1 on the window, slope 2 past its right edge
+        (LineMap(np.array([-16.0, 16.0]), np.array([[-16.0, 1.0, 0, 0]]), 1.0, 2.0), False, False),
+        # x + x^2 / 64 on [0, 16]: phi'' jumps at 0, phi' does not
+        (LineMap(np.array([-16.0, 0.0, 16.0]), np.array([[-16.0, 1.0, 0, 0], [0.0, 1.0, 1 / 64, 0]]), 1.0, 1.5),
+         True, True),
+        # C^1, but f o phi is the constant f(0) past the window too
+        (affine_map(0.0, 0.0), True, False),
+    ],
+    ids=["kink", "tail slope 2", "C1 join", "flat"],
+)
+def test_classify_runs_the_chain_fragment_on_c1_maps_without_a_flat_tail(phi, c1, chain):
+    assert phi.c1 is c1
+    for sp in (SP, SP_INF):
+        rep = classify(phi, sp, res=Resolution(2**11 + 1))
+        assert ("sufficiency_chain" in [fr.name for fr in rep.fragments]) is chain
 
 
 def test_infinity_witness_identity_degenerate():
