@@ -16,7 +16,6 @@ from .norms import (
     DyadicHGrid,
     besov_norm_diff,
     besov_seminorm_diff,
-    difference,
     embedding_lhs,
     littlewood_paley_norm,
     sobolev_norm_diff,

@@ -228,12 +228,10 @@ DEFAULT_SUITE = {
 
 
 def _suite_settings(space, maps, seed=1234, count=DEFAULT_COUNT, kind="besov"):
-    """The suite config's fields, with their defaults."""
+    """The suite config's fields, with their defaults; the maps come built,
+    in sorted spec order, no two with one name."""
     if not isinstance(maps, list) or not maps or not all(isinstance(spec, str) for spec in maps):
         raise ValueError(f"suite config: maps must be a nonempty list of map specs, got {maps!r}")
-    twice = [spec for spec in maps if maps.count(spec) > 1]
-    if twice:
-        raise ValueError(f"suite config: maps lists {twice[0]!r} more than once")
     if kind not in KINDS:
         raise ValueError(f"suite config: kind must be one of {KINDS}, got {kind!r}")
     for key, value in (("seed", seed), ("count", count)):
@@ -242,7 +240,14 @@ def _suite_settings(space, maps, seed=1234, count=DEFAULT_COUNT, kind="besov"):
     for key, value in space.items() if isinstance(space, dict) else ():
         if not is_json_number(value):
             raise ValueError(f"suite config: space key {key!r} must be a number, got {value!r}")
-    return call_declared("suite space", SpaceParams, space), maps, seed, count, kind
+    specs = sorted(maps)
+    phis = [named_map(spec) for spec in specs]
+    names = [phi.name for phi in phis]
+    for i, name in enumerate(names):
+        if name in names[:i]:
+            first = specs[names.index(name)]
+            raise ValueError(f"suite config: maps {first!r} and {specs[i]!r} both build the map {name!r}")
+    return call_declared("suite space", SpaceParams, space), phis, seed, count, kind
 
 
 def cmd_suite(args) -> int:
@@ -251,14 +256,11 @@ def cmd_suite(args) -> int:
             cfg = json.load(fh)
     else:
         cfg = DEFAULT_SUITE
-    sp, maps, seed, count, kind = call_declared("suite config", _suite_settings, cfg)
+    sp, phis, seed, count, kind = call_declared("suite config", _suite_settings, cfg)
     res = Resolution(count)  # one grid and norm cache for the whole run
     os.makedirs(args.out, exist_ok=True)
     started = time.time()
-    ordered = [
-        classify(named_map(spec), sp, kind=kind, seed=seed, res=res)
-        for spec in sorted(maps)
-    ]
+    ordered = [classify(phi, sp, kind=kind, seed=seed, res=res) for phi in phis]
 
     records_path = os.path.join(args.out, "records.json")
     _dump_records([r.to_json() for r in ordered], records_path)

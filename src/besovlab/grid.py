@@ -50,8 +50,8 @@ class GridFunction:
     """Samples of a function on origin + i*spacing, i = 0..count-1.
 
     ``descriptor``, when present, is the exact callable the samples came
-    from; it is carried along so resampling and composed evaluation can be
-    exact instead of interpolated. It never participates in equality.
+    from; it is carried along so composed evaluation can be exact instead
+    of interpolated. It never participates in equality.
     """
 
     samples: np.ndarray
@@ -98,9 +98,7 @@ class GridFunction:
 
     def _require_same_grid(self, other: "GridFunction"):
         if (self.count, self.origin, self.spacing) != (other.count, other.origin, other.spacing):
-            raise GridMismatchError(
-                "grids differ (origin/spacing/count); resample explicitly first"
-            )
+            raise GridMismatchError("grids differ (origin/spacing/count)")
 
     def __mul__(self, other):
         if isinstance(other, GridFunction):
@@ -116,18 +114,6 @@ class GridFunction:
         )
 
     __rmul__ = __mul__
-
-    def resample(self, count: int) -> "GridFunction":
-        """Same window on ``count`` points; exact when a descriptor is known."""
-        if count < 2:
-            raise ValueError("count must be >= 2")
-        spacing = (self.end - self.origin) / (count - 1)
-        xs = self.origin + spacing * np.arange(count)
-        if self.descriptor is not None:
-            vals = np.asarray(self.descriptor(xs), dtype=np.float64)
-        else:
-            vals = self(xs)
-        return GridFunction(vals, spacing, self.origin, self.extension, self.descriptor)
 
 
 @dataclass(frozen=True)

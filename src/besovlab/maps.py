@@ -491,12 +491,10 @@ def derivative(phi: LineMap) -> LineMapDerivative:
     return LineMapDerivative(phi)
 
 
-def steepest_point(phi: LineMap, margin: float = 0.0) -> tuple[float, float]:
-    """(|phi'|, x) at the point of largest |phi'| on the pieces, at distance
-    >= margin from the window edges (so that witness bumps built there
-    survive the window truncation); exact per-piece quadratic analysis."""
+def steepest_point(phi: LineMap, lo: float, hi: float) -> tuple[float, float]:
+    """(|phi'|, x) at the point of largest |phi'| on the pieces within
+    [lo, hi], a part of phi's window; exact per-piece quadratic analysis."""
     bp = phi.breakpoints
-    lo, hi = bp[0] + margin, bp[-1] - margin
     best_val, best_x = -1.0, 0.5 * (lo + hi)
     for i, c in enumerate(phi.coeffs):
         length = bp[i + 1] - bp[i]
@@ -520,7 +518,7 @@ def steepest_point(phi: LineMap, margin: float = 0.0) -> tuple[float, float]:
 
 def lipschitz_constant(phi: LineMap) -> float:
     """sup |phi'|: the steepest point of the pieces, tail slopes included."""
-    return max(abs(phi.left_slope), abs(phi.right_slope), steepest_point(phi)[0])
+    return max(abs(phi.left_slope), abs(phi.right_slope), steepest_point(phi, *phi.window)[0])
 
 
 def preimage_intervals(phi: LineMap, target) -> IntervalSet:
@@ -558,6 +556,11 @@ def preimage_intervals(phi: LineMap, target) -> IntervalSet:
     if start is not None:
         merged.append((start, end))
     return IntervalSet(tuple(merged))
+
+
+def preimage_lengths(phi: LineMap, los, his) -> np.ndarray:
+    """|phi^-1([lo, hi])| within the window for each lo, hi of ``los``, ``his``."""
+    return _kernels.preimage_lengths(phi.segments(), los, his)
 
 
 def _sup_preimage_lengths(phi: LineMap, widths: list[float]) -> list[float]:

@@ -5,10 +5,9 @@ signed dyadic grid: level k covers |h| in [2^-(k+1), 2^-k], each sign of
 each level carries total log-measure ln 2 split evenly over its nodes.
 Every node is snapped to the nearest nonzero multiple of the grid spacing,
 so every difference inside a norm is an exact integer-shift stencil (this
-is what makes polynomial annihilation exact). Only difference(), the
-single-shift operator, interpolates sub-cell shifts linearly. Nodes below
-one grid spacing are dropped and the remaining tail of the integral is
-extrapolated from the power law of the last two computed levels.
+is what makes polynomial annihilation exact). Nodes below one grid spacing
+are dropped and the remaining tail of the integral is extrapolated from the
+power law of the last two computed levels.
 
 Accuracy (Plancherel oracle, B^s_{2,2}, m = 3, f = exp(-(x/w)^2)): off by
 about 1e-3 once w spans 64 cells, at most 3.3e-3 (s = 1.5, w = 2), a bias
@@ -36,7 +35,8 @@ rounding; _sup_bounds), is below the running max; as m > s it grows with
 its bits. A nonzero extension value or p < 1 computes every shift, as does a
 NaN or infinite sample, whose bound is NaN or inf.
 
-The Fourier paths take the real half spectrum (rfft/irfft). Every band
+The Fourier paths take the real half spectrum (rfft/irfft) of the grid's
+own count - 1 cells, the window taken as one period. Every band
 mask and the Sobolev lift depend on |xi| only, so this is the same operator
 on half the data. At p = 2 no band is inverted: by discrete Parseval a
 band's L^2 norm is read from the half spectrum, each bin weighted by the
@@ -124,33 +124,6 @@ def _materialize(hg: DyadicHGrid, spacing: float):
 
 
 DEFAULT_HGRID = DyadicHGrid()
-
-
-# ---------------------------------------------------------------------------
-# difference operator
-# ---------------------------------------------------------------------------
-
-def difference(f: GridFunction, m: int, h: float) -> GridFunction:
-    """Delta^m_h f on f's grid, using f's extension beyond the window.
-
-    m = 0 is the identity. |h| >= spacing is snapped to the nearest grid
-    multiple; smaller |h| is evaluated by linear interpolation.
-    """
-    if m < 0:
-        raise ValueError("difference order must be nonnegative")
-    if m == 0:
-        return f
-    if abs(h) > 1.0:
-        raise ValueError("|h| <= 1 required")
-    left, right = f.ext_values()
-    if abs(h) >= f.spacing:
-        off = int(math.copysign(round(abs(h) / f.spacing), h))
-        vals = _kernels.shift_difference_batch(
-            f.samples, left, right, np.array([off]), m
-        )[0]
-    else:
-        vals = _kernels.interp_difference(f.samples, f.origin, f.spacing, left, right, h, m)
-    return GridFunction(vals, f.spacing, f.origin, Extension.ZERO if m >= 1 else f.extension)
 
 
 def _difference_norm_table(
@@ -276,17 +249,11 @@ def _cutoff(xi):
 
 
 def _half_spectrum(f: GridFunction):
-    """Window treated as one period of 2^k cells; returns (f resampled to
-    2^k + 1 points when needed, its real half spectrum). Invert with
-    np.fft.irfft(..., n=f.count - 1)."""
+    """The real half spectrum of f's count - 1 cells, the window taken as
+    one period. Invert with np.fft.irfft(..., n=f.count - 1)."""
     if f.extension is not Extension.ZERO:
         raise ValueError("Fourier path requires zero extension")
-    m = f.count - 1
-    if m & (m - 1):
-        target = 2 ** int(math.ceil(math.log2(m))) + 1
-        f = f.resample(target)
-        m = f.count - 1
-    return f, np.fft.rfft(f.samples[:m])
+    return np.fft.rfft(f.samples[:-1])
 
 
 def _angular_freqs(m: int, spacing: float) -> np.ndarray:
@@ -340,7 +307,7 @@ def littlewood_paley_norm(f: GridFunction, sp: SpaceParams) -> float:
     dyadic bands band_j(xi) = cut(2^-j xi) - cut(2^-(j-1) xi), band_0 = cut,
     for j = 0 .. ceil(log2(pi / spacing)) + 1. At p = 2 each band's norm is
     read from the spectrum by Parseval; otherwise each band is inverted."""
-    f, spec = _half_spectrum(f)
+    spec = _half_spectrum(f)
     m = f.count - 1
     parseval = sp.p == 2.0
     if parseval:
@@ -366,7 +333,7 @@ def sobolev_norm_fourier(f: GridFunction, s: float, p: float) -> float:
     at p = 2 read from the spectrum by Parseval."""
     if not (1.0 < p < math.inf):
         raise ValueError("Sobolev space requires p in (1, inf)")
-    f, spec = _half_spectrum(f)
+    spec = _half_spectrum(f)
     m = f.count - 1
     xi2 = _angular_freqs(m, f.spacing) ** 2
     if p == 2.0:

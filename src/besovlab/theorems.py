@@ -65,7 +65,6 @@ from typing import Optional
 
 import numpy as np
 
-from . import _kernels
 from .gadgets import eta_eps, eta_resolved, linear_cutoff, plateau, unit_bump, zigzag_g, zigzag_window_length
 from .grid import (
     DEFAULT_COUNT,
@@ -90,6 +89,7 @@ from .maps import (
     lipschitz_constant,
     max_preimage_count,
     preimage_intervals,
+    preimage_lengths,
     steepest_point,
 )
 from .multipliers import (
@@ -114,6 +114,7 @@ A_STEP = 0.25  # spacing of the unit-interval targets [a, a+1]
 KAPPA_MAX = 3.0  # nec_U: U^(1/p) <= KAPPA_MAX * opnorm * ||bump||
 LIP_DELTAS = (1.0 / 3.0, 0.2, 0.1, 0.05)  # nec_lipschitz witness scales
 LIP_FACTOR_TOL = 2.0  # nec_lipschitz: implied slope within this factor of Lip
+LIP_MARGIN = 2.0  # nec_lipschitz: the steepest point's least distance from the window edges
 CHAIN_RESIDUAL = 1e-4  # chain-rule residual gate, times max(1, Lip)^3
 KAPPA_CHAIN = 10.0  # chain: ||C_phi f|| <= KAPPA_CHAIN * (chain-rule bound)
 LIP_RECON_TOL = 0.02  # infinity witness: relative error of the Lip reconstruction
@@ -351,7 +352,7 @@ def composed_bump_masses(mg: MapOnGrid, targets, p: float) -> list[float]:
         i1 = min(math.ceil((a + 2.0 - x[0]) / dx) + 3, n)
         samples[i0:i1] = _plateau(a, a + 1.0, 1.0)(x[i0:i1])
         near = (mg.ys >= x[i0] - dx) & (mg.ys <= x[i1 - 1] + dx)
-        vals[near] = _kernels.interp_eval(samples, x[0], dx, 0.0, 0.0, mg.ys[near])
+        vals[near] = GridFunction(samples, dx, x[0])(mg.ys[near])
         masses.append(lp_norm(GridFunction(vals, dx, x[0], Extension.ZERO), p) ** p)
     return masses
 
@@ -362,7 +363,6 @@ def check_nec_U(mg: MapOnGrid, sp: SpaceParams, opnorm: float, uval: float, kind
     if math.isinf(sp.p):
         raise ValueError("unit-interval necessity check requires p < inf")
     res, window = mg.res, mg.res.window
-    seg = mg.phi.segments()
     ymin, ymax = mg.phi.value_range()
     # keep witness targets away from the range edges so their preimages stay
     # inside the window (truncated composed mass would fake a violation)
@@ -370,7 +370,7 @@ def check_nec_U(mg: MapOnGrid, sp: SpaceParams, opnorm: float, uval: float, kind
     a_hi = min(ymax - 2.0, window[1] - 1.0)
     a_grid = np.arange(a_lo, a_hi + A_STEP, A_STEP)
     a_grid = a_grid[(a_grid >= window[0]) & (a_grid + 1.0 <= window[1])]
-    lengths = _kernels.preimage_lengths(seg, a_grid, a_grid + 1.0)
+    lengths = preimage_lengths(mg.phi, a_grid, a_grid + 1.0)
     slack = 2.0 * (mg.npre + 1) * res.spacing
     resolved = lengths > 4.0 * res.spacing
     masses = composed_bump_masses(mg, a_grid[resolved], sp.p)
@@ -424,7 +424,13 @@ def check_nec_lipschitz(mg: MapOnGrid, sp: SpaceParams) -> Fragment:
         return Fragment(
             "nec_lipschitz", passed=True, vacuous=True, note="flat map; vacuous"
         )
-    b = steepest_point(phi, margin=2.0)[1]
+    # b's witness ramps must lie on phi's pieces and on the grid, untruncated
+    lo = max(phi.window[0], res.window[0]) + LIP_MARGIN
+    hi = min(phi.window[1], res.window[1]) - LIP_MARGIN
+    if lo > hi:
+        note = f"no point lies {LIP_MARGIN} inside both phi's window {list(phi.window)} and the grid's {list(res.window)}"
+        return Fragment("nec_lipschitz", passed=True, vacuous=True, note=note + "; vacuous")
+    b = steepest_point(phi, lo, hi)[1]
     slope_b = phi.derivative_values(b)
     if abs(slope_b) < 1e-12:
         return Fragment(

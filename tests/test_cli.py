@@ -273,6 +273,28 @@ def test_check_short_map_window_reads_like_its_map(tmp_path, capsys):
         assert short["computed"][key] == identity["computed"][key]
 
 
+def test_check_wide_map_window_reads_nec_lipschitz_like_its_map(tmp_path, capsys):
+    # 2x written as one piece on [-40, 40], wider than the grid's [-16, 16]:
+    # the ramp witness is built at a steepest point inside both windows, as
+    # for scale(2) on its own window
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps({
+        "pieces": [{"interval": [-40, 40], "coeffs": [-80, 2, 0, 0]}],
+        "tails": {"left_slope": 2, "right_slope": 2},
+    }))
+    implied = []
+    for spec in (str(path), "scale:k=2"):
+        out = tmp_path / "report.json"
+        code, _, err = run(capsys, "check", "--map", spec, "--space", "s=2.1,p=2,q=2,m=3", "--json", str(out))
+        report = json.loads(out.read_text())[0]
+        assert (code, err, report["verdict"]) == (0, "", "ConsistentBounded")
+        (frag,) = [fr for fr in report["fragments"] if fr["name"] == "nec_lipschitz"]
+        assert frag["passed"] and not frag["vacuous"]
+        implied.append(frag["values"]["implied_lip"])
+    wide, scale = implied
+    assert wide == pytest.approx(scale, rel=0.0, abs=1e-9)
+
+
 def test_check_p_inf_m3_zigzag_vacuous(tmp_path, capsys):
     # the m - 1 = 2 zigzag needs a window of length 64; the default one is 32.
     # The Lipschitz stage alone does not make the map ConsistentBounded.
@@ -600,6 +622,14 @@ BAD_SUITE = {
     "maps a string": ({"maps": "identity"}, "maps"),
     "maps with a number": ({"maps": ["identity", 2]}, "maps"),
     "a map twice": ({"maps": ["identity", "scale:k=2", "identity"]}, "maps"),
+    # two specs that build maps of one name, both named
+    "one map, two specs": (
+        {"maps": ["identity", " identity"]}, "maps ' identity' and 'identity' both build the map 'identity'"
+    ),
+    "one affine map, two key orders": (
+        {"maps": ["affine:b=2,a=0.5", "shift:c=1", "affine:a=0.5,b=2"]},
+        "maps 'affine:a=0.5,b=2' and 'affine:b=2,a=0.5' both build the map 'affine(0.5,2.0)'",
+    ),
     "kind foo": ({"kind": "foo"}, "kind"),
     "count 1025.7": ({"count": 1025.7}, "count"),
     "count a string": ({"count": "1025"}, "count"),

@@ -5,7 +5,8 @@ unless declared test-only, every defaulted parameter and dataclass field
 is passed by some call in the program unless declared here, the package
 reads no environment variable that is not declared here, the fragments in
 theorems.py read their grid from one Resolution and their map from one
-MapOnGrid, and the program runs without importing scipy."""
+MapOnGrid, theorems.py reads phi through maps and never through _kernels,
+and the program runs without importing scipy."""
 
 import ast
 import math
@@ -258,10 +259,48 @@ def test_map_guard_sees_each_form(source, want):
     assert _map_outside_reading(source) == want
 
 
+# theorems.py asks maps about phi: it imports nothing from _kernels and reads
+# no segment table, whose column layout only maps knows
+def _kernel_reads(source: str) -> list[str]:
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            names = [node.module or ""] + [alias.name for alias in node.names]
+        else:
+            names = []
+        if any(name.split(".")[-1] == "_kernels" for name in names):
+            found.append(f"import of _kernels (line {node.lineno})")
+        elif isinstance(node, ast.Attribute) and node.attr == "segments":
+            found.append(f".segments (line {node.lineno})")
+    return sorted(found)
+
+
+def test_theorems_reads_phi_through_maps():
+    assert _kernel_reads((PACKAGE / "theorems.py").read_text()) == []
+
+
+@pytest.mark.parametrize(
+    "source, want",
+    [
+        ("from . import _kernels", ["import of _kernels (line 1)"]),
+        ("from ._kernels import preimage_lengths", ["import of _kernels (line 1)"]),
+        ("from besovlab import maps, _kernels as K", ["import of _kernels (line 1)"]),
+        ("import besovlab._kernels", ["import of _kernels (line 1)"]),
+        ("seg = mg.phi.segments()", [".segments (line 1)"]),
+        ("table = phi.segments\nrows = table()", [".segments (line 1)"]),
+        ("from .maps import preimage_lengths\nlengths = preimage_lengths(mg.phi, a, a + 1.0)", []),
+        ("from . import maps\nsegments = 3", []),
+    ],
+)
+def test_kernel_guard_sees_each_form(source, want):
+    assert _kernel_reads(source) == want
+
+
 # Names that only the tests reach, each kept as a paper check, an oracle or a
 # reference that the tests compare the program against.
 TEST_ONLY_API = {
-    "difference": "Delta^m_h f itself, the textbook operator the difference stencils are held to",
     "embedding_lhs": "the l^p sum of per-cell sups in the paper's embedding, kept as a paper check",
     "inverse_map": "phi^-1 as a spline: classify must read phi and phi^-1 alike",
     "pairwise_disjoint": "the property every greedy class must have, checked on each split",

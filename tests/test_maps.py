@@ -240,7 +240,7 @@ def test_lipschitz_values():
 def test_steepest_point_and_lipschitz_pinned():
     assert lipschitz_constant(sin_map()) == 1.000000014096952
     assert lipschitz_constant(quadratic_map()) == 32.0
-    slope, x = steepest_point(sin_drift_map(0.5), margin=2.0)
+    slope, x = steepest_point(sin_drift_map(0.5), -14.0, 14.0)
     assert x == -6.283184679571341
     assert slope == pytest.approx(1.5, rel=1e-6)
 

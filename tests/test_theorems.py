@@ -191,6 +191,16 @@ def test_nec_lipschitz_flat_vacuous():
     assert frag.passed and frag.vacuous
 
 
+@pytest.mark.parametrize("lo, hi", [(20.0, 30.0), (14.0, 20.0), (-17.0, -15.0)])
+def test_nec_lipschitz_vacuous_without_a_point_inside_both_windows(lo, hi):
+    # phi = 2x written on [lo, hi]: no point of it lies 2 inside the grid's
+    # [-16, 16], so no ramp witness survives the truncation at both edges
+    phi = LineMap(np.array([lo, hi]), np.array([[2.0 * lo, 2.0, 0, 0]]), 2.0, 2.0)
+    frag = check_nec_lipschitz(MapOnGrid.read(phi, Resolution(2049)), SP)
+    assert frag.passed and frag.vacuous
+    assert frag.note == f"no point lies 2.0 inside both phi's window [{lo}, {hi}] and the grid's [-16.0, 16.0]; vacuous"
+
+
 def test_chain_identity_exact():
     f = sample("gaussian")
     frag = check_sufficiency_chain(MapOnGrid.read(identity_map(), Resolution()), f, SP)
