@@ -3,9 +3,9 @@
 Exit codes: 0 all checks passed, 2 a check failed, 3 refused parameter
 range, 4 config or usage error. All reports are reproducible from config
 + seed; timestamps live only in the separate meta output so record files
-are byte-identical across reruns. The suite classifies its maps one after
-another in sorted order, and one theorems.Resolution (the grid and the norm
-cache) serves every classify of a run.
+are byte-identical across reruns. The suite classifies its maps in sorted
+order in one theorems.classify_maps call, on one theorems.Resolution (the
+grid and the norm cache) and with one worker for the phi' halves.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ from .norms import (
     sobolev_norm_fourier,
 )
 from .splitting import IntervalFamily, intersection_degree, split_partition
-from .theorems import CheckReport, RangeGateError, Resolution, classify
+from .theorems import CheckReport, RangeGateError, Resolution, classify, classify_maps
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 2
@@ -229,7 +229,7 @@ DEFAULT_SUITE = {
 
 def _suite_settings(space, maps, seed=1234, count=DEFAULT_COUNT, kind="besov"):
     """The suite config's fields, with their defaults; the maps come built,
-    in sorted spec order, no two with one name."""
+    in sorted spec order, no two with one name or one window, pieces and tails."""
     if not isinstance(maps, list) or not maps or not all(isinstance(spec, str) for spec in maps):
         raise ValueError(f"suite config: maps must be a nonempty list of map specs, got {maps!r}")
     if kind not in KINDS:
@@ -242,11 +242,11 @@ def _suite_settings(space, maps, seed=1234, count=DEFAULT_COUNT, kind="besov"):
             raise ValueError(f"suite config: space key {key!r} must be a number, got {value!r}")
     specs = sorted(maps)
     phis = [named_map(spec) for spec in specs]
-    names = [phi.name for phi in phis]
-    for i, name in enumerate(names):
-        if name in names[:i]:
-            first = specs[names.index(name)]
-            raise ValueError(f"suite config: maps {first!r} and {specs[i]!r} both build the map {name!r}")
+    built = ("breakpoints", "coeffs", "left_slope", "right_slope")  # the window, pieces and tails
+    for i, phi in enumerate(phis):
+        for first, other in zip(specs, phis[:i]):
+            if other.name == phi.name or all(np.array_equal(getattr(other, a), getattr(phi, a)) for a in built):
+                raise ValueError(f"suite config: maps {first!r} and {specs[i]!r} both build the map {other.name!r}")
     return call_declared("suite space", SpaceParams, space), phis, seed, count, kind
 
 
@@ -260,7 +260,7 @@ def cmd_suite(args) -> int:
     res = Resolution(count)  # one grid and norm cache for the whole run
     os.makedirs(args.out, exist_ok=True)
     started = time.time()
-    ordered = [classify(phi, sp, kind=kind, seed=seed, res=res) for phi in phis]
+    ordered = classify_maps(phis, sp, kind=kind, seed=seed, res=res)
 
     records_path = os.path.join(args.out, "records.json")
     _dump_records([r.to_json() for r in ordered], records_path)
@@ -269,7 +269,7 @@ def cmd_suite(args) -> int:
         "started": started,
         "finished": time.time(),
         "runtime_s": {r.map_name: r.runtime_s for r in ordered},
-        # wall_s, cpu_s of the phi' worker and the caller's wait_s; null where the half ran in the caller
+        # the worker's wall_s, cpu_s on the map's phi' half and the caller's wait_s; null where shared or in the caller
         "worker": {r.map_name: r.worker for r in ordered},
         "config": cfg,
     }

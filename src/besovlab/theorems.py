@@ -18,8 +18,8 @@ sha256 digest, spacing, extension values, (s, p, q, m), h-grid). The grid
 origin is left out because every norm is translation invariant. The opnorm
 sweep reads the whole family, nec_U its unit_bump(0) and the chain fragment
 its gaussian, so each witness is sampled and hashed once per grid.
-``classify`` makes a ``Resolution`` for its own call unless it is handed
-one; ``besovlab suite`` hands one to every ``classify`` of a run, so the
+``classify_maps`` makes a ``Resolution`` for its call unless it is handed
+one; ``besovlab suite`` classifies all its maps in one such call, so the
 family, its denominators, the bump norm and the phi' half of maps that
 share phi' (affine(0.5, 2) and scale(0.5)) are computed once per run.
 A hit returns the stored float, so the arithmetic, and every output, is
@@ -32,27 +32,24 @@ own. Every fragment takes that reading, so phi is evaluated on the grid
 once per ``classify``; a witness on the grid is composed with phi by
 reading it at those values.
 
-``classify`` runs in two halves at once, the two conditions the paper
-reduces boundedness to. The phi' half (``_multiplier_half``: the uniform
+``classify_maps`` computes the two conditions the paper reduces
+boundedness to at once. The phi' half (``_multiplier_half``: the uniform
 profile, the tester lower bound of the multiplier norm and, for p < inf,
 the msq search) reads phi' alone, so ``res.halves`` keeps its record
 entries by value, keyed by phi''s content (``Resolution.content``) and
-origin, the space, kind and seed: a map whose phi' was seen (scale(0.5)
-after affine(0.5, 2)) forks nothing. Otherwise a ``worker.Worker`` computes
-the half on another CPU and sends back its entries only, while the caller
-computes U, M, the opnorm lower bound and the fragments. A norm is a
-function of its key, so the report is the same bit for bit whichever
-process computed it. The half runs in the caller unless a worker answered
-clean: where only one CPU is allowed (``taskset -c 0``), and where the
-worker raised, warned, died or could not pickle its result, so an
-exception or a warning comes from the caller as in one process.
-``CheckReport.worker`` holds the worker's wall and CPU seconds and the
-caller's wait, for ``meta.json`` only; it is None where no worker answered.
+origin, the space, kind and seed. Once every map is read, one
+``worker.Worker`` computes the halves that ``res.halves`` lacks, in order of
+first need, and streams back their entries only, while the caller computes
+U, M, the opnorm lower bound and the fragments map by map. Only then does
+it read the halves and make the verdicts, so a half that is slow in the
+worker delays no map's own work. ``classify`` is the one-map case.
+A norm is a function of its key, so the report is the same bit for bit
+whichever process computed it, and a half the worker does not answer clean
+runs in the caller (see ``worker``).
 """
 
 from __future__ import annotations
 
-import contextlib
 import csv
 import functools
 import hashlib
@@ -61,7 +58,7 @@ import itertools
 import math
 import time
 from dataclasses import asdict, dataclass, field
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -269,7 +266,7 @@ class CheckReport:
     runtime_s: float
     grid: dict
     seed: int
-    worker: Optional[dict] = None  # Worker.timing of the phi' half (None: no worker answered); never in to_json
+    worker: Optional[dict] = None  # timing of the phi' half in the worker (None: shared or in the caller); not in to_json
 
     def to_json(self) -> dict:
         return {
@@ -637,78 +634,112 @@ def _multiplier_half(mg: MapOnGrid, sp: SpaceParams, kind: str, seed: int) -> di
     }
 
 
+def classify_maps(
+    phis: list, sp: SpaceParams, kind: str = "besov", seed: int = 1234, res: Optional[Resolution] = None
+) -> list[CheckReport]:
+    """The report of each of one map or more, in turn, on one ``res``
+    (without one, made at the default count); see the module docstring."""
+    res = Resolution() if res is None else res
+    gate_space(sp, kind)
+    if kind == "sobolev" and not all(phi.strictly_monotone for phi in phis):
+        raise RangeGateError("Sobolev route requires a homeomorphism (strictly monotone map)")
+    reads, jobs = [], {}  # jobs: the key of each half res lacks -> the args of its first map's call
+    for phi in phis:
+        t0 = time.perf_counter()
+        mg = MapOnGrid.read(phi, res)
+        key = (res.content(mg.phi_prime), mg.phi_prime.origin, (sp.s, sp.p, sp.q, sp.m), kind, seed)
+        reads.append([mg, key, time.perf_counter() - t0])  # the read's seconds count to its map's runtime_s
+        if key not in res.halves:
+            jobs.setdefault(key, (mg, sp, kind, seed))
+    job_of = {key: i for i, key in enumerate(jobs)}
+    t0 = time.perf_counter()
+    with Worker(_multiplier_half, list(jobs.values())) as worker:
+        reads[0][2] += time.perf_counter() - t0  # and the fork's to the first map's
+
+        def half(key) -> tuple[dict, Optional[dict]]:
+            """The half's entries, and the worker's timing at the map that first needs them."""
+            if key in res.halves:
+                return res.halves[key], None
+            res.halves[key] = worker.result(job_of[key])
+            return res.halves[key], worker.timings[job_of[key]]
+
+        # every map's own work comes first, so a half slow in the worker holds up only the verdicts at the end
+        reports = [_classify_read(mg, sp, kind, seed, pre) for mg, key, pre in reads]
+        return [report(functools.partial(half, key)) for report, (_, key, _) in zip(reports, reads)]
+
+
 def classify(
     phi: LineMap, sp: SpaceParams, kind: str = "besov", seed: int = 1234, res: Optional[Resolution] = None
 ) -> CheckReport:
-    """Assemble the geometric functionals, the multiplier estimates of phi',
-    and the witness fragments into a verdict for one (map, space) pair.
+    """The verdict of one (map, space) pair: the one-map case of ``classify_maps``."""
+    return classify_maps([phi], sp, kind, seed, res)[0]
 
-    Every sample and norm goes through ``res``; without one, classify makes
-    its own at the default count."""
+
+def _classify_read(mg: MapOnGrid, sp: SpaceParams, kind: str, seed: int, pre_s: float) -> Callable:
+    """The caller's own work on one map from its reading; returns the function that makes the map's
+    report from ``half()`` (the phi' half, its timing). ``runtime_s`` is both calls and the ``pre_s``
+    seconds spent on the map before them."""
     t0 = time.perf_counter()
-    if res is None:
-        res = Resolution()
-    gate_space(sp, kind)
-    if kind == "sobolev" and not phi.strictly_monotone:
-        raise RangeGateError("Sobolev route requires a homeomorphism (strictly monotone map)")
-    mg = MapOnGrid.read(phi, res)
-    key = (res.content(mg.phi_prime), mg.phi_prime.origin, (sp.s, sp.p, sp.q, sp.m), kind, seed)
-    half = res.halves.get(key)
-    with Worker(_multiplier_half, mg, sp, kind, seed) if half is None else contextlib.nullcontext() as worker:
-        uval = U_functional(phi)
-        mest = M_functional(phi, uval)
-        op_val, op_arg = opnorm_lower_detailed(mg, sp, kind)
-        fragments = []
-        if math.isinf(sp.p):
-            fragments.append(check_infinity_witness(mg, sp, op_val))
-        else:
-            fragments.append(check_nec_U(mg, sp, op_val, uval, kind))
-            if kind == "besov":
-                fragments.append(check_nec_lipschitz(mg, sp))
-        if phi.c1 and 0.0 not in (phi.left_slope, phi.right_slope):  # past a flat tail f o phi is f(edge), not 0
-            fragments.append(check_sufficiency_chain(mg, res.family["gaussian"], sp))
-        if half is None:
-            half = res.halves[key] = worker.result()
-
-    if math.isinf(uval) and not math.isinf(sp.p):
-        # U < inf is necessary for p < inf only; at p = inf no fragment reads U
-        verdict = "ConsistentUnbounded"
-        note = "U(phi) infinite: the necessary unit-interval distortion bound fails"
-    elif half["window_limited"]:
-        verdict = "Inconclusive"
-        note = (
-            "window-limited: multiplier profile of phi' still growing at the "
-            "window edge; the truncated window cannot witness the supremum on R"
-        )
-    elif all(fr.passed for fr in fragments):
-        verdict = "ConsistentBounded"
-        note = ""
+    phi, res = mg.phi, mg.res
+    uval = U_functional(phi)
+    mest = M_functional(phi, uval)
+    op_val, op_arg = opnorm_lower_detailed(mg, sp, kind)
+    fragments = []
+    if math.isinf(sp.p):
+        fragments.append(check_infinity_witness(mg, sp, op_val))
     else:
-        verdict = "Inconclusive"
-        note = "failed fragments: " + ",".join(fr.name for fr in fragments if not fr.passed)
+        fragments.append(check_nec_U(mg, sp, op_val, uval, kind))
+        if kind == "besov":
+            fragments.append(check_nec_lipschitz(mg, sp))
+    if phi.c1 and 0.0 not in (phi.left_slope, phi.right_slope):  # past a flat tail f o phi is f(edge), not 0
+        fragments.append(check_sufficiency_chain(mg, res.family["gaussian"], sp))
+    pre_s += time.perf_counter() - t0
 
-    computed = {
-        "U": uval,
-        "M_value": mest.value if not mest.infinite else None,
-        "M_infinite": mest.infinite,
-        "M_ladder": [list(pair) for pair in zip(mest.widths, mest.sups)],
-        "lip": mg.lip,
-        "max_preimage": mg.npre,
-        "opnorm_lower": op_val,
-        "opnorm_argmax": op_arg,
-        **half,
-        "note": note,
-    }
-    return CheckReport(
-        map_name=phi.name,
-        space=sp.as_dict(),
-        kind=kind,
-        computed=computed,
-        fragments=fragments,
-        verdict=verdict,
-        tolerances=dict(TOLERANCES),
-        runtime_s=time.perf_counter() - t0,
-        grid={"count": res.count, "window": list(res.window), "hgrid_levels": DEFAULT_HGRID.levels},
-        seed=seed,
-        worker=None if worker is None else worker.timing,
-    )
+    def report(half) -> CheckReport:
+        t0 = time.perf_counter()
+        entries, timing = half()
+
+        if math.isinf(uval) and not math.isinf(sp.p):
+            # U < inf is necessary for p < inf only; at p = inf no fragment reads U
+            verdict = "ConsistentUnbounded"
+            note = "U(phi) infinite: the necessary unit-interval distortion bound fails"
+        elif entries["window_limited"]:
+            verdict = "Inconclusive"
+            note = (
+                "window-limited: multiplier profile of phi' still growing at the "
+                "window edge; the truncated window cannot witness the supremum on R"
+            )
+        elif all(fr.passed for fr in fragments):
+            verdict = "ConsistentBounded"
+            note = ""
+        else:
+            verdict = "Inconclusive"
+            note = "failed fragments: " + ",".join(fr.name for fr in fragments if not fr.passed)
+
+        computed = {
+            "U": uval,
+            "M_value": mest.value if not mest.infinite else None,
+            "M_infinite": mest.infinite,
+            "M_ladder": [list(pair) for pair in zip(mest.widths, mest.sups)],
+            "lip": mg.lip,
+            "max_preimage": mg.npre,
+            "opnorm_lower": op_val,
+            "opnorm_argmax": op_arg,
+            **entries,
+            "note": note,
+        }
+        return CheckReport(
+            map_name=phi.name,
+            space=sp.as_dict(),
+            kind=kind,
+            computed=computed,
+            fragments=fragments,
+            verdict=verdict,
+            tolerances=dict(TOLERANCES),
+            runtime_s=pre_s + time.perf_counter() - t0,
+            grid={"count": res.count, "window": list(res.window), "hgrid_levels": DEFAULT_HGRID.levels},
+            seed=seed,
+            worker=timing,
+        )
+
+    return report

@@ -1,38 +1,36 @@
-"""One function run beside the caller, in a forked worker on another CPU.
+"""An ordered list of calls run beside the caller, in one forked worker on
+another CPU.
 
-``Worker(fn, *args)`` forks a process that runs ``fn(*args)`` while the
-caller goes on with its own work; ``result()`` waits for it and returns what
-``fn`` returned. The worker moves itself off the CPU the calling thread is
-on at the fork (field 39 of its ``/proc/thread-self/stat``) by narrowing its
-mask to the other allowed CPUs, then widens the mask back to all of them: it
-stays where it landed, but once the caller waits, the scheduler may move it
-to the caller's CPU should another process hold the worker's. The caller's
-own mask is never touched. Without the move the scheduler already starts
-most forks elsewhere (on a 2-CPU Linux box, 39 of 40 forked children ran
-first on the CPU the parent was not on), and on an idle box the move is
-neutral: the default suite in one process took a median 0.87 s with it and
-0.92 s without, over 8 alternating pairs. It pays when another process
-keeps a CPU busy: with a spinning process pinned to CPU 1, 0.95 s with it
-and 1.06 s without, over 6 pairs.
+``Worker(fn, jobs)`` forks one process that runs ``fn(*args)`` for each
+``args`` of ``jobs`` in order and sends each result back as soon as it is
+done, while the caller goes on with its own work; ``result(i)`` returns what
+``fn(*jobs[i])`` returned, and waits only if job i is not back yet. The
+worker moves itself off the CPU the calling thread is on at the fork by
+narrowing its mask to the other allowed CPUs, then widens the mask back to
+all of them: it stays where it landed, but once the caller waits, the
+scheduler may move it to the caller's CPU should another process hold the
+worker's. The caller's own mask is never touched; the README gives the
+move's measured effect.
 
-One rule: the caller runs ``fn`` itself unless a forked worker answered
-clean, that is, ``fn`` returned, raised no warning, and its result pickled.
-So ``fn`` runs in the caller where the process may use one CPU only
-(``taskset -c 0``) or cannot fork, and where the worker raised, warned, died
-or returned a result that does not pickle; such a worker exits without a
-word. An exception or a warning thus comes from the caller's own frames,
-filters and warning registries, as in one process, and the outputs are the
-same. The cost: a call that does not come back clean runs twice.
+One rule: the caller runs a job itself unless the worker answered it clean,
+that is, ``fn`` returned, raised no warning, and its result pickled. At the
+first job that is not clean the worker exits without a word, and the caller
+computes that job and every later one itself, so a job runs at most twice.
+Where the process may use one CPU only (``taskset -c 0``) or cannot fork,
+every job runs in the caller. An exception or a warning thus comes from the
+caller's own frames, filters and warning registries, as in one process, and
+the outputs are the same.
 
-The worker runs in a fork-time copy of the caller's memory, so whatever
-``fn`` changes there is lost unless ``fn`` returns it. Leaving the ``with``
-block always joins the worker, and terminates it first when the caller
-leaves before the result, on an exception or a KeyboardInterrupt.
-``multiprocessing`` is imported only when a worker is forked.
+The worker runs in a fork-time copy of the caller's memory, so whatever a
+job changes there is lost to the caller unless ``fn`` returns it. Leaving
+the ``with`` block terminates the worker if it still runs and joins it, on
+an exception or a KeyboardInterrupt too. ``multiprocessing`` is imported
+only when a worker is forked.
 """
 
 from __future__ import annotations
 
+import contextlib
 import os
 import pickle
 import time
@@ -40,68 +38,58 @@ import warnings
 from typing import Callable, Optional
 
 
-def _current_cpu() -> Optional[int]:
-    """The CPU the calling thread last ran on, or None when it cannot be read."""
+def _worker_cpus() -> Optional[set]:
+    """The CPUs a worker starts on, all allowed but the one the calling thread
+    last ran on (field 39 of /proc/thread-self/stat); None to run in the caller."""
+    if not hasattr(os, "sched_getaffinity") or len(allowed := os.sched_getaffinity(0)) < 2:  # not Linux, or one CPU
+        return None
     try:
         with open("/proc/thread-self/stat") as fh:
             stat = fh.read()
     except OSError:
         return None
     # the fields after the parenthesised command name start at field 3
-    return int(stat.rsplit(")", 1)[1].split()[39 - 3])
+    return allowed - {int(stat.rsplit(")", 1)[1].split()[39 - 3])}
 
 
-def _worker_cpus() -> Optional[set]:
-    """The CPUs a worker starts on, or None to run in the caller."""
-    if not hasattr(os, "sched_getaffinity"):  # not Linux
-        return None
-    allowed = os.sched_getaffinity(0)
-    if len(allowed) < 2:
-        return None
-    cpu = _current_cpu()
-    if cpu is None:
-        return None
-    return allowed - {cpu}
-
-
-def _serve(conn, cpus: set, fn: Callable, args: tuple):
-    """The worker's body: run fn and send its result and timing only if it
-    came back clean; on any other outcome exit without a word."""
+def _serve(conn, cpus: set, fn: Callable, jobs: list):
+    """The worker's body: run the jobs in order, send each clean result and
+    its timing as soon as it is done, and exit without a word at any other."""
     try:
         allowed = os.sched_getaffinity(0)
         os.sched_setaffinity(0, cpus)  # moves the worker off the caller's CPU
         os.sched_setaffinity(0, allowed)  # keeps it there, free to move back when that CPU idles
-        wall0, cpu0 = time.perf_counter(), time.process_time()
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            result = fn(*args)
-        if not caught:
+        for args in jobs:
+            wall0, cpu0 = time.perf_counter(), time.process_time()
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                result = fn(*args)
+            if caught:
+                return
             timing = {"wall_s": time.perf_counter() - wall0, "cpu_s": time.process_time() - cpu0}
             conn.send_bytes(pickle.dumps((result, timing)))
     except BaseException:
-        pass  # the caller reads EOF and runs fn itself
+        pass  # the caller reads EOF and runs this job and the later ones itself
 
 
-class Worker:
-    """``fn(*args)`` run beside the caller; see the module docstring.
+class Worker(contextlib.AbstractContextManager):
+    """The jobs run beside the caller (see the module docstring). ``timings[i]``
+    is None unless ``result(i)`` returned the worker's answer; then it holds
+    the worker's ``wall_s`` and ``cpu_s`` in job i and the caller's ``wait_s``
+    for it in ``result(i)``."""
 
-    ``timing`` is None unless ``result()`` returned a forked worker's answer;
-    then it holds the worker's wall and CPU seconds in ``fn`` and the seconds
-    the caller waited for it (``wall_s``, ``cpu_s``, ``wait_s``).
-    """
-
-    def __init__(self, fn: Callable, *args):
-        self._fn, self._args = fn, args
+    def __init__(self, fn: Callable, jobs: list):
+        self._fn, self._jobs = fn, jobs
+        self._answers: list = []  # (result, timing) of the jobs answered so far, in job order
         self._proc = None
-        self.timing: Optional[dict] = None
-        cpus = _worker_cpus()
-        if cpus is None:
+        self.timings: list[Optional[dict]] = [None] * len(jobs)
+        if not jobs or (cpus := _worker_cpus()) is None:
             return
         import multiprocessing
 
         ctx = multiprocessing.get_context("fork")
         self._conn, child_conn = ctx.Pipe(duplex=False)
-        self._proc = ctx.Process(target=_serve, args=(child_conn, cpus, fn, args), daemon=True)
+        self._proc = ctx.Process(target=_serve, args=(child_conn, cpus, fn, jobs), daemon=True)
         try:
             self._proc.start()
         except OSError:  # no fork to be had (out of processes or memory): run in the caller
@@ -110,26 +98,25 @@ class Worker:
         finally:
             child_conn.close()  # the worker holds the only write end, so its exit ends recv
 
-    def __enter__(self) -> "Worker":
-        return self
-
     def __exit__(self, *exc_info):
         if self._proc is not None:
             if self._proc.is_alive():
                 self._proc.terminate()
             self._proc.join()
             self._conn.close()
+            self._proc = None
 
-    def result(self):
-        if self._proc is not None:
-            t0 = time.perf_counter()
+    def result(self, i: int):
+        t0 = time.perf_counter()
+        while self._proc is not None and len(self._answers) <= i:
             try:
                 payload = self._conn.recv_bytes()
-            except EOFError:  # the worker did not answer clean
-                payload = None
-            self._proc.join()
-            if payload is not None:
-                result, timing = pickle.loads(payload)
-                self.timing = dict(timing, wait_s=time.perf_counter() - t0)
-                return result
-        return self._fn(*self._args)  # outside the except: nothing is chained to its exceptions
+            except EOFError:  # the worker did not answer job len(self._answers) clean
+                self.__exit__()
+            else:
+                self._answers.append(pickle.loads(payload))
+        if i < len(self._answers):
+            result, timing = self._answers[i]
+            self.timings[i] = dict(timing, wait_s=time.perf_counter() - t0)
+            return result
+        return self._fn(*self._jobs[i])  # outside the except: nothing is chained to its exceptions

@@ -630,6 +630,14 @@ BAD_SUITE = {
         {"maps": ["affine:b=2,a=0.5", "shift:c=1", "affine:a=0.5,b=2"]},
         "maps 'affine:a=0.5,b=2' and 'affine:b=2,a=0.5' both build the map 'affine(0.5,2.0)'",
     ),
+    # three specs, three names, one window, pieces and tails: the first two specs are named
+    "one map, three names": (
+        {"maps": ["scale:k=2.0", "affine:a=2,b=0", "scale:k=2"]},
+        "maps 'affine:a=2,b=0' and 'scale:k=2' both build the map 'affine(2.0,0.0)'",
+    ),
+    "one scale map, two names": (
+        {"maps": ["scale:k=2.0", "scale:k=2"]}, "maps 'scale:k=2' and 'scale:k=2.0' both build the map 'scale(2)'"
+    ),
     "kind foo": ({"kind": "foo"}, "kind"),
     "count 1025.7": ({"count": 1025.7}, "count"),
     "count a string": ({"count": "1025"}, "count"),

@@ -1,7 +1,8 @@
-"""The forked worker that runs classify's phi' half beside the rest: it is
-started off the caller's CPU, hands back only a clean result (anything else
-runs in the caller), never outlives its caller, and changes no bit of any
-report; a phi' half already on the Resolution forks no worker."""
+"""The one forked worker that runs the phi' halves of a classify_maps call
+beside the rest: it is started off the caller's CPU, streams back each clean
+result (from the first other outcome on, the jobs run in the caller), never
+outlives its caller, and changes no bit of any report; a run forks at most
+one worker, and a phi' half already on the Resolution is no job of it."""
 
 import json
 import math
@@ -48,14 +49,14 @@ def test_worker_runs_in_another_process_off_the_callers_cpu(monkeypatch):
     allowed, masks = os.sched_getaffinity(0), []
     setaffinity = os.sched_setaffinity
     monkeypatch.setattr(os, "sched_setaffinity", lambda pid, cpus: (masks.append(set(cpus)), setaffinity(pid, cpus)))
-    with Worker(lambda: (os.getpid(), masks, os.sched_getaffinity(0))) as worker:
-        pid, worker_masks, cpus = worker.result()
+    with Worker(lambda: (os.getpid(), masks, os.sched_getaffinity(0)), [()]) as worker:
+        pid, worker_masks, cpus = worker.result(0)
     assert pid != os.getpid()
     assert len(worker_masks[0]) == len(allowed) - 1 and worker_masks[0] < allowed
     assert worker_masks[1:] == [allowed] and cpus == allowed
     assert masks == [] and os.sched_getaffinity(0) == allowed  # the caller's mask is untouched
-    assert set(worker.timing) == {"wall_s", "cpu_s", "wait_s"}
-    assert all(t >= 0.0 for t in worker.timing.values())
+    assert set(worker.timings[0]) == {"wall_s", "cpu_s", "wait_s"}
+    assert all(t >= 0.0 for t in worker.timings[0].values())
 
 
 def _no_fork(process):
@@ -72,9 +73,9 @@ def _no_fork(process):
 )
 def test_worker_runs_in_the_caller_where_it_cannot_fork(target, attribute, value, monkeypatch):
     monkeypatch.setattr(target, attribute, value)
-    with Worker(os.getpid) as worker:
-        assert worker.result() == os.getpid()
-    assert worker.timing is None
+    with Worker(os.getpid, [()]) as worker:
+        assert worker.result(0) == os.getpid()
+    assert worker.timings == [None]
 
 
 @two_cpus
@@ -82,12 +83,12 @@ def test_worker_exception_keeps_its_type_and_message():
     # the worker fails without a word and the caller runs fn: the exception
     # is raised from fn's own frame in the caller, with nothing chained
     with pytest.raises(KeyError) as info:
-        with Worker(_raise, KeyError("no such map")) as worker:
-            worker.result()
+        with Worker(_raise, [(KeyError("no such map"),)]) as worker:
+            worker.result(0)
     assert str(info.value) == str(KeyError("no such map"))
     assert info.value.__cause__ is None and info.value.__context__ is None
     assert info.traceback[-1].name == "_raise"
-    assert worker.timing is None
+    assert worker.timings == [None]
     assert multiprocessing.active_children() == []
 
 
@@ -97,8 +98,8 @@ def test_worker_exception_that_does_not_pickle_keeps_its_type():
         pass
 
     with pytest.raises(LocalError, match="^made in the worker$"):
-        with Worker(_raise, LocalError("made in the worker")) as worker:
-            worker.result()
+        with Worker(_raise, [(LocalError("made in the worker"),)]) as worker:
+            worker.result(0)
 
 
 def _children() -> str:
@@ -118,10 +119,10 @@ def _exit_in_the_worker(caller: int):
 def test_worker_that_dies_leaves_the_call_to_the_caller():
     before = _children()
     t0 = time.perf_counter()
-    with Worker(_exit_in_the_worker, os.getpid()) as worker:
+    with Worker(_exit_in_the_worker, [(os.getpid(),)]) as worker:
         # the dead worker is reaped before the caller runs fn
-        assert worker.result() == before
-    assert worker.timing is None
+        assert worker.result(0) == before
+    assert worker.timings == [None]
     assert time.perf_counter() - t0 < 10.0
     assert multiprocessing.active_children() == [] and _children() == before
 
@@ -132,16 +133,35 @@ def test_worker_result_that_does_not_pickle_comes_from_the_caller():
         def __init__(self):
             self.pid = os.getpid()
 
-    with Worker(Local) as worker:
-        assert worker.result().pid == os.getpid()
-    assert worker.timing is None
+    with Worker(Local, [()]) as worker:
+        assert worker.result(0).pid == os.getpid()
+    assert worker.timings == [None]
+
+
+def _second_job_sleeps(i):
+    if i == 1:
+        time.sleep(60.0)
+    return i, os.getpid()
+
+
+@two_cpus
+def test_worker_sends_each_result_as_soon_as_it_is_done():
+    # job 0's answer is read while the worker is still in job 1, which the
+    # caller never asks for: leaving the block terminates the worker
+    t0 = time.perf_counter()
+    with Worker(_second_job_sleeps, [(0,), (1,)]) as worker:
+        i, pid = worker.result(0)
+        assert i == 0 and pid != os.getpid()
+    assert worker.timings[0] is not None and worker.timings[1] is None
+    assert time.perf_counter() - t0 < 10.0
+    assert multiprocessing.active_children() == []
 
 
 @pytest.mark.parametrize("exc", [RuntimeError("caller failed"), KeyboardInterrupt()], ids=["error", "interrupt"])
 def test_caller_leaving_early_terminates_the_worker(exc):
     t0 = time.perf_counter()
     with pytest.raises(type(exc)):
-        with Worker(time.sleep, 60.0):
+        with Worker(time.sleep, [(60.0,)]):
             raise exc
     assert time.perf_counter() - t0 < 10.0
     assert multiprocessing.active_children() == []
@@ -164,16 +184,16 @@ def test_worker_warnings_reach_the_caller(cpus, monkeypatch):
         return 5
 
     with pytest.warns(RuntimeWarning, match="raised beside the caller"):
-        with Worker(noisy) as worker:
-            assert worker.result() == 5
-    assert worker.timing is None  # a worker that warns does not answer
+        with Worker(noisy, [()]) as worker:
+            assert worker.result(0) == 5
+    assert worker.timings == [None]  # a worker that warns does not answer
     # under the "default" rule a location warns once, however many workers
     # raise there: the caller runs fn through its own registry
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("default")
         for _ in range(2):
-            with Worker(_warn_twice) as worker:
-                worker.result()
+            with Worker(_warn_twice, [()]) as worker:
+                worker.result(0)
     assert [str(w.message) for w in caught] == ["raised twice at one line"]
 
 
@@ -224,12 +244,123 @@ def test_suite_records_are_the_same_bytes_with_and_without_the_worker(tmp_path, 
     forked, meta = _suite(tmp_path, "forked", SLICE)
     # each new phi' half came back from its worker, where a silent fallback to
     # the caller would run it twice and change no byte; scale(0.5) reads
-    # affine(0.5,2)'s half from the Resolution and forks nothing
+    # affine(0.5,2)'s half from the Resolution and is no job of the worker
     assert meta["worker"]["affine(0.5,2.0)"] is not None and meta["worker"]["sin_drift(0.5)"] is not None
     assert meta["worker"]["scale(0.5)"] is None
     one_cpu(monkeypatch)
     alone, _ = _suite(tmp_path, "alone", SLICE)
     assert forked == alone
+
+
+def _count_forks(monkeypatch) -> list:
+    """The processes multiprocessing forks from here on, counted in this process."""
+    forks, popen = [], multiprocessing.context.ForkProcess._Popen
+    monkeypatch.setattr(multiprocessing.context.ForkProcess, "_Popen",
+                        staticmethod(lambda process: forks.append(process) or popen(process)))
+    return forks
+
+
+@pytest.mark.parametrize("cpus", ["two", "one"])
+def test_a_run_forks_one_worker_for_all_its_halves(cpus, tmp_path, monkeypatch, capsys):
+    if cpus == "one":
+        one_cpu(monkeypatch)
+    elif len(os.sched_getaffinity(0)) < 2:
+        pytest.skip("a worker is forked only where two CPUs are allowed")
+    forks = _count_forks(monkeypatch)
+    _, meta = _suite(tmp_path, "suite", dict(cli.DEFAULT_SUITE, count=SMALL))
+    answered = {name for name, timing in meta["worker"].items() if timing is not None}
+    if cpus == "two":
+        # the 6 distinct halves of the 8 maps all came back from one worker
+        assert len(forks) == 1
+        assert answered == set(meta["worker"]) - {"scale(0.5)", "shift(1)"}
+    else:
+        assert forks == [] and answered == set()
+    forks.clear()
+    cli.main(["check", "--map", "scale:k=2", "--space", "s=2.1,p=2,q=2,m=3", "--count", str(SMALL),
+              "--json", str(tmp_path / "check.json")])
+    assert len(forks) == (1 if cpus == "two" else 0)
+
+
+# three maps with three phi' halves, the worker's jobs in this order
+THREE = dict(cli.DEFAULT_SUITE, count=SMALL, maps=["identity", "scale:k=2", "sin_drift:amp=0.5"])
+THREE_NAMES = ["identity", "scale(2)", "sin_drift(0.5)"]
+
+
+@two_cpus
+@pytest.mark.parametrize("k", [1, 2, 3])
+@pytest.mark.parametrize("how", ["warns", "dies"])
+def test_a_half_that_fails_in_the_worker_leaves_it_and_the_later_ones_to_the_caller(
+    how, k, tmp_path, monkeypatch, capsys
+):
+    caller, half, in_caller = os.getpid(), theorems._multiplier_half, []
+
+    def fails_at_job_k(mg, *args):
+        if os.getpid() == caller:
+            in_caller.append(mg.phi.name)
+        elif mg.phi.name == THREE_NAMES[k - 1]:
+            if how == "dies":
+                os._exit(9)
+            warnings.warn("warned in the worker", RuntimeWarning)
+        return half(mg, *args)
+
+    monkeypatch.setattr(theorems, "_multiplier_half", fails_at_job_k)
+    forked, meta = _suite(tmp_path, "forked", THREE)
+    assert in_caller == THREE_NAMES[k - 1:]
+    assert [meta["worker"][name] is not None for name in THREE_NAMES] == [j < k - 1 for j in range(3)]
+    assert multiprocessing.active_children() == []
+    one_cpu(monkeypatch)
+    in_caller.clear()
+    alone, _ = _suite(tmp_path, "alone", THREE)
+    assert in_caller == THREE_NAMES
+    assert forked == alone
+
+
+@two_cpus
+def test_a_caller_failure_at_map_2_of_3_terminates_the_worker(monkeypatch):
+    caller, half, opnorm = os.getpid(), theorems._multiplier_half, theorems.opnorm_lower_detailed
+
+    def slow_in_the_worker(mg, *args):
+        if os.getpid() != caller and mg.phi.name == THREE_NAMES[2]:
+            time.sleep(60.0)  # the worker is still in job 3 when map 2 fails
+        return half(mg, *args)
+
+    def fails_at_map_2(mg, *args):
+        if mg.phi.name == THREE_NAMES[1]:
+            raise ValueError("opnorm broke at map 2")
+        return opnorm(mg, *args)
+
+    monkeypatch.setattr(theorems, "_multiplier_half", slow_in_the_worker)
+    monkeypatch.setattr(theorems, "opnorm_lower_detailed", fails_at_map_2)
+    res, t0 = Resolution(SMALL), time.perf_counter()
+    with pytest.raises(ValueError, match="^opnorm broke at map 2$"):
+        theorems.classify_maps([named_map(spec) for spec in THREE["maps"]], SP, res=res)
+    assert time.perf_counter() - t0 < 10.0
+    assert multiprocessing.active_children() == []
+    assert res.halves == {}  # every map's own work comes before the first half is read
+
+
+@pytest.mark.parametrize("cpus", ["two", "one"])
+def test_every_maps_own_work_comes_before_the_first_half_is_read(cpus, monkeypatch):
+    if cpus == "one":
+        one_cpu(monkeypatch)
+    elif len(os.sched_getaffinity(0)) < 2:
+        pytest.skip("a worker is forked only where two CPUs are allowed")
+    steps, opnorm, result = [], theorems.opnorm_lower_detailed, Worker.result
+
+    def own(mg, *args):
+        steps.append(("own", mg.phi.name))
+        return opnorm(mg, *args)
+
+    def half(worker, i):
+        steps.append(("half", i))
+        return result(worker, i)
+
+    monkeypatch.setattr(theorems, "opnorm_lower_detailed", own)
+    monkeypatch.setattr(Worker, "result", half)
+    reports = theorems.classify_maps([named_map(spec) for spec in THREE["maps"]], SP, res=Resolution(SMALL))
+    # a half that is slow in the worker holds up no map's own work, only the verdicts
+    assert steps == [("own", name) for name in THREE_NAMES] + [("half", i) for i in range(3)]
+    assert [r.map_name for r in reports] == THREE_NAMES
 
 
 def test_each_phi_prime_half_is_computed_once(tmp_path, monkeypatch, capsys):
