@@ -22,10 +22,21 @@ midpoint equals it, so the early result is bit-identical to running all
 steps. ``N_BISECT`` caps the steps; roots very near 0 reach it before
 converging. The batched bisection retires each lane at that point, so only
 lanes with such a root run all ``N_BISECT`` steps; a chunk with only a few
-roots runs the scalar bisection on them instead. ``preimage_lengths``
-runs its targets in fixed-size chunks, which bound its memory, and forms
-only the (target, segment) pairs that meet. ``preimage_length_bounds``
-bounds its totals from above without solving, from certified slopes.
+roots runs the scalar bisection on them instead, and so do the last few
+lanes of a batch.
+
+Both bisections start at a certified cell of their bisection tree on rows
+that carry ``start_table``'s columns (``maps.LineMap.clip_table`` caches
+them). When a row's ends are multiples of 2^E below 2^F in size, every
+tree point down to depth D = 53 - F + E is exact, so a depth-d cell around
+a guessed root is the bracket after d steps when the values the bisection
+computes at its sides clear the rounding margin m; the bisection then runs
+the remaining ``N_BISECT`` - d steps, about 15 of 50. A row with other
+ends (sin's, at -10 + k / 20) or a root within m of the cell's sides starts
+from the row's ends. ``preimage_lengths`` runs its targets in fixed-size
+chunks, which bound its memory, and forms only the (target, segment)
+pairs that meet. ``preimage_length_bounds`` bounds its totals from above
+without solving, from certified slopes.
 """
 
 from __future__ import annotations
@@ -184,7 +195,8 @@ N_BISECT = 80  # cap on bisection steps; 2^-80 of the segment width
 
 _CHUNK_TARGETS = 2048  # targets per preimage_lengths chunk; bounds its pairs and gathered arrays
 _RETIRE_EVERY = 8  # bisection steps between retirements of converged lanes
-_SCALAR_ROOTS = 32  # preimage_lengths bisects up to this many roots of a chunk as Python floats
+_SCALAR_ROOTS = 48  # up to this many roots bisect faster as Python floats (measured crossover: 48-56)
+_START_DEPTH = 16  # a row whose exact depth is below this bisects from its ends: the root guess costs more
 
 
 def _poly3(t0, c0, c1, c2, c3, x):
@@ -197,11 +209,77 @@ def _slope3(c1, c2, c3, u):
     return c1 + u * (2.0 * c2 + 3.0 * u * c3)
 
 
+def _start_cell(row, y):
+    """(a, b, d): the bracket that the bisection of ``row`` for ``y`` holds
+    after d steps, read off a certified cell of its bisection tree; (xlo,
+    xhi, 0) where none is certified. ``row`` carries start_table's depth D
+    and margin m.
+
+    Every y - p below is written in that order, so a counting target sees
+    only the bisection's own p - y."""
+    t0, c0, c1, c2, c3, xlo, xhi, ylo, yhi, depth, margin = row
+    fail = (xlo, xhi, 0)
+    if c3 == 0.0 and c2 != 0.0:  # a quadratic in u: the stable formula, the root nearer the segment
+        disc = c1 * c1 + 4.0 * c2 * (y - c0)
+        q = -0.5 * (c1 + math.copysign(math.sqrt(disc) if disc > 0.0 else 0.0, c1))
+        if q == 0.0:
+            return fail
+        u1, u2, um = q / c2, -(y - c0) / q, 0.5 * (xlo + xhi) - t0
+        r = t0 + (u1 if abs(u1 - um) <= abs(u2 - um) else u2)
+    else:  # the secant, then Newton
+        r = xlo + (y - ylo) * ((xhi - xlo) / (yhi - ylo))
+        for _ in range(4):
+            u = r - t0
+            g = c1 + u * (2.0 * c2 + 3.0 * u * c3)
+            if g == 0.0:
+                return fail
+            step = (y - (c0 + u * (c1 + u * (c2 + u * c3)))) / g
+            r += step
+            if abs(step) * abs(g) <= margin:
+                break
+    r = min(max(r, xlo), xhi)  # a NaN guess stays NaN and fails below
+    u = r - t0
+    g = abs(c1 + u * (2.0 * c2 + 3.0 * u * c3))
+    if not g > 0.0:
+        return fail
+    # the deepest cell holding r +- h; the checks below decide whether it is the bracket
+    h = 2.0 * margin / g
+    width, top = xhi - xlo, 1 << int(depth)
+    scale = top / width
+    lo_k, hi_k = (r - h - xlo) * scale, (r + h - xlo) * scale
+    ka = int(lo_k) if lo_k > 0.0 else 0
+    kb = int(hi_k) if hi_k < top else top - 1
+    shift = (ka ^ kb).bit_length()
+    d = int(depth) - shift
+    if d < 1:
+        return fail
+    k, n, w = kb >> shift, 1 << d, math.ldexp(width, -d)
+    # from the nearer end, so that k w is exact too
+    a = xlo if k == 0 else xlo + k * w if 2 * k <= n else xhi - (n - k) * w
+    b = xhi if k + 1 == n else a + w
+    s = 1.0 if yhi >= ylo else -1.0
+    if k:
+        u = a - t0
+        if not s * (y - (c0 + u * (c1 + u * (c2 + u * c3)))) >= margin:
+            return fail
+    if k + 1 < n:
+        u = b - t0
+        if not s * (y - (c0 + u * (c1 + u * (c2 + u * c3)))) <= -margin:
+            return fail
+    return a, b, d
+
+
 def _solve_mono_py(row, y):
-    t0, c0, c1, c2, c3, xlo, xhi, ylo, yhi = row[:9]
-    a, b = xlo, xhi
-    inc = yhi >= ylo
-    for _ in range(N_BISECT):
+    a, b, d = _start_cell(row, y) if len(row) > 9 and row[9] else (row[5], row[6], 0)
+    return _bisect_py(row, y, a, b, N_BISECT - d)
+
+
+def _bisect_py(row, y, a, b, steps):
+    """At most ``steps`` bisection steps of [a, b] for y on Python floats;
+    the midpoint once it rounds to an end of the bracket."""
+    t0, c0, c1, c2, c3 = row[:5]
+    inc = row[8] >= row[7]
+    for _ in range(steps):
         mid = 0.5 * (a + b)
         if mid == a or mid == b:
             return mid
@@ -234,14 +312,58 @@ def segment_clip(row, lo, hi):
     return (min(xa, xb), max(xa, xb))
 
 
+def _start_cells(rows, ys):
+    """_start_cell for each (rows[k], ys[k]) as whole-array steps: (a, b, d).
+    The root guess is the secant, then three Newton steps where p has a
+    cubic term, and the stable formula where p is a quadratic in u."""
+    t0, c0, c1, c2, c3, xlo, xhi, ylo, yhi, depth, margin = np.ascontiguousarray(rows.T)
+    with np.errstate(all="ignore"):
+        r = xlo + (ys - ylo) * ((xhi - xlo) / (yhi - ylo))
+        if (c3 != 0.0).any():
+            for _ in range(3):
+                r = r + (ys - _poly3(t0, c0, c1, c2, c3, r)) / _slope3(c1, c2, c3, r - t0)
+        quad = (c3 == 0.0) & (c2 != 0.0)
+        if quad.any():
+            q = -0.5 * (c1 + np.copysign(np.sqrt(np.maximum(c1 * c1 + 4.0 * c2 * (ys - c0), 0.0)), c1))
+            u1, u2, um = q / c2, -(ys - c0) / q, 0.5 * (xlo + xhi) - t0
+            r = np.where(quad, t0 + np.where(np.abs(u1 - um) <= np.abs(u2 - um), u1, u2), r)
+        r = np.minimum(np.maximum(r, xlo), xhi)
+        h = 2.0 * margin / np.abs(_slope3(c1, c2, c3, r - t0))
+        top = np.ldexp(1.0, depth.astype(np.int64)) - 1.0
+        scale = (top + 1.0) / (xhi - xlo)
+        lo_k = np.minimum(np.maximum((r - h - xlo) * scale, 0.0), top)
+        hi_k = np.minimum(np.maximum((r + h - xlo) * scale, 0.0), top)
+        known = lo_k <= hi_k  # False where the guess or h is NaN
+        ka = np.where(known, lo_k, 0.0).astype(np.int64)
+        kb = np.where(known, hi_k, top).astype(np.int64)
+    shift = np.frexp((ka ^ kb).astype(np.float64))[1]
+    d = depth.astype(np.int64) - shift
+    k = kb >> shift
+    n = np.left_shift(1, d)
+    w = np.ldexp(xhi - xlo, -d)
+    a = np.where(k == 0, xlo, np.where(2 * k <= n, xlo + k * w, xhi - (n - k) * w))
+    b = np.where(k + 1 == n, xhi, a + w)
+    s = np.where(yhi >= ylo, 1.0, -1.0)
+    ok = (d > 0) & ((k == 0) | (s * (ys - _poly3(t0, c0, c1, c2, c3, a)) >= margin))
+    ok &= (k + 1 == n) | (s * (ys - _poly3(t0, c0, c1, c2, c3, b)) <= -margin)
+    return np.where(ok, a, xlo), np.where(ok, b, xhi), np.where(ok, d, 0)
+
+
 def _solve_mono_batch(rows, ys):
     """_solve_mono_py for each (rows[k], ys[k]), as whole-array steps.
 
     Every _RETIRE_EVERY steps the lanes whose midpoint equals an end of
     their bracket leave the batch with that midpoint as their root: from
     that step on the midpoint never changes, so it is the root that all
-    N_BISECT steps give, bit for bit."""
-    t0, c0, c1, c2, c3, a, b, ylo, yhi = np.ascontiguousarray(rows.T)
+    N_BISECT steps give, bit for bit. With start_table's columns a lane
+    starts at its certified depth d and has N_BISECT - d steps; a lane whose
+    last step comes before the next retirement, and every lane once at most
+    _SCALAR_ROOTS are left, takes its remaining steps in _bisect_py."""
+    t0, c0, c1, c2, c3, a, b, ylo, yhi = np.ascontiguousarray(rows[:, :9].T)
+    stop, targets = np.full(ys.shape[0], N_BISECT), ys
+    if rows.shape[1] > 9 and rows[:, 9].any():
+        a, b, d = _start_cells(rows, ys)
+        stop -= d
     inc = yhi >= ylo
     lane = np.arange(ys.shape[0])
     out = np.empty(ys.shape[0])
@@ -249,12 +371,19 @@ def _solve_mono_batch(rows, ys):
         mid = 0.5 * (a + b)
         if step % _RETIRE_EVERY == 0:
             done = (mid == a) | (mid == b)
-            if done.any():
-                out[lane[done]] = mid[done]
-                live = ~done
-                lane, mid, t0, c0, c1, c2, c3, a, b, ys, inc = (
-                    v[live] for v in (lane, mid, t0, c0, c1, c2, c3, a, b, ys, inc)
+            out[lane[done]] = mid[done]
+            left = ~done
+            rest = left if lane.size - done.sum() <= _SCALAR_ROOTS else left & (stop - step < _RETIRE_EVERY)
+            for k in np.flatnonzero(rest).tolist():
+                i = int(lane[k])
+                out[i] = _bisect_py(rows[i].tolist(), float(targets[i]), float(a[k]), float(b[k]), int(stop[k]) - step)
+            live = left & ~rest
+            if not live.all():
+                lane, mid, t0, c0, c1, c2, c3, a, b, ys, inc, stop = (
+                    v[live] for v in (lane, mid, t0, c0, c1, c2, c3, a, b, ys, inc, stop)
                 )
+                if not lane.size:
+                    return out
         fm = _poly3(t0, c0, c1, c2, c3, mid) - ys
         up = (fm <= 0.0) == inc
         a = np.where(up, mid, a)
@@ -323,6 +452,24 @@ def preimage_lengths(seg, los, his):
     return out
 
 
+def _rounding(seg):
+    """Per row: low and high, the least and largest computed p' at the
+    candidates for its extremes on the segment; slop, a bound on their
+    rounding; and delta, a bound on the Horner rounding of p and on the
+    rounding of x - t0 in value terms (see _slope_floor)."""
+    eps = np.finfo(np.float64).eps
+    t0, c0, c1, c2, c3, xlo, xhi = np.ascontiguousarray(seg[:, :7].T)
+    ua, ub = xlo - t0, xhi - t0
+    big = np.maximum(np.abs(ua), np.abs(ub))
+    with np.errstate(all="ignore"):  # an overflow makes a bound inf, which certifies nothing
+        vertex = -c2 / (3.0 * c3)
+        inside = (c3 != 0.0) & (ua < vertex) & (vertex < ub)
+        ends = [_slope3(c1, c2, c3, u) for u in (ua, ub, np.where(inside, vertex, ua))]
+        slop = 16.0 * eps * (np.abs(c1) + big * (4.0 * np.abs(c2) + 9.0 * big * np.abs(c3)))
+        delta = 16.0 * eps * (np.abs(c0) + big * (2.0 * np.abs(c1) + big * (3.0 * np.abs(c2) + 4.0 * big * np.abs(c3))))
+    return np.minimum.reduce(ends), np.maximum.reduce(ends), slop, delta
+
+
 def _slope_floor(seg):
     """Per segment: (1 + 4 eps) / mu, the margin and the width xhi - xlo,
     where mu > 0 is a certified lower bound on |p'| over [xlo, xhi]. Where
@@ -346,22 +493,48 @@ def _slope_floor(seg):
     sin_drift(0.5) that meets a segment by 3.5e-15 in x gets a clip of
     2^-48, one ulp at x = -16."""
     eps = np.finfo(np.float64).eps
-    t0, c0, c1, c2, c3, xlo, xhi, ylo, yhi = np.ascontiguousarray(seg.T)
-    ua, ub = xlo - t0, xhi - t0
-    big = np.maximum(np.abs(ua), np.abs(ub))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        vertex = -c2 / (3.0 * c3)
-    inside = (c3 != 0.0) & (ua < vertex) & (vertex < ub)
-    ends = [_slope3(c1, c2, c3, u) for u in (ua, ub, np.where(inside, vertex, ua))]
-    low, high = np.minimum.reduce(ends), np.maximum.reduce(ends)
-    slop = 16.0 * eps * (np.abs(c1) + big * (4.0 * np.abs(c2) + 9.0 * big * np.abs(c3)))
+    low, high, slop, delta = _rounding(seg)
+    t0, xlo, xhi, ylo, yhi = (seg[:, k] for k in (0, 5, 6, 7, 8))
     mu = np.where(ylo != yhi, np.maximum(np.maximum(low, -high) - slop, 0.0), 0.0)
-    delta = 16.0 * eps * (np.abs(c0) + big * (2.0 * np.abs(c1) + big * (3.0 * np.abs(c2) + 4.0 * big * np.abs(c3))))
     with np.errstate(divide="ignore"):
         inv = np.where(mu > 0.0, (1.0 + 4.0 * eps) / mu, 0.0)
     width = xhi - xlo
     margin = np.where(mu > 0.0, 4.0 * delta * inv + 16.0 * eps * (np.abs(xlo) + np.abs(xhi) + np.abs(t0)), width)
     return inv, margin, width
+
+
+def start_table(seg):
+    """The segment table with the two columns that the certified start of
+    _start_cell reads: the exact depth D and the margin m.
+
+    With both ends multiples of 2^E and |xlo|, |xhi| < 2^F, each point of
+    the row's bisection tree at depth d is a multiple of 2^(E - d) below 2^F
+    in size, which a double holds, and each midpoint is computed exactly,
+    while d <= D = 53 - F + E (the larger end normal). m = 3 delta + 2 zeta
+    (xhi - xlo), with delta from _rounding and zeta how far the exact p'
+    may cross 0 against the row's direction. So when a cell [A, B] at depth
+    d <= D has s (y - P(A)) >= m and s (P(B) - y) >= m in floats, with s
+    the direction and P the bisection's Horner value, every tree point the
+    bisection visits left of A, or right of B, decides as at A, or at B: the
+    cell is its bracket after d steps. D is 0 on a flat row, where m is not
+    finite and positive, and where it is below _START_DEPTH (the ends of
+    sin's rows, at -10 + k / 20, give D <= 9)."""
+    seg = np.ascontiguousarray(seg[:, :9], dtype=np.float64)
+    low, high, slop, delta = _rounding(seg)
+    xlo, xhi, ylo, yhi = np.ascontiguousarray(seg[:, 5:9].T)
+    finite = np.isfinite(seg[:, 5:7])
+    ends = np.where(finite, seg[:, 5:7], 0.0)
+    frac, expo = np.frexp(ends)
+    mant = np.abs(np.ldexp(frac, 53)).astype(np.int64)
+    lowest_bit = expo - 53 + np.frexp((mant & -mant).astype(np.float64))[1] - 1
+    big = np.abs(ends).max(axis=1)
+    depth = 53 - np.frexp(big)[1] + np.where(ends != 0.0, lowest_bit, 2000).min(axis=1)  # 0 is any multiple
+    with np.errstate(all="ignore"):
+        zeta = np.maximum(np.where(yhi >= ylo, slop - low, high + slop), 0.0)
+        margin = 3.0 * delta + 2.0 * zeta * (xhi - xlo)
+        ok = (ylo != yhi) & (margin > 0.0) & np.isfinite(margin) & finite.all(axis=1)
+    depth = np.where(ok & (big >= np.finfo(np.float64).tiny) & (depth >= _START_DEPTH), depth, 0)
+    return np.column_stack([seg, depth, margin])
 
 
 def preimage_length_bounds(seg, los, his):
@@ -427,6 +600,6 @@ def warm_up():
     interp_eval(s, 0.0, 1.0, 0.0, 0.0, np.array([0.5, 9.0]))
     shift_difference_batch(s, 0.0, 0.0, np.array([1, 2]), 2)
     seg = np.array([[0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0, 0.0, 1.0]])
-    preimage_lengths(seg, np.array([0.2]), np.array([0.4]))
+    preimage_lengths(start_table(seg), np.array([0.2]), np.array([0.4]))
     preimage_length_bounds(seg, np.array([0.2]), np.array([0.4]))
     greedy_classes(np.array([0.0, 0.5]), np.array([1.0, 1.5]))

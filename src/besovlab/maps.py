@@ -184,14 +184,18 @@ class LineMap:
         return table
 
     def clip_table(self) -> tuple:
-        """The segment table as preimage_intervals reads it for each target:
-        ymin and ymax of every row as arrays and as lists, the rows as lists
-        of Python floats, and the edge values. Cached after first build."""
+        """The segment table as the preimage solvers read it: the rows with
+        _kernels.start_table's start columns; ymin and ymax of every row as
+        arrays and as lists; the rows as lists of Python floats; the edge
+        values; and the merge tolerance of preimage_intervals, 1e-9 window
+        widths but at least 1e-9. Cached after first build."""
         if self._clip_table is None:
             seg = self.segments()
+            table = _kernels.start_table(seg)
             ymin, ymax = np.minimum(seg[:, 7], seg[:, 8]), np.maximum(seg[:, 7], seg[:, 8])
-            table = (ymin, ymax, ymin.tolist(), ymax.tolist(), seg.tolist(), self.edge_values())
-            object.__setattr__(self, "_clip_table", table)
+            tol = 1e-9 * max(1.0, self.window[1] - self.window[0])
+            clip = (table, ymin, ymax, ymin.tolist(), ymax.tolist(), table.tolist(), self.edge_values(), tol)
+            object.__setattr__(self, "_clip_table", clip)
         return self._clip_table
 
     def value_range(self) -> tuple[float, float]:
@@ -492,10 +496,14 @@ def derivative(phi: LineMap) -> LineMapDerivative:
 
 
 def steepest_point(phi: LineMap, lo: float, hi: float) -> tuple[float, float]:
-    """(|phi'|, x) at the point of largest |phi'| on the pieces within
-    [lo, hi], a part of phi's window; exact per-piece quadratic analysis."""
+    """(|phi'|, x) at the point of largest |phi'| in [lo, hi]: exact
+    per-piece quadratic analysis, and an affine tail, whose slope is
+    constant, at its first point in [lo, hi]. In x order, the first
+    strictly larger value wins."""
     bp = phi.breakpoints
     best_val, best_x = -1.0, 0.5 * (lo + hi)
+    if lo < bp[0] and lo <= hi:
+        best_val, best_x = abs(phi.left_slope), lo
     for i, c in enumerate(phi.coeffs):
         length = bp[i + 1] - bp[i]
         candidates = [0.0, length]
@@ -513,6 +521,8 @@ def steepest_point(phi: LineMap, lo: float, hi: float) -> tuple[float, float]:
             d = abs(_cubic_slope(c, u))
             if d > best_val:
                 best_val, best_x = d, x
+    if hi > bp[-1] and abs(phi.right_slope) > best_val:
+        best_val, best_x = abs(phi.right_slope), max(lo, float(bp[-1]))
     return best_val, best_x
 
 
@@ -527,14 +537,13 @@ def preimage_intervals(phi: LineMap, target) -> IntervalSet:
     lo, hi = float(target[0]), float(target[1])
     if not lo <= hi:  # NaN fails too
         raise ValueError(f"target must satisfy lo <= hi, got [{lo}, {hi}]")
-    ymin, ymax, ymin_l, ymax_l, rows, (left_val, right_val) = phi.clip_table()
+    _, ymin, ymax, ymin_l, ymax_l, rows, (left_val, right_val), tol = phi.clip_table()
     if phi.left_slope == 0.0 and lo <= left_val <= hi:
         raise UnboundedPreimageError("target hits the flat left tail value")
     if phi.right_slope == 0.0 and lo <= right_val <= hi:
         raise UnboundedPreimageError("target hits the flat right tail value")
     # segments are ordered in x and clips stay inside them, so a gap opens only
     # between neighbours; min/max absorb an ulp of overlap at piece ends
-    tol = 1e-9 * max(1.0, phi.window[1] - phi.window[0])
     merged, start, end, prev = [], None, None, None
     for k in np.flatnonzero((ymax >= lo) & (ymin <= hi)).tolist():
         row, y0, y1 = rows[k], ymin_l[k], ymax_l[k]
@@ -560,7 +569,7 @@ def preimage_intervals(phi: LineMap, target) -> IntervalSet:
 
 def preimage_lengths(phi: LineMap, los, his) -> np.ndarray:
     """|phi^-1([lo, hi])| within the window for each lo, hi of ``los``, ``his``."""
-    return _kernels.preimage_lengths(phi.segments(), los, his)
+    return _kernels.preimage_lengths(phi.clip_table()[0], los, his)
 
 
 def _sup_preimage_lengths(phi: LineMap, widths: list[float]) -> list[float]:
@@ -578,7 +587,7 @@ def _sup_preimage_lengths(phi: LineMap, widths: list[float]) -> list[float]:
     threshold, which is at most the max, so each max is the max over all
     targets, bit for bit: a target's length does not depend on the others
     in its call."""
-    seg = phi.segments()
+    table = phi.clip_table()[0]
     ymin, ymax = phi.value_range()
     step = SWEEP_STEP * max(ymax - ymin, 1.0)
     crit = phi.critical_values()
@@ -587,13 +596,13 @@ def _sup_preimage_lengths(phi: LineMap, widths: list[float]) -> list[float]:
     los = np.concatenate(cands)
     his = np.concatenate([c + w for c, w in zip(cands, widths)])
     rung = np.repeat(np.arange(len(widths)), [c.size for c in cands])
-    bounds = _kernels.preimage_length_bounds(seg, los, his)
+    bounds = _kernels.preimage_length_bounds(table, los, his)
     firsts = np.searchsorted(rung, np.arange(len(widths)))
     seeds = firsts + np.array([int(part.argmax()) for part in np.split(bounds, firsts[1:])])
-    threshold = _kernels.preimage_lengths(seg, los[seeds], his[seeds])
+    threshold = _kernels.preimage_lengths(table, los[seeds], his[seeds])
     solve = np.flatnonzero(bounds >= threshold[rung])
     sups = np.full(len(widths), -np.inf)
-    np.maximum.at(sups, rung[solve], _kernels.preimage_lengths(seg, los[solve], his[solve]))
+    np.maximum.at(sups, rung[solve], _kernels.preimage_lengths(table, los[solve], his[solve]))
     return sups.tolist()
 
 

@@ -2,9 +2,12 @@
 
 import bisect
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from besovlab import _kernels as K
 from besovlab.gadgets import eta_eps, linear_cutoff, unit_bump
@@ -14,6 +17,7 @@ from besovlab.maps import (
     U_functional,
     affine_map,
     max_preimage_count,
+    named_map,
     preimage_intervals,
     quadratic_map,
     sin_drift_map,
@@ -217,13 +221,13 @@ def test_sin_preimage_count_and_band_length():
     assert got == pytest.approx(7.0 * math.pi / 3.0, rel=1e-7)
 
 
-def _solve_fixed_steps(row, y):
-    """The bisection as it ran before the convergence exit: N_BISECT steps
-    on the numpy row's scalars."""
+def _fixed_bracket(row, y, steps):
+    """The bracket of the bisection without the convergence exit after
+    ``steps`` steps, on the row's scalars."""
     t0, c0, c1, c2, c3, xlo, xhi, ylo, yhi = row[:9]
     a, b = xlo, xhi
     inc = yhi >= ylo
-    for _ in range(K.N_BISECT):
+    for _ in range(steps):
         mid = 0.5 * (a + b)
         u = mid - t0
         fm = c0 + u * (c1 + u * (c2 + u * c3)) - y
@@ -231,6 +235,13 @@ def _solve_fixed_steps(row, y):
             a = mid
         else:
             b = mid
+    return a, b
+
+
+def _solve_fixed_steps(row, y):
+    """The bisection as it ran before the convergence exit: N_BISECT steps
+    on the numpy row's scalars."""
+    a, b = _fixed_bracket(row, y, K.N_BISECT)
     return 0.5 * (a + b)
 
 
@@ -277,6 +288,142 @@ def test_solve_mono_batch_matches_the_fixed_step_loop(rng):
     rows, ys = np.array(rows), np.array(ys)
     want = np.array([_solve_fixed_steps(row, y) for row, y in zip(rows, ys)])
     assert K._solve_mono_batch(rows, ys).tobytes() == want.tobytes()
+
+
+# ---------------------------------------------------------------------------
+# the certified start of both bisections
+# ---------------------------------------------------------------------------
+
+# rising x^3 + 1e-9 x on [0, 1] and on [-1, 0]: for targets near 0 the root
+# guess is still far right of the root (first row) or left of it (second)
+# after its Newton steps, so the cell around it is refused on its A or B side
+_MISSED_GUESS_ROWS = np.array([
+    [0.0, 0.0, 1e-9, 0.0, 1.0, 0.0, 1.0, 0.0, 1.0 + 1e-9],
+    [0.0, 0.0, 1e-9, 0.0, 1.0, -1.0, 0.0, -1.0 - 1e-9, 0.0],
+])
+
+# (x - 512) / 512 on [512, 513]: its ends allow depth D = 43 only, above
+# which 512 + 2^-44 is no double, while its guesses would allow more
+_DEPTH_BOUND_ROW = np.array([[512.0, 0.0, 2.0**-9, 0.0, 0.0, 512.0, 513.0, 0.0, 2.0**-9]])
+
+
+def _targets(row, interior):
+    """Targets for one row: ``interior`` ones, both end values, the next
+    float inside each, and targets near 0 (the step cap where 0 is inside)."""
+    ylo, yhi = row[7], row[8]
+    ymin, ymax = min(ylo, yhi), max(ylo, yhi)
+    near_0 = [0.0, 1e-300, -1e-300, 5e-324, 1e-12, -1e-12]
+    return [*interior, ylo, yhi, float(np.nextafter(ylo, yhi)), float(np.nextafter(yhi, ylo)), *near_0] if ymin < ymax else []
+
+
+def _dyadic_cases(rng):
+    """(row with the start columns, target) for the rows of sin_drift,
+    quadratic and affine and the step-cap and missed-guess rows."""
+    cases = []
+    for spec, count in (("sin_drift:amp=0.5", 2), ("quadratic", 300), ("affine:a=0.5,b=2", 300)):
+        for row in K.start_table(named_map(spec).segments()).tolist():
+            cases += [(row, y) for y in _targets(row, rng.uniform(min(row[7:9]), max(row[7:9]), size=count))]
+    for row in K.start_table(np.vstack([_STEP_CAP_ROWS, _MISSED_GUESS_ROWS, _DEPTH_BOUND_ROW])).tolist():
+        cases += [(row, y) for y in _targets(row, [-0.7, 0.3, 1e-6, -1e-6])]
+    return cases
+
+
+def _assert_starts_are_the_fixed_brackets(cases):
+    """Both kernels equal _solve_fixed_steps by bytes, and each start is the
+    fixed-step bracket after its d steps and an exact cell of the tree."""
+    rows, ys = np.array([row for row, _ in cases]), np.array([y for _, y in cases])
+    want = np.array([_solve_fixed_steps(row, y) for row, y in cases])
+    assert np.array([K._solve_mono_py(row, y) for row, y in cases]).tobytes() == want.tobytes()
+    assert K._solve_mono_batch(rows, ys).tobytes() == want.tobytes()
+    starts = [K._start_cell(row, y) for row, y in cases]
+    a_s, b_s, d_s = K._start_cells(rows, ys)
+    starts += zip(a_s.tolist(), b_s.tolist(), d_s.tolist())
+    for (row, y), (a, b, d) in zip(cases + cases, starts):
+        assert np.array([a, b]).tobytes() == np.array(_fixed_bracket(row, y, d)).tobytes(), (row, y, d)
+        if d:
+            xlo, xhi = Fraction(row[5]), Fraction(row[6])
+            k = (Fraction(a) - xlo) / (xhi - xlo) * 2**d
+            assert k.denominator == 1 and (Fraction(b) - Fraction(a)) * 2**d == xhi - xlo, (row, y, d)
+    return d_s
+
+
+def test_both_bisections_equal_the_fixed_step_loop_on_dyadic_rows(rng):
+    cases = _dyadic_cases(rng)
+    d = _assert_starts_are_the_fixed_brackets(cases)
+    assert (d >= 30).mean() > 0.8 and (d == 0).any()
+    assert K.start_table(_DEPTH_BOUND_ROW)[0, 9] == 43 and 43 in d[[row[5] == 512.0 for row, _ in cases]]
+
+
+@st.composite
+def _dyadic_row(draw):
+    """A monotone cubic row whose ends are multiples of 2^e: rising,
+    falling, linear or with an inflection inside, with ends at +-0 too."""
+    bits, e = draw(st.integers(1, 36)), draw(st.integers(-40, 20))
+    lo = draw(st.integers(-(2**bits), 2**bits))
+    xlo, xhi = math.ldexp(lo, e), math.ldexp(lo + draw(st.integers(1, 2**bits)), e)
+    if draw(st.booleans()):  # an end at +-0
+        xlo, xhi = (-0.0, xhi - xlo) if draw(st.booleans()) else (xlo - xhi, draw(st.sampled_from([0.0, -0.0])))
+    t0 = draw(st.sampled_from([xlo, xhi, 0.5 * (xlo + xhi)]))
+    c0 = draw(st.floats(-1e3, 1e3))
+    scale = 1.0 / max(abs(xlo), abs(xhi))
+    c1 = draw(st.floats(1e-3, 1e3)) * scale
+    kind = draw(st.sampled_from(["rising", "falling", "linear", "inflection"]))
+    c = [c0, c1, 0.0, 0.0]
+    if kind in ("rising", "falling"):  # same-sign terms keep it monotone for u >= 0
+        t0 = xlo
+        c = [c0, c1, draw(st.floats(0.0, 1e3)) * scale**2, draw(st.floats(0.0, 1e3)) * scale**3]
+    elif kind == "inflection":  # c1 u + c3 (u - v)^3 about t0 = xlo, with v inside
+        t0, c3 = xlo, draw(st.floats(1e-3, 1e3)) * scale**3
+        v = (xhi - xlo) * draw(st.floats(0.05, 0.95))
+        c = [c0 - c3 * v**3, c1 + 3.0 * c3 * v**2, -3.0 * c3 * v, c3]
+    if kind == "falling" or draw(st.booleans()):
+        c = [-x for x in c]
+    return [t0, *c, xlo, xhi, K._poly3(t0, *c, xlo), K._poly3(t0, *c, xhi)]
+
+
+@given(st.lists(_dyadic_row(), min_size=1, max_size=6), st.integers(0, 2**32 - 1))
+@settings(max_examples=150, deadline=None)
+def test_both_bisections_equal_the_fixed_step_loop_on_random_dyadic_rows(rows, seed):
+    rng = np.random.default_rng(seed)
+    table = K.start_table(np.array(rows)).tolist()
+    cases = [(row, y) for row in table for y in _targets(row, rng.uniform(min(row[7:9]), max(row[7:9]), size=4))]
+    if cases:
+        _assert_starts_are_the_fixed_brackets(cases)
+
+
+def _counted_steps(row, y):
+    """(root, the bisection steps _solve_mono_py takes for y): each step
+    subtracts y from the cubic once, and nothing else does."""
+    steps = [0]
+
+    class Counted(float):
+        def __rsub__(self, other):
+            steps[0] += 1
+            return other - float(self)
+
+    return K._solve_mono_py(row, Counted(y)), steps[0]
+
+
+@pytest.mark.parametrize("spec, count", [("sin_drift:amp=0.5", 2), ("quadratic", 300)])
+def test_interior_roots_start_at_depth_30_or_deeper(spec, count, rng):
+    # a start at depth d saves d of the steps from the row's ends
+    saved = []
+    for row in K.start_table(named_map(spec).segments()).tolist():
+        for y in rng.uniform(min(row[7:9]), max(row[7:9]), size=count).tolist():
+            root, steps = _counted_steps(row, y)
+            plain_root, plain_steps = _counted_steps(row[:9], y)
+            assert root == plain_root
+            saved.append(plain_steps - steps)
+    assert np.mean(np.array(saved) >= 30) >= 0.9
+
+
+def test_roots_at_the_step_cap_still_run_n_bisect_steps_in_all():
+    # [-0.5, 0.75] starts deep around 0, which is no point of its tree
+    row = K.start_table(_STEP_CAP_ROWS[1:]).tolist()[0]
+    for y in (0.0, 1e-300, -1e-300, 5e-324):
+        d = K._start_cell(row, y)[2]
+        root, steps = _counted_steps(row, y)
+        assert d >= 30 and d + steps == K.N_BISECT and root == _solve_fixed_steps(row, y)
 
 
 def test_segment_clip_flat_segment():

@@ -192,13 +192,14 @@ def test_nec_lipschitz_flat_vacuous():
 
 
 @pytest.mark.parametrize("lo, hi", [(20.0, 30.0), (14.0, 20.0), (-17.0, -15.0)])
-def test_nec_lipschitz_vacuous_without_a_point_inside_both_windows(lo, hi):
-    # phi = 2x written on [lo, hi]: no point of it lies 2 inside the grid's
-    # [-16, 16], so no ramp witness survives the truncation at both edges
+def test_nec_lipschitz_places_its_witness_on_the_tails(lo, hi):
+    # phi = 2x written on [lo, hi]: no point of its pieces lies 2 inside the
+    # grid's [-16, 16], but its tails do, and there phi is 2x as on the grid
     phi = LineMap(np.array([lo, hi]), np.array([[2.0 * lo, 2.0, 0, 0]]), 2.0, 2.0)
     frag = check_nec_lipschitz(MapOnGrid.read(phi, Resolution(2049)), SP)
-    assert frag.passed and frag.vacuous
-    assert frag.note == f"no point lies 2.0 inside both phi's window [{lo}, {hi}] and the grid's [-16.0, 16.0]; vacuous"
+    on_grid = check_nec_lipschitz(MapOnGrid.read(affine_map(2.0, 0.0), Resolution(2049)), SP)
+    assert frag.passed and not frag.vacuous
+    assert frag.values["implied_lip"] == pytest.approx(on_grid.values["implied_lip"], rel=0.0, abs=1e-9)
 
 
 def test_chain_identity_exact():
