@@ -21,9 +21,9 @@ convergence: once the midpoint rounds to an end of the bracket, every later
 midpoint equals it, so the early result is bit-identical to running all
 steps. ``N_BISECT`` caps the steps; roots very near 0 reach it before
 converging. The batched bisection retires each lane at that point, so only
-lanes with such a root run all ``N_BISECT`` steps; a chunk with only a few
+lanes with such a root run all ``N_BISECT`` steps; a batch of only a few
 roots runs the scalar bisection on them instead, and so do the last few
-lanes of a batch.
+lanes of a larger one.
 
 Both bisections start at a certified cell of their bisection tree on rows
 that carry ``start_table``'s columns (``maps.LineMap.clip_table`` caches
@@ -199,8 +199,8 @@ _SCALAR_ROOTS = 48  # up to this many roots bisect faster as Python floats (meas
 _START_DEPTH = 16  # a row whose exact depth is below this bisects from its ends: the root guess costs more
 
 
-def _poly3(t0, c0, c1, c2, c3, x):
-    u = x - t0
+def _poly3(c0, c1, c2, c3, u):
+    """c0 + c1 u + c2 u^2 + c3 u^3, by Horner."""
     return c0 + u * (c1 + u * (c2 + u * c3))
 
 
@@ -321,7 +321,7 @@ def _start_cells(rows, ys):
         r = xlo + (ys - ylo) * ((xhi - xlo) / (yhi - ylo))
         if (c3 != 0.0).any():
             for _ in range(3):
-                r = r + (ys - _poly3(t0, c0, c1, c2, c3, r)) / _slope3(c1, c2, c3, r - t0)
+                r = r + (ys - _poly3(c0, c1, c2, c3, r - t0)) / _slope3(c1, c2, c3, r - t0)
         quad = (c3 == 0.0) & (c2 != 0.0)
         if quad.any():
             q = -0.5 * (c1 + np.copysign(np.sqrt(np.maximum(c1 * c1 + 4.0 * c2 * (ys - c0), 0.0)), c1))
@@ -344,13 +344,14 @@ def _start_cells(rows, ys):
     a = np.where(k == 0, xlo, np.where(2 * k <= n, xlo + k * w, xhi - (n - k) * w))
     b = np.where(k + 1 == n, xhi, a + w)
     s = np.where(yhi >= ylo, 1.0, -1.0)
-    ok = (d > 0) & ((k == 0) | (s * (ys - _poly3(t0, c0, c1, c2, c3, a)) >= margin))
-    ok &= (k + 1 == n) | (s * (ys - _poly3(t0, c0, c1, c2, c3, b)) <= -margin)
+    ok = (d > 0) & ((k == 0) | (s * (ys - _poly3(c0, c1, c2, c3, a - t0)) >= margin))
+    ok &= (k + 1 == n) | (s * (ys - _poly3(c0, c1, c2, c3, b - t0)) <= -margin)
     return np.where(ok, a, xlo), np.where(ok, b, xhi), np.where(ok, d, 0)
 
 
 def _solve_mono_batch(rows, ys):
-    """_solve_mono_py for each (rows[k], ys[k]), as whole-array steps.
+    """_solve_mono_py for each (rows[k], ys[k]): itself for at most
+    _SCALAR_ROOTS of them, where it is faster, else as whole-array steps.
 
     Every _RETIRE_EVERY steps the lanes whose midpoint equals an end of
     their bracket leave the batch with that midpoint as their root: from
@@ -359,6 +360,8 @@ def _solve_mono_batch(rows, ys):
     starts at its certified depth d and has N_BISECT - d steps; a lane whose
     last step comes before the next retirement, and every lane once at most
     _SCALAR_ROOTS are left, takes its remaining steps in _bisect_py."""
+    if ys.shape[0] <= _SCALAR_ROOTS:
+        return np.array([_solve_mono_py(row, y) for row, y in zip(rows.tolist(), ys.tolist())])
     t0, c0, c1, c2, c3, a, b, ylo, yhi = np.ascontiguousarray(rows[:, :9].T)
     stop, targets = np.full(ys.shape[0], N_BISECT), ys
     if rows.shape[1] > 9 and rows[:, 9].any():
@@ -384,7 +387,7 @@ def _solve_mono_batch(rows, ys):
                 )
                 if not lane.size:
                     return out
-        fm = _poly3(t0, c0, c1, c2, c3, mid) - ys
+        fm = _poly3(c0, c1, c2, c3, mid - t0) - ys
         up = (fm <= 0.0) == inc
         a = np.where(up, mid, a)
         b = np.where(up, b, mid)
@@ -439,11 +442,7 @@ def preimage_lengths(seg, los, his):
         xa = np.where(inc_s, xlo[s], xhi[s])
         xb = np.where(inc_s, xhi[s], xlo[s])
         rows = seg[np.concatenate((s[solve_a], s[solve_b]))]
-        ys = np.concatenate((lo_t[solve_a], hi_t[solve_b]))
-        if ys.shape[0] > _SCALAR_ROOTS:
-            roots = _solve_mono_batch(rows, ys)
-        else:  # a few roots bisect faster one by one, on Python floats
-            roots = np.array([_solve_mono_py(row, y) for row, y in zip(rows.tolist(), ys.tolist())])
+        roots = _solve_mono_batch(rows, np.concatenate((lo_t[solve_a], hi_t[solve_b])))
         n_a = int(solve_a.sum())
         xa[solve_a] = roots[:n_a]
         xb[solve_b] = roots[n_a:]

@@ -100,8 +100,6 @@ def _attach_pair_values(argv: list) -> list:
 def _np_default(obj):
     if isinstance(obj, (np.floating, np.integer, np.bool_)):
         return obj.item()
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
     raise TypeError(f"not JSON serializable: {type(obj)}")
 
 

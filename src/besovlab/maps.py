@@ -254,8 +254,7 @@ def _refuse_undeclared(where: str, obj: dict, keys: tuple) -> None:
 def _cubic(c, u):
     """c0 + c1*u + c2*u^2 + c3*u^3 for one coefficient row c or a stack of
     rows c[i]."""
-    c0, c1, c2, c3 = c.T
-    return c0 + u * (c1 + u * (c2 + u * c3))
+    return _kernels._poly3(*c.T, u)
 
 
 def _cubic_slope(c, u):

@@ -16,10 +16,10 @@ One rule: the caller runs a job itself unless the worker answered it clean,
 that is, ``fn`` returned, raised no warning, and its result pickled. At the
 first job that is not clean the worker exits without a word, and the caller
 computes that job and every later one itself, so a job runs at most twice.
-Where the process may use one CPU only (``taskset -c 0``) or cannot fork,
-every job runs in the caller. An exception or a warning thus comes from the
-caller's own frames, filters and warning registries, as in one process, and
-the outputs are the same.
+Where the process may use one CPU only (``taskset -c 0``), cannot tell
+which CPU it is on or cannot fork, every job runs in the caller. An
+exception or a warning thus comes from the caller's own frames, filters and
+warning registries, as in one process, and the outputs are the same.
 
 The worker runs in a fork-time copy of the caller's memory, so whatever a
 job changes there is lost to the caller unless ``fn`` returns it. Leaving
@@ -40,16 +40,16 @@ from typing import Callable, Optional
 
 def _worker_cpus() -> Optional[set]:
     """The CPUs a worker starts on, all allowed but the one the calling thread
-    last ran on (field 39 of /proc/thread-self/stat); None to run in the caller."""
+    last ran on (field 39 of /proc/thread-self/stat); None to run in the caller,
+    also where that line cannot be read or parsed."""
     if not hasattr(os, "sched_getaffinity") or len(allowed := os.sched_getaffinity(0)) < 2:  # not Linux, or one CPU
         return None
     try:
         with open("/proc/thread-self/stat") as fh:
-            stat = fh.read()
-    except OSError:
+            # the fields after the parenthesised command name start at field 3
+            return allowed - {int(fh.read().rsplit(")", 1)[1].split()[39 - 3])}
+    except (OSError, IndexError, ValueError):
         return None
-    # the fields after the parenthesised command name start at field 3
-    return allowed - {int(stat.rsplit(")", 1)[1].split()[39 - 3])}
 
 
 def _serve(conn, cpus: set, fn: Callable, jobs: list):

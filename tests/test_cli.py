@@ -84,6 +84,12 @@ def test_norm_unknown_fn_exit_4(capsys):
     assert code == 4
 
 
+def test_norm_unknown_method_exit_4(capsys):
+    code, out, err = run(capsys, "norm", "--fn", "gaussian", "--space", "s=1.5,p=2,q=2,m=2", "--method", "diff,nope")
+    assert code == 4 and out == ""
+    assert "unknown method 'nope'" in err
+
+
 def test_norm_p_inf(capsys):
     code, out, _ = run(
         capsys, "norm", "--fn", "gaussian", "--space", "s=1.5,p=inf,q=inf,m=2",
@@ -166,6 +172,12 @@ def test_check_open_range_exit_3(capsys):
     code, _, err = run(capsys, "check", "--map", "identity", "--space", "s=1.2,p=2,q=2,m=2")
     assert code == 3
     assert "open case" in err
+
+
+def test_check_sobolev_below_its_range_exit_3(capsys):
+    code, _, err = run(capsys, "check", "--map", "identity", "--space", "s=1.5,p=2,q=2,m=2", "--kind", "sobolev")
+    assert code == 3
+    assert "Sobolev route requires s > 1 + 1/p" in err
 
 
 def test_check_sobolev_flat_piece_exit_3(tmp_path, capsys):

@@ -6,10 +6,12 @@ is passed by some call in the program unless declared here, the package
 reads no environment variable that is not declared here, the fragments in
 theorems.py read their grid from one Resolution and their map from one
 MapOnGrid, theorems.py reads phi through maps and never through _kernels,
-and the program runs without importing scipy."""
+the program runs without importing scipy, and the README states its line
+count."""
 
 import ast
 import math
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -512,3 +514,10 @@ def test_unpassed_defaults_are_current():
 )
 def test_default_guard_sees_each_form(source, want):
     assert _unpassed_defaults({"m": source}, [source]) == want
+
+
+def test_the_readme_states_the_programs_line_count():
+    """The count the README gives for ``src/besovlab/*.py`` is what ``wc -l`` reads."""
+    stated = re.findall(r"`src/besovlab/\*\.py` is (\d+) lines", (ROOT / "README.md").read_text())
+    lines = sum(path.read_bytes().count(b"\n") for path in (ROOT / "src" / "besovlab").glob("*.py"))
+    assert stated == [str(lines)]

@@ -50,7 +50,7 @@ def _segment_table(rng, n=60):
             sign = 1.0 if i % 3 == 0 else -1.0
             ranges = ((0.2, 3.0), (0.0, 1.0), (0.0, 0.5))
             c = [c0] + [sign * rng.uniform(lo, hi) for lo, hi in ranges]
-        ylo, yhi = K._poly3(x, *c, x), K._poly3(x, *c, x + width)
+        ylo, yhi = K._poly3(*c, x - x), K._poly3(*c, (x + width) - x)
         rows.append([x, *c, x, x + width, ylo, yhi])
         x += width
     return np.array(rows)
@@ -130,6 +130,16 @@ def test_preimage_lengths_roots_at_the_step_cap():
     roots = K._solve_mono_batch(np.repeat(rows, ys.size, axis=0), np.tile(ys, 2))
     want = [_solve_fixed_steps(row, y) for row in rows for y in ys]
     assert roots.tobytes() == np.array(want).tobytes()
+
+
+def test_a_batch_of_roots_at_the_step_cap_takes_every_step_as_whole_arrays():
+    # 128 lanes, more than _SCALAR_ROOTS, and none converges: they stay in
+    # the batch for all N_BISECT steps and take the midpoint after the loop
+    ys = np.tile(np.repeat([0.0, 1e-300, -1e-300, 5e-324], 16), 2)
+    rows = np.repeat(_STEP_CAP_ROWS, 64, axis=0)
+    assert ys.size > K._SCALAR_ROOTS
+    want = np.array([_solve_fixed_steps(row, y) for row, y in zip(rows, ys)])
+    assert K._solve_mono_batch(rows, ys).tobytes() == want.tobytes()
 
 
 def test_preimage_lengths_empty_inputs(rng):
@@ -378,7 +388,7 @@ def _dyadic_row(draw):
         c = [c0 - c3 * v**3, c1 + 3.0 * c3 * v**2, -3.0 * c3 * v, c3]
     if kind == "falling" or draw(st.booleans()):
         c = [-x for x in c]
-    return [t0, *c, xlo, xhi, K._poly3(t0, *c, xlo), K._poly3(t0, *c, xhi)]
+    return [t0, *c, xlo, xhi, K._poly3(*c, xlo - t0), K._poly3(*c, xhi - t0)]
 
 
 @given(st.lists(_dyadic_row(), min_size=1, max_size=6), st.integers(0, 2**32 - 1))
@@ -424,6 +434,22 @@ def test_roots_at_the_step_cap_still_run_n_bisect_steps_in_all():
         d = K._start_cell(row, y)[2]
         root, steps = _counted_steps(row, y)
         assert d >= 30 and d + steps == K.N_BISECT and root == _solve_fixed_steps(row, y)
+
+
+@pytest.mark.parametrize(
+    "row",
+    [
+        [0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 1.0, 0.0, 1.0],  # x^2 on [0, 1]: the stable formula's q is 0 at y = 0
+        [0.0, 0.0, 0.0, 0.0, 1.0, -1.0, 1.0, -1.0, 1.0],  # x^3 on [-1, 1]: p' is 0 at the secant's guess 0
+    ],
+    ids=["q-is-0", "slope-0-at-the-guess"],
+)
+def test_a_guess_that_cannot_be_refined_starts_from_the_ends(row):
+    row = K.start_table(np.array([row])).tolist()[0]
+    assert row[9] > 0 and K._start_cell(row, 0.0) == (row[5], row[6], 0)
+    # one lane more than the scalar hand-off, so the batch runs _start_cells too
+    d = _assert_starts_are_the_fixed_brackets([(row, 0.0)] * (K._SCALAR_ROOTS + 1))
+    assert not d.any()
 
 
 def test_segment_clip_flat_segment():

@@ -8,7 +8,16 @@ import pytest
 
 from besovlab import maps
 from besovlab.gadgets import unit_bump
-from besovlab.grid import Extension, GridFunction, GridMismatchError, SpaceParams, grid_derivative, lp_norm, sample
+from besovlab.grid import (
+    DEFAULT_COUNT,
+    Extension,
+    GridFunction,
+    GridMismatchError,
+    SpaceParams,
+    grid_derivative,
+    lp_norm,
+    sample,
+)
 from besovlab.maps import (
     LineMap,
     U_functional,
@@ -25,6 +34,8 @@ from besovlab.maps import (
 )
 from besovlab.norms import DEFAULT_HGRID, besov_norm_diff, besov_seminorm_diff, sobolev_norm_diff
 from besovlab.theorems import (
+    LIP_DELTAS,
+    LIP_MARGIN,
     CheckReport,
     MapOnGrid,
     RangeGateError,
@@ -37,6 +48,7 @@ from besovlab.theorems import (
     composed_bump_masses,
     gate_space,
     opnorm_lower_detailed,
+    _witness_oracle_lower,
 )
 
 SP = SpaceParams(2.1, 2.0, 2.0, 3)
@@ -97,6 +109,25 @@ def test_witness_family_members_are_distinct():
     fam = Resolution(2**10 + 1).family
     for (a, fa), (b, fb) in itertools.combinations(fam.items(), 2):
         assert not np.array_equal(fa.samples, fb.samples), (a, b)
+
+
+@pytest.mark.parametrize("count", [641, DEFAULT_COUNT])
+@pytest.mark.parametrize("kind", ["besov", "sobolev"])
+def test_every_family_member_has_a_positive_norm(count, kind):
+    # opnorm_lower_detailed skips a member whose norm is 0.0, which at a
+    # moderate p none may be; 641 is the least count a Resolution accepts
+    # (tests/test_cli.py checks the refusal below it)
+    res = Resolution(count)
+    assert all(res.norm(f, SP, kind=kind) > 0.0 for f in res.family.values())
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_opnorm_skips_a_member_whose_norm_underflows_at_a_large_p():
+    # |xgauss| <= 0.43, so |f|^p underflows to 0 at this finite p
+    res, sp = Resolution(641), SpaceParams(1.5, 1e5, 2.0, 2)
+    assert res.norm(res.family["xgauss"], sp) == 0.0
+    mg = MapOnGrid.read(identity_map(), res)
+    assert opnorm_lower_detailed(mg, sp)[1] != "xgauss"
 
 
 def test_opnorm_detail_records_argmax():
@@ -185,10 +216,38 @@ def test_nec_lipschitz_dilation_factor_two():
     assert 1.5 <= frag.values["implied_lip"] <= 6.0  # within factor 2 of 3
 
 
+def test_nec_lipschitz_has_a_place_for_its_witness_on_the_grid():
+    # it searches the grid's window shrunk by LIP_MARGIN on each side
+    lo, hi = Resolution.window
+    assert lo + LIP_MARGIN < hi - LIP_MARGIN
+
+
 def test_nec_lipschitz_flat_vacuous():
     flat = LineMap(np.array([-16.0, 16.0]), np.array([[0.0, 0.0, 0, 0]]), 0.0, 0.0)
     frag = check_nec_lipschitz(MapOnGrid.read(flat, Resolution()), SP)
     assert frag.passed and frag.vacuous
+
+
+def test_nec_lipschitz_vacuous_where_the_map_is_steep_only_near_the_edges():
+    # C^1, flat on [-14, 14], -(x + 14)^2 left of it and (x - 14)^2 right of
+    # it, with tails of slope 4: no point of the searched range has a slope
+    pieces = [[-4.0, 4.0, -1.0, 0.0], [0.0, 0.0, 0.0, 0.0], [0.0, 0.0, 1.0, 0.0]]
+    phi = LineMap(np.array([-16.0, -14.0, 14.0, 16.0]), np.array(pieces), 4.0, 4.0)
+    mg = MapOnGrid.read(phi, Resolution(2049))
+    assert mg.lip == 4.0
+    frag = check_nec_lipschitz(mg, SP)
+    assert frag.passed and frag.vacuous
+    assert frag.note == "derivative vanishes at the steepest sample; vacuous"
+
+
+@pytest.mark.parametrize("delta", LIP_DELTAS)
+def test_witness_oracle_at_q_inf_is_the_closed_form_sup(delta):
+    # (h - delta)^(1/p) h^-s on [delta, 3 delta] peaks at h = s delta / (s - 1/p)
+    sp = SpaceParams(2.1, 2.0, math.inf, 3)
+    h = sp.s * delta / (sp.s - 1.0 / sp.p)
+    assert delta < h < 3.0 * delta
+    want = (h - delta) ** (1.0 / sp.p) * h ** (-sp.s)
+    assert _witness_oracle_lower(delta, sp) == pytest.approx(want, rel=1e-6)
 
 
 @pytest.mark.parametrize("lo, hi", [(20.0, 30.0), (14.0, 20.0), (-17.0, -15.0)])

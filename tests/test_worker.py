@@ -4,6 +4,7 @@ result (from the first other outcome on, the jobs run in the caller), never
 outlives its caller, and changes no bit of any report; a run forks at most
 one worker, and a phi' half already on the Resolution is no job of it."""
 
+import io
 import json
 import math
 import multiprocessing
@@ -226,6 +227,16 @@ def test_worker_report_equals_the_one_process_report(spec, sp, kind, monkeypatch
     assert forked == alone
     if math.isinf(sp.p):
         assert json.loads(forked)["computed"]["phiprime_msq_lower"] is None
+
+
+@two_cpus
+@pytest.mark.parametrize("stat", ["1 (python) R 1", "1 (python) " + "x " * 50], ids=["short", "not-a-number"])
+def test_a_stat_line_that_does_not_parse_runs_every_half_in_the_caller(stat, monkeypatch):
+    # /proc/thread-self/stat names the caller's CPU in field 39
+    want, timing = _report_bytes("sin_drift:amp=0.5", SP, "besov")
+    assert timing is not None  # the unstubbed run used the worker
+    monkeypatch.setattr("besovlab.worker.open", lambda *args: io.StringIO(stat), raising=False)
+    assert _report_bytes("sin_drift:amp=0.5", SP, "besov") == (want, None)
 
 
 def _suite(tmp_path, name, config) -> tuple[bytes, dict]:
