@@ -13,9 +13,10 @@ the piecewise-cubic class.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -94,8 +95,6 @@ class LineMap:
     left_slope: float
     right_slope: float
     name: str = "linemap"
-    _segments: Optional[np.ndarray] = field(default=None, init=False, compare=False, repr=False)
-    _clip_table: Optional[tuple] = field(default=None, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         bp = np.ascontiguousarray(self.breakpoints, dtype=np.float64)
@@ -158,9 +157,11 @@ class LineMap:
 
     def segments(self) -> np.ndarray:
         """(n_seg, 9) table [t0, c0..c3, xlo, xhi, ylo, yhi]; each row is
-        monotone (or flat) on [xlo, xhi]. Cached after first build."""
-        if self._segments is not None:
-            return self._segments
+        monotone (or flat) on [xlo, xhi]. Built once per map."""
+        return self._segment_table
+
+    @functools.cached_property
+    def _segment_table(self) -> np.ndarray:
         pieces, starts, ends = [], [], []
         bp = self.breakpoints
         for i in range(bp.size - 1):
@@ -179,24 +180,20 @@ class LineMap:
         c = self.coeffs[pieces]
         t0 = bp[pieces]
         a, b = np.array(starts, dtype=np.float64), np.array(ends, dtype=np.float64)
-        table = np.column_stack([t0, c, t0 + a, t0 + b, _cubic(c, a), _cubic(c, b)])
-        object.__setattr__(self, "_segments", table)
-        return table
+        return np.column_stack([t0, c, t0 + a, t0 + b, _cubic(c, a), _cubic(c, b)])
 
+    @functools.cached_property
     def clip_table(self) -> tuple:
         """The segment table as the preimage solvers read it: the rows with
         _kernels.start_table's start columns; ymin and ymax of every row as
         arrays and as lists; the rows as lists of Python floats; the edge
         values; and the merge tolerance of preimage_intervals, 1e-9 window
-        widths but at least 1e-9. Cached after first build."""
-        if self._clip_table is None:
-            seg = self.segments()
-            table = _kernels.start_table(seg)
-            ymin, ymax = np.minimum(seg[:, 7], seg[:, 8]), np.maximum(seg[:, 7], seg[:, 8])
-            tol = 1e-9 * max(1.0, self.window[1] - self.window[0])
-            clip = (table, ymin, ymax, ymin.tolist(), ymax.tolist(), table.tolist(), self.edge_values(), tol)
-            object.__setattr__(self, "_clip_table", clip)
-        return self._clip_table
+        widths but at least 1e-9. Built once per map."""
+        seg = self.segments()
+        table = _kernels.start_table(seg)
+        ymin, ymax = np.minimum(seg[:, 7], seg[:, 8]), np.maximum(seg[:, 7], seg[:, 8])
+        tol = 1e-9 * max(1.0, self.window[1] - self.window[0])
+        return (table, ymin, ymax, ymin.tolist(), ymax.tolist(), table.tolist(), self.edge_values(), tol)
 
     def value_range(self) -> tuple[float, float]:
         seg = self.segments()
@@ -536,7 +533,7 @@ def preimage_intervals(phi: LineMap, target) -> IntervalSet:
     lo, hi = float(target[0]), float(target[1])
     if not lo <= hi:  # NaN fails too
         raise ValueError(f"target must satisfy lo <= hi, got [{lo}, {hi}]")
-    _, ymin, ymax, ymin_l, ymax_l, rows, (left_val, right_val), tol = phi.clip_table()
+    _, ymin, ymax, ymin_l, ymax_l, rows, (left_val, right_val), tol = phi.clip_table
     if phi.left_slope == 0.0 and lo <= left_val <= hi:
         raise UnboundedPreimageError("target hits the flat left tail value")
     if phi.right_slope == 0.0 and lo <= right_val <= hi:
@@ -568,7 +565,7 @@ def preimage_intervals(phi: LineMap, target) -> IntervalSet:
 
 def preimage_lengths(phi: LineMap, los, his) -> np.ndarray:
     """|phi^-1([lo, hi])| within the window for each lo, hi of ``los``, ``his``."""
-    return _kernels.preimage_lengths(phi.clip_table()[0], los, his)
+    return _kernels.preimage_lengths(phi.clip_table[0], los, his)
 
 
 def _sup_preimage_lengths(phi: LineMap, widths: list[float]) -> list[float]:
@@ -586,7 +583,7 @@ def _sup_preimage_lengths(phi: LineMap, widths: list[float]) -> list[float]:
     threshold, which is at most the max, so each max is the max over all
     targets, bit for bit: a target's length does not depend on the others
     in its call."""
-    table = phi.clip_table()[0]
+    table = phi.clip_table[0]
     ymin, ymax = phi.value_range()
     step = SWEEP_STEP * max(ymax - ymin, 1.0)
     crit = phi.critical_values()

@@ -20,32 +20,32 @@ sweep reads the whole family, nec_U its unit_bump(0) and the chain fragment
 its gaussian, so each witness is sampled and hashed once per grid.
 ``classify_maps`` makes a ``Resolution`` for its call unless it is handed
 one; ``besovlab suite`` classifies all its maps in one such call, so the
-family, its denominators, the bump norm and the phi' half of maps that
-share phi' (affine(0.5, 2) and scale(0.5)) are computed once per run.
-A hit returns the stored float, so the arithmetic, and every output, is
-the same with or without sharing.
+family, its denominators and the bump norm are computed once per run, and
+so is the phi' half of maps that share phi' (affine(0.5, 2) and
+scale(0.5)). A hit returns the stored float, so the arithmetic, and every
+output, is the same with or without sharing.
 
 ``classify`` reads phi once, into a ``MapOnGrid``: phi's values at the
 grid points, its Lipschitz constant, its largest preimage count and phi'
 sampled at the grid's count over the hull of the grid's window and phi's
 own. Every fragment takes that reading, so phi is evaluated on the grid
-once per ``classify``; a witness on the grid is composed with phi by
-reading it at those values.
+once per ``classify``; ``MapOnGrid.compose`` composes a witness sampled on
+any grid with phi by reading it at those values.
 
 ``classify_maps`` computes the two conditions the paper reduces
 boundedness to at once. The phi' half (``_multiplier_half``: the uniform
 profile, the tester lower bound of the multiplier norm and, for p < inf,
-the msq search) reads phi' alone, so ``res.halves`` keeps its record
-entries by value, keyed by phi''s content (``Resolution.content``) and
-origin, the space, kind and seed. Once every map is read, one
-``worker.Worker`` computes the halves that ``res.halves`` lacks, in order of
-first need, and streams back their entries only, while the caller computes
-U, M, the opnorm lower bound and the fragments map by map. Only then does
-it read the halves and make the verdicts, so a half that is slow in the
-worker delays no map's own work. ``classify`` is the one-map case.
-A norm is a function of its key, so the report is the same bit for bit
-whichever process computed it, and a half the worker does not answer clean
-runs in the caller (see ``worker``).
+the msq search) reads phi' alone, so the call keeps its record entries by
+value, keyed by phi''s content (``Resolution.content``) and origin; the
+space, kind and seed are the call's. Once every map is read, one
+``worker.Worker`` computes each distinct half, in order of first need, and
+streams back its entries only, while the caller computes U, M, the opnorm
+lower bound and the fragments map by map. Only then does it read the
+halves and make the verdicts, so a half that is slow in the worker delays
+no map's own work. ``classify`` is the one-map case. A norm is a function
+of its key, so the report is the same bit for bit whichever process
+computed it, and a half the worker does not answer clean runs in the
+caller (see ``worker``).
 """
 
 from __future__ import annotations
@@ -69,7 +69,6 @@ from .grid import (
     Extension,
     FAMILY_NAMES,
     GridFunction,
-    GridMismatchError,
     SpaceParams,
     _plateau,
     grid_derivative,
@@ -163,9 +162,9 @@ def gate_space(sp: SpaceParams, kind: str = "besov"):
 class Resolution:
     """The grid every fragment samples on, ``count`` points over
     ``window``, the witness family sampled on it, and the content-keyed norm
-    cache (see the module docstring for the key and the scope). Only digests
-    are stored, never sample bytes. A count too coarse to resolve the
-    family's eta(ETA_EPS) is refused up front."""
+    cache (see the module docstring for the key and the scope), and nothing
+    else. Only digests are stored, never sample bytes. A count too coarse to
+    resolve the family's eta(ETA_EPS) is refused up front."""
 
     window = DEFAULT_WINDOW
     # kind -> norm of (f, sp, hg); besov_seminorm is the Lipschitz witness's
@@ -186,7 +185,6 @@ class Resolution:
         self.spacing = (self.window[1] - self.window[0]) / (count - 1)
         self.x = self.window[0] + self.spacing * np.arange(count)
         self._values: dict = {}
-        self.halves: dict = {}  # classify's phi' half by value; see the module docstring
 
     def __len__(self) -> int:
         return len(self._values)
@@ -238,11 +236,10 @@ class MapOnGrid:
         return cls(phi, res, phi(res.x), lipschitz_constant(phi), max_preimage_count(phi), phi_prime)
 
     def compose(self, f: GridFunction) -> GridFunction:
-        """``sample_composed(f, phi)`` for f on the grid of ``res``, read at ``ys``."""
-        if (f.count, f.origin, f.spacing) != (self.res.count, self.res.window[0], self.res.spacing):
-            raise GridMismatchError("f is not sampled on the grid phi was read on")
+        """C_phi f on the grid of ``res``, for f sampled on any grid: f's
+        descriptor at ``ys`` when it has one, else f interpolated there."""
         vals = f(self.ys) if f.descriptor is None else np.asarray(f.descriptor(self.ys), dtype=np.float64)
-        return GridFunction(vals, f.spacing, f.origin, f.extension)
+        return GridFunction(vals, self.res.spacing, self.res.window[0], f.extension)
 
 
 @dataclass
@@ -451,10 +448,7 @@ def check_nec_lipschitz(mg: MapOnGrid, sp: SpaceParams) -> Fragment:
         x0 = (phib + phia) / 2.0
         shifted = (x0 + res.window[0], x0 + res.window[1])
         f = plateau(x0 - r, x0 + r, max(r * eps, 2.0 * spacing), shifted, res.count)
-        composed = GridFunction(
-            np.asarray(f.descriptor(mg.ys)), spacing, res.window[0], Extension.ZERO
-        )
-        lhs = res.norm(composed, sp, kind="besov_seminorm")
+        lhs = res.norm(mg.compose(f), sp, kind="besov_seminorm")
         fsemi = res.norm(f, sp, kind="besov_seminorm")
         if fsemi == 0.0:
             continue
@@ -628,27 +622,28 @@ def classify_maps(
     (without one, made at the default count); see the module docstring."""
     res = Resolution() if res is None else res
     gate_space(sp, kind)
+    if not phis:
+        return []
     if kind == "sobolev" and not all(phi.strictly_monotone for phi in phis):
         raise RangeGateError("Sobolev route requires a homeomorphism (strictly monotone map)")
-    reads, jobs = [], {}  # jobs: the key of each half res lacks -> the args of its first map's call
+    reads, jobs = [], {}  # jobs: the key of each distinct half -> the args of its first map's call
     for phi in phis:
         t0 = time.perf_counter()
         mg = MapOnGrid.read(phi, res)
-        key = (res.content(mg.phi_prime), mg.phi_prime.origin, (sp.s, sp.p, sp.q, sp.m), kind, seed)
+        key = (res.content(mg.phi_prime), mg.phi_prime.origin)  # the space, kind and seed are the call's
         reads.append([mg, key, time.perf_counter() - t0])  # the read's seconds count to its map's runtime_s
-        if key not in res.halves:
-            jobs.setdefault(key, (mg, sp, kind, seed))
-    job_of = {key: i for i, key in enumerate(jobs)}
+        jobs.setdefault(key, (mg, sp, kind, seed))
+    job_of, halves = {key: i for i, key in enumerate(jobs)}, {}
     t0 = time.perf_counter()
     with Worker(_multiplier_half, list(jobs.values())) as worker:
         reads[0][2] += time.perf_counter() - t0  # and the fork's to the first map's
 
         def half(key) -> tuple[dict, Optional[dict]]:
             """The half's entries, and the worker's timing at the map that first needs them."""
-            if key in res.halves:
-                return res.halves[key], None
-            res.halves[key] = worker.result(job_of[key])
-            return res.halves[key], worker.timings[job_of[key]]
+            if key in halves:
+                return halves[key], None
+            halves[key] = worker.result(job_of[key])
+            return halves[key], worker.timings[job_of[key]]
 
         # every map's own work comes first, so a half slow in the worker holds up only the verdicts at the end
         reports = [_classify_read(mg, sp, kind, seed, pre) for mg, key, pre in reads]

@@ -5,7 +5,8 @@ unless declared test-only, every defaulted parameter and dataclass field
 is passed by some call in the program unless declared here, the package
 reads no environment variable that is not declared here, the fragments in
 theorems.py read their grid from one Resolution and their map from one
-MapOnGrid, theorems.py reads phi through maps and never through _kernels,
+MapOnGrid, which alone composes a witness with phi, theorems.py reads phi
+through maps and never through _kernels,
 the program runs without importing scipy, and the README states its line
 count."""
 
@@ -193,9 +194,10 @@ GRID_DEFAULTS = {"DEFAULT_WINDOW", "DEFAULT_COUNT"}
 GRID_PARAMETERS = {"hg", "window", "memo"}
 
 
-def _outside_class(source: str, owner: str, names=(), parameters=(), calls=()) -> list[str]:
+def _outside_class(source: str, owner: str, names=(), parameters=(), calls=(), attributes=()) -> list[str]:
     """Outside the class ``owner`` of ``source``: reads of ``names``,
-    parameters named in ``parameters`` and calls of the functions ``calls``."""
+    parameters named in ``parameters``, calls of the functions ``calls``
+    and reads of the attributes ``attributes``."""
     found, stack = [], [ast.parse(source)]
     while stack:
         node = stack.pop()
@@ -207,6 +209,8 @@ def _outside_class(source: str, owner: str, names=(), parameters=(), calls=()) -
             found.append(f"parameter {node.arg} (line {node.lineno})")
         elif isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id in calls:
             found.append(f"call {node.func.id} (line {node.lineno})")
+        elif isinstance(node, ast.Attribute) and node.attr in attributes:
+            found.append(f".{node.attr} (line {node.lineno})")
         stack.extend(ast.iter_child_nodes(node))
     return sorted(found)
 
@@ -233,13 +237,15 @@ def test_grid_guard_sees_each_form(source, want):
 
 
 # theorems.py: phi's per-map values are read in MapOnGrid, once per classify,
-# and no function outside it takes them loose
+# no function outside it takes them loose, and a witness's descriptor is read
+# only in MapOnGrid.compose, so every witness is composed one way
 MAP_READS = {"lipschitz_constant", "max_preimage_count", "derivative", "sample_composed", "compose"}
 MAP_PARAMETERS = {"lip", "phi_prime"}
+MAP_ATTRIBUTES = {"descriptor"}
 
 
 def _map_outside_reading(source: str) -> list[str]:
-    return _outside_class(source, "MapOnGrid", parameters=MAP_PARAMETERS, calls=MAP_READS)
+    return _outside_class(source, "MapOnGrid", parameters=MAP_PARAMETERS, calls=MAP_READS, attributes=MAP_ATTRIBUTES)
 
 
 def test_theorems_reads_each_map_once():
@@ -255,6 +261,9 @@ def test_theorems_reads_each_map_once():
         ("g = mg.compose(f)", []),
         ("def f(mg, *, phi_prime): pass", ["parameter phi_prime (line 1)"]),
         ("h = lambda phi, lip: 0", ["parameter lip (line 1)"]),
+        ("class MapOnGrid:\n    def compose(self, f):\n        return f.descriptor(self.ys)", []),
+        ("g = GridFunction(np.asarray(f.descriptor(mg.ys)), dx, x0)", [".descriptor (line 1)"]),
+        ("def f(g):\n    return g.descriptor is None", [".descriptor (line 2)"]),
     ],
 )
 def test_map_guard_sees_each_form(source, want):

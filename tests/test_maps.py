@@ -7,7 +7,7 @@ import pytest
 
 from besovlab import _kernels as K
 from besovlab import maps as maps_module
-from besovlab.grid import catalog_family, sample
+from besovlab.grid import GridFunction, catalog_family, sample
 from besovlab.maps import (
     M_LEVELS,
     SWEEP_STEP,
@@ -30,6 +30,7 @@ from besovlab.maps import (
     polynomial_map,
     preimage_intervals,
     quadratic_map,
+    sample_composed,
     sin_drift_map,
     sin_map,
     steepest_point,
@@ -165,6 +166,14 @@ def test_compose_contraction_in_sup_norm():
     assert np.max(np.abs(g.samples - exact)) <= lip_f * f.spacing
 
 
+def test_sample_composed_interpolates_a_function_without_a_descriptor():
+    f = sample("gaussian")
+    bare = GridFunction(f.samples, f.spacing, f.origin)
+    phi = sin_drift_map(0.5)
+    assert np.array_equal(sample_composed(bare, phi).samples, compose(f, phi).samples)
+    assert not np.array_equal(sample_composed(bare, phi).samples, sample_composed(f, phi).samples)
+
+
 # ---------------------------------------------------------------------------
 # derivative and Lipschitz constant
 # ---------------------------------------------------------------------------
@@ -297,6 +306,19 @@ def test_preimage_touching_segments_merge():
     assert dec.count == 2
     assert dec.total_length == pytest.approx(3.0, abs=1e-12)
     assert np.allclose(dec.to_json(), [[1.0, 3.0], [4.0, 5.0]], rtol=0.0, atol=1e-12)
+
+
+def test_preimage_merge_moves_the_start_left_to_a_later_segment():
+    # -16 + (-7.86 + 16) rounds to -7.859999999999999, so the first piece's
+    # segment ends past the breakpoint where the second starts; the target
+    # from that end value clips the first segment at its end alone, and the
+    # second segment's start moves the interval's start left to -7.86
+    bp = np.array([-16.0, -7.86, 16.0])
+    phi = LineMap(bp, np.array([[0.1 * bp[0], 0.1, 0, 0], [0.1 * bp[1], 0.1, 0, 0]]), 0.1, 0.1)
+    seg = phi.segments()
+    assert seg[0, 6] > seg[1, 5] == -7.86
+    (start, _), = preimage_intervals(phi, (seg[0, 8], seg[0, 8] + 0.5)).intervals
+    assert start == -7.86
 
 
 def test_preimage_merge_tolerance_is_inclusive():

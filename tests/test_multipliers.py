@@ -105,6 +105,23 @@ def test_msq_reuses_a_given_profile():
     assert len(calls) == n_plain - profile[0].size
 
 
+@pytest.mark.parametrize("window, n", [((-3.0, 3.0), 3), ((-6.0, 5.5), 8), ((-6.0, 6.0), 9)])
+def test_msq_tries_only_the_block_widths_below_the_translate_count(window, n):
+    psi = make_psi("mollifier")
+    f = sample("sine", window, 2**9 + 1)
+    profile = unif_profile(f, SP, psi, with_rows=True)
+    assert profile[0].size == n
+    calls = []
+
+    def counting(g, sp, hg):
+        calls.append(1)
+        return besov_norm_diff(g, sp, hg)
+
+    msq_norm_lower_detailed(f, SP, psi, n_random=2, norm_fn=counting, profile=profile)
+    # two Rademacher draws, all-ones, and three placements of each width 2, 4, 8 below n
+    assert len(calls) == 2 + 1 + 3 * sum(width < n for width in (2, 4, 8))
+
+
 def test_msq_builds_the_translate_rows_once():
     psi = make_psi("mollifier")
     f = sample("sine", count=2**11 + 1)

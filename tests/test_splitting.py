@@ -46,6 +46,13 @@ def test_split_skip_example():
     assert part.classes == ((0, 1), (2,))
 
 
+def test_pairwise_disjoint_refuses_touching_and_overlapping_intervals():
+    f = fam([(0.0, 1.0), (2.0, 3.0), (1.0, 1.5), (2.5, 4.0)])
+    assert pairwise_disjoint(f, [0, 1])
+    assert not pairwise_disjoint(f, [2, 0])  # touching at 1
+    assert not pairwise_disjoint(f, [1, 3])  # overlapping on [2.5, 3]
+
+
 def test_empty_and_invalid():
     assert split_partition(fam(np.zeros((0, 2)))).count == 0
     with pytest.raises(ValueError):

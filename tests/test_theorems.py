@@ -6,13 +6,12 @@ import os
 import numpy as np
 import pytest
 
-from besovlab import maps
+from besovlab import maps, theorems
 from besovlab.gadgets import unit_bump
 from besovlab.grid import (
     DEFAULT_COUNT,
     Extension,
     GridFunction,
-    GridMismatchError,
     SpaceParams,
     grid_derivative,
     lp_norm,
@@ -35,7 +34,9 @@ from besovlab.maps import (
 from besovlab.norms import DEFAULT_HGRID, besov_norm_diff, besov_seminorm_diff, sobolev_norm_diff
 from besovlab.theorems import (
     LIP_DELTAS,
+    LIP_FACTOR_TOL,
     LIP_MARGIN,
+    WINDOW_RUN,
     CheckReport,
     MapOnGrid,
     RangeGateError,
@@ -48,6 +49,7 @@ from besovlab.theorems import (
     composed_bump_masses,
     gate_space,
     opnorm_lower_detailed,
+    _window_limited,
     _witness_oracle_lower,
 )
 
@@ -259,6 +261,39 @@ def test_nec_lipschitz_places_its_witness_on_the_tails(lo, hi):
     on_grid = check_nec_lipschitz(MapOnGrid.read(affine_map(2.0, 0.0), Resolution(2049)), SP)
     assert frag.passed and not frag.vacuous
     assert frag.values["implied_lip"] == pytest.approx(on_grid.values["implied_lip"], rel=0.0, abs=1e-9)
+
+
+def test_nec_lipschitz_fails_where_a_composed_witness_falls_short_of_the_oracle(monkeypatch):
+    mg = MapOnGrid.read(identity_map(), Resolution())
+    assert check_nec_lipschitz(mg, SP).values["oracle_ok"] is True
+    # each composed seminorm is hundreds of oracles here; a million oracles is out of its reach
+    oracle = theorems._witness_oracle_lower
+    monkeypatch.setattr(theorems, "_witness_oracle_lower", lambda delta, sp: 1e6 * oracle(delta, sp))
+    frag = check_nec_lipschitz(mg, SP)
+    assert frag.values["oracle_ok"] is False and not frag.passed
+    assert 1.0 / LIP_FACTOR_TOL <= frag.values["ratio"] <= LIP_FACTOR_TOL  # the slope alone would pass
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_nec_lipschitz_skips_a_witness_whose_seminorm_underflows():
+    # slope 2.97 on [-16, 0] and 5.94 on [0, 1/3], so b = 0 and at delta = 1/3
+    # r = eps = 0.99: the witness's ramps are 0.98 wide, wider than the h-grid's
+    # largest step 2^(-1/8), so every |Delta^2_h f| is below 1 and underflows at
+    # p = 1e6, and the witness's seminorm reads 0
+    t = LIP_DELTAS[0]
+    phi = LineMap(np.array([-16.0, 0.0, t, 16.0]),
+                  np.array([[-16.0 * 2.97, 2.97, 0, 0], [0.0, 5.94, 0, 0], [5.94 * t, 2.97, 0, 0]]), 2.97, 2.97)
+    frag = check_nec_lipschitz(MapOnGrid.read(phi, Resolution()), SpaceParams(1.5, 1e6, 2.0, 2))
+    assert [d["delta"] for d in frag.values["sweep"]] == list(LIP_DELTAS[1:3])
+
+
+def test_a_short_profile_is_never_window_limited():
+    rising = np.arange(1.0, WINDOW_RUN + 2.0)
+    assert _window_limited(np.arange(WINDOW_RUN + 1), rising)
+    assert _window_limited(np.arange(WINDOW_RUN + 1), rising[::-1])
+    # a profile of WINDOW_RUN translates has too few steps to show growth
+    assert not _window_limited(np.arange(WINDOW_RUN), rising[1:])
+    assert not _window_limited(np.arange(WINDOW_RUN), rising[1:][::-1])
 
 
 def test_chain_identity_exact():
@@ -511,8 +546,13 @@ def test_reading_holds_the_per_map_values():
     assert np.array_equal(mg.compose(f).samples, sample_composed(f, phi).samples)
     fprime = grid_derivative(f)  # no descriptor: interpolated, as compose reads it
     assert np.array_equal(mg.compose(fprime).samples, compose(fprime, phi).samples)
-    with pytest.raises(GridMismatchError):
-        mg.compose(sample("gaussian", res.window, res.count + 1))
+    # a witness sampled off the grid composes on res's grid: its descriptor at
+    # ys when it has one, else its interpolant there
+    off = sample("gaussian", (-12.0, 20.0), res.count + 1)
+    for g, want in ((off, off.descriptor(mg.ys)), (grid_derivative(off), grid_derivative(off)(mg.ys))):
+        composed = mg.compose(g)
+        assert (composed.count, composed.origin, composed.spacing) == (res.count, res.window[0], res.spacing)
+        assert np.array_equal(composed.samples, want)
 
 
 @pytest.mark.parametrize("sp", [SP, SP_INF], ids=["p=2", "p=inf"])

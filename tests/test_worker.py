@@ -2,7 +2,7 @@
 beside the rest: it is started off the caller's CPU, streams back each clean
 result (from the first other outcome on, the jobs run in the caller), never
 outlives its caller, and changes no bit of any report; a run forks at most
-one worker, and a phi' half already on the Resolution is no job of it."""
+one worker, and a phi' half that two maps of a call share is one job of it."""
 
 import io
 import json
@@ -340,14 +340,16 @@ def test_a_caller_failure_at_map_2_of_3_terminates_the_worker(monkeypatch):
             raise ValueError("opnorm broke at map 2")
         return opnorm(mg, *args)
 
+    read, result = [], Worker.result
     monkeypatch.setattr(theorems, "_multiplier_half", slow_in_the_worker)
     monkeypatch.setattr(theorems, "opnorm_lower_detailed", fails_at_map_2)
-    res, t0 = Resolution(SMALL), time.perf_counter()
+    monkeypatch.setattr(Worker, "result", lambda worker, i: read.append(i) or result(worker, i))
+    t0 = time.perf_counter()
     with pytest.raises(ValueError, match="^opnorm broke at map 2$"):
-        theorems.classify_maps([named_map(spec) for spec in THREE["maps"]], SP, res=res)
+        theorems.classify_maps([named_map(spec) for spec in THREE["maps"]], SP, res=Resolution(SMALL))
     assert time.perf_counter() - t0 < 10.0
     assert multiprocessing.active_children() == []
-    assert res.halves == {}  # every map's own work comes before the first half is read
+    assert read == []  # every map's own work comes before the first half is read
 
 
 @pytest.mark.parametrize("cpus", ["two", "one"])
@@ -387,14 +389,23 @@ def test_each_phi_prime_half_is_computed_once(tmp_path, monkeypatch, capsys):
     # scale(0.5) shares affine(0.5,2)'s phi', and shift(1) shares identity's
     assert len(meta["worker"]) == 8
     assert sorted(name for name, *_ in calls) == sorted(set(meta["worker"]) - {"scale(0.5)", "shift(1)"})
-    # the same phi' under another kind, seed or space computes its own half
+    # within one call the shared phi' is computed once; each call computes its
+    # own, under the same space, kind and seed on the same Resolution too
     calls.clear()
     res = Resolution(SMALL)
-    runs = [(SP, "besov", 1234), (SP, "sobolev", 1234), (SP, "besov", 7), (SP_INF, "besov", 1234)]
+    runs = [(SP, "besov", 1234), (SP, "besov", 1234), (SP, "sobolev", 1234), (SP, "besov", 7), (SP_INF, "besov", 1234)]
+    shared = [named_map(spec) for spec in ("affine:a=0.5,b=2", "scale:k=0.5")]
     for sp, kind, seed in runs:
-        for spec in ("affine:a=0.5,b=2", "scale:k=0.5"):
-            classify(named_map(spec), sp, kind=kind, seed=seed, res=res)
+        theorems.classify_maps(shared, sp, kind=kind, seed=seed, res=res)
     assert calls == [("affine(0.5,2.0)", sp, kind, seed) for sp, kind, seed in runs]
+
+
+def test_no_maps_give_no_reports_and_fork_no_worker(monkeypatch):
+    forks = _count_forks(monkeypatch)
+    assert theorems.classify_maps([], SP) == []
+    assert forks == []
+    with pytest.raises(theorems.RangeGateError):  # the space is still gated
+        theorems.classify_maps([], SpaceParams(1.2, 2.0, 2.0, 2))
 
 
 def test_meta_gives_each_maps_worker_times(tmp_path, capsys):
