@@ -74,18 +74,12 @@ def _smoothstep_antiderivative(u):
     return u**4 * (2.5 + u * (-3.0 + u))
 
 
-def _zigzag_pieces(m: int):
-    """Cell layout on t in [-2m, 14m), period 16m, transition width m/2."""
+def zigzag_value(m: int) -> Callable:
+    """The periodic zigzag, period 16m (one cell on t in [-2m, 14m)): slope
+    exactly (-1)^k on [2(4k-1)m, 2(4k+1)m], quintic slope transitions of
+    width m/2, shifted to be centered and bounded."""
     w = 0.5 * m
     c1, c2 = 4.0 * m, 12.0 * m
-    return w, c1, c2
-
-
-def zigzag_value(m: int) -> Callable:
-    """The periodic zigzag: slope exactly (-1)^k on [2(4k-1)m, 2(4k+1)m],
-    quintic slope transitions of width m/2, shifted to be centered and
-    bounded."""
-    w, c1, c2 = _zigzag_pieces(m)
     period = 16.0 * m
 
     def fn(x):
@@ -117,42 +111,25 @@ def zigzag_value(m: int) -> Callable:
 
 
 def zigzag_window_length(m: int) -> int:
-    """The shortest window zigzag_g(m, ...) accepts: two 8m-periods."""
+    """The shortest window zigzag_g(m, ...) accepts: two 16m-periods."""
     return 32 * m
-
-
-def _require_two_periods(m: int, window):
-    if m < 1:
-        raise ValueError("m must be a positive integer")
-    lo, hi = window
-    if hi - lo < zigzag_window_length(m):
-        raise ValueError(f"window must cover two 8m-periods (need length >= {zigzag_window_length(m)})")
-
-
-def _window_taper(m: int, window):
-    """Smooth cutoff: 1 on the core, quintic ramps of width 2m down to 0 at
-    the window edges (cutting the zigzag without a taper would leave slope
-    kinks at the edges that dominate its norm)."""
-    lo, hi = window
-    w = 2.0 * m
-
-    def taper(x):
-        x = np.asarray(x, dtype=np.float64)
-        return smoothstep((x - lo) / w) * smoothstep((hi - x) / w)
-
-    return taper
 
 
 def zigzag_g(m: int, window=DEFAULT_WINDOW, count: int = DEFAULT_COUNT) -> GridFunction:
     """The bounded zigzag witness g with g' = (-1)^k on its 4m-plateaus
-    (exact away from the window taper): the periodic pattern times the
-    window taper."""
-    _require_two_periods(m, window)
+    (exact away from the taper): the periodic pattern times a taper with
+    quintic ramps of width 2m to 0 at the window edges, without which the
+    cut's slope kinks would dominate its norm."""
+    if m < 1:
+        raise ValueError("m must be a positive integer")
+    lo, hi = window
+    if hi - lo < zigzag_window_length(m):
+        raise ValueError(f"window must cover two 16m-periods (need length >= {zigzag_window_length(m)})")
     base = zigzag_value(m)
-    taper = _window_taper(m, window)
+    w = 2.0 * m
 
     def g(x):
         x = np.asarray(x, dtype=np.float64)
-        return base(x) * taper(x)
+        return base(x) * (smoothstep((x - lo) / w) * smoothstep((hi - x) / w))
 
     return sample_fn(g, window, count, Extension.ZERO)

@@ -96,13 +96,10 @@ class GridFunction:
         out = _kernels.interp_eval(self.samples, self.origin, self.spacing, left, right, arr)
         return float(out[0]) if scalar else out
 
-    def _require_same_grid(self, other: "GridFunction"):
-        if (self.count, self.origin, self.spacing) != (other.count, other.origin, other.spacing):
-            raise GridMismatchError("grids differ (origin/spacing/count)")
-
     def __mul__(self, other):
         if isinstance(other, GridFunction):
-            self._require_same_grid(other)
+            if (self.count, self.origin, self.spacing) != (other.count, other.origin, other.spacing):
+                raise GridMismatchError("grids differ (origin/spacing/count)")
             ext = (
                 Extension.ZERO
                 if Extension.ZERO in (self.extension, other.extension)

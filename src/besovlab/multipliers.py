@@ -58,12 +58,6 @@ def make_psi(profile: str) -> Callable:
     return psi
 
 
-def _normalized(entries, p: float) -> np.ndarray:
-    """Nonzero ``entries`` scaled to unit l^p norm, p < inf."""
-    arr = np.asarray(entries, dtype=np.float64)
-    return arr / float((np.abs(arr) ** p).sum() ** (1.0 / p))
-
-
 def translate_range(f: GridFunction, margin: int = 0) -> np.ndarray:
     """Integer z with [z-1-margin, z+1+margin] inside f's window.
 
@@ -129,11 +123,10 @@ def msq_norm_lower_detailed(
     best = float(coord_vals.max())
     arg = f"coordinate z={int(zs[int(np.argmax(coord_vals))])}"
 
-    def try_candidate(entries, label: str):
+    def try_candidate(entries: np.ndarray, label: str):
         nonlocal best, arg
-        g = GridFunction(
-            f.samples * (_normalized(entries, sp.p) @ rows), f.spacing, f.origin, Extension.ZERO
-        )
+        unit = entries / float((np.abs(entries) ** sp.p).sum() ** (1.0 / sp.p))  # unit l^p norm
+        g = GridFunction(f.samples * (unit @ rows), f.spacing, f.origin, Extension.ZERO)
         v = norm_fn(g, sp, DEFAULT_HGRID)
         if v > best:
             best = v

@@ -85,6 +85,7 @@ class DyadicHGrid:
         if self.nodes_per_level < 2 or self.nodes_per_level % 2:
             raise ValueError("nodes_per_level must be even and >= 2")
 
+    @functools.lru_cache(maxsize=32)
     def materialize(self, spacing: float):
         """Node arrays (h, log-weight, linear width, level id) for a grid.
 
@@ -94,33 +95,28 @@ class DyadicHGrid:
         emitted for every node. The arrays are built once per (h-grid,
         spacing) and are read-only.
         """
-        return _materialize(self, float(spacing))
-
-
-@functools.lru_cache(maxsize=32)
-def _materialize(hg: DyadicHGrid, spacing: float):
-    n_mag = hg.nodes_per_level // 2
-    hs, wlog, wlin, lev = [], [], [], []
-    for k in range(hg.levels):
-        # |h| nodes of level k: the log-midpoints of n_mag equal log-pieces
-        # of [2^-(k+1), 2^-k], each weighted by its piece's width
-        mags = 2.0 ** (-(k + 1) + (np.arange(n_mag) + 0.5) / n_mag)
-        keep = mags >= spacing
-        if not keep.any():
-            break
-        widths = np.diff(2.0 ** (-(k + 1) + np.arange(n_mag + 1) / n_mag))[keep]
-        snapped = np.round(mags[keep] / spacing) * spacing
-        for sign in (1.0, -1.0):
-            hs.append(sign * snapped)
-            wlog.append(np.full(snapped.size, LN2 / n_mag))
-            wlin.append(widths)
-            lev.append(np.full(snapped.size, k, dtype=np.int64))
-    if not hs:
-        raise ValueError("grid spacing too coarse for any dyadic level")
-    out = tuple(np.concatenate(parts) for parts in (hs, wlog, wlin, lev))
-    for arr in out:
-        arr.flags.writeable = False
-    return out
+        n_mag = self.nodes_per_level // 2
+        hs, wlog, wlin, lev = [], [], [], []
+        for k in range(self.levels):
+            # |h| nodes of level k: the log-midpoints of n_mag equal log-pieces
+            # of [2^-(k+1), 2^-k], each weighted by its piece's width
+            mags = 2.0 ** (-(k + 1) + (np.arange(n_mag) + 0.5) / n_mag)
+            keep = mags >= spacing
+            if not keep.any():
+                break
+            widths = np.diff(2.0 ** (-(k + 1) + np.arange(n_mag + 1) / n_mag))[keep]
+            snapped = np.round(mags[keep] / spacing) * spacing
+            for sign in (1.0, -1.0):
+                hs.append(sign * snapped)
+                wlog.append(np.full(snapped.size, LN2 / n_mag))
+                wlin.append(widths)
+                lev.append(np.full(snapped.size, k, dtype=np.int64))
+        if not hs:
+            raise ValueError("grid spacing too coarse for any dyadic level")
+        out = tuple(np.concatenate(parts) for parts in (hs, wlog, wlin, lev))
+        for arr in out:
+            arr.flags.writeable = False
+        return out
 
 
 DEFAULT_HGRID = DyadicHGrid()

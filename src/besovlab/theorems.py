@@ -551,7 +551,7 @@ def check_infinity_witness(mg: MapOnGrid, sp: SpaceParams, opnorm: float) -> Fra
             passed=False,
             vacuous=True,
             values={"lip": lip, "lip_reconstructed": recon, "phiprime_seminorm_direct": direct, "opnorm_lower": opnorm},
-            note=f"zigzag stage not evaluated: the window is shorter than two 8m-periods of the m = {down.m} "
+            note=f"zigzag stage not evaluated: the window is shorter than two 16m-periods of the m = {down.m} "
             f"zigzag (length {need})",
         )
     g_norm = res.norm(zigzag_g(down.m, window, res.count), sp)

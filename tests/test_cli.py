@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 import math
 import warnings
@@ -322,8 +323,28 @@ def test_check_p_inf_m3_zigzag_vacuous(tmp_path, capsys):
     (frag,) = [fr for fr in report["fragments"] if fr["name"] == "infinity_witness"]
     assert frag["vacuous"] and not frag["passed"]
     assert frag["note"].startswith("zigzag stage not evaluated")
-    assert "two 8m-periods" in frag["note"] and "64" in frag["note"]
+    assert "two 16m-periods" in frag["note"] and "64" in frag["note"]
     assert "zigzag_bound" not in frag["values"]
+
+
+# sha256 of the report below. No pinned suite record and no benchmark
+# workload runs the p = inf path, so a change that moves one bit of the
+# zigzag witness or of check_infinity_witness shows here.
+P_INF_REPORT_SHA256 = "c69e44013250d69a8b055c6cec6c62459eea9d63e6964c9d68ea105ce3439066"
+
+
+def test_check_p_inf_report_is_pinned(tmp_path, capsys):
+    out = tmp_path / "report.json"
+    code, _, err = run(
+        capsys, "check", "--map", "sin_drift:amp=0.5", "--space", "s=1.5,p=inf,q=2,m=2",
+        "--count", "2049", "--json", str(out),
+    )
+    assert (code, err) == (0, "")
+    report = json.loads(out.read_text())[0]
+    assert report["verdict"] == "ConsistentBounded"
+    (frag,) = [fr for fr in report["fragments"] if fr["name"] == "infinity_witness"]
+    assert frag["passed"] and not frag["vacuous"] and "zigzag_bound" in frag["values"]
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == P_INF_REPORT_SHA256
 
 
 def test_check_sobolev_runs_without_a_flag(tmp_path, capsys):

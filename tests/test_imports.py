@@ -1,14 +1,15 @@
 """Every name a besovlab module imports is used in that module, every name
 it defines at top level is used somewhere in the project and, with its
 classes' public methods, reached from the program itself (src or perfbench)
-unless declared test-only, every defaulted parameter and dataclass field
-is passed by some call in the program unless declared here, the package
-reads no environment variable that is not declared here, the fragments in
-theorems.py read their grid from one Resolution and their map from one
-MapOnGrid, which alone composes a witness with phi, theorems.py reads phi
-through maps and never through _kernels,
-the program runs without importing scipy, and the README states its line
-count."""
+unless declared test-only, the program code that only the benchmark holds
+is declared and reached from src by nothing else, every defaulted
+parameter and dataclass field is passed by some call in the program
+unless declared here, the package reads no environment variable that is
+not declared here, the fragments in theorems.py read their grid from one
+Resolution and their map from one MapOnGrid, which alone composes a
+witness with phi, theorems.py reads phi through maps and never through
+_kernels, the program runs without importing scipy, and the README states
+its line count."""
 
 import ast
 import math
@@ -369,6 +370,102 @@ def test_test_only_api_is_defined_and_unreached():
     reached = bench.union(*(_references(tree) for tree in trees.values()))
     assert set(TEST_ONLY_API) <= defined
     assert set(TEST_ONLY_API).isdisjoint(reached)
+
+
+# Program code that only the benchmark holds, each with what in perfbench
+# holds it (``module.name``, or ``module.Class.name`` for a method). When
+# perfbench stops naming an entry, the test below fails and names the
+# definition to delete.
+BENCH_ONLY_API = {
+    "grid.catalog_family": "perfbench/workloads.py: norms_sweep's set-up builds its function family with it",
+    "_kernels.interp_difference": "perfbench/layers.py: TRACED",
+    "_kernels.shift_difference_batch": "perfbench/layers.py: TRACED, whose stencil counters read its arguments",
+    "_kernels.warm_up": "perfbench/run.py: every set-up runs it before timing",
+    "maps.sample_composed": "perfbench/layers.py: TRACED",
+    "maps.compose": "sample_composed's fall-back for a witness without a descriptor",
+    "maps.IntervalSet.total_length": "perfbench/workloads.py: preimage_split's per-target totals",
+    "__init__.USING_NUMBA": "perfbench/run.py: the backend named in the machine facts",
+}
+
+
+def _keyed_definitions(tree: ast.Module, stem: str):
+    """(``stem.name``, node) for each top-level definition in ``tree``, and
+    (``stem.Class.name``, node) for each method of a top-level class."""
+    for name, node in _top_level_definitions(tree):
+        yield f"{stem}.{name}", node
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef):
+                    yield f"{stem}.{name}.{item.name}", item
+
+
+def _bench_only_reached(sources: dict[str, str]) -> list[str]:
+    """The BENCH_ONLY_API entries that code in ``sources`` (module stem ->
+    text) reaches outside the entries' own definitions. A top-level name is
+    reached by name, by import or as ``module.name``; a method by any
+    attribute of its name, since the object's class is not known. So
+    ``mg.compose`` does not reach maps.compose, and ``maps.compose`` does."""
+    entries = []
+    for key in BENCH_ONLY_API:
+        *owner, name = key.split(".")
+        module = "besovlab" if owner[0] == "__init__" else owner[0]
+        entries.append((key, module, name, len(owner) > 1))
+    reached = set()
+    for stem, text in sources.items():
+        tree = ast.parse(text)
+        skip = {node for key, node in _keyed_definitions(tree, stem) if key in BENCH_ONLY_API}
+        stack = [tree]
+        while stack:
+            node = stack.pop()
+            if node in skip:
+                continue
+            for key, module, name, method in entries:
+                if isinstance(node, ast.Attribute) and node.attr == name:
+                    if method or (isinstance(node.value, ast.Name) and node.value.id == module):
+                        reached.add(key)
+                elif not method and (
+                    (isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load) and node.id == name)
+                    or (isinstance(node, ast.alias) and node.name == name)
+                ):
+                    reached.add(key)
+            stack.extend(ast.iter_child_nodes(node))
+    return sorted(reached)
+
+
+def test_bench_only_api_is_defined_held_by_perfbench_and_unreached_from_src():
+    """Each BENCH_ONLY_API entry is defined in src; perfbench names it, or
+    an entry that perfbench holds reaches it; and no src code outside the
+    entries' own definitions reaches it. The package's __init__ is left out
+    of the last check: a re-export there is not a use."""
+    sources = {path.stem: path.read_text() for path in PACKAGE.glob("*.py")}
+    definitions = dict(kv for stem, text in sources.items() for kv in _keyed_definitions(ast.parse(text), stem))
+    assert sorted(set(BENCH_ONLY_API) - set(definitions)) == []
+    _, bench = _program_references()
+    held, names = set(), bench
+    while more := {key for key in BENCH_ONLY_API if key.rsplit(".", 1)[1] in names} - held:
+        held |= more
+        names = set().union(*(_references(definitions[key]) for key in more))
+    assert sorted(set(BENCH_ONLY_API) - held) == []
+    del sources["__init__"]
+    assert _bench_only_reached(sources) == []
+
+
+@pytest.mark.parametrize(
+    "sources, want",
+    [
+        ({"theorems": "g = mg.compose(f)"}, []),
+        ({"theorems": "from .maps import compose"}, ["maps.compose"]),
+        ({"theorems": "g = maps.compose(f, phi)"}, ["maps.compose"]),
+        ({"maps": "def sample_composed(f, phi):\n    return compose(f, phi)"}, []),
+        ({"maps": "def f(g, phi):\n    return compose(g, phi)"}, ["maps.compose"]),
+        ({"cli": "_kernels.warm_up()"}, ["_kernels.warm_up"]),
+        ({"splitting": "n = iv.total_length"}, ["maps.IntervalSet.total_length"]),
+        ({"cli": "import besovlab\nflag = besovlab.USING_NUMBA"}, ["__init__.USING_NUMBA"]),
+        ({"maps": "class IntervalSet:\n    @property\n    def total_length(self):\n        return 0.0"}, []),
+    ],
+)
+def test_bench_only_guard_sees_each_form(sources, want):
+    assert _bench_only_reached(sources) == want
 
 
 # Defs with a defaulted parameter that no call in the program passes, each

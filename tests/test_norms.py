@@ -21,7 +21,6 @@ from besovlab.norms import (
     DyadicHGrid,
     _difference_norm_table,
     _band_masks,
-    _materialize,
     _sup_bounds,
     besov_norm_diff,
     besov_seminorm_diff,
@@ -94,7 +93,7 @@ def test_hgrid_nodes_are_built_once_per_grid_and_read_only():
     for hg, spacing in ((DyadicHGrid(), 32.0 / 8192), (DyadicHGrid(6, 4), 0.01), (DyadicHGrid(), 0.3)):
         first = hg.materialize(spacing)
         again = hg.materialize(np.float64(spacing))
-        fresh = _materialize.__wrapped__(hg, spacing)
+        fresh = DyadicHGrid.materialize.__wrapped__(hg, spacing)
         assert all(a is b for a, b in zip(first, again))
         for cached, built in zip(first, fresh):
             assert not cached.flags.writeable
