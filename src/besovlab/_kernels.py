@@ -33,10 +33,10 @@ a guessed root is the bracket after d steps when the values the bisection
 computes at its sides clear the rounding margin m; the bisection then runs
 the remaining ``N_BISECT`` - d steps, about 15 of 50. A row with other
 ends (sin's, at -10 + k / 20) or a root within m of the cell's sides starts
-from the row's ends. ``preimage_lengths`` runs its targets in fixed-size
-chunks, which bound its memory, and forms only the (target, segment)
-pairs that meet. ``preimage_length_bounds`` bounds its totals from above
-without solving, from certified slopes.
+from the row's ends. ``preimage_lengths`` and ``preimage_length_bounds``,
+its upper bound from certified slopes without solving, add their terms in
+``_pair_sums``, over fixed-size target chunks, which bound the memory, and
+only the (target, segment) pairs that meet.
 """
 
 from __future__ import annotations
@@ -413,30 +413,34 @@ def _meeting_pairs(ymin, ymax, lo, hi):
     return t[meet], s[meet]
 
 
-def preimage_lengths(seg, los, his):
-    """Total preimage length |phi^-1([lo, hi])| for a batch of targets.
-
-    Each target's total is the sum, in segment order from 0.0, of the
-    segment_clip lengths of the segments that meet [lo, hi]. The pairs
-    that meet come out of _meeting_pairs segment by segment, so each
-    target's terms stay in segment order, and bincount adds them in input
-    order from 0.0.
-    """
-    seg = np.ascontiguousarray(seg, dtype=np.float64)
+def _pair_sums(seg, los, his, terms):
+    """Per target [lo, hi] of ``los``, ``his``, the sum of terms(s, lo, hi,
+    ymin, ymax), arrays over the (target, segment s) pairs that meet, with
+    [ymin, ymax] the segment's value range. The targets run in chunks of
+    _CHUNK_TARGETS, which bound the pairs; _meeting_pairs gives the pairs
+    segment by segment and bincount adds them in input order from 0.0, so
+    every target's terms are summed in segment order, whatever they are."""
     los = np.ascontiguousarray(los, dtype=np.float64)
     his = np.ascontiguousarray(his, dtype=np.float64)
+    ymin, ymax = np.minimum(seg[:, 7], seg[:, 8]), np.maximum(seg[:, 7], seg[:, 8])
     out = np.zeros(los.shape[0])
-    if seg.shape[0] == 0:
-        return out
-    xlo, xhi, ylo, yhi = seg[:, 5], seg[:, 6], seg[:, 7], seg[:, 8]
-    ymin, ymax = np.minimum(ylo, yhi), np.maximum(ylo, yhi)
-    inc = yhi >= ylo
     for start in range(0, los.shape[0], _CHUNK_TARGETS):
         lo, hi = los[start : start + _CHUNK_TARGETS], his[start : start + _CHUNK_TARGETS]
-        n = lo.shape[0]
         t, s = _meeting_pairs(ymin, ymax, lo, hi)
-        lo_t, hi_t, ymin_s, ymax_s, inc_s = lo[t], hi[t], ymin[s], ymax[s], inc[s]
-        flat = ymin_s == ymax_s
+        weights = terms(s, lo[t], hi[t], ymin[s], ymax[s])
+        out[start : start + lo.shape[0]] = np.bincount(t, weights=weights, minlength=lo.shape[0])
+    return out
+
+
+def preimage_lengths(seg, los, his):
+    """Total preimage length |phi^-1([lo, hi])| for a batch of targets: the
+    _pair_sums of the segment_clip lengths of the segments that meet it."""
+    seg = np.ascontiguousarray(seg, dtype=np.float64)
+    xlo, xhi = seg[:, 5], seg[:, 6]
+    inc = seg[:, 8] >= seg[:, 7]
+
+    def clip_lengths(s, lo_t, hi_t, ymin_s, ymax_s):
+        flat, inc_s = ymin_s == ymax_s, inc[s]
         solve_a = ~flat & ~(lo_t <= ymin_s)
         solve_b = ~flat & ~(hi_t >= ymax_s)
         xa = np.where(inc_s, xlo[s], xhi[s])
@@ -446,9 +450,9 @@ def preimage_lengths(seg, los, his):
         n_a = int(solve_a.sum())
         xa[solve_a] = roots[:n_a]
         xb[solve_b] = roots[n_a:]
-        terms = np.where(flat, xhi[s] - xlo[s], np.abs(xb - xa))
-        out[start : start + n] = np.bincount(t, weights=terms, minlength=n)
-    return out
+        return np.where(flat, xhi[s] - xlo[s], np.abs(xb - xa))
+
+    return _pair_sums(seg, los, his, clip_lengths)
 
 
 def _rounding(seg):
@@ -537,31 +541,22 @@ def start_table(seg):
 
 
 def preimage_length_bounds(seg, los, his):
-    """An upper bound on each preimage_lengths total, without solving.
-
-    Each (target, segment) pair that preimage_lengths sums contributes
-    min(width, overlap / mu + margin) (see _slope_floor). A computed clip
-    lies inside its segment, so it is at most the width, and a flat term is
-    the width. The terms are summed as preimage_lengths sums its own, in
-    segment order from 0.0, and rounding is monotone, so each total is at
-    least the computed one. The targets run in the chunks of
-    preimage_lengths, and the pairs come from the same _meeting_pairs."""
+    """An upper bound on each preimage_lengths total, without solving: the
+    _pair_sums of min(width, overlap / mu + margin) (see _slope_floor). A
+    computed clip lies inside its segment, so it is at most the width, and
+    a flat term is the width. The terms are added in the lengths' order and
+    rounding is monotone, so each total is at least the computed one."""
     seg = np.ascontiguousarray(seg, dtype=np.float64)
-    los = np.ascontiguousarray(los, dtype=np.float64)
-    his = np.ascontiguousarray(his, dtype=np.float64)
     inv, margin, width = _slope_floor(seg)
-    ymin, ymax = np.minimum(seg[:, 7], seg[:, 8]), np.maximum(seg[:, 7], seg[:, 8])
-    out = np.zeros(los.shape[0])
-    for start in range(0, los.shape[0], _CHUNK_TARGETS):
-        lo, hi = los[start : start + _CHUNK_TARGETS], his[start : start + _CHUNK_TARGETS]
-        t, s = _meeting_pairs(ymin, ymax, lo, hi)
-        terms = np.minimum(hi[t], ymax[s])
-        terms -= np.maximum(lo[t], ymin[s])
+
+    def bounded_lengths(s, lo_t, hi_t, ymin_s, ymax_s):
+        terms = np.minimum(hi_t, ymax_s)
+        terms -= np.maximum(lo_t, ymin_s)
         terms *= inv[s]
         terms += margin[s]
-        np.minimum(terms, width[s], out=terms)
-        out[start : start + lo.shape[0]] = np.bincount(t, weights=terms, minlength=lo.shape[0])
-    return out
+        return np.minimum(terms, width[s], out=terms)
+
+    return _pair_sums(seg, los, his, bounded_lengths)
 
 
 # ---------------------------------------------------------------------------

@@ -30,13 +30,7 @@ from .maps import (
     named_map,
     preimage_intervals,
 )
-from .norms import (
-    DEFAULT_HGRID,
-    besov_norm_diff,
-    littlewood_paley_norm,
-    sobolev_norm_diff,
-    sobolev_norm_fourier,
-)
+from .norms import DEFAULT_HGRID, METHODS
 from .splitting import IntervalFamily, intersection_degree, split_partition
 from .theorems import CheckReport, RangeGateError, Resolution, classify, classify_maps
 
@@ -110,15 +104,6 @@ def _dump_records(records: list, path=None):
             fh.write(text + "\n")
     else:
         print(text)
-
-
-# --method name -> norm of (f, sp, hg)
-METHODS = {
-    "diff": lambda f, sp, hg: besov_norm_diff(f, sp, hg),
-    "lp": lambda f, sp, hg: littlewood_paley_norm(f, sp),
-    "sobolev_fourier": lambda f, sp, hg: sobolev_norm_fourier(f, sp.s, sp.p),
-    "sobolev_diff": lambda f, sp, hg: sobolev_norm_diff(f, sp.s, sp.p, sp.m, hg),
-}
 
 
 def cmd_norm(args) -> int:

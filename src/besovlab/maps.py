@@ -617,7 +617,7 @@ def M_functional(phi: LineMap, uval: float) -> MEstimate:
     infinite flag fires when the ladder exceeds 10x its width-1
     rung and is still increasing at the resolution floor.
     """
-    if phi.left_slope == 0.0 or phi.right_slope == 0.0:
+    if math.isinf(uval):  # a flat tail
         return MEstimate(math.inf, True, [], [])
     widths = [2.0**-k for k in range(M_LEVELS + 1)]
     sups = [uval] + [sup / w for sup, w in zip(_sup_preimage_lengths(phi, widths[1:]), widths[1:])]

@@ -393,6 +393,17 @@ def sobolev_norm_diff(
     return lp_norm(f, p) + sobolev_seminorm_diff(f, s, p, m, hg)
 
 
+# name -> norm of (f, sp, hg): the CLI's --method choices, and the Besov and
+# Sobolev norms of theorems.Resolution. Each entry looks its norm up when
+# called, so a norm swapped in this module (a traced one) is the one run.
+METHODS = {
+    "diff": lambda f, sp, hg: besov_norm_diff(f, sp, hg),
+    "lp": lambda f, sp, hg: littlewood_paley_norm(f, sp),
+    "sobolev_fourier": lambda f, sp, hg: sobolev_norm_fourier(f, sp.s, sp.p),
+    "sobolev_diff": lambda f, sp, hg: sobolev_norm_diff(f, sp.s, sp.p, sp.m, hg),
+}
+
+
 def embedding_lhs(f: GridFunction, p: float) -> float:
     """(sum_j ||f||_{L^inf([j, j+1])}^p)^{1/p} over integer j covering the window.
 

@@ -94,13 +94,7 @@ from .multipliers import (
     multiplier_norm_lower_detailed,
     unif_profile,
 )
-from .norms import (
-    DEFAULT_HGRID,
-    DyadicHGrid,
-    besov_norm_diff,
-    besov_seminorm_diff,
-    sobolev_norm_diff,
-)
+from .norms import DEFAULT_HGRID, METHODS, DyadicHGrid, besov_seminorm_diff
 from .worker import Worker
 
 SCHEMA_VERSION = 1
@@ -167,10 +161,11 @@ class Resolution:
     resolve the family's eta(ETA_EPS) is refused up front."""
 
     window = DEFAULT_WINDOW
-    # kind -> norm of (f, sp, hg); besov_seminorm is the Lipschitz witness's
+    # kind -> norm of (f, sp, hg), looked up when called as in norms.METHODS;
+    # besov_seminorm is the Lipschitz witness's
     NORMS = {
-        "besov": lambda f, sp, hg: besov_norm_diff(f, sp, hg),
-        "sobolev": lambda f, sp, hg: sobolev_norm_diff(f, sp.s, sp.p, sp.m, hg),
+        "besov": METHODS["diff"],
+        "sobolev": METHODS["sobolev_diff"],
         "besov_seminorm": lambda f, sp, hg: besov_seminorm_diff(f, sp, hg),
     }
 
@@ -330,6 +325,14 @@ def opnorm_lower_detailed(mg: MapOnGrid, sp: SpaceParams, kind: str = "besov") -
 # necessity of the unit-interval distortion bound
 # ---------------------------------------------------------------------------
 
+def _unit_targets(lo: float, hi: float) -> np.ndarray:
+    """The left ends a of the unit targets [a, a + 1] of both unit-target
+    fragments: lo, lo + A_STEP, ... up to hi. arange's last point passes hi
+    when lo is off the step lattice, so it is dropped."""
+    a_grid = np.arange(lo, hi + A_STEP, A_STEP)
+    return a_grid[a_grid <= hi]
+
+
 def composed_bump_masses(mg: MapOnGrid, targets, p: float) -> list[float]:
     """||C_phi f_a||_p^p for the unit bump f_a of every target a. Each bump's
     samples are interpolated at phi's grid values; ``MapOnGrid.compose`` would
@@ -360,10 +363,7 @@ def check_nec_U(mg: MapOnGrid, sp: SpaceParams, opnorm: float, uval: float, kind
     ymin, ymax = mg.phi.value_range()
     # keep witness targets away from the range edges so their preimages stay
     # inside the window (truncated composed mass would fake a violation)
-    a_lo = max(ymin + 1.0, window[0])
-    a_hi = min(ymax - 2.0, window[1] - 1.0)
-    a_grid = np.arange(a_lo, a_hi + A_STEP, A_STEP)
-    a_grid = a_grid[(a_grid >= window[0]) & (a_grid + 1.0 <= window[1])]
+    a_grid = _unit_targets(max(ymin + 1.0, window[0]), min(ymax - 2.0, window[1] - 1.0))
     lengths = preimage_lengths(mg.phi, a_grid, a_grid + 1.0)
     slack = 2.0 * (mg.npre + 1) * res.spacing
     resolved = lengths > 4.0 * res.spacing
@@ -527,12 +527,8 @@ def check_infinity_witness(mg: MapOnGrid, sp: SpaceParams, opnorm: float) -> Fra
     phi, res, lip = mg.phi, mg.res, mg.lip
     window = res.window
     ymin, ymax = phi.value_range()
-    a_lo = max(ymin, window[0] + 2.0)
-    a_hi = min(ymax, window[1] - 2.0)
     recon = 0.0
-    a_grid = np.arange(a_lo, a_hi + A_STEP, A_STEP)
-    # an a_lo off the step lattice would put the last target past a_hi
-    for a in a_grid[a_grid <= a_hi]:
+    for a in _unit_targets(max(ymin, window[0] + 2.0), min(ymax, window[1] - 2.0)):
         try:
             intervals = preimage_intervals(phi, (float(a), float(a) + 1.0))
         except UnboundedPreimageError:

@@ -9,8 +9,9 @@ worker moves itself off the CPU the calling thread is on at the fork by
 narrowing its mask to the other allowed CPUs, then widens the mask back to
 all of them: it stays where it landed, but once the caller waits, the
 scheduler may move it to the caller's CPU should another process hold the
-worker's. The caller's own mask is never touched; the README gives the
-move's measured effect.
+worker's. Without the move, a worker forked while the caller is busy
+starts on the caller's CPU and shares it (see the README for the measured
+effect). The caller's own mask is never touched.
 
 One rule: the caller runs a job itself unless the worker answered it clean,
 that is, ``fn`` returned, raised no warning, and its result pickled. At the

@@ -8,8 +8,9 @@ unless declared here, the package reads no environment variable that is
 not declared here, the fragments in theorems.py read their grid from one
 Resolution and their map from one MapOnGrid, which alone composes a
 witness with phi, theorems.py reads phi through maps and never through
-_kernels, the program runs without importing scipy, and the README states
-its line count."""
+_kernels, a job that two callers must do alike is done in one function,
+the program runs without importing scipy, and the README states its line
+count."""
 
 import ast
 import math
@@ -308,6 +309,58 @@ def test_theorems_reads_phi_through_maps():
 )
 def test_kernel_guard_sees_each_form(source, want):
     assert _kernel_reads(source) == want
+
+
+# A job that two callers must do alike is done in one function: only
+# _kernels._pair_sums meets targets with segments, so preimage_lengths and
+# the bounds that prune its sweeps sum in one order, and only
+# theorems._unit_targets lays out the unit targets of nec_U and the p = inf
+# witness. (owner, callee, a name whose reading in the arguments makes the
+# call the job, or None for every call)
+SINGLE_JOBS = (("_pair_sums", "_meeting_pairs", None), ("_unit_targets", "arange", "A_STEP"))
+
+
+def _calls_outside(source: str, owner: str, callee: str, fed_by=None) -> list[str]:
+    """Calls of ``callee``, by name or as an attribute, outside the function
+    ``owner`` of ``source``; with ``fed_by``, only those whose arguments read it."""
+    found, stack = [], [ast.parse(source)]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.name == owner:
+            continue
+        if isinstance(node, ast.Call) and callee in (getattr(node.func, "id", None), getattr(node.func, "attr", None)):
+            args = [*node.args, *(keyword.value for keyword in node.keywords)]
+            if fed_by is None or any(fed_by in _references(arg) for arg in args):
+                found.append(f"call {callee} (line {node.lineno})")
+        stack.extend(ast.iter_child_nodes(node))
+    return sorted(found)
+
+
+@pytest.mark.parametrize("owner, callee, fed_by", SINGLE_JOBS, ids=lambda v: str(v))
+def test_each_shared_job_has_one_definition(owner, callee, fed_by):
+    sources = {path.name: path.read_text() for path in MODULES}
+    assert {name: _calls_outside(src, owner, callee, fed_by) for name, src in sources.items()} == dict.fromkeys(sources, [])
+    # and the owner does the job, so the guard is not vacuous
+    assert [name for name, src in sources.items() if _calls_outside(src, "", callee, fed_by)] != []
+
+
+@pytest.mark.parametrize(
+    "source, job, want",
+    [
+        ("def _pair_sums(seg, los, his, terms):\n    t, s = _meeting_pairs(a, b, lo, hi)", 0, []),
+        ("def preimage_lengths(seg, los, his):\n    t, s = _meeting_pairs(a, b, lo, hi)", 0,
+         ["call _meeting_pairs (line 2)"]),
+        ("t, s = K._meeting_pairs(ymin, ymax, lo, hi)", 0, ["call _meeting_pairs (line 1)"]),
+        ("def _unit_targets(lo, hi):\n    return np.arange(lo, hi + A_STEP, A_STEP)", 1, []),
+        ("a_grid = np.arange(a_lo, a_hi + A_STEP, A_STEP)", 1, ["call arange (line 1)"]),
+        ("a_grid = arange(a_lo, a_hi, step=theorems.A_STEP)", 1, ["call arange (line 1)"]),
+        ("grid = np.arange(ymin - w, ymax, step)", 1, []),
+        ("def f():\n    def _unit_targets():\n        pass\n    return np.arange(0.0, A_STEP)", 1,
+         ["call arange (line 4)"]),
+    ],
+)
+def test_single_job_guard_sees_each_form(source, job, want):
+    assert _calls_outside(source, *SINGLE_JOBS[job]) == want
 
 
 # Names that only the tests reach, each kept as a paper check, an oracle or a

@@ -2,11 +2,12 @@ import csv
 import itertools
 import math
 import os
+import sys
 
 import numpy as np
 import pytest
 
-from besovlab import maps, theorems
+from besovlab import maps, norms, theorems
 from besovlab.gadgets import unit_bump
 from besovlab.grid import (
     DEFAULT_COUNT,
@@ -590,3 +591,36 @@ def test_classify_sweeps_U_once(monkeypatch):
     assert sweeps == [[1.0], [2.0**-k for k in range(1, maps.M_LEVELS + 1)]]
     assert rep.computed["M_ladder"][0] == [1.0, rep.computed["U"]]
     assert rep.computed["U"] == U_functional(named_map("sin_drift:amp=0.5"))
+
+
+def _count_calls_everywhere(monkeypatch, module, names) -> dict:
+    """Install a counting wrapper under each of ``names`` of ``module`` in
+    every besovlab namespace that holds the function, as the benchmark's
+    tracer does; returns the counts by name."""
+    calls = dict.fromkeys(names, 0)
+    namespaces = [mod for key, mod in list(sys.modules.items())
+                  if mod is not None and (key == "besovlab" or key.startswith("besovlab."))]
+    for name in names:
+        original = getattr(module, name)
+
+        def counting(*args, _name=name, _original=original, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        for mod in namespaces:
+            for key, value in list(vars(mod).items()):
+                if value is original:
+                    monkeypatch.setattr(mod, key, counting)
+    return calls
+
+
+def test_a_traced_norm_sees_every_norm_resolution_computes(monkeypatch):
+    # Resolution's norm table looks each norm up when called; an entry bound
+    # to the function object at import would run the untraced original
+    calls = _count_calls_everywhere(monkeypatch, norms, ("besov_seminorm_diff", "sobolev_norm_diff"))
+    mg = MapOnGrid.read(named_map("scale:k=2"), Resolution(2049))
+    assert check_nec_lipschitz(mg, SP).values["sweep"]
+    assert calls == {"besov_seminorm_diff": len(mg.res), "sobolev_norm_diff": 0} and len(mg.res) > 0
+    mg = MapOnGrid.read(named_map("scale:k=2"), Resolution(2049))
+    opnorm_lower_detailed(mg, SP, kind="sobolev")
+    assert calls["sobolev_norm_diff"] == len(mg.res) > 0
